@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-record smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-contract bench-record smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
 
 all: build
 
@@ -41,6 +41,13 @@ bench-smoke:
 	$(GO) run ./cmd/cqbench -run E1 -n 2000
 	$(GO) run ./cmd/cqbench -parallel -n 1000 -queries 10
 	$(GO) run ./cmd/cqbench -shards 1,2 -n 800 -queries 5
+
+# benchmark/ is its own module (see benchmark/README.md), invisible to
+# `go build ./...` and `go test ./...` here: vet and test it against this
+# tree, so an internal API change that breaks the repository benchmark
+# fails locally and in CI instead of in the benchmark pipeline.
+bench-contract:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Bench trajectory: record the next BENCH_<n>.json at the pinned
 # configuration the committed trajectory uses and compare it against the
@@ -127,5 +134,5 @@ wal-smoke:
 	$(GO) test -race -shuffle=on -run 'TestChurn|TestDeltaApply|TestWAL|TestUpdateLog|TestNoopDelete|TestRebuildBatch' ./internal/core ./internal/difftest ./internal/httpserve ./internal/wal
 	sh scripts/wal_smoke.sh
 
-ci: build vet fmt-check lint test race bench-smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke
+ci: build vet fmt-check lint test race bench-smoke bench-contract examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke
 	$(MAKE) bench-record BENCHOUT=$$(mktemp /tmp/cqrep-bench-XXXXXX.json)

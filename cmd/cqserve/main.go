@@ -43,8 +43,8 @@
 // liveness; /readyz additionally forces every registered view decodable.
 //
 // SIGINT/SIGTERM shuts down gracefully: the listener stops, in-flight
-// streams are cancelled through their request contexts, and the serving
-// pools drain before the process exits.
+// streams are cancelled through their request contexts and drain before
+// the process exits.
 package main
 
 import (
@@ -72,8 +72,6 @@ import (
 type config struct {
 	addr       string
 	snapshots  []string
-	workers    int
-	buffer     int
 	flushBatch int
 	cacheBytes int64
 	mmap       bool
@@ -99,8 +97,6 @@ func parseFlags(args []string) (config, error) {
 	fs.Var(&snaps, "snapshot", "snapshot file to serve (repeatable; positional args work too)")
 	cfg := config{}
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 0, "serving workers per view (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.buffer, "buffer", 0, "per-request result buffer in tuples (0 = default 256)")
 	fs.IntVar(&cfg.flushBatch, "flush-batch", 0, "tuples batched per stream flush (0 = default 128)")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "hot-binding result cache budget in bytes (0 = caching off); entries are invalidated by registry generation on reload/attach/detach")
 	fs.BoolVar(&cfg.mmap, "mmap", false, "mmap snapshots instead of eager decode (lazy per-shard decode on first touch)")
@@ -143,7 +139,6 @@ func main() {
 func run(ctx context.Context, cfg config, logw *os.File) error {
 	var joined atomic.Bool
 	opts := httpserve.Options{
-		Workers: cfg.workers, Buffer: cfg.buffer,
 		FlushBatch: cfg.flushBatch, Mmap: cfg.mmap,
 		Admin: cfg.worker, SpoolDir: cfg.spool,
 		CacheBytes: cfg.cacheBytes, WALDir: cfg.walDir,

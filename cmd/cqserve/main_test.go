@@ -7,11 +7,11 @@ import (
 )
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-addr", ":9090", "-snapshot", "a.cqs", "-snapshot", "b.cqs", "-workers", "3", "-buffer", "16", "-drain", "2s"})
+	cfg, err := parseFlags([]string{"-addr", ":9090", "-snapshot", "a.cqs", "-snapshot", "b.cqs", "-flush-batch", "16", "-drain", "2s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != ":9090" || cfg.workers != 3 || cfg.buffer != 16 || cfg.drain != 2*time.Second {
+	if cfg.addr != ":9090" || cfg.flushBatch != 16 || cfg.drain != 2*time.Second {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if len(cfg.snapshots) != 2 || cfg.snapshots[0] != "a.cqs" || cfg.snapshots[1] != "b.cqs" {

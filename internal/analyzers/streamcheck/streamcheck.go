@@ -5,8 +5,9 @@
 // short, plausible-looking result. The contract has three surfaces:
 //
 //   - core.Iterator values (Representation.Query*, Server.Submit*,
-//     Maintained.Query): after draining, IterErr (or the value's own Err
-//     method) distinguishes completion from failure. A function that
+//     Maintained.Query) and core.BlockIterator values
+//     (Representation.QueryBlocks): after draining, IterErr (or the
+//     value's own Err method) distinguishes completion from failure. A function that
 //     creates an iterator must consult it or hand the iterator to
 //     someone who can (return it, pass it on, store it). Draining
 //     through core.Drain(x.Query(...)) without retaining the iterator
@@ -35,7 +36,7 @@ import (
 // Analyzer flags result streams whose terminal error is never consulted.
 var Analyzer = &analyzers.Analyzer{
 	Name: "streamcheck",
-	Doc: "flag result streams (core.Iterator, httpserve.Stream, All/All2 sequences) " +
+	Doc: "flag result streams (core.Iterator, core.BlockIterator, httpserve.Stream, All/All2 sequences) " +
 		"drained without consulting their terminal error (IterErr / Err / ctx.Err)",
 	Run: run,
 }
@@ -106,10 +107,11 @@ func analyzeFunc(pass *analyzers.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// --- core.Iterator / httpserve.Stream ------------------------------------
+// --- core.Iterator / core.BlockIterator / httpserve.Stream ----------------
 
 func isStreamType(t types.Type) bool {
 	return analyzers.IsNamed(t, analyzers.ModulePath+"/internal/core", "Iterator") ||
+		analyzers.IsNamed(t, analyzers.ModulePath+"/internal/core", "BlockIterator") ||
 		analyzers.IsNamed(t, analyzers.ModulePath+"/internal/httpserve", "Stream")
 }
 
@@ -223,7 +225,7 @@ func scanUses(pass *analyzers.Pass, fd *ast.FuncDecl, parents parentMap, obj typ
 					if gp, ok := parents.parent(p).(*ast.CallExpr); ok && ast.Unparen(gp.Fun) == ast.Expr(p) {
 						consulted = true
 					}
-				case "Next", "Close":
+				case "Next", "NextBlock", "Close":
 					// draining / releasing: neutral
 				default:
 					escaped = true

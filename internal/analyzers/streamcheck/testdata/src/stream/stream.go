@@ -1,6 +1,6 @@
 // Package stream is streamcheck's testdata: each function is one flag or
 // no-flag case for the consult-or-escape rule over core.Iterator,
-// httpserve.Stream and the All/All2 sequence forms.
+// core.BlockIterator, httpserve.Stream and the All/All2 sequence forms.
 package stream
 
 import (
@@ -13,6 +13,7 @@ import (
 
 func openIter() core.Iterator               { return nil }
 func openStream() (httpserve.Stream, error) { return nil, nil }
+func openBlocks() core.BlockIterator        { return nil }
 
 func drain(it core.Iterator) {
 	for {
@@ -118,6 +119,34 @@ func streamNeverConsulted() int {
 		n++
 	}
 	return n
+}
+
+// --- core.BlockIterator: same rule, block-sized steps ----------------------
+
+func blocksNeverConsulted() int {
+	n := 0
+	blocks := openBlocks() // want `never consulted for its terminal error`
+	for {
+		blk := blocks.NextBlock(128)
+		if len(blk) == 0 {
+			break
+		}
+		n += len(blk)
+	}
+	return n
+}
+
+func blocksConsulted() (int, error) {
+	n := 0
+	blocks := openBlocks()
+	for {
+		blk := blocks.NextBlock(128)
+		if len(blk) == 0 {
+			break
+		}
+		n += len(blk)
+	}
+	return n, core.IterErr(blocks)
 }
 
 // --- All-shaped sequences (ctx cancellation truncates) --------------------

@@ -103,7 +103,8 @@ type SliceIter struct {
 	pos    int
 }
 
-// Next returns the next tuple or false at the end.
+// Next returns the next tuple or false at the end. The tuple is the
+// caller's: it is cloned out of the stored slice.
 func (it *SliceIter) Next() (relation.Tuple, bool) {
 	if it.pos >= len(it.tuples) {
 		return nil, false
@@ -111,6 +112,18 @@ func (it *SliceIter) Next() (relation.Tuple, bool) {
 	t := it.tuples[it.pos]
 	it.pos++
 	return t.Clone(), true
+}
+
+// NextBlock returns the next up-to-max tuples as a sub-slice of the stored
+// slice — no copy, no allocation — or an empty block at the end. The block
+// and its tuples are borrowed: read-only, and valid only until the next
+// call. Stored slices are never edited in place (ApplyOutputDelta is
+// copy-on-write), so a block stays intact under concurrent maintenance.
+func (it *SliceIter) NextBlock(max int) []relation.Tuple {
+	end := min(it.pos+max, len(it.tuples))
+	blk := it.tuples[it.pos:end:end]
+	it.pos = end
+	return blk
 }
 
 // Drain collects the remaining tuples.

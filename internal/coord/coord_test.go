@@ -91,7 +91,7 @@ func startClusterCached(t *testing.T, paths []string, nWorkers, flushBatch int, 
 	cptr.Store(c)
 	cl.coord = c
 	for i := 0; i < nWorkers; i++ {
-		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), Workers: 2, FlushBatch: flushBatch})
+		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), FlushBatch: flushBatch})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
@@ -157,7 +157,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 		buildSnapshot(t, dir, "p", cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"), pathDB,
 			core.WithStrategy(core.DecompositionStrategy), core.WithShards(4)),
 	}
-	single, err := httpserve.New(paths, httpserve.Options{Workers: 2, FlushBatch: flushBatch})
+	single, err := httpserve.New(paths, httpserve.Options{FlushBatch: flushBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

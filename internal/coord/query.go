@@ -72,7 +72,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil || !sm.acquire() {
 		// The map is swapped strictly before the old generation retires, so
-		// one reload suffices (unlike pool entries, a map cannot retire
+		// one reload suffices (unlike a node's view entries, a map cannot retire
 		// between Load and acquire more than transiently).
 		if sm = c.smap.Load(); sm == nil || !sm.acquire() {
 			c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
@@ -151,12 +151,18 @@ func (c *Coordinator) serveCached(w http.ResponseWriter, format httpserve.Format
 // flight tees the response bytes and publishes them on a complete stream,
 // or is abandoned on any other outcome so waiters fall back.
 func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time, flight *httpserve.CacheFlight) streamDisposition {
+	var tee *httpserve.CacheTee
+	if flight != nil {
+		tee = httpserve.NewCacheTee(w, c.cache.MaxEntryBytes())
+		w = tee
+	}
+	disp, n := c.streamScatter(w, r, vm, owners, shards, req, format, start)
+	// One add per stream: concurrent merge loops bumping the shared counter
+	// per tuple only traded its cache line back and forth.
+	c.tuples.Add(uint64(n))
 	if flight == nil {
-		disp, _ := c.streamScatter(w, r, vm, owners, shards, req, format, start)
 		return disp
 	}
-	tee := httpserve.NewCacheTee(w, c.cache.MaxEntryBytes())
-	disp, n := c.streamScatter(tee, r, vm, owners, shards, req, format, start)
 	if disp == streamComplete {
 		if body, ok := tee.Captured(); ok {
 			c.cache.Publish(flight, body, n)
@@ -283,7 +289,6 @@ func (c *Coordinator) streamScatter(w http.ResponseWriter, r *http.Request, vm *
 			cancel() // client went away: abandon the fan-out
 			return streamAborted, n
 		}
-		c.tuples.Add(1)
 		n++
 		if req.Limit > 0 && n >= req.Limit {
 			cancel() // stop the remaining worker streams; the client is satisfied

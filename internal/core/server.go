@@ -140,13 +140,14 @@ func (s *streamErr) get() error {
 // snapshot backend) exposes the failure here after Next returns false.
 type errReporter interface{ Err() error }
 
-// IterErr returns the terminal error of a result stream, or nil when the
-// iterator does not report one. For iterators returned by Server.Submit /
-// SubmitContext it is meaningful once Next has returned false: nil means
+// IterErr returns the terminal error of a result stream — an Iterator or
+// a BlockIterator — or nil when it does not report one. It is meaningful
+// once the stream has ended (Next returned false, NextBlock came back
+// empty). For iterators returned by Server.Submit / SubmitContext nil means
 // the enumeration completed; ErrClosed means the server was closed
 // mid-stream; the submitting context's error means it was cancelled; any
 // other error was surfaced by the underlying source mid-enumeration.
-func IterErr(it Iterator) error {
+func IterErr(it any) error {
 	if r, ok := it.(errReporter); ok {
 		return r.Err()
 	}

@@ -129,7 +129,7 @@ func TestCachedDifferential(t *testing.T) {
 	const instances = 120
 	paths, insts := buildCachedInstances(t, t.TempDir(), instances)
 
-	base, err := httpserve.New(paths, httpserve.Options{Workers: 4, FlushBatch: 3})
+	base, err := httpserve.New(paths, httpserve.Options{FlushBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCachedDifferential(t *testing.T) {
 	baseTS := httptest.NewServer(base)
 	defer baseTS.Close()
 
-	cached, err := httpserve.New(paths, httpserve.Options{Workers: 4, FlushBatch: 3, CacheBytes: 64 << 20})
+	cached, err := httpserve.New(paths, httpserve.Options{FlushBatch: 3, CacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDistributedDifferentialCached(t *testing.T) {
 	dir := t.TempDir()
 	paths, insts := buildCachedInstances(t, dir, instances, core.WithShards(3))
 
-	single, err := httpserve.New(paths, httpserve.Options{Workers: 2, FlushBatch: 3})
+	single, err := httpserve.New(paths, httpserve.Options{FlushBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDistributedDifferentialCached(t *testing.T) {
 
 	workerURLs := make([]string, 3)
 	for i := 0; i < 3; i++ {
-		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), Workers: 2, FlushBatch: 3})
+		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), FlushBatch: 3})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}

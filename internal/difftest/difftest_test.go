@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,10 +37,32 @@ func encodeSeq(ts []relation.Tuple) []byte {
 	return buf.Bytes()
 }
 
+// encodeBlocks drains one access request block by block, encoding each
+// borrowed block before asking for the next (the only legal way to keep
+// one), and checks every block respects max.
+func encodeBlocks(rep *core.Representation, vb relation.Tuple, max int) ([]byte, error) {
+	var buf []byte
+	blocks := rep.QueryBlocks(context.Background(), vb)
+	for {
+		blk := blocks.NextBlock(max)
+		if len(blk) == 0 {
+			return buf, core.IterErr(blocks)
+		}
+		if len(blk) > max {
+			return nil, fmt.Errorf("block of %d tuples exceeds max %d", len(blk), max)
+		}
+		for _, t := range blk {
+			buf = t.AppendEncode(buf)
+		}
+	}
+}
+
 // TestDifferentialAllStrategies is the acceptance harness: 120 seeded
 // random acyclic CQ/database instances, every strategy checked
 // byte-for-byte against the naive backtracking join on every bound
-// valuation that has answers, plus a guaranteed miss.
+// valuation that has answers, plus a guaranteed miss — through the
+// per-tuple enumeration and through the block enumeration at block sizes
+// 1, 3 and 128.
 func TestDifferentialAllStrategies(t *testing.T) {
 	const instances = 120
 	checkedBindings := 0
@@ -65,6 +88,13 @@ func TestDifferentialAllStrategies(t *testing.T) {
 				if !bytes.Equal(encodeSeq(got), encodeSeq(want)) {
 					t.Fatalf("seed %d: %s: binding %v: stream diverges from naive join\n got (%d): %v\nwant (%d): %v\nview: %v\norder: %v",
 						seed, sc.name, vb, len(got), got, len(want), want, c.View, order)
+				}
+				for _, max := range []int{1, 3, 128} {
+					blk, err := encodeBlocks(rep, vb, max)
+					if err != nil || !bytes.Equal(blk, encodeSeq(got)) {
+						t.Fatalf("seed %d: %s: binding %v: block enumeration (max %d) diverges from per-tuple: %d vs %d bytes, err %v",
+							seed, sc.name, vb, max, len(blk), len(encodeSeq(got)), err)
+					}
 				}
 				if rep.Exists(vb) != (len(want) > 0) {
 					t.Fatalf("seed %d: %s: binding %v: Exists = %v, naive answer count %d",

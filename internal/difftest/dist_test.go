@@ -63,7 +63,7 @@ func TestDistributedDifferential(t *testing.T) {
 		insts = append(insts, instance{c: c, name: c.View.Name})
 	}
 
-	single, err := httpserve.New(paths, httpserve.Options{Workers: 2, FlushBatch: flushBatch})
+	single, err := httpserve.New(paths, httpserve.Options{FlushBatch: flushBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDistributedDifferential(t *testing.T) {
 	defer co.Close()
 	cptr.Store(co)
 	for i := 0; i < 3; i++ {
-		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), Workers: 2, FlushBatch: flushBatch})
+		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), FlushBatch: flushBatch})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}

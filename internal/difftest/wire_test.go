@@ -58,7 +58,7 @@ func TestWireFormatsDifferential(t *testing.T) {
 		insts = append(insts, instance{c: c, rep: rep, name: c.View.Name})
 	}
 
-	h, err := httpserve.New(paths, httpserve.Options{Workers: 4, FlushBatch: 3})
+	h, err := httpserve.New(paths, httpserve.Options{FlushBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,6 +204,9 @@ func runMaintain(c maintainCase, mode maintainMode, ops []workload.ChurnOp, read
 						panic(err)
 					}
 					core.Drain(it)
+					if err := core.IterErr(it); err != nil {
+						panic(err)
+					}
 				}
 				local = append(local, time.Since(t0))
 				if first {
@@ -270,6 +273,9 @@ func maintainState(m *core.Maintained, keys int) [][]byte {
 				for _, v := range t {
 					buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 				}
+			}
+			if err := core.IterErr(it); err != nil {
+				panic(err)
 			}
 			out = append(out, buf)
 		}

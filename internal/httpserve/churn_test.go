@@ -75,7 +75,7 @@ func TestReloadChurn(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 4, Buffer: 4})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReloadChurnCached(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 4, Buffer: 4, CacheBytes: 1 << 20})
+	h, err := New([]string{path}, Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShutdownChurn(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 2, Buffer: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,13 @@
 //
 // Reload is hot: the per-view registry is swapped atomically, requests
 // in flight keep streaming from the representation they started on, and
-// the old serving pools close only after their last stream finishes.
-// Shutdown propagates context cancellation into every in-flight
-// enumeration through Server.SubmitContext.
+// the old generation is released only after its last stream finishes.
+// A request enumerates on its own handler goroutine, block by block
+// (core.Representation.QueryBlocks) into the one StreamWriter, so its
+// context — client disconnect, shutdown — cuts the enumeration directly.
 package httpserve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,19 +41,14 @@ import (
 
 // Options configures a Handler.
 type Options struct {
-	// Workers bounds each view's serving pool; <= 0 means GOMAXPROCS.
-	Workers int
-	// Buffer is the per-request result channel capacity; <= 0 means the
-	// core default (256). Together with line-by-line flushing it bounds
-	// the tuples buffered for a slow client.
-	Buffer int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
 	// FlushBatch is the steady-state tuples-per-flush of binary result
-	// streams and of the core serving pools (core.WithFlushBatch); <= 0
-	// means defaultFlushBatch. The first tuple of every stream is always
-	// flushed alone, so batching never defers first-answer delay. NDJSON
-	// streams keep per-line flushing regardless.
+	// streams — the size of the blocks a request enumerates and of the
+	// frames it ships; <= 0 means defaultFlushBatch. The first tuple of
+	// every stream is always flushed alone, so batching never defers
+	// first-answer delay. NDJSON streams keep per-line flushing regardless.
+	// It also bounds what is buffered for a slow client: one block.
 	FlushBatch int
 	// Mmap loads snapshots through the mmap path (cqrep.LoadMmap):
 	// startup is O(file-open) per snapshot and each view — each shard,
@@ -101,7 +96,7 @@ type SnapshotSpec struct {
 }
 
 // defaultFlushBatch is the steady-state tuples-per-flush when
-// Options.FlushBatch is unset: large enough to amortize channel and flush
+// Options.FlushBatch is unset: large enough to amortize per-block and flush
 // syscall overhead, small enough that a mid-stream gap stays tiny.
 const defaultFlushBatch = 128
 
@@ -128,7 +123,7 @@ type Handler struct {
 	reloads   atomic.Uint64
 	closed    atomic.Bool
 	closeOnce sync.Once
-	closeDone chan struct{}  // closed once every pool has drained
+	closeDone chan struct{}  // closed once every stream has drained
 	retired   sync.WaitGroup // background retire goroutines
 
 	requests atomic.Uint64
@@ -156,14 +151,22 @@ type registry struct {
 	names []string // sorted view names, for /v1/views determinism
 }
 
-// viewEntry is one served view: its representation, serving pool, and the
-// in-flight reference gate that keeps the pool alive until the last
-// stream started on it finishes.
+// blockSource is what a view enumerates through — its representation; a
+// failing stand-in in tests.
+type blockSource interface {
+	QueryBlocks(ctx context.Context, vb relation.Tuple) core.BlockIterator
+}
+
+// viewEntry is one served view: its representation and the in-flight
+// reference gate that lets a retirer wait for the last stream started on
+// it. The gate is the whole-generation-or-retry guarantee: a request
+// either acquires an entry and streams wholly from it, or retries on the
+// fresh registry.
 type viewEntry struct {
 	name     string
 	path     string
 	rep      *core.Representation
-	srv      *core.Server
+	src      blockSource // rep, except under test
 	loadedAt time.Time
 
 	mu      sync.Mutex
@@ -172,6 +175,7 @@ type viewEntry struct {
 	idle    chan struct{} // closed when retired with no refs left
 
 	requests        atomic.Uint64
+	tuples          atomic.Uint64
 	streamsComplete atomic.Uint64
 	streamsErrored  atomic.Uint64
 	streamsAborted  atomic.Uint64
@@ -214,9 +218,9 @@ func (e *viewEntry) release() {
 	}
 }
 
-// retire marks the entry dead, waits for in-flight streams to finish, and
-// closes its serving pool. Requests in flight keep streaming from the old
-// representation; new requests fail acquire and route to the replacement.
+// retire marks the entry dead and waits for in-flight streams to finish.
+// Requests in flight keep streaming from the old representation; new
+// requests fail acquire and route to the replacement.
 func (e *viewEntry) retire() {
 	e.mu.Lock()
 	e.retired = true
@@ -226,7 +230,6 @@ func (e *viewEntry) retire() {
 		close(e.idle)
 	}
 	<-e.idle
-	e.srv.Close()
 }
 
 // New loads every snapshot path into a per-view registry and returns the
@@ -277,14 +280,6 @@ func NewSpecs(specs []SnapshotSpec, opts Options) (*Handler, error) {
 // loadRegistry reads every snapshot spec into a fresh registry generation.
 func (h *Handler) loadRegistry(gen uint64) (*registry, error) {
 	reg := &registry{gen: gen, views: make(map[string]*viewEntry, len(h.specs))}
-	ok := false
-	defer func() {
-		if !ok { // abandon the half-built generation's serving pools
-			for _, e := range reg.views {
-				e.srv.Close()
-			}
-		}
-	}()
 	for i, spec := range h.specs {
 		entry, err := h.loadEntry(spec)
 		if err != nil {
@@ -300,7 +295,6 @@ func (h *Handler) loadRegistry(gen uint64) (*registry, error) {
 		reg.names = append(reg.names, entry.name)
 	}
 	sort.Strings(reg.names)
-	ok = true
 	return reg, nil
 }
 
@@ -323,19 +317,11 @@ func (h *Handler) loadEntry(spec SnapshotSpec) (*viewEntry, error) {
 			return nil, fmt.Errorf("httpserve: %s: %w", spec.Path, err)
 		}
 	}
-	srvOpts := []core.ServerOption{core.WithFlushBatch(h.flushBatch())}
-	if h.opts.Buffer > 0 {
-		srvOpts = append(srvOpts, core.WithServerBuffer(h.opts.Buffer))
-	}
-	srv, err := core.NewServer(rep, h.opts.Workers, srvOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("httpserve: %s: %w", spec.Path, err)
-	}
 	return &viewEntry{
 		name:     name,
 		path:     spec.Path,
 		rep:      rep,
-		srv:      srv,
+		src:      rep,
 		loadedAt: time.Now(),
 		idle:     make(chan struct{}),
 		// Deferred: counting base tuples materializes the
@@ -401,8 +387,7 @@ func (h *Handler) Attach(name, path string) error {
 }
 
 // Detach removes the named entry from the registry (and from the reload
-// spec list). In-flight streams on it finish; its serving pool closes once
-// the last one does.
+// spec list). In-flight streams on it finish.
 func (h *Handler) Detach(name string) error {
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
@@ -483,7 +468,7 @@ func (h *Handler) flushBatch() int {
 // Reload re-reads every snapshot path and atomically swaps the registry.
 // On any load failure the old registry stays in place untouched. Requests
 // in flight finish on the representation they started with; the old
-// serving pools close in the background once their last stream ends.
+// generation is released in the background once its last stream ends.
 func (h *Handler) Reload() (uint64, error) {
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
@@ -510,11 +495,10 @@ func (h *Handler) Reload() (uint64, error) {
 	return reg.gen, nil
 }
 
-// Close retires the handler: new requests fail with 503, in-flight
-// streams finish (or are cut by their own request contexts), and every
-// serving pool is closed. Close blocks until all pools have drained and
-// is idempotent — concurrent and repeated calls all wait for the full
-// drain, not just the first one.
+// Close retires the handler: new requests fail with 503 and in-flight
+// streams finish (or are cut by their own request contexts). Close blocks
+// until every stream has drained and is idempotent — concurrent and
+// repeated calls all wait for the full drain, not just the first one.
 func (h *Handler) Close() {
 	h.closeOnce.Do(func() {
 		defer close(h.closeDone)
@@ -545,10 +529,12 @@ func (h *Handler) errorJSON(w http.ResponseWriter, status int, format string, ar
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleQuery streams one access request as NDJSON: each result tuple is
-// one JSON array line in enumeration order; a stream that dies mid-way
-// ends with one JSON object line {"error": ...} so clients can tell a
-// truncated enumeration from a complete one (see core.IterErr).
+// handleQuery streams one access request in the negotiated encoding —
+// NDJSON (one JSON array line per tuple) or the binary framing (wire.go) —
+// in enumeration order. A stream that dies mid-way ends with the format's
+// terminal error (the {"error": ...} object line, the error frame) so
+// clients can tell a truncated enumeration from a complete one (see
+// core.IterErr).
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	h.requests.Add(1)
 	start := time.Now()
@@ -576,11 +562,11 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		h.errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	format := negotiateFormat(r.Header.Get("Accept"))
+	format := NegotiateFormat(r.Header.Get("Accept"))
 
-	// A retired entry (reload/close raced our registry load) fails fast
-	// with ErrClosed before streaming anything; retry on the fresh
-	// registry so the request lands wholly on one generation.
+	// An entry retired between our registry load and acquire (reload/close
+	// raced us) refuses the reference; retry on the fresh registry so the
+	// request lands wholly on one generation.
 	for attempt := 0; attempt < 8; attempt++ {
 		reg := h.reg.Load()
 		if reg == nil {
@@ -595,62 +581,56 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if !entry.acquire() {
 			continue
 		}
-		served := h.streamQuery(w, r, entry, req, format, reg.gen, start)
+		h.streamQuery(w, r, entry, req, format, reg.gen, start)
 		entry.release()
-		if served {
-			return
-		}
+		return
 	}
 	h.errorJSON(w, http.StatusServiceUnavailable, "view %q is reloading, retry", name)
 }
 
-// streamQuery runs one acquired request to completion. It reports false
-// when the entry's pool was already closed before anything was streamed
-// (the caller retries on the fresh registry). gen is the generation of
-// the registry the entry was acquired from — the cache keys on it, so a
-// replayed stream always belongs to the generation this request loaded.
-func (h *Handler) streamQuery(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format wireFormat, gen uint64, start time.Time) bool {
-	if h.cache != nil && req.Limit == 0 {
-		if vb, err := entry.rep.Bind(req.Bindings); err == nil {
-			cf := FormatNDJSON
-			if format == formatBinary {
-				cf = FormatBinary
-			}
-			res := h.cache.Acquire(entry.name, gen, cf, string(vb.AppendEncode(nil)))
-			if res.Hit {
-				h.serveCached(w, entry, format, res.Body, res.Tuples, start)
-				return true
-			}
-			if res.Leader {
-				return h.streamLive(w, r, entry, req, format, start, res.Flight)
-			}
-			// Follower: wait for the leader's bytes — they were produced
-			// under the same generation this request acquired. A failed
-			// flight (or our own context expiring while parked) falls
-			// back to computing directly; coalescing never turns one
-			// stream's failure into another's.
-			if body, tuples, ok := res.Flight.Wait(r.Context()); ok {
-				h.serveCached(w, entry, format, body, tuples, start)
-				return true
-			}
+// streamQuery runs one acquired request to completion. gen is the
+// generation of the registry the entry was acquired from — the cache keys
+// on it, so a replayed stream always belongs to the generation this
+// request loaded.
+func (h *Handler) streamQuery(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format Format, gen uint64, start time.Time) {
+	vb, err := entry.rep.Bind(req.Bindings)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, core.ErrBadBinding) {
+			status = http.StatusBadRequest
 		}
-		// An unbindable request skips the cache and fails on the live
-		// path, which owns the 400 discipline.
+		h.errorJSON(w, status, "%v", err)
+		return
 	}
-	return h.streamLive(w, r, entry, req, format, start, nil)
+	var flight *CacheFlight
+	if h.cache != nil && req.Limit == 0 {
+		res := h.cache.Acquire(entry.name, gen, format, string(vb.AppendEncode(nil)))
+		if res.Hit {
+			h.serveCached(w, entry, format, res.Body, res.Tuples, start)
+			return
+		}
+		if res.Leader {
+			flight = res.Flight
+		} else if body, tuples, ok := res.Flight.Wait(r.Context()); ok {
+			// Follower: the leader's bytes were produced under the same
+			// generation this request acquired.
+			h.serveCached(w, entry, format, body, tuples, start)
+			return
+		}
+		// A failed flight (or our own context expiring while parked) falls
+		// through to computing directly, with no flight: coalescing never
+		// turns one stream's failure into another's.
+	}
+	h.streamLive(r.Context(), w, entry, vb, req.Limit, format, start, flight)
 }
 
 // serveCached replays one cached encoded stream, with the same headers,
 // counters, and flush behavior a live complete stream would have had.
-func (h *Handler) serveCached(w http.ResponseWriter, entry *viewEntry, format wireFormat, body []byte, tuples int, start time.Time) {
+func (h *Handler) serveCached(w http.ResponseWriter, entry *viewEntry, format Format, body []byte, tuples int, start time.Time) {
 	entry.requests.Add(1)
 	w.Header().Set("X-Cqrep-View", entry.name)
 	w.Header().Set("X-Cqrep-Free", strconv.Itoa(len(entry.rep.FreeNames())))
-	if format == formatBinary {
-		w.Header().Set("Content-Type", BinaryMediaType)
-	} else {
-		w.Header().Set("Content-Type", NDJSONMediaType)
-	}
+	w.Header().Set("Content-Type", format.MediaType())
 	if tuples > 0 {
 		h.delay.Add(time.Since(start))
 	}
@@ -659,58 +639,38 @@ func (h *Handler) serveCached(w http.ResponseWriter, entry *viewEntry, format wi
 		flusher.Flush()
 	}
 	h.tuples.Add(uint64(tuples))
+	entry.tuples.Add(uint64(tuples))
 	h.streamsComplete.Add(1)
 	entry.streamsComplete.Add(1)
 	h.total.Add(time.Since(start))
 }
 
-// streamLive computes and streams one request from the backend. A non-nil
-// flight means this request leads a cache fill: the response bytes are
-// teed into a capture and published on a complete stream, abandoned on
-// any other outcome (so waiters fall back instead of hanging).
-func (h *Handler) streamLive(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format wireFormat, start time.Time, flight *CacheFlight) bool {
+// streamLive computes and streams one request from the backend, on this
+// goroutine. A non-nil flight means this request leads a cache fill: the
+// response bytes are teed into a capture and published on a complete
+// stream, abandoned on any other outcome (so waiters fall back instead of
+// hanging).
+func (h *Handler) streamLive(ctx context.Context, w http.ResponseWriter, entry *viewEntry, vb relation.Tuple, limit int, format Format, start time.Time, flight *CacheFlight) {
 	published := false
 	if flight != nil {
-		defer func() {
+		defer func() { // deferred so that a panicking enumeration cannot strand the waiters
 			if !published {
 				h.cache.Abandon(flight)
 			}
 		}()
 	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	it, err := entry.srv.SubmitArgs(ctx, req.Bindings)
-	switch {
-	case errors.Is(err, core.ErrClosed):
-		return false
-	case errors.Is(err, core.ErrBadBinding):
-		h.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return true
-	case err != nil:
-		h.errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return true
-	}
 	entry.requests.Add(1)
 	defer func() { h.total.Add(time.Since(start)) }()
 
-	// Headers are staged but the status line is only committed by the
-	// first body write, so a request whose enumeration fails before
-	// producing anything can still answer with a real error status.
+	arity := len(entry.rep.FreeNames())
 	w.Header().Set("X-Cqrep-View", entry.name)
-	w.Header().Set("X-Cqrep-Free", strconv.Itoa(len(entry.rep.FreeNames())))
-	sw := w
+	w.Header().Set("X-Cqrep-Free", strconv.Itoa(arity))
 	var tee *CacheTee
 	if flight != nil {
 		tee = NewCacheTee(w, h.cache.MaxEntryBytes())
-		sw = tee
+		w = tee
 	}
-	var disp streamDisposition
-	var n int
-	if format == formatBinary {
-		disp, n = h.streamBinary(sw, entry, it, req, ctx, cancel, start)
-	} else {
-		disp, n = h.streamNDJSON(sw, it, req, ctx, cancel, start)
-	}
+	disp, n := h.deliver(ctx, w, NewStreamWriter(w, format, arity, h.flushBatch()), entry, vb, limit, start)
 	switch disp {
 	case streamErrored:
 		h.streamsErrored.Add(1)
@@ -728,171 +688,74 @@ func (h *Handler) streamLive(w http.ResponseWriter, r *http.Request, entry *view
 			}
 		}
 	}
-	return true
 }
 
-// streamNDJSON writes the result stream in the NDJSON encoding, flushing
-// per line: the stream is the product, and constant-delay enumeration
-// means the client should see tuples as they are produced, not when a
-// buffer happens to fill.
-func (h *Handler) streamNDJSON(w http.ResponseWriter, it core.Iterator, req QueryRequest, ctx context.Context, cancel context.CancelFunc, start time.Time) (streamDisposition, int) {
-	w.Header().Set("Content-Type", NDJSONMediaType)
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 4096)
-
-	var line []byte
-	n := 0
-	limited := false
-	for {
-		t, ok := it.Next()
-		if !ok {
+// deliver enumerates one request block by block into sw and terminates the
+// stream, returning how it ended and how many tuples it carried. The block
+// size is whatever sw's flush ramp has room for (one tuple first, then
+// FlushBatch; always one for NDJSON), so a block is encoded and flushed
+// before the next is asked for and a slow structure's delay reaches the
+// client tuple by tuple. Blocks are borrowed from the backend — a
+// materialized bucket lends sub-slices of itself — and are only read.
+func (h *Handler) deliver(ctx context.Context, w http.ResponseWriter, sw *StreamWriter, entry *viewEntry, vb relation.Tuple, limit int, start time.Time) (streamDisposition, int) {
+	blocks := entry.src.QueryBlocks(ctx, vb)
+	exhausted, limited := false, false
+	for !limited && ctx.Err() == nil {
+		want := sw.Room()
+		if limit > 0 {
+			want = min(want, limit-sw.Wrote())
+		}
+		blk := blocks.NextBlock(want)
+		if len(blk) == 0 {
+			exhausted = true
 			break
 		}
-		if n == 0 {
+		if sw.Wrote() == 0 {
 			h.delay.Add(time.Since(start))
 		}
-		line = appendTupleJSON(line[:0], t)
-		if _, err := bw.Write(line); err != nil {
-			cancel() // client went away: abandon the enumeration
-			return streamAborted, n
+		h.tuples.Add(uint64(len(blk)))
+		entry.tuples.Add(uint64(len(blk)))
+		if err := sw.Block(blk); err != nil {
+			return streamAborted, sw.Wrote() // client went away: abandon the enumeration
 		}
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		h.tuples.Add(1)
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			limited = true
-			cancel() // stop the serving worker; the stream is done
-			break
-		}
+		limited = limit > 0 && sw.Wrote() >= limit
 	}
-	disp := streamComplete
-	// A nil IterErr means the enumeration genuinely finished; limited means
-	// we cut it ourselves after delivering what the client asked for. Both
-	// are complete streams. Anything else — a source error, or a context
-	// cancellation (shutdown, disconnect) that cut the enumeration short —
-	// must reach the client as the terminal error object: an abort that
-	// ended with plain EOF would be indistinguishable from a complete
-	// result set (NDJSON has no end marker), which is exactly the silent
-	// truncation the IterErr contract exists to prevent.
-	if terr := core.IterErr(it); terr != nil && !limited {
-		disp = streamErrored
-		if ctx.Err() != nil {
-			disp = streamAborted
-		}
-		if n == 0 && disp == streamErrored {
-			// Nothing was streamed yet, so the status line is still ours:
-			// fail properly instead of a 200 with an error trailer.
-			h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
-			return disp, n
-		}
-		if disp == streamErrored {
-			h.errors.Add(1)
-		}
-		obj, _ := json.Marshal(map[string]string{"error": terr.Error()})
-		bw.Write(obj)
-		bw.WriteByte('\n')
+	// Only an enumeration that genuinely finished, or that we cut ourselves
+	// after delivering what the client asked for, earns the clean terminal.
+	// Anything else — a source error, or a context cancellation (shutdown,
+	// disconnect) that cut the enumeration short — must reach the client as
+	// the terminal error: an abort that ended with plain EOF would be
+	// indistinguishable from a complete result set in NDJSON, and an end
+	// frame after an abort would actively forge completion in binary. A
+	// cancellation landing after exhaustion is not this stream's business.
+	var terr error
+	switch {
+	case limited:
+	case exhausted:
+		terr = core.IterErr(blocks)
+	default:
+		terr = ctx.Err() // cut between blocks
 	}
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
+	if terr == nil {
+		if err := sw.End(); err != nil {
+			return streamAborted, sw.Wrote()
+		}
+		return streamComplete, sw.Wrote()
 	}
-	return disp, n
-}
-
-// streamBinary writes the result stream in the binary framing (wire.go):
-// the first tuple ships as its own frame — batching must not defer the
-// time-to-first-answer delay — and steady state flushes once per
-// FlushBatch tuples instead of once per tuple. Every stream that got as
-// far as its header ends with an explicit end or error frame, so clients
-// can tell truncation from completion.
-func (h *Handler) streamBinary(w http.ResponseWriter, entry *viewEntry, it core.Iterator, req QueryRequest, ctx context.Context, cancel context.CancelFunc, start time.Time) (streamDisposition, int) {
-	w.Header().Set("Content-Type", BinaryMediaType)
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 32*1024)
-	enc := newBinaryWriter(bw)
-	// Staged, not flushed: if the enumeration fails before the first
-	// tuple the buffered header is dropped and the status line still
-	// carries a real error.
-	enc.Header(len(entry.rep.FreeNames()))
-
-	flush := func() bool {
-		if err := enc.Flush(); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	if ctx.Err() != nil {
+		sw.Error(terr.Error())
+		return streamAborted, sw.Wrote()
 	}
-
-	batch := h.flushBatch()
-	limit := 1 // ramp: first flush carries one tuple
-	n := 0
-	limited := false
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		if n == 0 {
-			h.delay.Add(time.Since(start))
-		}
-		enc.Add(t)
-		h.tuples.Add(1)
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			limited = true
-			cancel() // stop the serving worker; the stream is done
-			break
-		}
-		if enc.Pending() >= limit {
-			if !flush() {
-				cancel() // client went away: abandon the enumeration
-				return streamAborted, n
-			}
-			limit = batch
-		}
+	if sw.Wrote() == 0 {
+		// Nothing was streamed yet — the stream header is only staged — so
+		// the status line is still ours: fail properly instead of a 200
+		// with an error trailer.
+		h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
+		return streamErrored, 0
 	}
-	// Same terminal discipline as the NDJSON path: only a genuinely
-	// finished or limit-satisfied enumeration earns the end frame. A
-	// context-cut stream ends with the error frame instead — the binary
-	// framing makes bare truncation detectable, but an end frame after an
-	// abort would actively forge completion.
-	if terr := core.IterErr(it); terr != nil && !limited {
-		disp := streamErrored
-		if ctx.Err() != nil {
-			disp = streamAborted
-		}
-		if n == 0 && disp == streamErrored {
-			// Header bytes are still only staged in bw; drop them and
-			// answer with a real error status.
-			h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
-			return disp, n
-		}
-		if disp == streamErrored {
-			h.errors.Add(1)
-		}
-		enc.Flush()
-		enc.Error(terr.Error())
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return disp, n
-	}
-	enc.Flush()
-	enc.End()
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	return streamComplete, n
+	h.errors.Add(1)
+	sw.Error(terr.Error())
+	return streamErrored, sw.Wrote()
 }
 
 // appendTupleJSON renders one tuple as a compact JSON array of integers.
@@ -980,7 +843,6 @@ type ViewStats struct {
 	Entries         int    `json:"entries"`
 	Shards          int    `json:"shards"`
 	BaseTuples      int    `json:"base_tuples"`
-	Workers         int    `json:"workers"`
 	// Cache is this view's slice of the result-cache counters; nil (and
 	// omitted from the JSON) when caching is off.
 	Cache *ViewCacheStats `json:"cache,omitempty"`
@@ -1036,18 +898,16 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, name := range reg.names {
 		e := reg.views[name]
 		st := e.rep.Stats()
-		ss := e.srv.Stats()
 		row := ViewStats{
 			Name:            e.name,
 			Requests:        e.requests.Load(),
-			Tuples:          ss.Tuples,
+			Tuples:          e.tuples.Load(),
 			StreamsComplete: e.streamsComplete.Load(),
 			StreamsErrored:  e.streamsErrored.Load(),
 			StreamsAborted:  e.streamsAborted.Load(),
 			Entries:         st.Entries,
 			Shards:          st.Shards,
 			BaseTuples:      e.baseTup(),
-			Workers:         ss.Workers,
 		}
 		if h.cache != nil {
 			vc := h.cache.ViewStats(e.name)

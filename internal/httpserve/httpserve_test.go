@@ -113,7 +113,7 @@ func TestQueryStreamsByteIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, c.opts...)
-			h, err := New([]string{path}, Options{Workers: 2})
+			h, err := New([]string{path}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestQueryStreamsByteIdentical(t *testing.T) {
 func TestQueryLimit(t *testing.T) {
 	view, db := triangleFixture(t, 11)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1, Buffer: 2})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestViewsAndStats(t *testing.T) {
 	view, db := triangleFixture(t, 13)
 	p1, rep := compileAndSave(t, dir, "v.cqs", view, db, core.WithShards(2))
 	p2, _ := compileAndSave(t, dir, "w.cqs", cq.MustParse("W[bf](a, b) :- R(a, b)"), db)
-	h, err := New([]string{p1, p2}, Options{Workers: 2})
+	h, err := New([]string{p1, p2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func jsonDecode(resp *http.Response, v any) error {
 func TestBadRequests(t *testing.T) {
 	view, db := triangleFixture(t, 17)
 	path, _ := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestReloadSwapsRegistry(t *testing.T) {
 		return db
 	}
 	path, _ := compileAndSave(t, dir, "v.cqs", view, mkdb(100))
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,41 +364,29 @@ type failingSource struct {
 	after int
 }
 
-func (s *failingSource) Query(vb relation.Tuple) core.Iterator {
-	return &breakingIter{inner: s.rep.Query(vb), err: s.err, after: s.after}
+func (s *failingSource) QueryBlocks(ctx context.Context, vb relation.Tuple) core.BlockIterator {
+	return &breakingBlocks{inner: s.rep.QueryBlocks(ctx, vb), err: s.err, left: s.after}
 }
 
-func (s *failingSource) Bind(args map[string]relation.Value) (relation.Tuple, error) {
-	return s.rep.Bind(args)
-}
-
-type breakingIter struct {
-	inner core.Iterator
-	n     int
+// breakingBlocks lends out the inner stream's blocks until `left` tuples
+// have gone by, then ends with err as its terminal error.
+type breakingBlocks struct {
+	inner core.BlockIterator
 	err   error
-	after int
-	done  bool
+	left  int
 }
 
-func (it *breakingIter) Next() (relation.Tuple, bool) {
-	if it.done || it.n >= it.after {
-		it.done = true
-		return nil, false
-	}
-	t, ok := it.inner.Next()
-	if !ok {
-		it.done = true
-		return nil, false
-	}
-	it.n++
-	return t, true
+func (b *breakingBlocks) NextBlock(max int) []relation.Tuple {
+	blk := b.inner.NextBlock(min(max, b.left))
+	b.left -= len(blk)
+	return blk
 }
 
-func (it *breakingIter) Err() error {
-	if it.done || it.n >= it.after {
-		return it.err
+func (b *breakingBlocks) Err() error {
+	if b.left == 0 {
+		return b.err
 	}
-	return nil
+	return core.IterErr(b.inner)
 }
 
 // TestStreamTerminalErrorObject checks the wire contract for mid-stream
@@ -408,22 +396,17 @@ func (it *breakingIter) Err() error {
 func TestStreamTerminalErrorObject(t *testing.T) {
 	view, db := triangleFixture(t, 23)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 
-	// Swap the healthy serving pool for one over a breaking source.
+	// Swap the healthy representation for a breaking source.
 	boom := errors.New("page read failed")
 	reg := h.reg.Load()
 	entry := reg.views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 2}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -468,7 +451,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 func TestCloseRejectsNewRequests(t *testing.T) {
 	view, db := triangleFixture(t, 43)
 	path, _ := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +480,7 @@ func TestCloseRejectsNewRequests(t *testing.T) {
 func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 	view, db := triangleFixture(t, 29)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +488,7 @@ func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 0}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()

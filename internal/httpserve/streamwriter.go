@@ -8,43 +8,32 @@ import (
 	"cqrep/internal/relation"
 )
 
-// streamwriter.go exports the server-side stream encoding for processes
-// that are not a Handler — concretely the coordinator (internal/coord),
+// streamwriter.go is the one server-side stream encoder: the Handler's
+// query path drives it block by block, the coordinator (internal/coord) —
 // which consumes worker streams in the binary framing and re-encodes the
-// merged result in whatever format the client negotiated. It reuses the
-// exact encoders the Handler's own query path uses, so a stream relayed
-// through the coordinator is byte-identical to one served directly.
-
-// NegotiateFormat picks the result encoding from an Accept header: the
-// binary framing iff any element names its media type, NDJSON otherwise
-// (including */* and an absent header). There is no 406 — the formats
-// carry identical information.
-func NegotiateFormat(accept string) Format {
-	if negotiateFormat(accept) == formatBinary {
-		return FormatBinary
-	}
-	return FormatNDJSON
-}
+// merged result in whatever format the client negotiated — tuple by tuple.
+// The delivery discipline lives here and nowhere else, so a stream relayed
+// through the coordinator is byte-identical to one served directly by
+// construction.
 
 // StreamWriter writes one result stream to an http.ResponseWriter in a
-// negotiated Format, with the Handler's delivery discipline: the first
-// tuple flushes alone (batching never defers first-answer delay), steady
-// state flushes per batch for binary and per line for NDJSON, and every
-// stream ends with an explicit terminal — End, Error, or (NDJSON) clean
-// EOF. Nothing is committed to the wire before the first Tuple/End/Error
-// call, so a caller whose upstream fails before producing anything can
-// still answer with a real error status instead.
+// negotiated Format, and owns the delivery discipline: the first tuple
+// flushes alone (batching never defers first-answer delay), steady state
+// flushes per batch for binary and per line for NDJSON — the stream is the
+// product, and a slow structure's delay must never hide behind a buffer —
+// and every stream ends with an explicit terminal: End, Error, or (NDJSON)
+// clean EOF. Nothing is committed to the wire before the first
+// Tuple/Block/End/Error call, so a caller whose upstream fails before
+// producing anything (Wrote() == 0) can still answer with a real error
+// status instead.
 type StreamWriter struct {
-	w       http.ResponseWriter
 	flusher http.Flusher
 	bw      *bufio.Writer
-	format  Format
-	enc     *binaryWriter // binary only
+	enc     *binaryWriter // binary only; nil means NDJSON
 	line    []byte        // ndjson scratch
 	batch   int
 	limit   int // current flush threshold (1-then-batch ramp)
 	wrote   int
-	started bool
 }
 
 // NewStreamWriter stages a stream of the given format and arity. Headers
@@ -55,14 +44,13 @@ func NewStreamWriter(w http.ResponseWriter, format Format, arity, flushBatch int
 		flushBatch = defaultFlushBatch
 	}
 	flusher, _ := w.(http.Flusher)
-	sw := &StreamWriter{w: w, flusher: flusher, format: format, batch: flushBatch, limit: 1}
+	sw := &StreamWriter{flusher: flusher, batch: flushBatch, limit: 1}
+	w.Header().Set("Content-Type", format.MediaType())
 	if format == FormatBinary {
-		sw.w.Header().Set("Content-Type", BinaryMediaType)
 		sw.bw = bufio.NewWriterSize(w, 32*1024)
 		sw.enc = newBinaryWriter(sw.bw)
 		sw.enc.Header(arity)
 	} else {
-		sw.w.Header().Set("Content-Type", NDJSONMediaType)
 		sw.bw = bufio.NewWriterSize(w, 4096)
 	}
 	return sw
@@ -85,7 +73,6 @@ func (sw *StreamWriter) flush() error {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
 	}
-	sw.started = true
 	return nil
 }
 
@@ -93,20 +80,53 @@ func (sw *StreamWriter) flush() error {
 // stream should be abandoned.
 func (sw *StreamWriter) Tuple(t relation.Tuple) error {
 	sw.wrote++
-	if sw.format == FormatBinary {
+	if sw.enc != nil {
 		sw.enc.Add(t)
-		if sw.enc.Pending() >= sw.limit {
-			if err := sw.flush(); err != nil {
-				return err
-			}
-			sw.limit = sw.batch
-		}
-		return nil
+		return sw.flushIfDue()
 	}
 	sw.line = appendTupleJSON(sw.line[:0], t)
 	if _, err := sw.bw.Write(sw.line); err != nil {
 		return err
 	}
+	return sw.flush()
+}
+
+// Room reports how many tuples the stream takes before its next flush is
+// due: 1 on a fresh binary stream and FlushBatch from then on (less
+// whatever is already pending), always 1 for NDJSON. A producer that can
+// enumerate in blocks asks its source for this many and hands them to
+// Block, which keeps every frame boundary where tuple-at-a-time delivery
+// would have put it.
+func (sw *StreamWriter) Room() int {
+	if sw.enc != nil {
+		return sw.limit - sw.enc.Pending()
+	}
+	return 1
+}
+
+// Block stages a run of tuples — borrowed: they are encoded before Block
+// returns and not retained — with Tuple's error contract.
+func (sw *StreamWriter) Block(ts []relation.Tuple) error {
+	if sw.enc != nil {
+		sw.wrote += len(ts)
+		sw.enc.AddBlock(ts)
+		return sw.flushIfDue()
+	}
+	for _, t := range ts {
+		if err := sw.Tuple(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushIfDue is the binary 1-then-batch ramp: the pending frame ships once
+// it holds limit tuples, and the first shipment raises limit to the batch.
+func (sw *StreamWriter) flushIfDue() error {
+	if sw.enc.Pending() < sw.limit {
+		return nil
+	}
+	sw.limit = sw.batch
 	return sw.flush()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,15 +61,7 @@ const (
 	maxWireArity  = 1 << 16
 )
 
-// wireFormat is the negotiated result encoding of one query request.
-type wireFormat int
-
-const (
-	formatNDJSON wireFormat = iota
-	formatBinary
-)
-
-// negotiateFormat picks the result encoding from an Accept header as a
+// NegotiateFormat picks the result encoding from an Accept header as a
 // comma-separated list of media ranges with optional q-values (RFC 9110
 // §12.5.1, restricted to what matters here). The binary framing is chosen
 // iff some element names its exact media type with q > 0 AND that q is at
@@ -78,7 +71,7 @@ const (
 // explicit types, binary wins: a client that spells out the binary media
 // type is one that can decode it. There is no 406 — the stream formats
 // carry identical information and NDJSON is the universal fallback.
-func negotiateFormat(accept string) wireFormat {
+func NegotiateFormat(accept string) Format {
 	var qBinary, qNDJSON float64
 	for _, part := range strings.Split(accept, ",") {
 		mt, params, _ := strings.Cut(part, ";")
@@ -97,9 +90,9 @@ func negotiateFormat(accept string) wireFormat {
 		}
 	}
 	if qBinary > 0 && qBinary >= qNDJSON {
-		return formatBinary
+		return FormatBinary
 	}
-	return formatNDJSON
+	return FormatNDJSON
 }
 
 // acceptQ extracts the q-value from one media range's parameter list
@@ -152,6 +145,19 @@ func (e *binaryWriter) Add(t relation.Tuple) {
 	e.count++
 }
 
+// AddBlock stages a run of tuples into the pending frame, growing the
+// payload once for the whole run.
+func (e *binaryWriter) AddBlock(ts []relation.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
+	e.payload = slices.Grow(e.payload, 8*len(ts)*len(ts[0]))
+	for _, t := range ts {
+		e.payload = t.AppendEncode(e.payload)
+	}
+	e.count += len(ts)
+}
+
 // Pending reports the number of staged tuples.
 func (e *binaryWriter) Pending() int { return e.count }
 
@@ -197,12 +203,19 @@ func (e *binaryWriter) Error(msg string) error {
 // frame and message sizes are bounded before allocation, data frames must
 // hold exactly count×arity values, and EOF anywhere before the terminal
 // frame is reported as truncation rather than a clean end.
+//
+// Each data frame decodes into one freshly allocated value slab that Next
+// hands out in arity-sized pieces: a returned tuple is the caller's to
+// keep — it never aliases the reused frame buffer, and its capacity is
+// clipped to its length so an append cannot reach its neighbour — at one
+// allocation per frame instead of one per tuple. A retained tuple pins its
+// frame's slab (at most FlushBatch×arity×8 bytes on a server's stream).
 type binaryReader struct {
 	br    *bufio.Reader
 	arity int
-	frame []byte // undecoded values of the current data frame
-	count int    // tuples remaining in the current data frame
-	buf   []byte // frame buffer, reused across frames
+	slab  relation.Tuple // decoded values of the current data frame, back to back
+	pos   int            // next undelivered value in slab
+	buf   []byte         // frame buffer, reused across frames
 	err   error
 	done  bool
 }
@@ -236,19 +249,14 @@ func (d *binaryReader) Arity() int { return d.arity }
 // one.
 func (d *binaryReader) Next() (relation.Tuple, bool) {
 	for {
+		if d.pos < len(d.slab) { // readFrame sized slab to whole tuples
+			end := d.pos + d.arity
+			t := d.slab[d.pos:end:end]
+			d.pos = end
+			return t, true
+		}
 		if d.err != nil || d.done {
 			return nil, false
-		}
-		if d.count > 0 {
-			t := make(relation.Tuple, d.arity)
-			rest, ok := t.DecodeFrom(d.frame)
-			if !ok { // unreachable: frame length is validated on read
-				d.err = fmt.Errorf("httpserve: binary frame underruns its tuple count")
-				return nil, false
-			}
-			d.frame = rest
-			d.count--
-			return t, true
 		}
 		if !d.readFrame() {
 			return nil, false
@@ -321,8 +329,9 @@ func (d *binaryReader) readFrame() bool {
 			d.err = fmt.Errorf("httpserve: binary data frame claims %d tuples over %d value bytes for arity 0", count, len(body))
 			return false
 		}
-		d.frame = body
-		d.count = int(count)
+		d.slab = make(relation.Tuple, len(body)/8)
+		d.slab.DecodeFrom(body) // sized to body: cannot come up short
+		d.pos = 0
 		return true
 	default:
 		d.err = fmt.Errorf("httpserve: unknown binary frame kind %#x", kind)

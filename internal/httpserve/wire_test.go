@@ -19,43 +19,43 @@ import (
 func TestNegotiateFormat(t *testing.T) {
 	cases := []struct {
 		accept string
-		want   wireFormat
+		want   Format
 	}{
-		{"", formatNDJSON},
-		{"*/*", formatNDJSON},
-		{"application/x-ndjson", formatNDJSON},
-		{"application/json, text/plain", formatNDJSON},
-		{BinaryMediaType, formatBinary},
-		{"APPLICATION/X-CQREP-BINARY", formatBinary},
-		{"application/x-ndjson, " + BinaryMediaType, formatBinary},
-		{" " + BinaryMediaType + " ; q=0.9", formatBinary},
-		{BinaryMediaType + "x", formatNDJSON},
-		{"application/x-cqrep", formatNDJSON},
+		{"", FormatNDJSON},
+		{"*/*", FormatNDJSON},
+		{"application/x-ndjson", FormatNDJSON},
+		{"application/json, text/plain", FormatNDJSON},
+		{BinaryMediaType, FormatBinary},
+		{"APPLICATION/X-CQREP-BINARY", FormatBinary},
+		{"application/x-ndjson, " + BinaryMediaType, FormatBinary},
+		{" " + BinaryMediaType + " ; q=0.9", FormatBinary},
+		{BinaryMediaType + "x", FormatNDJSON},
+		{"application/x-cqrep", FormatNDJSON},
 
 		// q-values: the highest-weighted acceptable type wins, binary on
 		// an exact tie (it is the cheaper encoding for both sides).
-		{BinaryMediaType + ";q=0.9, application/x-ndjson", formatNDJSON},
-		{BinaryMediaType + ", */*", formatBinary},
-		{BinaryMediaType + ";q=1, application/x-ndjson;q=1", formatBinary},
-		{BinaryMediaType + ";q=0", formatNDJSON},
-		{BinaryMediaType + ";q=0, application/x-ndjson;q=0", formatNDJSON},
-		{"application/x-ndjson;q=0.5, " + BinaryMediaType + ";q=0.4", formatNDJSON},
-		{"application/x-ndjson;q=0.3, " + BinaryMediaType + ";q=0.5", formatBinary},
-		{BinaryMediaType + ";Q=0.1, application/x-ndjson", formatNDJSON},
-		{BinaryMediaType + "; q=0.2 , application/*", formatNDJSON},
+		{BinaryMediaType + ";q=0.9, application/x-ndjson", FormatNDJSON},
+		{BinaryMediaType + ", */*", FormatBinary},
+		{BinaryMediaType + ";q=1, application/x-ndjson;q=1", FormatBinary},
+		{BinaryMediaType + ";q=0", FormatNDJSON},
+		{BinaryMediaType + ";q=0, application/x-ndjson;q=0", FormatNDJSON},
+		{"application/x-ndjson;q=0.5, " + BinaryMediaType + ";q=0.4", FormatNDJSON},
+		{"application/x-ndjson;q=0.3, " + BinaryMediaType + ";q=0.5", FormatBinary},
+		{BinaryMediaType + ";Q=0.1, application/x-ndjson", FormatNDJSON},
+		{BinaryMediaType + "; q=0.2 , application/*", FormatNDJSON},
 		// A wildcard never selects binary: clients must name it.
-		{"*/*;q=1", formatNDJSON},
-		{"application/*;q=0.9, " + BinaryMediaType + ";q=0.8", formatNDJSON},
+		{"*/*;q=1", FormatNDJSON},
+		{"application/*;q=0.9, " + BinaryMediaType + ";q=0.8", FormatNDJSON},
 		// Unparseable or out-of-range q degrades to 1 / clamps, never panics.
-		{BinaryMediaType + ";q=banana, application/x-ndjson;q=0.9", formatBinary},
-		{BinaryMediaType + ";q=7, */*;q=0.5", formatBinary},
-		{BinaryMediaType + ";charset=utf-8;q=0.9, application/x-ndjson", formatNDJSON},
+		{BinaryMediaType + ";q=banana, application/x-ndjson;q=0.9", FormatBinary},
+		{BinaryMediaType + ";q=7, */*;q=0.5", FormatBinary},
+		{BinaryMediaType + ";charset=utf-8;q=0.9, application/x-ndjson", FormatNDJSON},
 		// Repeated mentions take the max weight per type.
-		{BinaryMediaType + ";q=0.1, " + BinaryMediaType + ", application/x-ndjson;q=0.9", formatBinary},
+		{BinaryMediaType + ";q=0.1, " + BinaryMediaType + ", application/x-ndjson;q=0.9", FormatBinary},
 	}
 	for _, c := range cases {
-		if got := negotiateFormat(c.accept); got != c.want {
-			t.Errorf("negotiateFormat(%q) = %v, want %v", c.accept, got, c.want)
+		if got := NegotiateFormat(c.accept); got != c.want {
+			t.Errorf("NegotiateFormat(%q) = %v, want %v", c.accept, got, c.want)
 		}
 	}
 }
@@ -280,7 +280,7 @@ func TestBinaryQueryByteIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, c.opts...)
-			h, err := New([]string{path}, Options{Workers: 2, FlushBatch: 8})
+			h, err := New([]string{path}, Options{FlushBatch: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +315,7 @@ func TestBinaryQueryByteIdentical(t *testing.T) {
 func TestBinaryContentTypeAndLimit(t *testing.T) {
 	view, db := triangleFixture(t, 11)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestBinaryContentTypeAndLimit(t *testing.T) {
 func TestBinaryStreamTerminalError(t *testing.T) {
 	view, db := triangleFixture(t, 23)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +375,7 @@ func TestBinaryStreamTerminalError(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 2}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -412,7 +407,7 @@ func TestBinaryStreamTerminalError(t *testing.T) {
 func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 	view, db := triangleFixture(t, 29)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +415,7 @@ func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 0}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -449,6 +439,9 @@ func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 // streams: whatever bytes arrive, the decoder must not panic, must bound
 // what it allocates, must only yield tuples of the declared arity, and a
 // decoded prefix must re-encode into a stream that decodes identically.
+// Decoded tuples are the caller's: each is snapshotted as it arrives and
+// must still read the same once the stream is exhausted (no aliasing of
+// the frame buffer or of a neighbour's slab space).
 func FuzzBinaryStream(f *testing.F) {
 	mk := func(build func(e *binaryWriter)) []byte {
 		var buf bytes.Buffer
@@ -470,6 +463,7 @@ func FuzzBinaryStream(f *testing.F) {
 		e.Flush()
 		e.Error("mid-stream failure")
 	}))
+	f.Add(encodeBinaryStream(f, scanTuples(100), 3, 8)) // many frames, all tuples retained below
 	f.Add([]byte("CQB1"))
 	f.Add([]byte("CQB1\x02\x01\x05hello"))
 	f.Add([]byte("NOPE\x00"))
@@ -484,16 +478,17 @@ func FuzzBinaryStream(f *testing.F) {
 			return
 		}
 		arity := dec.Arity()
-		var tuples []relation.Tuple
+		var tuples, asDecoded []relation.Tuple
 		for {
 			tup, ok := dec.Next()
 			if !ok {
 				break
 			}
-			if len(tup) != arity {
-				t.Fatalf("tuple arity %d, stream declared %d", len(tup), arity)
+			if len(tup) != arity || cap(tup) != arity {
+				t.Fatalf("tuple len %d cap %d, stream declared arity %d", len(tup), cap(tup), arity)
 			}
 			tuples = append(tuples, tup)
+			asDecoded = append(asDecoded, tup.Clone())
 			if len(tuples) > len(data) { // each tuple needs at least 8*arity>=0 input bytes
 				t.Fatalf("decoded %d tuples out of %d input bytes", len(tuples), len(data))
 			}
@@ -501,6 +496,11 @@ func FuzzBinaryStream(f *testing.F) {
 		terminal := dec.Err()
 		if _, ok := dec.Next(); ok {
 			t.Fatal("Next yielded a tuple after reporting exhaustion")
+		}
+		for i, tup := range tuples {
+			if !tup.Equal(asDecoded[i]) {
+				t.Fatalf("retained tuple %d changed under later frames: %v, decoded as %v", i, tup, asDecoded[i])
+			}
 		}
 
 		// Whatever prefix decoded must survive a round trip through the
