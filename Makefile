@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-contract bench-record smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
+.PHONY: all build vet fmt fmt-check test race flake bench bench-smoke bench-contract bench-record smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
 
 all: build
 
@@ -29,6 +29,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake gate: the suites whose tests race real servers, repeated in
+# shuffled order, so a failure that shows up 1 run in 10 cannot hide
+# behind one lucky pass.
+flake:
+	$(GO) test -count=20 -shuffle=on ./internal/difftest ./internal/coord ./internal/httpserve
 
 # Full benchmark run (slow; prints ns/op for every experiment and structure).
 bench:
@@ -134,5 +140,5 @@ wal-smoke:
 	$(GO) test -race -shuffle=on -run 'TestChurn|TestDeltaApply|TestWAL|TestUpdateLog|TestNoopDelete|TestRebuildBatch' ./internal/core ./internal/difftest ./internal/httpserve ./internal/wal
 	sh scripts/wal_smoke.sh
 
-ci: build vet fmt-check lint test race bench-smoke bench-contract examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke
+ci: build vet fmt-check lint test race flake bench-smoke bench-contract examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke
 	$(MAKE) bench-record BENCHOUT=$$(mktemp /tmp/cqrep-bench-XXXXXX.json)

@@ -126,6 +126,9 @@ func (it *SliceIter) NextBlock(max int) []relation.Tuple {
 	return blk
 }
 
+// Ready reports that NextBlock never waits: every answer is already stored.
+func (it *SliceIter) Ready() bool { return true }
+
 // Drain collects the remaining tuples.
 func (it *SliceIter) Drain() []relation.Tuple {
 	var out []relation.Tuple

@@ -6,8 +6,8 @@
 // k-way merging the per-shard streams in the backend's declared EnumOrder.
 // The result is byte-identical to single-node serving: hash partitioning
 // makes the shards disjoint, each shard enumerates in the composite's
-// order, and the merge is the same comparison the in-process sharded
-// backend uses.
+// order, and the merge is the in-process sharded backend's own
+// (core.MergeBlocks).
 //
 // Workers join by snapshot: the coordinator loads the full sharded
 // snapshots once, exports every shard as a self-contained snapshot file
@@ -24,10 +24,10 @@
 // of what the client negotiated: its explicit end/error terminals are what
 // let the coordinator distinguish a worker that finished from a worker
 // that died mid-stream (surfaced to the client as the IterErr-style
-// terminal, never silent truncation), and its fixed-width frames keep the
-// fan-in allocation-lean. The coordinator re-encodes into the client's
-// Accept-negotiated format with the same encoder the workers themselves
-// use.
+// terminal, never silent truncation), and its fixed-width frames decode
+// into one reused slab per worker link. The coordinator re-encodes into the
+// client's Accept-negotiated format through the same delivery loop and
+// encoder the workers themselves use (httpserve.Deliver).
 package coord
 
 import (
@@ -88,8 +88,7 @@ type viewMeta struct {
 	shards    int
 	keyIdx    int // position of the shard key in a bound valuation; -1 = scatter
 	enumOrder []int
-	cmpOrder  []int // every tuple position: enumOrder first, rest in index order
-	arity     int   // free-variable count, the wire arity
+	arity     int // free-variable count, the wire arity
 	loadedAt  time.Time
 }
 
@@ -139,6 +138,9 @@ func (m *shardMap) retire() {
 	<-m.idle
 }
 
+// placement is one shard (its scoped name) on one worker.
+type placement struct{ shard, worker string }
+
 // workerStats is the per-worker latency/error breakdown surfaced by
 // /v1/stats so scatter-gather tail latency is attributable to a node.
 type workerStats struct {
@@ -166,6 +168,12 @@ type Coordinator struct {
 	smap    atomic.Pointer[shardMap]
 	closed  atomic.Bool
 	retired sync.WaitGroup
+
+	// placeMu orders every attach call, with its attachedAt record, against
+	// every delayed detach, with its check. attachedAt is the newest map
+	// generation that attached each shard to each worker.
+	placeMu    sync.Mutex
+	attachedAt map[placement]uint64
 
 	workersMu sync.Mutex
 	workers   map[string]*workerStats
@@ -197,10 +205,11 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("coord: spool dir: %w", err)
 	}
 	c := &Coordinator{
-		opts:    opts,
-		start:   time.Now(),
-		views:   make(map[string]*viewMeta, len(paths)),
-		workers: make(map[string]*workerStats),
+		opts:       opts,
+		start:      time.Now(),
+		views:      make(map[string]*viewMeta, len(paths)),
+		workers:    make(map[string]*workerStats),
+		attachedAt: make(map[placement]uint64),
 	}
 	for _, p := range paths {
 		vm, err := c.loadView(p)
@@ -264,18 +273,6 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 		arity:     len(rep.FreeNames()),
 		loadedAt:  time.Now(),
 	}
-	seen := make([]bool, vm.arity)
-	for _, idx := range vm.enumOrder {
-		if idx >= 0 && idx < vm.arity && !seen[idx] {
-			seen[idx] = true
-			vm.cmpOrder = append(vm.cmpOrder, idx)
-		}
-	}
-	for i := 0; i < vm.arity; i++ {
-		if !seen[i] {
-			vm.cmpOrder = append(vm.cmpOrder, i)
-		}
-	}
 	for i := 0; i < vm.shards; i++ {
 		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", sanitize(vm.name), i))
 		f, err := os.Create(fp)
@@ -322,13 +319,6 @@ func sanitize(name string) string {
 		}
 	}
 	return string(out)
-}
-
-func (c *Coordinator) httpClient() *http.Client {
-	if c.opts.HTTP != nil {
-		return c.opts.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Coordinator) workerClient(base string) *httpserve.Client {
@@ -445,7 +435,8 @@ func (c *Coordinator) currentOwners() map[string][]string {
 // attach every shard to its new owner first (the worker fetches the shard
 // file from SelfURL), then swap the map atomically, then — after the old
 // generation's last in-flight stream finishes — detach the moved shards
-// from their previous owners. forcePush re-attaches shards already
+// from their previous owners, unless a later assignment gave a shard back
+// to its previous owner meanwhile. forcePush re-attaches shards already
 // assigned to that worker (rejoin after restart). Any attach failure
 // aborts with the old map untouched.
 func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]string, forcePush string) error {
@@ -469,13 +460,19 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 		}
 	}
 	base := strings.TrimRight(c.opts.SelfURL, "/")
+	next := &shardMap{gen: old.gen + 1, owners: desired, idle: make(chan struct{})}
 	for _, mv := range moves {
-		source := fmt.Sprintf("%s/v1/shardfile/%s/%d", base, mv.view, mv.shard)
-		if err := c.workerClient(mv.to).Attach(ctx, scopedName(mv.view, mv.shard), source); err != nil {
-			return fmt.Errorf("coord: attaching %s to %s: %w", scopedName(mv.view, mv.shard), mv.to, err)
+		name := scopedName(mv.view, mv.shard)
+		c.placeMu.Lock()
+		err := c.workerClient(mv.to).Attach(ctx, name, fmt.Sprintf("%s/v1/shardfile/%s/%d", base, mv.view, mv.shard))
+		if err == nil {
+			c.attachedAt[placement{name, mv.to}] = next.gen
+		}
+		c.placeMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("coord: attaching %s to %s: %w", name, mv.to, err)
 		}
 	}
-	next := &shardMap{gen: old.gen + 1, owners: desired, idle: make(chan struct{})}
 	c.smap.Store(next)
 	if c.cache != nil {
 		// Entries keyed to older generations are now unreachable by any new
@@ -488,16 +485,25 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 		defer c.retired.Done()
 		old.retire()
 		// The old generation has drained: no stream can still be reading a
-		// moved shard from its previous owner. Detach is best-effort — a
-		// dead worker has nothing to detach.
+		// moved shard from its previous owner. But a later assignment may
+		// have given the shard back to that owner while this generation was
+		// pinned (A→B→A); detaching it then would unserve a shard a live map
+		// routes there, so skip it — whichever move takes it away again
+		// detaches it. placeMu keeps an attach from landing between the
+		// check and the detach, without holding detaches up behind a whole
+		// join. Detach is best-effort — a dead worker has nothing to detach.
+		c.placeMu.Lock()
+		defer c.placeMu.Unlock()
 		for _, mv := range moves {
-			if mv.from != "" && mv.from != mv.to {
-				// Detach outlives the move request on purpose, so it
-				// detaches from ctx's cancellation but keeps its values.
-				dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-				c.workerClient(mv.from).Detach(dctx, scopedName(mv.view, mv.shard))
-				cancel()
+			name := scopedName(mv.view, mv.shard)
+			if mv.from == "" || mv.from == mv.to || c.attachedAt[placement{name, mv.from}] > next.gen {
+				continue
 			}
+			// Detach outlives the move request on purpose, so it detaches
+			// from ctx's cancellation but keeps its values.
+			dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+			c.workerClient(mv.from).Detach(dctx, name)
+			cancel()
 		}
 	}()
 	return nil

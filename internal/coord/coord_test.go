@@ -504,3 +504,103 @@ func TestChurnUnderLoadCached(t *testing.T) {
 	t.Logf("cached churn: cache %d hits / %d misses / %d coalesced / %d invalidated",
 		st.Hits, st.Misses, st.Coalesced, st.Invalidated)
 }
+
+// TestDetachSkipsShardGivenBack pins the stale-detach fence. A move's
+// detach waits for the generation it retired to drain, and by then a later
+// move may have handed the shard back to the worker it came from.
+// Generation g is held open the way an in-flight stream holds it, shard S
+// moves A→B and back B→A, and g is released: the delayed detach must leave
+// A serving S, so the next routed query on S still succeeds.
+func TestDetachSkipsShardGivenBack(t *testing.T) {
+	paths := []string{buildSnapshot(t, t.TempDir(), "e", cq.MustParse("E[bf](x, y) :- R(x, y)"), workload.TriangleDB(5, 30, 300),
+		core.WithStrategy(core.MaterializedStrategy), core.WithShards(2))}
+	cl := startCluster(t, paths, 2, 0)
+	c, ctx := cl.coord, context.Background()
+
+	// A key of shard 0 with answers, so the bodies compared below carry data.
+	var query string
+	var want []byte
+	for x := 0; len(want) <= len("CQB1\x01\x00"); x++ {
+		if relation.ShardOf(relation.Value(x), 2) == 0 {
+			query = fmt.Sprintf(`{"bindings":{"x":%d}}`, x)
+			_, want = rawQuery(t, cl.coordTS.URL, "E", query, httpserve.FormatBinary)
+		}
+	}
+	a := c.smap.Load().owners["E"][0]
+	b := cl.workerTS[0].URL
+	if a == b {
+		b = cl.workerTS[1].URL
+	}
+
+	held := c.smap.Load()
+	if !held.acquire() {
+		t.Fatal("could not hold the live generation")
+	}
+	if err := c.Move(ctx, "E", 0, b); err != nil {
+		t.Fatalf("move A→B: %v", err)
+	}
+	if err := c.Move(ctx, "E", 0, a); err != nil {
+		t.Fatalf("move B→A: %v", err)
+	}
+	held.release()
+	c.retired.Wait() // every delayed detach has run
+
+	status, got := rawQuery(t, cl.coordTS.URL, "E", query, httpserve.FormatBinary)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("routed query after A→B→A: status %d, body %q; want 200 and %q", status, got, want)
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps nothing, so the
+// allocation pin measures the relay rather than a recorder's buffer.
+type discardResponse struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+func (d *discardResponse) WriteHeader(s int)   { d.status = s }
+func (d *discardResponse) Flush()              {}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	if d.status == 0 {
+		d.status = http.StatusOK
+	}
+	d.bytes += len(p)
+	return len(p), nil
+}
+
+// TestRoutedRelayAllocsPerTuple pins the coordinator's relay the way the
+// node's serving pins pin the node: one routed 8192-answer request, whose
+// worker frames decode into the link's reused slab and pass the merge
+// straight through into reused encode buffers, allocates per request, not
+// per tuple. AllocsPerRun counts every goroutine, so the worker's handler
+// and both HTTP hops are inside the budget.
+func TestRoutedRelayAllocsPerTuple(t *testing.T) {
+	const answers = 8192
+	db := relation.NewDatabase()
+	s := relation.NewRelation("S", 2)
+	for y := 0; y < answers; y++ {
+		s.MustInsert(1, relation.Value(3*y))
+	}
+	db.Add(s)
+	paths := []string{buildSnapshot(t, t.TempDir(), "w", cq.MustParse("W[bf](x, y) :- S(x, y)"), db,
+		core.WithStrategy(core.MaterializedStrategy), core.WithShards(3))}
+	cl := startCluster(t, paths, 3, 0)
+
+	body := []byte(`{"bindings":{"x":1}}`)
+	w := &discardResponse{header: make(http.Header)}
+	allocs := testing.AllocsPerRun(20, func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/W", bytes.NewReader(body))
+		req.Header.Set("Accept", httpserve.BinaryMediaType)
+		w.status, w.bytes = 0, 0
+		cl.coord.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.bytes < answers*8 {
+			t.Fatalf("status %d after %d bytes", w.status, w.bytes)
+		}
+	})
+	if perTuple := allocs / answers; perTuple >= 0.05 {
+		t.Fatalf("relaying %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", answers, allocs, perTuple)
+	}
+	t.Logf("routed relay: %.0f allocations per %d-answer request", allocs, answers)
+}

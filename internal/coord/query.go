@@ -3,9 +3,9 @@ package coord
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -18,10 +18,15 @@ import (
 // re-encode. A bound-key request opens exactly one worker stream (the
 // shard relation.ShardOf names — the partitioner's own hash, so routing
 // can never disagree with placement); a free enumeration opens one stream
-// per shard and k-way merges their heads under the view's EnumOrder with
-// ties broken by shard index, the same comparison the in-process sharded
-// backend's merge iterator uses. Hash partitioning makes the shards
+// per shard. Each worker link is a block cursor that decodes a frame into
+// one reused slab, and core.MergeBlocks — the in-process sharded backend's
+// own merge — lends runs of those blocks in the view's EnumOrder: a routed
+// request passes blocks straight through, and a scatter whose shard key
+// leads EnumOrder moves whole frames. Hash partitioning makes the shards
 // disjoint, so the merged stream is byte-identical to a single node's.
+// httpserve.Deliver, the node's own delivery loop, re-encodes it into the
+// client's format, pushing closed frames to the client only before a
+// worker read that may wait.
 //
 // The failure discipline mirrors core.IterErr: the first worker-stream
 // error stops the merge immediately — merging past a dead shard would
@@ -121,9 +126,9 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	disp := c.runScatter(w, r, vm, owners, shards, req, format, start, flight)
 	switch disp {
-	case streamErrored:
+	case httpserve.StreamErrored:
 		c.streamsErrored.Add(1)
-	case streamAborted:
+	case httpserve.StreamAborted:
 		c.streamsAborted.Add(1)
 	default:
 		c.streamsComplete.Add(1)
@@ -150,7 +155,7 @@ func (c *Coordinator) serveCached(w http.ResponseWriter, format httpserve.Format
 // runScatter wraps streamScatter with the cache-fill discipline: a led
 // flight tees the response bytes and publishes them on a complete stream,
 // or is abandoned on any other outcome so waiters fall back.
-func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time, flight *httpserve.CacheFlight) streamDisposition {
+func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time, flight *httpserve.CacheFlight) httpserve.Disposition {
 	var tee *httpserve.CacheTee
 	if flight != nil {
 		tee = httpserve.NewCacheTee(w, c.cache.MaxEntryBytes())
@@ -163,7 +168,7 @@ func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *vie
 	if flight == nil {
 		return disp
 	}
-	if disp == streamComplete {
+	if disp == httpserve.StreamComplete {
 		if body, ok := tee.Captured(); ok {
 			c.cache.Publish(flight, body, n)
 			return disp
@@ -173,156 +178,96 @@ func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *vie
 	return disp
 }
 
-// streamDisposition mirrors httpserve's buckets: complete (clean terminal,
-// including limit-truncated), errored (terminal error delivered), aborted
-// (client gone mid-stream, no clean terminal).
-type streamDisposition int
-
-const (
-	streamComplete streamDisposition = iota
-	streamErrored
-	streamAborted
-)
-
-// shardStream is one open worker stream plus its merge head.
-type shardStream struct {
-	shard    int
-	worker   string
-	ws       *workerStats
-	st       httpserve.Stream
-	head     relation.Tuple
-	live     bool // head holds an undelivered tuple
-	sawTuple bool
-	err      error
+// workerCursor is one worker stream as a merge input: its blocks, the
+// per-worker first-tuple delay and error count recorded as they happen,
+// and a terminal error that names the worker and shard.
+type workerCursor struct {
+	blocks core.BlockIterator
+	st     httpserve.Stream
+	ws     *workerStats
+	start  time.Time
+	err    error
+	worker string
+	shard  int
+	seen   bool
 }
 
-// advance pulls the next head; on exhaustion it records the stream's
-// terminal verdict (nil = complete, anything else = worker error or
-// mid-stream death seen as binary truncation).
-func (ss *shardStream) advance(start time.Time) {
-	t, ok := ss.st.Next()
-	if !ok {
-		ss.live = false
-		ss.err = ss.st.Err()
-		if ss.err != nil {
-			ss.ws.errors.Add(1)
+func (wc *workerCursor) NextBlock(max int) []relation.Tuple {
+	blk := wc.blocks.NextBlock(max)
+	switch {
+	case len(blk) > 0 && !wc.seen:
+		wc.seen = true
+		wc.ws.delay.Add(time.Since(wc.start))
+	case len(blk) == 0 && wc.err == nil:
+		// nil = complete; anything else is a worker error or a mid-stream
+		// death, which the binary framing shows as truncation.
+		if err := core.IterErr(wc.blocks); err != nil {
+			wc.fail(err)
 		}
-		return
 	}
-	if !ss.sawTuple {
-		ss.sawTuple = true
-		ss.ws.delay.Add(time.Since(start))
-	}
-	ss.head, ss.live = t, true
+	return blk
 }
 
-// streamScatter opens the worker streams, merges, and re-encodes into the
-// client's format, returning the disposition and the merged tuple count.
-func (c *Coordinator) streamScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time) (streamDisposition, int) {
+func (wc *workerCursor) Ready() bool { return core.Ready(wc.blocks) }
+func (wc *workerCursor) Err() error  { return wc.err }
+
+func (wc *workerCursor) fail(err error) {
+	wc.ws.errors.Add(1)
+	wc.err = fmt.Errorf("worker %s shard %d: %w", wc.worker, wc.shard, err)
+}
+
+// streamScatter opens the worker streams and delivers their merge in the
+// client's format, returning the disposition and the tuple count.
+func (c *Coordinator) streamScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time) (httpserve.Disposition, int) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	streams := make([]*shardStream, len(shards))
+	cursors := make([]*workerCursor, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
-		ss := &shardStream{shard: s, worker: owners[s], ws: c.statsFor(owners[s])}
-		streams[i] = ss
+		wc := &workerCursor{worker: owners[s], shard: s, ws: c.statsFor(owners[s]), start: start}
+		cursors[i] = wc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ss.ws.requests.Add(1)
-			st, err := c.workerClient(ss.worker).Open(ctx, scopedName(vm.name, ss.shard), httpserve.QueryOptions{
+			wc.ws.requests.Add(1)
+			st, err := c.workerClient(wc.worker).Open(ctx, scopedName(vm.name, wc.shard), httpserve.QueryOptions{
 				Bindings: req.Bindings,
 				Limit:    req.Limit, // a merged prefix of L draws only from per-shard prefixes of L
 				Format:   httpserve.FormatBinary,
 			})
 			if err != nil {
-				ss.err = err
-				ss.ws.errors.Add(1)
+				wc.fail(err)
 				return
 			}
-			ss.st = st
+			wc.st, wc.blocks = st, core.AsBlocks(ctx, st)
 		}()
 	}
 	wg.Wait()
 	defer func() {
-		for _, ss := range streams {
-			if ss.st != nil {
-				ss.st.Close()
+		for _, wc := range cursors {
+			if wc.st != nil {
+				wc.st.Close()
 			}
 		}
 	}()
-	for _, ss := range streams {
-		if ss.st == nil {
-			c.errorJSON(w, http.StatusBadGateway, "worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
-			return streamErrored, 0
+	its := make([]core.BlockIterator, len(cursors))
+	for i, wc := range cursors {
+		if wc.st == nil {
+			c.errorJSON(w, http.StatusBadGateway, "%v", wc.err)
+			return httpserve.StreamErrored, 0
 		}
+		its[i] = wc
 	}
 
 	sw := httpserve.NewStreamWriter(w, format, vm.arity, c.opts.FlushBatch)
-	for _, ss := range streams {
-		ss.advance(start)
-	}
-	n := 0
-	for {
-		// The first shard error wins and stops the merge: past it the
-		// merged order can no longer be trusted, and a gapped "complete"
-		// stream is exactly the silent truncation the terminal forbids.
-		for _, ss := range streams {
-			if !ss.live && ss.err != nil {
-				return c.failStream(w, sw, ss), n
-			}
-		}
-		var best *shardStream
-		for _, ss := range streams {
-			if ss.live && (best == nil || tupleLess(ss.head, best.head, vm.cmpOrder)) {
-				best = ss
-			}
-		}
-		if best == nil {
-			break
-		}
-		if n == 0 {
-			c.delay.Add(time.Since(start))
-		}
-		if err := sw.Tuple(best.head); err != nil {
-			cancel() // client went away: abandon the fan-out
-			return streamAborted, n
-		}
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			cancel() // stop the remaining worker streams; the client is satisfied
-			break
-		}
-		best.advance(start)
-	}
-	if err := sw.End(); err != nil {
-		return streamAborted, n
-	}
-	return streamComplete, n
-}
-
-// failStream delivers one shard's terminal error to the client: a real 502
-// when nothing has been streamed, the in-band terminal otherwise.
-func (c *Coordinator) failStream(w http.ResponseWriter, sw *httpserve.StreamWriter, ss *shardStream) streamDisposition {
-	if sw.Wrote() == 0 {
-		c.errorJSON(w, http.StatusBadGateway, "worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
-		return streamErrored
-	}
-	c.errors.Add(1)
-	sw.Error("worker " + ss.worker + " shard " + strconv.Itoa(ss.shard) + ": " + ss.err.Error())
-	return streamErrored
-}
-
-// tupleLess is the EnumOrder comparison of the merge: cmpOrder lists every
-// position, the declared order first. Distinct tuples always differ at
-// some position, and identical tuples hash to the same shard, so the merge
-// never sees a true tie across shards.
-func tupleLess(a, b relation.Tuple, cmpOrder []int) bool {
-	for _, idx := range cmpOrder {
-		if a[idx] != b[idx] {
-			return a[idx] < b[idx]
+	disp, err := httpserve.Deliver(ctx, sw, core.MergeBlocks(vm.enumOrder, its), req.Limit, func() { c.delay.Add(time.Since(start)) })
+	if disp == httpserve.StreamErrored {
+		if sw.Wrote() == 0 {
+			c.errorJSON(w, http.StatusBadGateway, "%v", err)
+		} else {
+			c.errors.Add(1)
 		}
 	}
-	return false
+	return disp, sw.Wrote()
 }

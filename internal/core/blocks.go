@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 
 	"cqrep/internal/relation"
 )
@@ -17,17 +18,38 @@ type BlockIterator interface {
 	NextBlock(max int) []relation.Tuple
 }
 
+// Ready reports whether b's next NextBlock returns without waiting, on a
+// computation or on the network. A stream says so through a Ready() bool
+// method — a stored bucket always, a wire reader when it already holds the
+// next frame; one without the method may wait. The serving loop pushes what
+// it has encoded to the socket only before a block that may wait, so a slow
+// source's answers still leave one frame at a time.
+func Ready(b BlockIterator) bool {
+	r, ok := b.(interface{ Ready() bool })
+	return ok && r.Ready()
+}
+
 // QueryBlocks answers an access request block by block — the serving
 // path's form of Query. Backends that store their answers contiguously
-// (materialized buckets, directly or behind a routed shard key) hand out
-// sub-slices of the stored bucket: no copy, no allocation, and ctx is the
-// caller's to observe between blocks. Every other backend goes through one
-// adapter that fills a reused buffer from Next and polls ctx per tuple, so
-// a cancelled request abandons a slow enumeration within one answer's
-// delay; its IterErr is then ctx's error. Query's contract is unchanged:
-// tuples from Next are the caller's to keep.
+// (materialized buckets, directly, behind a routed shard key, or merged
+// across shards) hand out sub-slices of the stored buckets: no copy, no
+// allocation, and ctx is the caller's to observe between blocks. Every
+// other backend goes through one adapter that fills a reused buffer from
+// Next and polls ctx per tuple, so a cancelled request abandons a slow
+// enumeration within one answer's delay; its IterErr is then ctx's error.
+// Query's contract is unchanged: tuples from Next are the caller's to keep.
 func (r *Representation) QueryBlocks(ctx context.Context, vb relation.Tuple) BlockIterator {
-	it := r.Query(vb)
+	if r.ensure() == nil {
+		if sb, ok := r.be.(*shardedBackend); ok {
+			return sb.queryBlocks(ctx, vb)
+		}
+	}
+	return AsBlocks(ctx, r.Query(vb))
+}
+
+// AsBlocks serves an Iterator block by block: natively when it has
+// NextBlock, otherwise through the per-tuple adapter QueryBlocks uses.
+func AsBlocks(ctx context.Context, it Iterator) BlockIterator {
 	if b, ok := it.(BlockIterator); ok {
 		return b
 	}
@@ -50,7 +72,7 @@ func (a *blockAdapter) NextBlock(max int) []relation.Tuple {
 	a.buf = a.buf[:0]
 	for len(a.buf) < max {
 		// A cancelled request drops the partial block: nothing after the
-		// cut is delivered, as on the Server path.
+		// cut is delivered.
 		if a.err = a.ctx.Err(); a.err != nil {
 			return nil
 		}
@@ -71,3 +93,108 @@ func (a *blockAdapter) Err() error {
 	}
 	return IterErr(a.it)
 }
+
+// MergeBlocks merges streams that each enumerate a disjoint part of one
+// result in enumOrder into that result, in that order: the sharded
+// composite's free-key enumeration in process, and the coordinator's over
+// its worker streams. Heads compare in full EnumOrder — the declared
+// positions first, then every position in index order — so distinct
+// tuples never tie; equal heads, impossible across a hash partition, go to
+// the lowest input. Each NextBlock lends the longest run of the leading
+// input's current block that sorts below every other head, found by binary
+// search: one input passes its blocks straight through, and inputs whose
+// key leads enumOrder pass whole blocks. A run is borrowed from its input
+// and valid until the next call. The first input that ends in an error
+// ends the merge with that error (IterErr), since merging past a dead input
+// would emit a gapped result that looks complete.
+func MergeBlocks(enumOrder []int, its []BlockIterator) BlockIterator {
+	if len(its) == 1 {
+		return its[0]
+	}
+	m := &blockMerge{order: enumOrder, in: make([]mergeInput, len(its))}
+	for i, it := range its {
+		m.in[i].it = it
+	}
+	return m
+}
+
+// blockMerge is MergeBlocks' iterator.
+type blockMerge struct {
+	order []int
+	in    []mergeInput // nil once an input failed
+	err   error
+}
+
+// mergeInput is one merged stream and the undelivered rest of its block.
+type mergeInput struct {
+	it   BlockIterator
+	blk  []relation.Tuple
+	done bool
+}
+
+func (m *blockMerge) NextBlock(want int) []relation.Tuple {
+	lead, next := -1, -1
+	for i := range m.in {
+		in := &m.in[i]
+		if len(in.blk) == 0 {
+			if in.done {
+				continue
+			}
+			if in.blk = in.it.NextBlock(want); len(in.blk) == 0 {
+				in.done = true
+				if m.err = IterErr(in.it); m.err != nil {
+					m.in = nil
+					return nil
+				}
+				continue
+			}
+		}
+		switch {
+		case lead < 0 || m.less(in.blk[0], m.in[lead].blk[0]):
+			lead, next = i, lead
+		case next < 0 || m.less(in.blk[0], m.in[next].blk[0]):
+			next = i
+		}
+	}
+	if lead < 0 {
+		return nil
+	}
+	blk := m.in[lead].blk
+	n := min(want, len(blk))
+	if next >= 0 {
+		bar := m.in[next].blk[0]
+		n = max(1, sort.Search(n, func(j int) bool { return !m.less(blk[j], bar) }))
+	}
+	m.in[lead].blk = blk[n:]
+	return blk[:n]
+}
+
+// less orders heads in full EnumOrder. The index-order pass re-reads the
+// declared positions, which are equal by then, so it settles exactly the
+// remaining ones without building a permutation.
+func (m *blockMerge) less(a, b relation.Tuple) bool {
+	for _, i := range m.order {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+// Ready holds when every input the next call must refill is Ready.
+func (m *blockMerge) Ready() bool {
+	for i := range m.in {
+		if in := &m.in[i]; len(in.blk) == 0 && !in.done && !Ready(in.it) {
+			return false
+		}
+	}
+	return true
+}
+
+// Err is the first input's terminal error, once the merge has ended.
+func (m *blockMerge) Err() error { return m.err }

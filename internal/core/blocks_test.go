@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -165,4 +166,102 @@ func TestQueryBlocksAdapterObservesContext(t *testing.T) {
 		return
 	}
 	t.Fatal("no binding with at least 3 answers found")
+}
+
+// lentStream is a BlockIterator over a fixed tuple list that ends in err.
+type lentStream struct {
+	ts  []relation.Tuple
+	err error
+}
+
+func (s *lentStream) NextBlock(max int) []relation.Tuple {
+	n := min(max, len(s.ts))
+	blk := s.ts[:n]
+	s.ts = s.ts[n:]
+	return blk
+}
+
+func (s *lentStream) Err() error {
+	if len(s.ts) == 0 {
+		return s.err
+	}
+	return nil
+}
+
+// TestMergeBlocksLendsRuns pins MergeBlocks' contract on hand-made inputs:
+// heads compare in full EnumOrder (declared positions, then index order),
+// each block is the leader's longest run below every other head, and the
+// first input error ends the merge with that error.
+func TestMergeBlocksLendsRuns(t *testing.T) {
+	tu := func(vs ...relation.Value) relation.Tuple { return relation.Tuple(vs) }
+	// Declared order [1]: the second position leads, the first breaks ties.
+	a := &lentStream{ts: []relation.Tuple{tu(0, 1), tu(5, 1), tu(1, 2), tu(9, 2), tu(0, 7)}}
+	b := &lentStream{ts: []relation.Tuple{tu(2, 1), tu(2, 2), tu(3, 3), tu(4, 4)}}
+	m := MergeBlocks([]int{1}, []BlockIterator{a, b})
+	var runs [][]relation.Tuple
+	for {
+		blk := m.NextBlock(3)
+		if len(blk) == 0 {
+			break
+		}
+		runs = append(runs, append([]relation.Tuple(nil), blk...))
+	}
+	if err := IterErr(m); err != nil {
+		t.Fatal(err)
+	}
+	// A run ends at the runner-up's head or at its own block's end.
+	want := "[[(0, 1)] [(2, 1)] [(5, 1) (1, 2)] [(2, 2)] [(9, 2)] [(3, 3)] [(4, 4)] [(0, 7)]]"
+	if got := fmt.Sprint(runs); got != want {
+		t.Fatalf("runs = %s, want %s", got, want)
+	}
+
+	boom := errors.New("shard gone")
+	a = &lentStream{ts: []relation.Tuple{tu(0, 0), tu(5, 5)}}
+	b = &lentStream{ts: []relation.Tuple{tu(1, 1)}, err: boom}
+	m = MergeBlocks(nil, []BlockIterator{a, b})
+	var got []relation.Tuple
+	for blk := m.NextBlock(8); len(blk) > 0; blk = m.NextBlock(8) {
+		got = append(got, blk...)
+	}
+	if !errors.Is(IterErr(m), boom) || fmt.Sprint(got) != "[(0, 0) (1, 1)]" {
+		t.Fatalf("merge past a failed input: delivered %v, terminal %v; want [(0, 0) (1, 1)] then %v", got, IterErr(m), boom)
+	}
+
+	if single := (&lentStream{}); MergeBlocks(nil, []BlockIterator{single}) != BlockIterator(single) {
+		t.Fatal("a merge of one stream is not that stream")
+	}
+}
+
+// TestShardedFreeKeyQueryAllocs pins per-tuple Query on a sharded free key
+// at no more allocations than the per-tuple merge it replaced: one clone per
+// answer, which the caller owns, plus 4 + shards per request.
+func TestShardedFreeKeyQueryAllocs(t *testing.T) {
+	db := relation.NewDatabase()
+	s := relation.NewRelation("S", 2)
+	for x := 0; x < 64; x++ {
+		for y := 0; y < 64; y++ {
+			s.MustInsert(relation.Value(x), relation.Value(y))
+		}
+	}
+	db.Add(s)
+	const answers = 64 * 64
+	for _, shards := range []int{2, 3, 4} {
+		r, err := Build(cq.MustParse("F[ff](x, y) :- S(x, y)"), db, WithStrategy(MaterializedStrategy), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			it := r.Query(nil)
+			n := 0
+			for _, ok := it.Next(); ok; _, ok = it.Next() {
+				n++
+			}
+			if err := IterErr(it); err != nil || n != answers {
+				t.Fatalf("drained %d answers, err %v", n, err)
+			}
+		})
+		if limit := float64(answers + 4 + shards); allocs > limit {
+			t.Fatalf("%d shards: %.0f allocations per %d-answer Query, want at most %.0f", shards, allocs, answers, limit)
+		}
+	}
 }

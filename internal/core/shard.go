@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -217,15 +218,64 @@ func (b *shardedBackend) owner(vb relation.Tuple) *Representation {
 }
 
 // Query routes to the owning shard when the shard key is bound; otherwise
-// it merge-enumerates all shards in the backend's global enumeration
+// it merges all shards (MergeBlocks) in the backend's global enumeration
 // order, which the disjoint hash partition makes byte-for-byte identical
-// to the unsharded enumeration.
+// to the unsharded enumeration. A Query caller keeps every tuple, so this
+// merge runs over each shard's own Next, one fresh tuple at a time.
 func (b *shardedBackend) Query(vb relation.Tuple) Iterator {
 	if sub := b.owner(vb); sub != nil {
 		return sub.Query(vb)
 	}
-	return newMergeIterator(b.subs, vb)
+	m := &mergedTuples{blockMerge{order: b.EnumOrder(), in: make([]mergeInput, len(b.subs))}}
+	ones := make([]oneTuple, len(b.subs))
+	for i, sub := range b.subs {
+		ones[i].it = sub.Query(vb)
+		m.in[i].it = &ones[i]
+	}
+	return m
 }
+
+// queryBlocks is QueryBlocks on the composite: the owning shard's blocks
+// when the key is bound, else the merge of every shard's — native, so a
+// materialized composite lends runs of its buckets.
+func (b *shardedBackend) queryBlocks(ctx context.Context, vb relation.Tuple) BlockIterator {
+	if sub := b.owner(vb); sub != nil {
+		return sub.QueryBlocks(ctx, vb)
+	}
+	its := make([]BlockIterator, len(b.subs))
+	for i, sub := range b.subs {
+		its[i] = sub.QueryBlocks(ctx, vb)
+	}
+	return MergeBlocks(b.EnumOrder(), its)
+}
+
+// mergedTuples is the per-tuple face of a merge over owned tuples.
+type mergedTuples struct{ blockMerge }
+
+func (m *mergedTuples) Next() (relation.Tuple, bool) {
+	if blk := m.NextBlock(1); len(blk) > 0 {
+		return blk[0], true
+	}
+	return nil, false
+}
+
+// oneTuple lends a per-tuple Iterator's tuples one at a time, so what the
+// merge hands on stays the caller's.
+type oneTuple struct {
+	it  Iterator
+	one [1]relation.Tuple
+}
+
+func (o *oneTuple) NextBlock(int) []relation.Tuple {
+	t, ok := o.it.Next()
+	if !ok {
+		return nil
+	}
+	o.one[0] = t
+	return o.one[:]
+}
+
+func (o *oneTuple) Err() error { return IterErr(o.it) }
 
 // EnumOrder reports the shared sub-backend order (every shard compiles
 // the same structure shape over its partition, so the orders agree). It
@@ -244,78 +294,6 @@ func (b *shardedBackend) Exists(vb relation.Tuple) bool {
 		}
 	}
 	return false
-}
-
-// mergeIterator merges per-shard enumerations into the global order:
-// every backend enumerates its shard in the same deterministic order —
-// lexicographic over the output positions named by EnumOrder (nil = head
-// order) — and the hash partition makes the shards' answer sets disjoint,
-// so repeatedly yielding the smallest head reproduces the unsharded
-// enumeration. Equal heads (impossible for well-formed partitions) break
-// deterministically toward the lowest shard index.
-type mergeIterator struct {
-	order []int
-	its   []Iterator
-	heads []relation.Tuple
-	live  []bool
-}
-
-func newMergeIterator(subs []*Representation, vb relation.Tuple) *mergeIterator {
-	m := &mergeIterator{
-		order: subs[0].EnumOrder(),
-		its:   make([]Iterator, len(subs)),
-		heads: make([]relation.Tuple, len(subs)),
-		live:  make([]bool, len(subs)),
-	}
-	for i, sub := range subs {
-		m.its[i] = sub.Query(vb)
-		m.heads[i], m.live[i] = m.its[i].Next()
-	}
-	return m
-}
-
-// lessUnder compares two heads through the enumeration-order permutation.
-func (m *mergeIterator) lessUnder(a, b relation.Tuple) bool {
-	if m.order == nil {
-		return a.Less(b)
-	}
-	for _, i := range m.order {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// Err surfaces the first per-shard terminal error (see IterErr) — in
-// particular a lazily-loaded shard whose frame failed to decode, whose
-// stream is empty with the decode failure as its terminal error.
-func (m *mergeIterator) Err() error {
-	for _, it := range m.its {
-		if err := IterErr(it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Next yields the smallest head across shards and refills that shard.
-func (m *mergeIterator) Next() (relation.Tuple, bool) {
-	best := -1
-	for i, h := range m.heads {
-		if !m.live[i] {
-			continue
-		}
-		if best < 0 || m.lessUnder(h, m.heads[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, false
-	}
-	t := m.heads[best]
-	m.heads[best], m.live[best] = m.its[best].Next()
-	return t, true
 }
 
 // buildSharded compiles the partition-then-route composite over db.

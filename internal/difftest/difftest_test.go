@@ -62,10 +62,11 @@ func encodeBlocks(rep *core.Representation, vb relation.Tuple, max int) ([]byte,
 // byte-for-byte against the naive backtracking join on every bound
 // valuation that has answers, plus a guaranteed miss — through the
 // per-tuple enumeration and through the block enumeration at block sizes
-// 1, 3 and 128.
+// 1, 3 and 128. On a sharded composite whose shard key is free both go
+// through core.MergeBlocks, over owned tuples and over lent blocks.
 func TestDifferentialAllStrategies(t *testing.T) {
 	const instances = 120
-	checkedBindings := 0
+	checkedBindings, freeKeyMerges := 0, 0
 	for seed := 0; seed < instances; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		c := Generate(rng)
@@ -96,6 +97,9 @@ func TestDifferentialAllStrategies(t *testing.T) {
 							seed, sc.name, vb, max, len(blk), len(encodeSeq(got)), err)
 					}
 				}
+				if rep.ShardCount() > 1 && rep.ShardKeyIndex() < 0 {
+					freeKeyMerges++
+				}
 				if rep.Exists(vb) != (len(want) > 0) {
 					t.Fatalf("seed %d: %s: binding %v: Exists = %v, naive answer count %d",
 						seed, sc.name, vb, rep.Exists(vb), len(want))
@@ -122,10 +126,10 @@ func TestDifferentialAllStrategies(t *testing.T) {
 			}
 		}
 	}
-	if checkedBindings < instances*len(strategyCases) {
-		t.Fatalf("only %d bindings checked; generator degenerated", checkedBindings)
+	if checkedBindings < instances*len(strategyCases) || freeKeyMerges == 0 {
+		t.Fatalf("only %d bindings checked, %d through a free-key merge; generator degenerated", checkedBindings, freeKeyMerges)
 	}
-	t.Logf("differential: %d instances, %d strategy menu entries, %d binding checks", instances, len(strategyCases), checkedBindings)
+	t.Logf("differential: %d instances, %d strategy menu entries, %d binding checks (%d free-key merges)", instances, len(strategyCases), checkedBindings, freeKeyMerges)
 }
 
 // TestGeneratorDeterminism pins the harness's reproducibility: the same

@@ -2,6 +2,7 @@ package httpserve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,10 +87,46 @@ func TestBinaryStreamTuplesAreOwned(t *testing.T) {
 	}
 }
 
+// TestBinaryStreamMixedReadsKeepNextOwned interleaves the two read paths
+// on one reader: each frame is opened by NextBlock, which decodes into the
+// slab it reuses, and finished by Next. A tuple Next hands out of a lent
+// frame must take that slab out of reuse, so every tuple kept from Next
+// still reads right once the later frames have been lent.
+func TestBinaryStreamMixedReadsKeepNextOwned(t *testing.T) {
+	const batch = 8
+	want := scanTuples(100)
+	dec, err := newBinaryReader(bytes.NewReader(encodeBinaryStream(t, want, 3, batch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[int]relation.Tuple{}
+	for pos := 0; pos < len(want); pos++ {
+		if pos == 0 || (pos-1)%batch == 0 { // the first tuple of a frame
+			if blk := dec.NextBlock(1); len(blk) != 1 || !blk[0].Equal(want[pos]) {
+				t.Fatalf("NextBlock at %d lent %v, want [%v]", pos, blk, want[pos])
+			}
+			continue
+		}
+		tup, ok := dec.Next()
+		if !ok {
+			t.Fatalf("stream ended at %d: %v", pos, dec.Err())
+		}
+		kept[pos] = tup
+	}
+	if _, ok := dec.Next(); ok || dec.Err() != nil {
+		t.Fatalf("want a clean end after %d tuples, got err %v", len(want), dec.Err())
+	}
+	for i, tup := range kept {
+		if !tup.Equal(want[i]) {
+			t.Fatalf("tuple %d from Next = %v after later lent frames, want %v", i, tup, want[i])
+		}
+	}
+}
+
 // TestBlockAndTupleDeliveryByteIdentical holds StreamWriter's two entry
 // points to one wire image: a stream fed block by block at the size Room
-// asks for is byte-identical to the same tuples fed one at a time (the
-// coordinator's path), in both encodings.
+// asks for is byte-identical to the same tuples fed one at a time, in both
+// encodings.
 func TestBlockAndTupleDeliveryByteIdentical(t *testing.T) {
 	tuples := scanTuples(100)
 	for _, format := range []Format{FormatBinary, FormatNDJSON} {
@@ -200,5 +237,137 @@ func TestBinaryStreamDrainAllocsPerTuple(t *testing.T) {
 	})
 	if perTuple := allocs / scanAnswers; perTuple >= 0.05 {
 		t.Fatalf("draining %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", scanAnswers, allocs, perTuple)
+	}
+}
+
+// countingResponse records what reaches the socket: every Write and every
+// Flush, and how much of the body had been pushed at the last Flush.
+type countingResponse struct {
+	header  http.Header
+	body    bytes.Buffer
+	status  int
+	writes  int
+	flushes int
+	flushed int
+}
+
+func (c *countingResponse) Header() http.Header { return c.header }
+func (c *countingResponse) WriteHeader(s int)   { c.status = s }
+func (c *countingResponse) Write(p []byte) (int, error) {
+	if c.status == 0 {
+		c.status = http.StatusOK
+	}
+	c.writes++
+	return c.body.Write(p)
+}
+func (c *countingResponse) Flush() { c.flushes, c.flushed = c.flushes+1, c.body.Len() }
+
+// pushedTuples counts the answers a client could already decode from what
+// was flushed to it.
+func (c *countingResponse) pushedTuples(format Format) int {
+	pushed := c.body.Bytes()[:c.flushed]
+	if format == FormatNDJSON {
+		return bytes.Count(pushed, []byte("\n"))
+	}
+	dec, err := newBinaryReader(bytes.NewReader(pushed))
+	n := 0
+	for err == nil {
+		if _, ok := dec.Next(); !ok {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// TestMaterializedStreamLeavesInFullBuffers pins the socket side of a
+// lender: a materialized bucket never waits, so its 8192 answers reach the
+// socket in 32 KiB writes, not one write and one flush per frame — and
+// still in the same frames.
+func TestMaterializedStreamLeavesInFullBuffers(t *testing.T) {
+	path, rep := scanBucket(t)
+	h, err := New([]string{path}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	w := &countingResponse{header: make(http.Header)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query/W", bytes.NewReader([]byte(`{"bindings":{"x":1}}`)))
+	req.Header.Set("Accept", BinaryMediaType)
+	h.ServeHTTP(w, req)
+
+	want := encodeBinaryStream(t, core.Drain(rep.Query(relation.Tuple{1})), 1, 0)
+	if !bytes.Equal(w.body.Bytes(), want) {
+		t.Fatalf("served %d bytes, not the %d-byte stream of the same frames", w.body.Len(), len(want))
+	}
+	budget := (len(want)+32*1024-1)/(32*1024) + 2
+	if pushes := w.writes + w.flushes; pushes > budget {
+		t.Fatalf("%d bytes reached the socket in %d writes and %d flushes, want at most %d in all", len(want), w.writes, w.flushes, budget)
+	}
+}
+
+// pacedSource serves the bucket's first answers through a per-tuple
+// iterator, which is what a computed structure looks like to the handler,
+// and records as each answer is computed how many the client already has.
+type pacedSource struct {
+	rep    *core.Representation
+	w      *countingResponse
+	format Format
+	n      int
+	seen   []int
+}
+
+func (s *pacedSource) QueryBlocks(ctx context.Context, vb relation.Tuple) core.BlockIterator {
+	return core.AsBlocks(ctx, &pacedIter{s: s, it: s.rep.Query(vb)})
+}
+
+type pacedIter struct {
+	s  *pacedSource
+	it core.Iterator
+}
+
+func (p *pacedIter) Next() (relation.Tuple, bool) {
+	if len(p.s.seen) == p.s.n {
+		return nil, false
+	}
+	p.s.seen = append(p.s.seen, p.s.w.pushedTuples(p.s.format))
+	return p.it.Next()
+}
+
+func (p *pacedIter) Err() error { return core.IterErr(p.it) }
+
+// TestComputedStreamFlushesEachFrame is the other half: a source behind
+// the per-tuple adapter may take a whole delay per answer, so the first
+// answer leaves alone and every closed frame reaches the client before the
+// next answer is computed — the paper's per-answer delay is not hidden
+// behind a buffer.
+func TestComputedStreamFlushesEachFrame(t *testing.T) {
+	path, rep := scanBucket(t)
+	const batch, answers = 4, 19
+	for _, format := range []Format{FormatBinary, FormatNDJSON} {
+		h, err := New([]string{path}, Options{FlushBatch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &countingResponse{header: make(http.Header)}
+		src := &pacedSource{rep: rep, w: w, format: format, n: answers}
+		h.reg.Load().views["W"].src = src
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/W", bytes.NewReader([]byte(`{"bindings":{"x":1}}`)))
+		req.Header.Set("Accept", format.MediaType())
+		h.ServeHTTP(w, req)
+		h.Close()
+
+		for i, got := range src.seen {
+			want := i // NDJSON: every line is its own frame
+			if format == FormatBinary && i > 0 {
+				want = 1 + (i-1)/batch*batch // the lone first tuple, then whole batches
+			}
+			if got != want {
+				t.Fatalf("%v: computing answer %d with %d answers at the client, want %d", format, i, got, want)
+			}
+		}
+		if got := w.pushedTuples(format); len(src.seen) != answers || got != answers {
+			t.Fatalf("%v: computed %d answers, client has %d, want %d", format, len(src.seen), got, answers)
+		}
 	}
 }

@@ -354,14 +354,18 @@ func (s *ndjsonStream) Err() error   { return s.err }
 func (s *ndjsonStream) Close() error { return s.body.Close() }
 
 // binaryStream adapts the binary frame reader (wire.go) to the Stream
-// interface.
+// interface. It is also a core.BlockIterator that lends each frame from one
+// reused slab (NextBlock, Ready): the coordinator merges worker streams
+// through it.
 type binaryStream struct {
 	dec  *binaryReader
 	body io.ReadCloser
 }
 
-func (s *binaryStream) Next() (relation.Tuple, bool) { return s.dec.Next() }
-func (s *binaryStream) Err() error                   { return s.dec.Err() }
+func (s *binaryStream) Next() (relation.Tuple, bool)       { return s.dec.Next() }
+func (s *binaryStream) NextBlock(max int) []relation.Tuple { return s.dec.NextBlock(max) }
+func (s *binaryStream) Ready() bool                        { return s.dec.Ready() }
+func (s *binaryStream) Err() error                         { return s.dec.Err() }
 
 // Close drains whatever trails the terminal frame before closing the
 // body. The frame reader stops at the end frame rather than at EOF, and a

@@ -15,8 +15,9 @@
 // in flight keep streaming from the representation they started on, and
 // the old generation is released only after its last stream finishes.
 // A request enumerates on its own handler goroutine, block by block
-// (core.Representation.QueryBlocks) into the one StreamWriter, so its
-// context — client disconnect, shutdown — cuts the enumeration directly.
+// (core.Representation.QueryBlocks) through Deliver into the one
+// StreamWriter, so its context — client disconnect, shutdown — cuts the
+// enumeration directly.
 package httpserve
 
 import (
@@ -182,16 +183,6 @@ type viewEntry struct {
 	baseTup         func() int // lazy: materializes mmap-loaded representations
 	wal             walStatus  // recovery outcome when Options.WALDir is set
 }
-
-// streamDisposition is how one started stream ended; see the Handler
-// counter comments for the bucket semantics.
-type streamDisposition int
-
-const (
-	streamComplete streamDisposition = iota
-	streamErrored
-	streamAborted
-)
 
 // acquire takes a reference on the entry; it fails once the entry has
 // been retired by a reload or shutdown (the caller then retries on the
@@ -670,12 +661,26 @@ func (h *Handler) streamLive(ctx context.Context, w http.ResponseWriter, entry *
 		tee = NewCacheTee(w, h.cache.MaxEntryBytes())
 		w = tee
 	}
-	disp, n := h.deliver(ctx, w, NewStreamWriter(w, format, arity, h.flushBatch()), entry, vb, limit, start)
+	// Blocks are borrowed from the backend — a materialized bucket lends
+	// sub-slices of itself — and only read.
+	sw := NewStreamWriter(w, format, arity, h.flushBatch())
+	disp, err := Deliver(ctx, sw, entry.src.QueryBlocks(ctx, vb), limit, func() { h.delay.Add(time.Since(start)) })
+	n := sw.Wrote()
+	h.tuples.Add(uint64(n))
+	entry.tuples.Add(uint64(n))
 	switch disp {
-	case streamErrored:
+	case StreamErrored:
+		if n == 0 {
+			// Nothing was streamed yet — the stream header is only staged — so
+			// the status line is still ours: fail properly instead of a 200
+			// with an error trailer.
+			h.errorJSON(w, http.StatusInternalServerError, "%v", err)
+		} else {
+			h.errors.Add(1)
+		}
 		h.streamsErrored.Add(1)
 		entry.streamsErrored.Add(1)
-	case streamAborted:
+	case StreamAborted:
 		h.streamsAborted.Add(1)
 		entry.streamsAborted.Add(1)
 	default:
@@ -688,74 +693,6 @@ func (h *Handler) streamLive(ctx context.Context, w http.ResponseWriter, entry *
 			}
 		}
 	}
-}
-
-// deliver enumerates one request block by block into sw and terminates the
-// stream, returning how it ended and how many tuples it carried. The block
-// size is whatever sw's flush ramp has room for (one tuple first, then
-// FlushBatch; always one for NDJSON), so a block is encoded and flushed
-// before the next is asked for and a slow structure's delay reaches the
-// client tuple by tuple. Blocks are borrowed from the backend — a
-// materialized bucket lends sub-slices of itself — and are only read.
-func (h *Handler) deliver(ctx context.Context, w http.ResponseWriter, sw *StreamWriter, entry *viewEntry, vb relation.Tuple, limit int, start time.Time) (streamDisposition, int) {
-	blocks := entry.src.QueryBlocks(ctx, vb)
-	exhausted, limited := false, false
-	for !limited && ctx.Err() == nil {
-		want := sw.Room()
-		if limit > 0 {
-			want = min(want, limit-sw.Wrote())
-		}
-		blk := blocks.NextBlock(want)
-		if len(blk) == 0 {
-			exhausted = true
-			break
-		}
-		if sw.Wrote() == 0 {
-			h.delay.Add(time.Since(start))
-		}
-		h.tuples.Add(uint64(len(blk)))
-		entry.tuples.Add(uint64(len(blk)))
-		if err := sw.Block(blk); err != nil {
-			return streamAborted, sw.Wrote() // client went away: abandon the enumeration
-		}
-		limited = limit > 0 && sw.Wrote() >= limit
-	}
-	// Only an enumeration that genuinely finished, or that we cut ourselves
-	// after delivering what the client asked for, earns the clean terminal.
-	// Anything else — a source error, or a context cancellation (shutdown,
-	// disconnect) that cut the enumeration short — must reach the client as
-	// the terminal error: an abort that ended with plain EOF would be
-	// indistinguishable from a complete result set in NDJSON, and an end
-	// frame after an abort would actively forge completion in binary. A
-	// cancellation landing after exhaustion is not this stream's business.
-	var terr error
-	switch {
-	case limited:
-	case exhausted:
-		terr = core.IterErr(blocks)
-	default:
-		terr = ctx.Err() // cut between blocks
-	}
-	if terr == nil {
-		if err := sw.End(); err != nil {
-			return streamAborted, sw.Wrote()
-		}
-		return streamComplete, sw.Wrote()
-	}
-	if ctx.Err() != nil {
-		sw.Error(terr.Error())
-		return streamAborted, sw.Wrote()
-	}
-	if sw.Wrote() == 0 {
-		// Nothing was streamed yet — the stream header is only staged — so
-		// the status line is still ours: fail properly instead of a 200
-		// with an error trailer.
-		h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
-		return streamErrored, 0
-	}
-	h.errors.Add(1)
-	sw.Error(terr.Error())
-	return streamErrored, sw.Wrote()
 }
 
 // appendTupleJSON renders one tuple as a compact JSON array of integers.

@@ -2,37 +2,45 @@ package httpserve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 
+	"cqrep/internal/core"
 	"cqrep/internal/relation"
 )
 
-// streamwriter.go is the one server-side stream encoder: the Handler's
-// query path drives it block by block, the coordinator (internal/coord) —
-// which consumes worker streams in the binary framing and re-encodes the
-// merged result in whatever format the client negotiated — tuple by tuple.
-// The delivery discipline lives here and nowhere else, so a stream relayed
-// through the coordinator is byte-identical to one served directly by
-// construction.
+// streamwriter.go is the one server-side stream encoder and the one
+// delivery loop. A node's handler and the coordinator (internal/coord) —
+// which merges worker streams read in the binary framing and re-encodes the
+// result in whatever format the client negotiated — both run Deliver over
+// a core.BlockIterator into a StreamWriter. The delivery discipline lives
+// here and nowhere else, so a stream relayed through the coordinator is
+// byte-identical to one served directly by construction.
+//
+// Frames and socket flushes are separate decisions. StreamWriter closes a
+// frame where the 1-then-FlushBatch ramp says (the first tuple alone, then
+// every FlushBatch; every line for NDJSON), so the bytes never depend on
+// how a source blocks its answers. Closed frames collect in a buffer that
+// Deliver pushes to the socket only before asking for a block that may
+// wait (core.Ready): a computed structure ships each frame before the next
+// is computed, a materialized bucket leaves in 32 KiB writes.
 
 // StreamWriter writes one result stream to an http.ResponseWriter in a
-// negotiated Format, and owns the delivery discipline: the first tuple
-// flushes alone (batching never defers first-answer delay), steady state
-// flushes per batch for binary and per line for NDJSON — the stream is the
-// product, and a slow structure's delay must never hide behind a buffer —
-// and every stream ends with an explicit terminal: End, Error, or (NDJSON)
-// clean EOF. Nothing is committed to the wire before the first
-// Tuple/Block/End/Error call, so a caller whose upstream fails before
-// producing anything (Wrote() == 0) can still answer with a real error
-// status instead.
+// negotiated Format, and owns the framing: the first tuple closes a frame
+// alone (batching never defers first-answer delay), steady state closes a
+// frame per batch for binary and per line for NDJSON, and every stream ends
+// with an explicit terminal: End, Error, or (NDJSON) clean EOF. Nothing is
+// committed to the wire before the first tuple, so a caller whose upstream
+// fails before producing anything (Wrote() == 0) can still answer with a
+// real error status instead.
 type StreamWriter struct {
 	flusher http.Flusher
 	bw      *bufio.Writer
 	enc     *binaryWriter // binary only; nil means NDJSON
 	line    []byte        // ndjson scratch
 	batch   int
-	limit   int // current flush threshold (1-then-batch ramp)
+	limit   int // current frame size (1-then-batch ramp)
 	wrote   int
 }
 
@@ -61,12 +69,17 @@ func NewStreamWriter(w http.ResponseWriter, format Format, arity, flushBatch int
 // answer with a real HTTP error instead of Error.
 func (sw *StreamWriter) Wrote() int { return sw.wrote }
 
+// flush pushes every closed frame to the client — never the frame still
+// filling, whose boundary belongs to the ramp. Before the first tuple it
+// does nothing, so the staged header cannot commit the status line.
 func (sw *StreamWriter) flush() error {
-	if sw.enc != nil {
-		if err := sw.enc.Flush(); err != nil {
-			return err
-		}
+	if sw.wrote == 0 {
+		return nil
 	}
+	return sw.push()
+}
+
+func (sw *StreamWriter) push() error {
 	if err := sw.bw.Flush(); err != nil {
 		return err
 	}
@@ -79,24 +92,19 @@ func (sw *StreamWriter) flush() error {
 // Tuple stages one tuple; a non-nil error means the client is gone and the
 // stream should be abandoned.
 func (sw *StreamWriter) Tuple(t relation.Tuple) error {
+	if sw.enc == nil {
+		return sw.Block([]relation.Tuple{t})
+	}
 	sw.wrote++
-	if sw.enc != nil {
-		sw.enc.Add(t)
-		return sw.flushIfDue()
-	}
-	sw.line = appendTupleJSON(sw.line[:0], t)
-	if _, err := sw.bw.Write(sw.line); err != nil {
-		return err
-	}
-	return sw.flush()
+	sw.enc.Add(t)
+	return sw.closeIfFull()
 }
 
-// Room reports how many tuples the stream takes before its next flush is
-// due: 1 on a fresh binary stream and FlushBatch from then on (less
-// whatever is already pending), always 1 for NDJSON. A producer that can
-// enumerate in blocks asks its source for this many and hands them to
-// Block, which keeps every frame boundary where tuple-at-a-time delivery
-// would have put it.
+// Room reports how many tuples the current frame still takes: 1 on a fresh
+// binary stream and FlushBatch from then on (less whatever is already
+// pending), always 1 for NDJSON. A producer that can enumerate in blocks
+// asks its source for this many and hands them to Block, which keeps every
+// frame boundary where tuple-at-a-time delivery would have put it.
 func (sw *StreamWriter) Room() int {
 	if sw.enc != nil {
 		return sw.limit - sw.enc.Pending()
@@ -107,27 +115,29 @@ func (sw *StreamWriter) Room() int {
 // Block stages a run of tuples — borrowed: they are encoded before Block
 // returns and not retained — with Tuple's error contract.
 func (sw *StreamWriter) Block(ts []relation.Tuple) error {
-	if sw.enc != nil {
-		sw.wrote += len(ts)
-		sw.enc.AddBlock(ts)
-		return sw.flushIfDue()
-	}
-	for _, t := range ts {
-		if err := sw.Tuple(t); err != nil {
-			return err
+	sw.wrote += len(ts)
+	if sw.enc == nil {
+		for _, t := range ts {
+			sw.line = appendTupleJSON(sw.line[:0], t)
+			if _, err := sw.bw.Write(sw.line); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
+	sw.enc.AddBlock(ts)
+	return sw.closeIfFull()
 }
 
-// flushIfDue is the binary 1-then-batch ramp: the pending frame ships once
-// it holds limit tuples, and the first shipment raises limit to the batch.
-func (sw *StreamWriter) flushIfDue() error {
+// closeIfFull is the binary 1-then-batch ramp: the pending frame closes
+// once it holds limit tuples, and the first close raises limit to the
+// batch.
+func (sw *StreamWriter) closeIfFull() error {
 	if sw.enc.Pending() < sw.limit {
 		return nil
 	}
 	sw.limit = sw.batch
-	return sw.flush()
+	return sw.enc.Flush()
 }
 
 // End terminates a complete stream: pending tuples, then the binary end
@@ -141,7 +151,7 @@ func (sw *StreamWriter) End() error {
 			return err
 		}
 	}
-	return sw.flush()
+	return sw.push()
 }
 
 // Error terminates a failed stream with the terminal the format defines:
@@ -154,10 +164,85 @@ func (sw *StreamWriter) Error(msg string) error {
 		if err := sw.enc.Error(msg); err != nil {
 			return err
 		}
-		return sw.flush()
+		return sw.push()
 	}
 	obj, _ := json.Marshal(map[string]string{"error": msg})
 	sw.bw.Write(obj)
 	sw.bw.WriteByte('\n')
-	return sw.flush()
+	return sw.push()
+}
+
+// Disposition is how one started stream ended. Complete includes a stream
+// its own limit cut short (the client got what it asked for); errored
+// means the terminal error reached the client, or — with nothing streamed
+// yet — is the caller's to answer as a real HTTP error; aborted means the
+// client went away or the request's context cut the stream, so the client
+// saw no clean terminal and counting it as served would hide that.
+type Disposition int
+
+const (
+	StreamComplete Disposition = iota
+	StreamErrored
+	StreamAborted
+)
+
+// Deliver runs one request's blocks into sw and terminates the stream.
+// Each round asks sw how many tuples its current frame takes (Room, capped
+// by limit), asks blocks for that many and stages them; before a NextBlock
+// that may wait it pushes the closed frames to the client. first, when
+// non-nil, runs once as the first tuple is staged.
+//
+// Only an enumeration that genuinely finished, or that the limit cut,
+// earns the clean terminal. A source error or a cut by ctx ends in the
+// error terminal — an abort ending in plain EOF would be indistinguishable
+// from a complete NDJSON result, and an end frame after one would forge
+// completion in binary — and a cut is StreamAborted. A source error before
+// the first tuple writes nothing: Deliver returns StreamErrored and the
+// error with sw.Wrote() == 0, and the caller answers with its own status.
+func Deliver(ctx context.Context, sw *StreamWriter, blocks core.BlockIterator, limit int, first func()) (Disposition, error) {
+	exhausted, limited := false, false
+	for !limited && ctx.Err() == nil {
+		want := sw.Room()
+		if limit > 0 {
+			want = min(want, limit-sw.Wrote())
+		}
+		if !core.Ready(blocks) {
+			if err := sw.flush(); err != nil {
+				return StreamAborted, err
+			}
+		}
+		blk := blocks.NextBlock(want)
+		if len(blk) == 0 {
+			exhausted = true
+			break
+		}
+		if sw.Wrote() == 0 && first != nil {
+			first()
+		}
+		if err := sw.Block(blk); err != nil {
+			return StreamAborted, err // client went away: abandon the enumeration
+		}
+		limited = limit > 0 && sw.Wrote() >= limit
+	}
+	var terr error
+	switch {
+	case limited:
+	case exhausted:
+		terr = core.IterErr(blocks)
+	default:
+		terr = ctx.Err() // cut between blocks
+	}
+	switch {
+	case terr == nil:
+		if err := sw.End(); err != nil {
+			return StreamAborted, err
+		}
+		return StreamComplete, nil
+	case ctx.Err() != nil:
+		sw.Error(terr.Error())
+		return StreamAborted, terr
+	case sw.Wrote() > 0:
+		sw.Error(terr.Error())
+	}
+	return StreamErrored, terr
 }

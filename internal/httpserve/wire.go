@@ -204,20 +204,23 @@ func (e *binaryWriter) Error(msg string) error {
 // hold exactly count×arity values, and EOF anywhere before the terminal
 // frame is reported as truncation rather than a clean end.
 //
-// Each data frame decodes into one freshly allocated value slab that Next
-// hands out in arity-sized pieces: a returned tuple is the caller's to
+// Next decodes each data frame into one freshly allocated value slab and
+// hands it out in arity-sized pieces: a returned tuple is the caller's to
 // keep — it never aliases the reused frame buffer, and its capacity is
 // clipped to its length so an append cannot reach its neighbour — at one
 // allocation per frame instead of one per tuple. A retained tuple pins its
 // frame's slab (at most FlushBatch×arity×8 bytes on a server's stream).
+// NextBlock lends instead: every frame decodes into the same slab.
 type binaryReader struct {
 	br    *bufio.Reader
 	arity int
-	slab  relation.Tuple // decoded values of the current data frame, back to back
-	pos   int            // next undelivered value in slab
-	buf   []byte         // frame buffer, reused across frames
+	slab  relation.Tuple   // decoded values of the current data frame, back to back
+	pos   int              // next undelivered value in slab
+	blk   []relation.Tuple // NextBlock's tuple headers, reused
+	buf   []byte           // frame buffer, reused across frames
 	err   error
 	done  bool
+	lent  bool // slab holds a NextBlock frame no caller owns, so the next may reuse it
 }
 
 // newBinaryReader consumes the stream header and returns the frame
@@ -248,25 +251,67 @@ func (d *binaryReader) Arity() int { return d.arity }
 // Err distinguishes a complete stream (nil) from a truncated or failed
 // one.
 func (d *binaryReader) Next() (relation.Tuple, bool) {
-	for {
-		if d.pos < len(d.slab) { // readFrame sized slab to whole tuples
-			end := d.pos + d.arity
-			t := d.slab[d.pos:end:end]
-			d.pos = end
-			return t, true
-		}
-		if d.err != nil || d.done {
-			return nil, false
-		}
-		if !d.readFrame() {
-			return nil, false
+	if !d.fill(false) {
+		return nil, false
+	}
+	d.lent = false // the caller keeps what comes out of this slab
+	end := d.pos + d.arity
+	t := d.slab[d.pos:end:end]
+	d.pos = end
+	return t, true
+}
+
+// NextBlock is the borrowed form of Next for a consumer that encodes what
+// it reads before reading on: up to max tuples of the current frame,
+// decoded into one slab the reader reuses for every frame and valid until
+// the next call, then an empty block at the end, after which Err reports
+// the terminal exactly as for Next.
+func (d *binaryReader) NextBlock(max int) []relation.Tuple {
+	if !d.fill(true) {
+		return nil
+	}
+	d.blk = d.blk[:0]
+	for range min(max, (len(d.slab)-d.pos)/d.arity) {
+		end := d.pos + d.arity
+		d.blk = append(d.blk, d.slab[d.pos:end:end])
+		d.pos = end
+	}
+	return d.blk
+}
+
+// fill reads frames until a decoded tuple is pending, reporting false at
+// the stream's terminal.
+func (d *binaryReader) fill(lend bool) bool {
+	for d.pos >= len(d.slab) { // readFrame sizes slab to whole tuples
+		if d.err != nil || d.done || !d.readFrame(lend) {
+			return false
 		}
 	}
+	return true
+}
+
+// Ready reports whether NextBlock can answer without waiting on the
+// network: a decoded tuple is pending, the stream has ended, or the
+// reader already buffers the whole next frame.
+func (d *binaryReader) Ready() bool {
+	if d.pos < len(d.slab) || d.err != nil || d.done {
+		return true
+	}
+	b, _ := d.br.Peek(d.br.Buffered())
+	if len(b) == 0 {
+		return false
+	}
+	if b[0] != frameData && b[0] != frameErr {
+		return true // the end frame, or a kind readFrame rejects unread
+	}
+	n, used := binary.Uvarint(b[1:])
+	return used > 0 && n <= uint64(len(b)-1-used)
 }
 
 // readFrame loads the next frame, reporting whether a data frame with at
-// least the potential for tuples arrived (an empty data frame loops).
-func (d *binaryReader) readFrame() bool {
+// least the potential for tuples arrived (an empty data frame loops). A
+// lent frame reuses the slab when the previous frame was lent too.
+func (d *binaryReader) readFrame(lend bool) bool {
 	kind, err := d.br.ReadByte()
 	if err != nil {
 		d.err = fmt.Errorf("httpserve: binary stream: %w", truncated(err))
@@ -329,9 +374,13 @@ func (d *binaryReader) readFrame() bool {
 			d.err = fmt.Errorf("httpserve: binary data frame claims %d tuples over %d value bytes for arity 0", count, len(body))
 			return false
 		}
-		d.slab = make(relation.Tuple, len(body)/8)
+		if vals := len(body) / 8; lend && d.lent {
+			d.slab = slices.Grow(d.slab[:0], vals)[:vals]
+		} else {
+			d.slab = make(relation.Tuple, vals)
+		}
 		d.slab.DecodeFrom(body) // sized to body: cannot come up short
-		d.pos = 0
+		d.pos, d.lent = 0, lend
 		return true
 	default:
 		d.err = fmt.Errorf("httpserve: unknown binary frame kind %#x", kind)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -441,7 +442,9 @@ func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 // decoded prefix must re-encode into a stream that decodes identically.
 // Decoded tuples are the caller's: each is snapshotted as it arrives and
 // must still read the same once the stream is exhausted (no aliasing of
-// the frame buffer or of a neighbour's slab space).
+// the frame buffer or of a neighbour's slab space). The borrowed NextBlock
+// path reads the same input again and must yield the same tuples, in
+// blocks no larger than asked for, and the same terminal error.
 func FuzzBinaryStream(f *testing.F) {
 	mk := func(build func(e *binaryWriter)) []byte {
 		var buf bytes.Buffer
@@ -463,7 +466,20 @@ func FuzzBinaryStream(f *testing.F) {
 		e.Flush()
 		e.Error("mid-stream failure")
 	}))
-	f.Add(encodeBinaryStream(f, scanTuples(100), 3, 8)) // many frames, all tuples retained below
+	many := encodeBinaryStream(f, scanTuples(100), 3, 8)
+	f.Add(many) // many frames, all tuples retained below
+	f.Add(many[:len(many)/2])
+	f.Add(mk(func(e *binaryWriter) { // arity 0 with a forged tuple count
+		e.Header(0)
+		cnt := binary.AppendUvarint(nil, 1<<40)
+		e.w.Write(append(binary.AppendUvarint([]byte{frameData}, uint64(len(cnt))), cnt...))
+	}))
+	f.Add(mk(func(e *binaryWriter) { // a count the frame's length cannot hold
+		e.Header(2)
+		cnt := binary.AppendUvarint(nil, 3)
+		e.w.Write(append(append(binary.AppendUvarint([]byte{frameData}, uint64(len(cnt)+16)), cnt...), make([]byte, 16)...))
+		e.End()
+	}))
 	f.Add([]byte("CQB1"))
 	f.Add([]byte("CQB1\x02\x01\x05hello"))
 	f.Add([]byte("NOPE\x00"))
@@ -501,6 +517,33 @@ func FuzzBinaryStream(f *testing.F) {
 			if !tup.Equal(asDecoded[i]) {
 				t.Fatalf("retained tuple %d changed under later frames: %v, decoded as %v", i, tup, asDecoded[i])
 			}
+		}
+
+		lender, err := newBinaryReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("second read of an accepted header: %v", err)
+		}
+		lent := 0
+		for max := 1; ; max = max%5 + 1 {
+			blk := lender.NextBlock(max)
+			if len(blk) == 0 {
+				break
+			}
+			if len(blk) > max {
+				t.Fatalf("NextBlock(%d) lent %d tuples", max, len(blk))
+			}
+			for _, tup := range blk {
+				if lent >= len(asDecoded) || !tup.Equal(asDecoded[lent]) {
+					t.Fatalf("NextBlock tuple %d = %v diverges from Next's %d tuples", lent, tup, len(asDecoded))
+				}
+				lent++
+			}
+		}
+		if lent != len(asDecoded) || fmt.Sprint(lender.Err()) != fmt.Sprint(terminal) {
+			t.Fatalf("NextBlock read %d tuples ending in %v, Next read %d ending in %v", lent, lender.Err(), len(asDecoded), terminal)
+		}
+		if blk := lender.NextBlock(3); len(blk) != 0 {
+			t.Fatal("NextBlock lent tuples after reporting exhaustion")
 		}
 
 		// Whatever prefix decoded must survive a round trip through the
