@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race flake bench bench-smoke bench-contract bench-record smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
+.PHONY: all build vet fmt fmt-check test race flake bench bench-smoke bench-contract smoke examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke lint ci
 
 all: build
 
@@ -45,8 +45,8 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/cqbench -run E1 -n 2000
-	$(GO) run ./cmd/cqbench -parallel -n 1000 -queries 10
-	$(GO) run ./cmd/cqbench -shards 1,2 -n 800 -queries 5
+	$(GO) run ./cmd/cqbench -run E16 -n 1000 -queries 10
+	$(GO) run ./cmd/cqbench -run E18 -shards 1,2 -n 800 -queries 5
 
 # benchmark/ is its own module (see benchmark/README.md), invisible to
 # `go build ./...` and `go test ./...` here: vet and test it against this
@@ -54,15 +54,6 @@ bench-smoke:
 # fails locally and in CI instead of in the benchmark pipeline.
 bench-contract:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# Bench trajectory: record the next BENCH_<n>.json at the pinned
-# configuration the committed trajectory uses and compare it against the
-# previous record — serving-throughput drops beyond 20% fail the run. CI
-# runs the same configuration but writes to a scratch file (BENCHOUT) so
-# the committed history only grows from deliberate local runs.
-BENCHOUT ?=
-bench-record:
-	$(GO) run ./cmd/cqbench -record -n 4000 -queries 30 -seed 42 -record-clients 4 $(if $(BENCHOUT),-record-out $(BENCHOUT))
 
 smoke: bench-smoke
 
@@ -81,7 +72,7 @@ examples:
 snapshot-check:
 	$(GO) test -run 'TestSnapshot' ./...
 	$(GO) test -v -run 'TestSnapshotBackCompatV1' ./internal/core
-	$(GO) run ./cmd/cqbench -startup -n 1500 -queries 20
+	$(GO) run ./cmd/cqbench -run E17 -n 1500 -queries 20
 
 # Differential gate: every strategy (and the sharded composites) must
 # enumerate byte-for-byte what the independent naive join produces, over
@@ -119,26 +110,31 @@ lint:
 	fi
 
 # cqserve end-to-end gate: compile → snapshot → cqserve → curl, diffed
-# against cqcli serve output for the same snapshot. Mirrors the CI serve
-# job.
+# against cqcli serve output for the same snapshot, then the E19 serving
+# and E21 cached-serving experiment smokes. Mirrors the CI serve job.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+	$(GO) run ./cmd/cqbench -run E19 -n 1200 -queries 8 -workers 1,4
+	$(GO) run ./cmd/cqbench -run E21 -n 800 -queries 4
 
 # Distributed-serving end-to-end gate: one cqcoord coordinator + three
 # cqserve -join workers, byte-identical to a single node in both stream
-# encodings, re-verified after a /v1/move rebalance. Mirrors the CI
-# dist-smoke job.
+# encodings, re-verified after a /v1/move rebalance; then the distributed
+# differential composite and the coordinator churn tests under -race.
+# Mirrors the CI dist-smoke job.
 dist-smoke:
 	sh scripts/dist_smoke.sh
+	$(GO) test -v -run 'TestDistributedDifferential' ./internal/difftest
+	$(GO) test -race -run 'TestWorkerDeathMidStream|TestChurnUnderLoad|TestReadinessLifecycle' ./internal/coord
 
 # Durable-maintenance crash gate (DESIGN.md §9): the churn difftest and
 # crash-recovery suites under -race, then the wal_smoke.sh crash script —
 # a cqchurn writer killed mid-script and a kill -9'd cqserve -wal-dir must
-# both recover byte-identically from the update log. Mirrors the CI wal
-# job.
+# both recover byte-identically from the update log; then the E20
+# maintenance experiment smoke. Mirrors the CI wal job.
 wal-smoke:
 	$(GO) test -race -shuffle=on -run 'TestChurn|TestDeltaApply|TestWAL|TestUpdateLog|TestNoopDelete|TestRebuildBatch' ./internal/core ./internal/difftest ./internal/httpserve ./internal/wal
 	sh scripts/wal_smoke.sh
+	$(GO) run ./cmd/cqbench -run E20 -n 800 -queries 4
 
 ci: build vet fmt-check lint test race flake bench-smoke bench-contract examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke
-	$(MAKE) bench-record BENCHOUT=$$(mktemp /tmp/cqrep-bench-XXXXXX.json)

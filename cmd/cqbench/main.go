@@ -2,84 +2,60 @@
 // (see DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
 // results):
 //
-//	cqbench -run all            # everything at default scale
-//	cqbench -run E1,E5 -n 20000 # selected experiments, custom scale
-//	cqbench -parallel           # parallel build / concurrent serving scaling
-//	cqbench -startup            # snapshot load vs recompile startup cost (E17)
-//	cqbench -shards 1,2,4,8     # sharded compile/rebuild scaling (E18)
-//	cqbench -serve              # network serving delay/throughput (E19)
-//	cqbench -record             # record a BENCH_<n>.json trajectory point
+//	cqbench -run all                     # everything at default scale
+//	cqbench -run E1,E5 -n 20000          # selected experiments, custom scale
+//	cqbench -run E16 -workers 1,2,4,8    # parallel build / concurrent serving scaling
+//	cqbench -run E17                     # snapshot load vs recompile startup cost
+//	cqbench -run E18 -shards 1,2,4,8     # sharded compile/rebuild scaling
+//	cqbench -run E19 -workers 1,2,4,8    # network serving delay/throughput
 //
 // Scales are edge/tuple counts; all generators are seeded and
 // deterministic. cqbench drives the suite through the public cqrep
 // experiment facade (Experiments / RunExperiment) — like cqcli, it
-// imports nothing under internal/.
-//
-// -record is the bench trajectory mode: one pinned-seed measurement pass
-// (compile, snapshot load, first-tuple delay, serving throughput in both
-// stream encodings, allocs per served tuple, distributed scatter-gather
-// throughput, and cached serving throughput/speedup/hit rate with the
-// result cache verified byte-identical to cache-off) is written as the next
-// BENCH_<n>.json in -benchdir and compared against the previous one;
-// serving-throughput drops beyond -record-tolerance fail the run unless
-// -record-report-only is set. `make bench-record` pins the configuration
-// the committed trajectory uses.
+// imports nothing under internal/. Performance claims about the serving
+// stack come from the repository benchmark in benchmark/, not from these
+// tables.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"cqrep"
 )
 
-// benchFlags carries the parsed command line; separated from main so the
-// selection logic is testable.
-type benchFlags struct {
-	run      string
-	parallel bool
-	startup  bool
-	shards   string // non-empty selects only E18 with these counts
-	serve    bool
-	workers  string
-}
-
-// selectExperiments resolves the flag combination to the experiment id
-// set. The mode flags are exclusive shortcuts, checked in fixed priority
-// order (parallel, startup, shards, serve) exactly as the historical
-// switch did; otherwise -run decides, with "all" meaning the whole suite.
-func selectExperiments(f benchFlags, all []cqrep.Experiment) map[string]bool {
-	selected := map[string]bool{}
-	switch {
-	case f.parallel:
-		selected["E16"] = true
-	case f.startup:
-		selected["E17"] = true
-	case f.shards != "":
-		selected["E18"] = true
-	case f.serve:
-		selected["E19"] = true
-	case f.run == "all":
-		for _, e := range all {
-			selected[e.ID] = true
-		}
-	default:
-		for _, id := range strings.Split(f.run, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+// selectExperiments resolves -run to the experiment id set: "all" is the
+// whole suite, anything else a comma-separated id list, case- and
+// space-insensitive. An id the suite does not list is an error, so a typo
+// cannot quietly run less than was asked for.
+func selectExperiments(run string, all []cqrep.Experiment) (map[string]bool, error) {
+	known := map[string]bool{}
+	for _, e := range all {
+		known[e.ID] = true
 	}
-	return selected
+	if run == "all" {
+		return known, nil
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(run, ",") {
+		key := strings.ToUpper(strings.TrimSpace(id))
+		if !known[key] {
+			return nil, fmt.Errorf("cqbench: unknown experiment %q (want E1..%s)", id, all[len(all)-1].ID)
+		}
+		selected[key] = true
+	}
+	return selected, nil
 }
 
 // parseCounts parses a comma-separated list of positive ints (the -workers
-// and -shards lists). An empty string yields the fallback untouched.
-func parseCounts(flagName, s string, fallback []int) ([]int, error) {
+// and -shards lists). An empty string yields nil, which leaves the
+// ExperimentConfig default in force.
+func parseCounts(flagName, s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
-		return fallback, nil
+		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -100,52 +76,36 @@ func parseCounts(flagName, s string, fallback []int) ([]int, error) {
 }
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (E1..E21; E20 is unassigned) or 'all'")
+	all := cqrep.Experiments()
+	run := flag.String("run", "all", fmt.Sprintf("comma-separated experiment ids (E1..%s) or 'all'", all[len(all)-1].ID))
 	n := flag.Int("n", 8000, "base data scale (edges / tuples per relation)")
 	queries := flag.Int("queries", 50, "access requests per measurement")
 	seed := flag.Int64("seed", 42, "generator seed")
-	parallel := flag.Bool("parallel", false, "run only the parallel-scaling experiment (E16): build speedup and server throughput across worker counts")
-	startup := flag.Bool("startup", false, "run only the snapshot startup experiment (E17): compile, save, load, verify byte-identical enumeration, and compare load time against the compression time T_C")
-	shardsFlag := flag.String("shards", "", "run only the sharding experiment (E18) with these comma-separated shard counts: compile-time and rebuild-time scaling on the E1/E6 workloads, verified byte-identical")
-	serve := flag.Bool("serve", false, "run only the network serving experiment (E19): in-process cqserve HTTP front driven by -workers concurrent clients, streams verified byte-identical, p50/p99 first-tuple delay and throughput")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -parallel / E16 (run sorted ascending; the smallest is the speedup baseline); doubles as the concurrent-client sweep of -serve / E19")
-	record := flag.Bool("record", false, "record one bench-trajectory point as BENCH_<n>.json and compare against the previous record")
-	benchdir := flag.String("benchdir", ".", "directory holding the BENCH_<n>.json trajectory (with -record)")
-	recordOut := flag.String("record-out", "", "write the fresh record here instead of the next BENCH_<n>.json (with -record; the comparison baseline stays the latest file in -benchdir)")
-	recordTolerance := flag.Float64("record-tolerance", 0.2, "fractional serving-throughput drop vs the previous record that fails -record (0.2 = 20%)")
-	recordReportOnly := flag.Bool("record-report-only", false, "with -record, print regressions but exit 0 (fork PRs, unstable machines)")
-	recordClients := flag.Int("record-clients", 4, "concurrent clients driving the serving sweep of -record")
+	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts for E16 (run sorted ascending; the smallest is the speedup baseline); doubles as the concurrent-client sweep of E19")
+	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated shard counts for E18: compile-time and rebuild-time scaling on the E1/E6 workloads, verified byte-identical")
 	flag.Parse()
 
-	workers, err := parseCounts("workers", *workersFlag, nil)
+	workers, err := parseCounts("workers", *workersFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	shardCounts, err := parseCounts("shards", *shardsFlag, []int{1, 2, 4, 8})
+	shardCounts, err := parseCounts("shards", *shardsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	selected, err := selectExperiments(*run, all)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg := cqrep.ExperimentConfig{Scale: *n, Queries: *queries, Seed: *seed, Workers: workers, Shards: shardCounts}
 
-	if *record {
-		if err := runRecord(cfg, *recordClients, *benchdir, *recordOut, *recordTolerance, *recordReportOnly); err != nil {
-			fmt.Fprintln(os.Stderr, "cqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	flags := benchFlags{run: *run, parallel: *parallel, startup: *startup, shards: *shardsFlag, serve: *serve, workers: *workersFlag}
-	selected := selectExperiments(flags, cqrep.Experiments())
-
-	ran := 0
-	for _, e := range cqrep.Experiments() {
+	for _, e := range all {
 		if !selected[e.ID] {
 			continue
 		}
-		ran++
 		fmt.Printf("=== %s: %s ===\n\n", e.ID, e.Description)
 		tables, err := cqrep.RunExperiment(e.ID, cfg)
 		if err != nil {
@@ -156,65 +116,4 @@ func main() {
 			fmt.Println(tb.String())
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments selected; use -run E1..E21, all, -parallel, -startup, -shards, -serve, or -record")
-		os.Exit(2)
-	}
-}
-
-// runRecord is the trajectory mode: measure, write the next record, and
-// compare against the latest previous one.
-func runRecord(cfg cqrep.ExperimentConfig, clients int, dir, out string, tolerance float64, reportOnly bool) error {
-	baselinePath, _, haveBaseline, err := cqrep.LatestBenchRecord(dir)
-	if err != nil {
-		return err
-	}
-
-	rec, err := cqrep.RecordBench(cfg, clients)
-	if err != nil {
-		return err
-	}
-	if out == "" {
-		if out, err = cqrep.NextBenchRecordPath(dir); err != nil {
-			return err
-		}
-	}
-	if err := cqrep.WriteBenchRecord(rec, out); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %s (scale %d, queries %d, seed %d, %d clients)\n", out, rec.Scale, rec.Queries, rec.Seed, rec.Clients)
-	names := make([]string, 0, len(rec.Metrics))
-	for name := range rec.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %-28s %.4g\n", name, rec.Metrics[name])
-	}
-
-	if !haveBaseline {
-		fmt.Println("no previous BENCH_<n>.json in", dir, "- nothing to compare")
-		return nil
-	}
-	baseline, err := cqrep.ReadBenchRecord(baselinePath)
-	if err != nil {
-		return err
-	}
-	regressions, notes := cqrep.CompareBenchRecords(baseline, rec, tolerance)
-	fmt.Printf("compared against %s:\n", baselinePath)
-	for _, line := range notes {
-		fmt.Println("  note:", line)
-	}
-	for _, line := range regressions {
-		fmt.Println("  REGRESSION:", line)
-	}
-	if len(regressions) > 0 {
-		if reportOnly {
-			fmt.Printf("%d throughput regression(s) beyond %.0f%%; report-only, not failing\n", len(regressions), tolerance*100)
-			return nil
-		}
-		return fmt.Errorf("%d serving-throughput regression(s) beyond %.0f%% vs %s", len(regressions), tolerance*100, baselinePath)
-	}
-	fmt.Println("no gating regressions")
-	return nil
 }

@@ -25,7 +25,7 @@ func TestParseCounts(t *testing.T) {
 		{",,", nil, true},
 	}
 	for _, c := range cases {
-		got, err := parseCounts("shards", c.in, nil)
+		got, err := parseCounts("shards", c.in)
 		if c.wantErr {
 			if err == nil {
 				t.Errorf("parseCounts(%q) = %v, want error", c.in, got)
@@ -51,52 +51,41 @@ func TestParseCounts(t *testing.T) {
 	}
 }
 
-// TestParseCountsFallback pins the empty-string behavior: the caller's
-// fallback list passes through untouched.
+// TestParseCountsFallback pins the empty-list behavior: a blank list
+// parses to nil, so the ExperimentConfig default applies.
 func TestParseCountsFallback(t *testing.T) {
-	got, err := parseCounts("shards", "", []int{1, 2})
-	if err != nil || len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("parseCounts fallback = %v, %v", got, err)
-	}
-	got, err = parseCounts("workers", "  ", nil)
-	if err != nil || got != nil {
-		t.Fatalf("blank list = %v, %v; want nil fallback", got, err)
+	for _, in := range []string{"", "  "} {
+		got, err := parseCounts("workers", in)
+		if err != nil || got != nil {
+			t.Fatalf("parseCounts(%q) = %v, %v; want nil", in, got, err)
+		}
 	}
 }
 
-// TestSelectExperiments covers every selection mode and the mode-flag
-// priority order.
+// TestSelectExperiments covers every -run form, including the rejection
+// of ids the suite does not list.
 func TestSelectExperiments(t *testing.T) {
 	all := cqrep.Experiments()
-	ids := map[string]bool{}
-	for _, e := range all {
-		ids[e.ID] = true
-	}
-	if !ids["E18"] || !ids["E19"] {
-		t.Fatal("experiment suite does not list E18/E19")
-	}
 
 	cases := []struct {
-		name  string
-		flags benchFlags
-		want  []string
+		name string
+		run  string
+		want []string // nil = the whole suite
 	}{
-		{"run all", benchFlags{run: "all"}, nil}, // nil = the whole suite
-		{"explicit ids", benchFlags{run: "E1,E6"}, []string{"E1", "E6"}},
-		{"case and space insensitive", benchFlags{run: " e2 , E18 "}, []string{"E2", "E18"}},
-		{"parallel shortcut", benchFlags{run: "all", parallel: true}, []string{"E16"}},
-		{"startup shortcut", benchFlags{run: "all", startup: true}, []string{"E17"}},
-		{"shards shortcut", benchFlags{run: "all", shards: "1,2,4"}, []string{"E18"}},
-		{"serve shortcut", benchFlags{run: "all", serve: true}, []string{"E19"}},
-		{"shards wins over serve", benchFlags{run: "all", shards: "2", serve: true}, []string{"E18"}},
-		{"parallel wins over shards", benchFlags{run: "all", parallel: true, shards: "2"}, []string{"E16"}},
-		{"startup wins over shards", benchFlags{run: "all", startup: true, shards: "2"}, []string{"E17"}},
-		{"run E18 directly", benchFlags{run: "E18"}, []string{"E18"}},
-		{"run E19 directly", benchFlags{run: "E19"}, []string{"E19"}},
+		{"run all", "all", nil},
+		{"explicit ids", "E1,E6", []string{"E1", "E6"}},
+		{"case and space insensitive", " e2 , E18 ", []string{"E2", "E18"}},
+		{"run E16 directly", "E16", []string{"E16"}},
+		{"run E17 directly", "E17", []string{"E17"}},
+		{"run E18 directly", "E18", []string{"E18"}},
+		{"run E19 directly", "E19", []string{"E19"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := selectExperiments(c.flags, all)
+			got, err := selectExperiments(c.run, all)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if c.want == nil {
 				if len(got) != len(all) {
 					t.Fatalf("selected %d experiments, want the whole suite (%d)", len(got), len(all))
@@ -118,25 +107,27 @@ func TestSelectExperiments(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("unknown id", func(t *testing.T) {
+		for _, run := range []string{"E1,E99", "E0", "E1,", ""} {
+			got, err := selectExperiments(run, all)
+			if err == nil {
+				t.Fatalf("-run %q selected %v, want an error", run, got)
+			}
+			if want := "E1.." + all[len(all)-1].ID; !strings.Contains(err.Error(), want) {
+				t.Fatalf("-run %q: error %q does not name the valid range %s", run, err, want)
+			}
+		}
+	})
 }
 
-// TestSelectedExperimentsRunnable checks that every id the selection can
-// produce from the documented flag surface resolves in RunExperiment's
-// registry (an id drifting out of the suite must fail here, not at 2 a.m.
-// in a benchmark run).
+// TestSelectedExperimentsRunnable checks that every id the Makefile and CI
+// pass to -run resolves in RunExperiment's registry (an id drifting out of
+// the suite must fail here, not at 2 a.m. in a benchmark run).
 func TestSelectedExperimentsRunnable(t *testing.T) {
-	for _, flags := range []benchFlags{{parallel: true}, {startup: true}, {shards: "2"}, {serve: true}} {
-		for id := range selectExperiments(flags, cqrep.Experiments()) {
-			found := false
-			for _, e := range cqrep.Experiments() {
-				if e.ID == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("mode flag selects %s, which the suite does not list", id)
-			}
+	for _, run := range []string{"E1", "E16", "E17", "E18", "E19", "E20", "E21"} {
+		if _, err := selectExperiments(run, cqrep.Experiments()); err != nil {
+			t.Fatalf("-run %s: %v", run, err)
 		}
 	}
 }

@@ -11,10 +11,7 @@
 // bound values separated by spaces (in the view's bound-variable order),
 // one request per line, printing the matching free tuples.
 //
-// Invoked without a subcommand, cqcli keeps its original behavior of
-// compiling and serving in one process:
-//
-//	cqcli -view 'V[bf](x, y) :- R(x, p), R2(y, p)' -rel R=r.csv -rel R2=r.csv
+// Invoked without a subcommand, cqcli prints this usage and exits 2.
 //
 // Options mirror the library's planner: -tau, -space, -delay, -strategy,
 // -workers, -shards. `-shards n` hash-partitions the database and compiles
@@ -48,98 +45,10 @@ type relFlags []string
 func (r *relFlags) String() string     { return strings.Join(*r, ",") }
 func (r *relFlags) Set(s string) error { *r = append(*r, s); return nil }
 
-// compileFlags is the option vocabulary shared by the legacy one-shot mode
-// and the compile subcommand.
-type compileFlags struct {
-	view     *string
-	rels     *relFlags
-	tau      *float64
-	space    *float64
-	delay    *float64
-	strategy *string
-	workers  *int
-	shards   *int
-}
-
-func addCompileFlags(fs *flag.FlagSet) *compileFlags {
-	var rels relFlags
-	fs.Var(&rels, "rel", "relation source NAME=FILE.csv (repeatable)")
-	return &compileFlags{
-		view:     fs.String("view", "", "adorned view, e.g. 'V[bfb](x,y,z) :- R(x,y), R(y,z), R(z,x)'"),
-		rels:     &rels,
-		tau:      fs.Float64("tau", 0, "Theorem-1 threshold τ (0 = unset)"),
-		space:    fs.Float64("space", 0, "space budget in entries (planner minimizes delay)"),
-		delay:    fs.Float64("delay", 0, "delay budget τ (planner minimizes space)"),
-		strategy: fs.String("strategy", "auto", "auto|primitive|decomposition|materialized|direct|allbound"),
-		workers:  fs.Int("workers", 0, "compilation worker goroutines (0 = GOMAXPROCS)"),
-		shards:   fs.Int("shards", 1, "hash-shard the database and compile one sub-representation per shard (1 = unsharded)"),
-	}
-}
-
-// compile loads the relations and compiles the view per the flags.
-func (cf *compileFlags) compile(ctx context.Context, usage string) *cqrep.Representation {
-	if *cf.view == "" || len(*cf.rels) == 0 {
-		fmt.Fprintln(os.Stderr, usage)
-		os.Exit(2)
-	}
-	view, err := cqrep.Parse(*cf.view)
-	if err != nil {
-		fatal(err)
-	}
-	db := cqrep.NewDatabase()
-	for _, spec := range *cf.rels {
-		name, file, ok := strings.Cut(spec, "=")
-		if !ok {
-			fatal(fmt.Errorf("bad -rel %q, want NAME=FILE", spec))
-		}
-		rel, err := loadCSV(name, file)
-		if err != nil {
-			fatal(err)
-		}
-		db.Add(rel)
-		fmt.Fprintf(os.Stderr, "loaded %s: %d tuples\n", name, rel.Len())
-	}
-
-	var opts []cqrep.Option
-	if *cf.workers > 0 {
-		opts = append(opts, cqrep.WithWorkers(*cf.workers))
-	}
-	if *cf.shards != 1 {
-		// Out-of-range counts (0, negatives) flow through so Compile rejects
-		// them with ErrBadOption instead of being silently corrected here.
-		opts = append(opts, cqrep.WithShards(*cf.shards))
-	}
-	switch *cf.strategy {
-	case "auto":
-	case "primitive":
-		opts = append(opts, cqrep.WithStrategy(cqrep.PrimitiveStrategy))
-	case "decomposition":
-		opts = append(opts, cqrep.WithStrategy(cqrep.DecompositionStrategy))
-	case "materialized":
-		opts = append(opts, cqrep.WithStrategy(cqrep.MaterializedStrategy))
-	case "direct":
-		opts = append(opts, cqrep.WithStrategy(cqrep.DirectStrategy))
-	case "allbound":
-		opts = append(opts, cqrep.WithStrategy(cqrep.AllBoundStrategy))
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *cf.strategy))
-	}
-	if *cf.tau > 0 {
-		opts = append(opts, cqrep.WithTau(*cf.tau))
-	}
-	if *cf.space > 0 {
-		opts = append(opts, cqrep.WithSpaceBudget(*cf.space))
-	}
-	if *cf.delay > 0 {
-		opts = append(opts, cqrep.WithDelayBudget(*cf.delay))
-	}
-
-	rep, err := cqrep.Compile(ctx, view, db, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	return rep
-}
+const (
+	compileUsage = "usage: cqcli compile -view '...' -rel NAME=FILE [-rel ...] -o FILE.cqs"
+	serveUsage   = "usage: cqcli serve [-limit N] FILE.cqs"
+)
 
 func main() {
 	// Ctrl-C cancels compilation and any in-flight enumeration instead of
@@ -157,20 +66,87 @@ func main() {
 			return
 		}
 	}
-	legacyMain(ctx)
+	fmt.Fprintln(os.Stderr, compileUsage)
+	fmt.Fprintln(os.Stderr, serveUsage)
+	os.Exit(2)
 }
 
-// compileMain is `cqcli compile`: compile the view and save the snapshot.
+// compileMain is `cqcli compile`: load the relations, compile the view per
+// the flags, and save the snapshot.
 func compileMain(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("cqcli compile", flag.ExitOnError)
-	cf := addCompileFlags(fs)
+	var rels relFlags
+	fs.Var(&rels, "rel", "relation source NAME=FILE.csv (repeatable)")
+	viewSrc := fs.String("view", "", "adorned view, e.g. 'V[bfb](x,y,z) :- R(x,y), R(y,z), R(z,x)'")
+	tau := fs.Float64("tau", 0, "Theorem-1 threshold τ (0 = unset)")
+	space := fs.Float64("space", 0, "space budget in entries (planner minimizes delay)")
+	delay := fs.Float64("delay", 0, "delay budget τ (planner minimizes space)")
+	strategy := fs.String("strategy", "auto", "auto|primitive|decomposition|materialized|direct|allbound")
+	workers := fs.Int("workers", 0, "compilation worker goroutines (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 1, "hash-shard the database and compile one sub-representation per shard (1 = unsharded)")
 	out := fs.String("o", "", "snapshot output file (required)")
 	fs.Parse(args)
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "usage: cqcli compile -view '...' -rel NAME=FILE [-rel ...] -o FILE.cqs")
+	if *out == "" || *viewSrc == "" || len(rels) == 0 {
+		fmt.Fprintln(os.Stderr, compileUsage)
 		os.Exit(2)
 	}
-	rep := cf.compile(ctx, "usage: cqcli compile -view '...' -rel NAME=FILE [-rel ...] -o FILE.cqs")
+
+	view, err := cqrep.Parse(*viewSrc)
+	if err != nil {
+		fatal(err)
+	}
+	db := cqrep.NewDatabase()
+	for _, spec := range rels {
+		name, file, ok := strings.Cut(spec, "=")
+		if !ok {
+			fatal(fmt.Errorf("bad -rel %q, want NAME=FILE", spec))
+		}
+		rel, err := loadCSV(name, file)
+		if err != nil {
+			fatal(err)
+		}
+		db.Add(rel)
+		fmt.Fprintf(os.Stderr, "loaded %s: %d tuples\n", name, rel.Len())
+	}
+
+	var opts []cqrep.Option
+	if *workers > 0 {
+		opts = append(opts, cqrep.WithWorkers(*workers))
+	}
+	if *shards != 1 {
+		// Out-of-range counts (0, negatives) flow through so Compile rejects
+		// them with ErrBadOption instead of being silently corrected here.
+		opts = append(opts, cqrep.WithShards(*shards))
+	}
+	switch *strategy {
+	case "auto":
+	case "primitive":
+		opts = append(opts, cqrep.WithStrategy(cqrep.PrimitiveStrategy))
+	case "decomposition":
+		opts = append(opts, cqrep.WithStrategy(cqrep.DecompositionStrategy))
+	case "materialized":
+		opts = append(opts, cqrep.WithStrategy(cqrep.MaterializedStrategy))
+	case "direct":
+		opts = append(opts, cqrep.WithStrategy(cqrep.DirectStrategy))
+	case "allbound":
+		opts = append(opts, cqrep.WithStrategy(cqrep.AllBoundStrategy))
+	default:
+		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	}
+	if *tau > 0 {
+		opts = append(opts, cqrep.WithTau(*tau))
+	}
+	if *space > 0 {
+		opts = append(opts, cqrep.WithSpaceBudget(*space))
+	}
+	if *delay > 0 {
+		opts = append(opts, cqrep.WithDelayBudget(*delay))
+	}
+
+	rep, err := cqrep.Compile(ctx, view, db, opts...)
+	if err != nil {
+		fatal(err)
+	}
 	printStats(rep, "built")
 	if err := rep.Save(*out); err != nil {
 		fatal(err)
@@ -187,7 +163,7 @@ func serveMain(ctx context.Context, args []string) {
 	limit := fs.Int("limit", 20, "max tuples printed per request")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cqcli serve [-limit N] FILE.cqs")
+		fmt.Fprintln(os.Stderr, serveUsage)
 		os.Exit(2)
 	}
 	rep, err := cqrep.Load(fs.Arg(0))
@@ -195,17 +171,6 @@ func serveMain(ctx context.Context, args []string) {
 		fatal(err)
 	}
 	printStats(rep, "loaded")
-	serveLoop(ctx, rep, *limit)
-}
-
-// legacyMain is the original one-process flow: compile, then serve stdin.
-func legacyMain(ctx context.Context) {
-	fs := flag.NewFlagSet("cqcli", flag.ExitOnError)
-	cf := addCompileFlags(fs)
-	limit := fs.Int("limit", 20, "max tuples printed per request")
-	fs.Parse(os.Args[1:])
-	rep := cf.compile(ctx, "usage: cqcli [compile|serve] -view '...' -rel NAME=FILE [-rel ...]")
-	printStats(rep, "built")
 	serveLoop(ctx, rep, *limit)
 }
 

@@ -25,10 +25,7 @@ import (
 // converts that skew into served throughput by replaying encoded result
 // streams from memory. The experiment sweeps the Zipf exponent with a
 // budget deliberately too small for the full key set, so the hit rate is
-// earned by LRU keeping the hot ranks resident, not by caching everything;
-// the recorded bench trajectory (BENCH_<n>.json) instead measures the
-// steady state where the hot set fits, which is how the knob is sized in
-// practice.
+// earned by LRU keeping the hot ranks resident, not by caching everything.
 
 // buildHotSnapshot compiles a fully-bound fan-out view — keys bound keys,
 // perKey result tuples each — and snapshots it into dir. Key k's results

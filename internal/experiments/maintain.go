@@ -312,27 +312,3 @@ func equalStates(a, b [][]byte) bool {
 	}
 	return true
 }
-
-// recordMaintain adds the E20 maintenance metrics to a bench record:
-// sustained updates/sec with delta application on and off (the recompile
-// fallback), and their ratio. No concurrent readers — the record isolates
-// maintenance cost; E20 proper measures reader interference.
-func recordMaintain(rec *BenchRecord, edges int, seed int64) error {
-	cases := maintainCases(edges, seed)
-	c := cases[0] // bucket-dominated churn, the regime the delta path targets
-	ops, err := workload.ChurnScript(seed+5, c.db(), []string{"S"}, c.domain, maintainOps(edges))
-	if err != nil {
-		return fmt.Errorf("record: churn script: %w", err)
-	}
-	delta := runMaintain(c, maintainMode{name: "delta"}, ops, 0, seed)
-	full := runMaintain(c, maintainMode{name: "full", opts: []core.Option{core.WithDeltaApply(false)}}, ops, 0, seed)
-	if !equalStates(delta.state, full.state) {
-		return fmt.Errorf("record: delta-maintained state diverges from full recompile")
-	}
-	rec.Metrics["maintain_updates_per_sec"] = delta.updatesPerSec
-	rec.Metrics["maintain_full_updates_per_sec"] = full.updatesPerSec
-	if full.updatesPerSec > 0 {
-		rec.Metrics["maintain_delta_speedup"] = delta.updatesPerSec / full.updatesPerSec
-	}
-	return nil
-}

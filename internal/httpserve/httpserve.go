@@ -439,8 +439,8 @@ func baseTuples(rep *core.Representation) int {
 }
 
 // CacheStats snapshots the result-cache counters; ok is false when
-// caching is off. The bench recorder reads hit rates through this instead
-// of re-parsing its own /v1/stats JSON.
+// caching is off. In-process callers (experiment E21) read hit rates
+// through this instead of re-parsing the /v1/stats JSON.
 func (h *Handler) CacheStats() (CacheStats, bool) {
 	if h.cache == nil {
 		return CacheStats{}, false
