@@ -1,7 +1,7 @@
 // Tests of the public cqrep facade. They live in package cqrep_test and
 // exercise the library exactly as an out-of-tree consumer would: through
-// Compile, All/AllArgs, the legacy Query iterators, NewServer, and
-// NewMaintained, branching on failures with errors.Is only.
+// Compile, All/AllArgs, the legacy Query iterators, and NewMaintained,
+// branching on failures with errors.Is only.
 package cqrep_test
 
 import (
@@ -158,15 +158,6 @@ func TestTypedErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadOption", err)
 		}
 	})
-	t.Run("ErrBadOption/server-buffer", func(t *testing.T) {
-		rep, err := cqrep.Compile(ctx, view, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cqrep.NewServer(rep, cqrep.WithServerBuffer(0)); !errors.Is(err, cqrep.ErrBadOption) {
-			t.Fatalf("err = %v, want ErrBadOption", err)
-		}
-	})
 	t.Run("ErrBadBinding/args", func(t *testing.T) {
 		rep, err := cqrep.Compile(ctx, view, db)
 		if err != nil {
@@ -193,102 +184,11 @@ func TestTypedErrors(t *testing.T) {
 		}()
 		rep.All(ctx, cqrep.Tuple{1}) // view has two bound variables
 	})
-	t.Run("ErrClosed", func(t *testing.T) {
-		rep, err := cqrep.Compile(ctx, view, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := cqrep.NewServer(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Close()
-		if _, err := srv.Submit(ctx, cqrep.Tuple{1, 2}); !errors.Is(err, cqrep.ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
-		}
-	})
-}
-
-// TestServerFacade checks the context-aware server against direct
-// representation queries, including a 1-tuple buffer.
-func TestServerFacade(t *testing.T) {
-	ctx := context.Background()
-	db := workload.TriangleDB(7, 120, 900)
-	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
-	rep, err := cqrep.Compile(ctx, view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := db.Relation("R")
-	var bindings []cqrep.Tuple
-	for i := 0; i < 30; i++ {
-		row := r.Row((i * 37) % r.Len())
-		bindings = append(bindings, cqrep.Tuple{row[0], row[1]})
-	}
-	srv, err := cqrep.NewServer(rep, cqrep.WithWorkers(3), cqrep.WithServerBuffer(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if got := srv.Stats().Buffer; got != 1 {
-		t.Fatalf("Stats().Buffer = %d, want 1", got)
-	}
-	its, err := srv.QueryBatch(ctx, bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range its {
-		want := cqrep.Drain(rep.Query(bindings[i]))
-		got := cqrep.Drain(it)
-		if !bytes.Equal(encodeAll(want), encodeAll(got)) {
-			t.Fatalf("request %d: served %v, want %v", i, got, want)
-		}
-	}
-	// The sequence form drains one more request.
-	seq, err := srv.All(ctx, bindings[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := cqrep.Drain(rep.Query(bindings[0])), slices.Collect(seq); !bytes.Equal(encodeAll(want), encodeAll(got)) {
-		t.Fatalf("All served %v, want %v", got, want)
-	}
-
-	// SubmitArgs resolves name→value bindings (the network front's path)
-	// and the stream ends with a nil terminal error.
-	it, err := srv.SubmitArgs(ctx, map[string]cqrep.Value{"x": bindings[0][0], "z": bindings[0][1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := cqrep.Drain(rep.Query(bindings[0])), cqrep.Drain(it); !bytes.Equal(encodeAll(want), encodeAll(got)) {
-		t.Fatalf("SubmitArgs served %v, want %v", got, want)
-	}
-	if terr := cqrep.IterErr(it); terr != nil {
-		t.Fatalf("IterErr after a complete stream = %v, want nil", terr)
-	}
-	if _, err := srv.SubmitArgs(ctx, map[string]cqrep.Value{"nope": 1}); !errors.Is(err, cqrep.ErrBadBinding) {
-		t.Fatalf("SubmitArgs with a bad name = %v, want ErrBadBinding", err)
-	}
-
-	// A cancelled request's stream reports why it ended.
-	cctx, cancel := context.WithCancel(ctx)
-	it2, err := srv.Submit(cctx, bindings[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for {
-		if _, ok := it2.Next(); !ok {
-			break
-		}
-	}
-	if terr := cqrep.IterErr(it2); !errors.Is(terr, context.Canceled) {
-		t.Fatalf("IterErr after cancel = %v, want context.Canceled", terr)
-	}
 }
 
 // TestMaintainedFacade drives the update path end to end through the
 // public API: buffered inserts, a flush, and queries over the fresh
-// snapshot (including a Server over Snapshot()).
+// snapshot (including a direct query over Snapshot()).
 func TestMaintainedFacade(t *testing.T) {
 	ctx := context.Background()
 	db := cqrep.NewDatabase()
@@ -323,17 +223,8 @@ func TestMaintainedFacade(t *testing.T) {
 	if len(after) == 0 {
 		t.Fatal("after insert+flush: triangle 1-?-4 still missing")
 	}
-	srv, err := cqrep.NewServer(m.Snapshot(), cqrep.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	it, err := srv.Submit(ctx, cqrep.Tuple{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cqrep.Drain(it); !bytes.Equal(encodeAll(got), encodeAll(after)) {
-		t.Fatalf("server over snapshot served %v, want %v", got, after)
+	if got := cqrep.Drain(m.Snapshot().Query(cqrep.Tuple{1, 4})); !bytes.Equal(encodeAll(got), encodeAll(after)) {
+		t.Fatalf("query over snapshot served %v, want %v", got, after)
 	}
 }
 

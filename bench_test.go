@@ -254,7 +254,7 @@ func BenchmarkDecompPathQuery(b *testing.B) {
 	}
 }
 
-// ---- Parallel compilation & concurrent serving (core.WithWorkers, core.Server) ----
+// ---- Parallel compilation (core.WithWorkers) and concurrent reads ----
 
 var workerCounts = []int{1, 2, 4, 8}
 
@@ -310,49 +310,9 @@ func BenchmarkParallelBuildPrimitive(b *testing.B) {
 	}
 }
 
-// BenchmarkServerThroughput measures concurrent query throughput through
-// the batching front at increasing worker counts over one shared
-// representation.
-func BenchmarkServerThroughput(b *testing.B) {
-	db := workload.TriangleDB(7, 250, 1500)
-	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
-	rep, err := core.Build(view, db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, _ := db.Relation("R")
-	rng := rand.New(rand.NewSource(9))
-	vbs := make([]relation.Tuple, 256)
-	for i := range vbs {
-		row := r.Row(rng.Intn(r.Len()))
-		vbs[i] = relation.Tuple{row[0], row[1]}
-	}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			srv, err := core.NewServer(rep, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				its := srv.QueryBatch(vbs)
-				for _, it := range its {
-					for {
-						if _, ok := it.Next(); !ok {
-							break
-						}
-					}
-				}
-			}
-			b.ReportMetric(float64(len(vbs)*b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}
-
-// BenchmarkConcurrentQuery measures raw Representation.Query throughput
-// under RunParallel — the lock-free read path that Server and Maintained
-// rely on.
+// BenchmarkConcurrentQuery measures raw Theorem-1 structure query
+// throughput under RunParallel — the lock-free read path that concurrent
+// httpserve handlers and Maintained rely on.
 func BenchmarkConcurrentQuery(b *testing.B) {
 	inst, vbs := triangleFixture(b, 4000)
 	s, err := primitive.Build(inst, fractional.Cover{0.5, 0.5, 0.5}, math.Sqrt(4000))

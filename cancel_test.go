@@ -118,129 +118,3 @@ func TestAllCancelMidEnumeration(t *testing.T) {
 		t.Fatalf("enumerated %d tuples after cancelling at 2 (full result: %d)", got, total)
 	}
 }
-
-// TestServerCancelFreesWorker submits a request on a soon-cancelled
-// context to a single-worker server with a 1-tuple buffer and never
-// drains it; cancellation must free the worker so a second request still
-// completes, and Close must leave no goroutines behind.
-func TestServerCancelFreesWorker(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx := context.Background()
-	db := workload.TriangleDB(7, 120, 900)
-	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
-	rep, err := cqrep.Compile(ctx, view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := db.Relation("R")
-	var binding cqrep.Tuple
-	total := 0
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		vb := cqrep.Tuple{row[0], row[1]}
-		if n := len(cqrep.Drain(rep.Query(vb))); n > total {
-			binding, total = vb, n
-		}
-	}
-	if total < 3 {
-		t.Fatalf("densest binding has only %d answers; need a result larger than the server buffer", total)
-	}
-
-	srv, err := cqrep.NewServer(rep, cqrep.WithWorkers(1), cqrep.WithServerBuffer(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqCtx, cancel := context.WithCancel(ctx)
-	abandoned, err := srv.Submit(reqCtx, binding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := abandoned.Next(); !ok {
-		t.Fatal("first request yielded nothing")
-	}
-	cancel() // abandon the rest; the worker must not stay wedged on the full buffer
-
-	done := make(chan []cqrep.Tuple, 1)
-	go func() {
-		it, err := srv.Submit(ctx, binding)
-		if err != nil {
-			done <- nil
-			return
-		}
-		done <- cqrep.Drain(it)
-	}()
-	select {
-	case got := <-done:
-		if len(got) != total {
-			t.Fatalf("second request served %d tuples, want %d", len(got), total)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("second request never served: cancelled request wedged the worker")
-	}
-	// The abandoned iterator terminates rather than hanging.
-	for {
-		if _, ok := abandoned.Next(); !ok {
-			break
-		}
-	}
-	srv.Close()
-	waitNoLeak(t, base)
-}
-
-// TestServerAllEarlyBreakFreesWorker breaks out of a Server.All range loop
-// after one tuple — the idiomatic consumer move — and requires the
-// single worker to come free for the next request: All must cancel its
-// request when the loop exits, not leave the worker wedged on the buffer.
-func TestServerAllEarlyBreakFreesWorker(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx := context.Background()
-	db := workload.TriangleDB(7, 120, 900)
-	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
-	rep, err := cqrep.Compile(ctx, view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := db.Relation("R")
-	var binding cqrep.Tuple
-	total := 0
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		vb := cqrep.Tuple{row[0], row[1]}
-		if n := len(cqrep.Drain(rep.Query(vb))); n > total {
-			binding, total = vb, n
-		}
-	}
-	if total < 3 {
-		t.Fatalf("densest binding has only %d answers; need a result larger than the server buffer", total)
-	}
-	srv, err := cqrep.NewServer(rep, cqrep.WithWorkers(1), cqrep.WithServerBuffer(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := srv.All(ctx, binding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range seq {
-		break // abandon after the first tuple
-	}
-	done := make(chan int, 1)
-	go func() {
-		it, err := srv.Submit(ctx, binding)
-		if err != nil {
-			done <- -1
-			return
-		}
-		done <- len(cqrep.Drain(it))
-	}()
-	select {
-	case got := <-done:
-		if got != total {
-			t.Fatalf("request after abandoned All served %d tuples, want %d", got, total)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("request never served: abandoned All range loop wedged the worker")
-	}
-	srv.Close()
-	waitNoLeak(t, base)
-}

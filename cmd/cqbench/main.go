@@ -4,7 +4,7 @@
 //
 //	cqbench -run all                     # everything at default scale
 //	cqbench -run E1,E5 -n 20000          # selected experiments, custom scale
-//	cqbench -run E16 -workers 1,2,4,8    # parallel build / concurrent serving scaling
+//	cqbench -run E16 -workers 1,2,4,8    # parallel build scaling
 //	cqbench -run E17                     # snapshot load vs recompile startup cost
 //	cqbench -run E18 -shards 1,2,4,8     # sharded compile/rebuild scaling
 //	cqbench -run E19 -workers 1,2,4,8    # network serving delay/throughput
@@ -81,7 +81,7 @@ func main() {
 	n := flag.Int("n", 8000, "base data scale (edges / tuples per relation)")
 	queries := flag.Int("queries", 50, "access requests per measurement")
 	seed := flag.Int64("seed", 42, "generator seed")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated worker counts for E16 (run sorted ascending; the smallest is the speedup baseline); doubles as the concurrent-client sweep of E19")
+	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated parallel-build worker counts for E16 (run sorted ascending; the smallest is the speedup baseline); doubles as the concurrent-client sweep of E19")
 	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated shard counts for E18: compile-time and rebuild-time scaling on the E1/E6 workloads, verified byte-identical")
 	flag.Parse()
 

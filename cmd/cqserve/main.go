@@ -172,8 +172,8 @@ func run(ctx context.Context, cfg config, logw *os.File) error {
 	}
 	srv := &http.Server{
 		Handler: handler,
-		// Request contexts derive from ctx, so cancelling it propagates
-		// into every in-flight enumeration via Server.SubmitContext.
+		// Request contexts derive from ctx, so cancelling it reaches every
+		// in-flight enumeration through its handler's request context.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	// An explicit listener (rather than ListenAndServe) pins the bound

@@ -41,10 +41,6 @@ type (
 	// Iterator is the legacy pull-style access-request result stream;
 	// Representation.All is the range-over-func equivalent.
 	Iterator = core.Iterator
-	// QuerySource is anything a Server can serve requests against.
-	QuerySource = core.QuerySource
-	// ServerStats counts a Server's lifetime traffic.
-	ServerStats = core.ServerStats
 )
 
 // The strategy menu (see Strategy).
@@ -113,10 +109,10 @@ func AllOnesCover(n int) Cover {
 func Drain(it Iterator) []Tuple { return core.Drain(it) }
 
 // IterErr returns the terminal error of a result stream, or nil when the
-// iterator does not report one. For iterators returned by Server.Submit /
-// SubmitArgs it is meaningful once Next has returned false: nil means the
-// enumeration completed, ErrClosed means the server closed mid-stream, the
-// submitting context's error means it was cancelled, and anything else is
-// the underlying source's mid-enumeration failure. Iterators obtained
-// directly from a Representation never fail and report nil.
+// iterator does not report one. It is meaningful once Next has returned
+// false: nil means the enumeration completed, and anything else is the
+// underlying source's mid-enumeration failure — for a representation
+// opened with LoadMmap, an ErrBadSnapshot payload that failed to decode
+// at first touch. Iterators over an eagerly loaded or compiled
+// Representation never fail and report nil.
 func IterErr(it Iterator) error { return core.IterErr(it) }

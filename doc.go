@@ -30,7 +30,7 @@
 // enumerates in exactly the same order.
 //
 // Failures wrap typed sentinel errors — ErrBadView, ErrInfeasibleBudget,
-// ErrBadBinding, ErrClosed, ErrStrategyMismatch, ErrUnknownStrategy,
+// ErrBadBinding, ErrStrategyMismatch, ErrUnknownStrategy,
 // ErrBadOption, ErrArity, ErrBadSnapshot, ErrSnapshotVersion — so callers
 // branch with errors.Is instead of matching message strings.
 //
@@ -56,13 +56,12 @@
 //
 // # Serving, maintenance, and sharding
 //
-// NewServer puts a bounded worker pool in front of a compiled
-// representation for many concurrent clients; every submission is tied to
-// a context, so an abandoned client frees its worker (SubmitArgs accepts
-// name→value bindings, the submission path of network fronts). Result
-// streams carry a terminal error readable with IterErr, so a stream that
-// was truncated — server closed, context cancelled, source failed
-// mid-enumeration — is distinguishable from one that completed.
+// A Representation is safe for concurrent readers: many goroutines may
+// query one compiled representation at once, and cmd/cqserve serves each
+// HTTP request on its own handler goroutine that way. Result streams carry
+// a terminal error readable with IterErr, so a stream that was truncated —
+// a lazily mapped snapshot that failed to decode — is distinguishable from
+// one that completed.
 // NewMaintained wraps a representation with buffered updates and
 // amortized build-aside rebuilds: queries never stall on compilation.
 //

@@ -3,8 +3,9 @@ package cqrep
 import "cqrep/internal/core"
 
 // Sentinel errors of the public API. Every failure returned by Compile,
-// the binding helpers, and Server wraps one of these, so callers branch
-// with errors.Is / errors.As instead of matching message strings:
+// the binding helpers, snapshots and Maintained wraps one of these, so
+// callers branch with errors.Is / errors.As instead of matching message
+// strings:
 //
 //	rep, err := cqrep.Compile(ctx, view, db, cqrep.WithDelayBudget(2))
 //	switch {
@@ -20,8 +21,6 @@ var (
 	// ErrBadBinding: an access request's valuation does not match the
 	// view's bound variables (wrong arity, unknown or missing name).
 	ErrBadBinding = core.ErrBadBinding
-	// ErrClosed: the request was submitted to a closed Server.
-	ErrClosed = core.ErrClosed
 	// ErrBadView: the view cannot be parsed or compiled as given (syntax,
 	// unknown base relation, arity mismatch).
 	ErrBadView = core.ErrBadView
@@ -29,7 +28,7 @@ var (
 	ErrUnknownStrategy = core.ErrUnknownStrategy
 	// ErrStrategyMismatch: the forced strategy cannot serve this view.
 	ErrStrategyMismatch = core.ErrStrategyMismatch
-	// ErrBadOption: an option argument outside its domain (server buffer
+	// ErrBadOption: an option argument outside its domain (worker count
 	// < 1, negative budget, ...).
 	ErrBadOption = core.ErrBadOption
 	// ErrArity: a Maintained.Insert/Delete tuple whose length does not

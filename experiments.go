@@ -101,9 +101,9 @@ var experimentRunners = []struct {
 		func(c ExperimentConfig) []*bench.Table {
 			return experiments.E15DeltaShapes(c.Scale/4, c.Queries, c.Seed)
 		}},
-	{"E16", "parallel compilation speedup and Server throughput scaling",
+	{"E16", "parallel compilation speedup vs worker count (Theorem-2 path, Theorem-1 triangle)",
 		func(c ExperimentConfig) []*bench.Table {
-			return experiments.E16Parallel(c.Scale/8, c.Queries, c.Seed, c.Workers)
+			return experiments.E16Parallel(c.Scale/8, c.Seed, c.Workers)
 		}},
 	{"E17", "snapshot startup: loading a saved representation vs recompiling (E1/E6)",
 		func(c ExperimentConfig) []*bench.Table {

@@ -1,5 +1,5 @@
 // Package sentinelcheck enforces the sentinel-error discipline of the
-// cqrep API: the package-level Err* sentinels (ErrBadBinding, ErrClosed,
+// cqrep API: the package-level Err* sentinels (ErrBadBinding, ErrBadView,
 // ErrBadSnapshot, ...) are documented to flow through error wrapping, so
 // callers must branch with errors.Is and wrap with %w. A direct == or !=
 // against a sentinel silently stops matching the moment any layer wraps

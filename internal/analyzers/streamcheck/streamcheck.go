@@ -4,11 +4,10 @@
 // "did you finish?" — a server that died mid-enumeration produced a
 // short, plausible-looking result. The contract has three surfaces:
 //
-//   - core.Iterator values (Representation.Query*, Server.Submit*,
-//     Maintained.Query) and core.BlockIterator values
-//     (Representation.QueryBlocks): after draining, IterErr (or the
-//     value's own Err method) distinguishes completion from failure. A function that
-//     creates an iterator must consult it or hand the iterator to
+//   - core.Iterator values (Representation.Query*, Maintained.Query)
+//     and core.BlockIterator values (Representation.QueryBlocks): after
+//     draining, IterErr (or the value's own Err method) distinguishes
+//     completion from failure. A function that creates an iterator must consult it or hand the iterator to
 //     someone who can (return it, pass it on, store it). Draining
 //     through core.Drain(x.Query(...)) without retaining the iterator
 //     makes the terminal error unreachable and is flagged.

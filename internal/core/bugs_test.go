@@ -204,11 +204,12 @@ func TestServerCancelledIteratorStops(t *testing.T) {
 	}
 	started := make(chan struct{})
 	src := &blockSource{tuples: tuples, started: started}
-	srv, err := NewServer(src, 1, WithServerBuffer(len(tuples)))
+	srv, err := NewServer(src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.buffer = len(tuples)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	it, err := srv.SubmitContext(ctx, relation.Tuple{0})
@@ -255,11 +256,12 @@ func TestServerCancelUnderLoad(t *testing.T) {
 		tuples[i] = relation.Tuple{relation.Value(i)}
 	}
 	src := &blockSource{tuples: tuples}
-	srv, err := NewServer(src, 4, WithServerBuffer(8))
+	srv, err := NewServer(src, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.buffer = 8
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

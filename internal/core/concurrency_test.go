@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -227,7 +230,7 @@ func TestServerBatch(t *testing.T) {
 	defer srv.Close()
 
 	// Batch submission.
-	its := srv.QueryBatch(vbs)
+	its := submitAll(t, srv, vbs)
 	for i, it := range its {
 		if got := Drain(it); !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("batch request %d: got %v, want %v", i, got, want[i])
@@ -242,7 +245,12 @@ func TestServerBatch(t *testing.T) {
 			defer wg.Done()
 			for k := range vbs {
 				i := (k + g*5) % len(vbs)
-				if got := Drain(srv.Submit(vbs[i])); !reflect.DeepEqual(got, want[i]) {
+				it, err := srv.SubmitContext(context.Background(), vbs[i])
+				if err != nil {
+					t.Errorf("goroutine %d: request %d: %v", g, i, err)
+					return
+				}
+				if got := Drain(it); !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("goroutine %d: request %d diverged", g, i)
 					return
 				}
@@ -250,20 +258,26 @@ func TestServerBatch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
 
-	st := srv.Stats()
-	wantReqs := uint64(len(vbs) * 7) // one batch + six submitters
-	if st.Requests != wantReqs {
-		t.Fatalf("stats requests = %d, want %d", st.Requests, wantReqs)
+// submitAll submits every valuation in order and returns the per-request
+// iterators in matching order.
+func submitAll(t *testing.T, srv *Server, vbs []relation.Tuple) []Iterator {
+	t.Helper()
+	its := make([]Iterator, len(vbs))
+	for i, vb := range vbs {
+		it, err := srv.SubmitContext(context.Background(), vb)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		its[i] = it
 	}
-	if st.Workers != 4 {
-		t.Fatalf("stats workers = %d, want 4", st.Workers)
-	}
+	return its
 }
 
 // TestServerClose checks shutdown behavior: Close is idempotent, undrained
-// iterators terminate instead of hanging, and post-Close submissions come
-// back exhausted.
+// iterators terminate instead of hanging, and post-Close submissions fail
+// with ErrClosed.
 func TestServerClose(t *testing.T) {
 	view, db, vbs := concurrencyFixture(t, 600)
 	rep, err := Build(view, db)
@@ -274,8 +288,7 @@ func TestServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	its := srv.QueryBatch(vbs)
-	_ = its // deliberately undrained
+	its := submitAll(t, srv, vbs) // deliberately undrained
 	srv.Close()
 	srv.Close()
 	for _, it := range its {
@@ -286,7 +299,75 @@ func TestServerClose(t *testing.T) {
 			}
 		}
 	}
-	if got := Drain(srv.Submit(vbs[0])); len(got) != 0 {
-		t.Fatalf("post-Close Submit returned %d tuples", len(got))
+	if _, err := srv.SubmitContext(context.Background(), vbs[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-Close SubmitContext: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestFlushBatchEnumeration checks streams are identical for every flush
+// batch size, including batches larger than the result set and a batch
+// equal to the buffer, and that a batch below 1 is rejected.
+func TestFlushBatchEnumeration(t *testing.T) {
+	db := workload.TriangleDB(3, 40, 400)
+	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+	rep, err := Build(view, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.Relation("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bindings []relation.Tuple
+	for i := 0; i < r.Len() && len(bindings) < 20; i += r.Len()/20 + 1 {
+		row := r.Row(i)
+		bindings = append(bindings, relation.Tuple{row[0], row[1]})
+	}
+
+	collect := func(buffer int, opts ...ServerOption) [][]byte {
+		t.Helper()
+		srv, err := NewServer(rep, 0, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if buffer > 0 {
+			srv.buffer = buffer
+		}
+		var out [][]byte
+		for _, it := range submitAll(t, srv, bindings) {
+			var enc []byte
+			for {
+				tup, ok := it.Next()
+				if !ok {
+					break
+				}
+				enc = tup.AppendEncode(enc)
+			}
+			if err := IterErr(it); err != nil {
+				t.Fatalf("IterErr: %v", err)
+			}
+			out = append(out, enc)
+		}
+		return out
+	}
+
+	want := collect(0)
+	for _, n := range []int{1, 2, 7, 64, 100000} {
+		got := collect(64, WithFlushBatch(n))
+		for i := range want {
+			if !bytes.Equal(want[i], got[i]) {
+				t.Fatalf("WithFlushBatch(%d): stream %d differs from default", n, i)
+			}
+		}
+	}
+
+	for _, n := range []int{0, -4} {
+		if srv, err := NewServer(rep, 1, WithFlushBatch(n)); !errors.Is(err, ErrBadOption) {
+			if srv != nil {
+				srv.Close()
+			}
+			t.Fatalf("WithFlushBatch(%d): err = %v, want ErrBadOption", n, err)
+		}
 	}
 }

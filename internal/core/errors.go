@@ -17,8 +17,8 @@ var (
 	// name, or a missing bound variable.
 	ErrBadBinding = errors.New("cqrep: bad binding for access request")
 
-	// ErrClosed reports a request submitted to a Server that has been
-	// closed.
+	// ErrClosed reports work submitted to a serving component (an
+	// httpserve handler, a coordinator, a Server) that has been closed.
 	ErrClosed = errors.New("cqrep: server closed")
 
 	// ErrBadView reports a view that cannot be compiled as given: a syntax
@@ -34,7 +34,7 @@ var (
 	ErrStrategyMismatch = errors.New("cqrep: strategy incompatible with view")
 
 	// ErrBadOption reports an option with an out-of-domain argument, such
-	// as a server buffer below 1 or a negative budget.
+	// as a flush batch below 1 or a negative budget.
 	ErrBadOption = errors.New("cqrep: invalid option")
 
 	// ErrArity reports a tuple whose length does not match the target

@@ -3,9 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -20,16 +19,10 @@ import (
 // from an attacker-controlled count (the Decoder validates every count
 // against the bytes remaining; this target proves it end to end).
 //
-// The corpus seeds with the checked-in v1 fixtures and freshly encoded
-// v2 frames (single-backend and sharded), so mutations explore the
-// interesting neighborhoods of both supported format versions.
+// The corpus seeds with freshly encoded frames across every persistable
+// strategy (single-backend and sharded), so mutations explore the
+// neighborhood of the one supported format version.
 func FuzzReadRepresentation(f *testing.F) {
-	// v1 fixtures (pre-sharding format) from testdata.
-	for _, name := range []string{"v1-primitive.cqs", "v1-decomposition.cqs", "v1-materialized.cqs"} {
-		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
-			f.Add(data)
-		}
-	}
 	// v2 frames across the persistable strategy menu, sharded included.
 	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
 	db := workload.TriangleDB(5, 12, 40)
@@ -63,12 +56,15 @@ func FuzzReadRepresentation(f *testing.F) {
 		}
 		// Three decoding angles per input: the bytes as a whole frame, and
 		// the bytes as a *payload* wrapped in a correctly-checksummed v1
-		// and v2 frame. The wrapped paths matter most: without them the
-		// CRC-32 gate rejects nearly every mutation before the payload
-		// decoders (view, database, per-strategy structures) see a byte.
+		// and v2 frame. The v2 wrap matters most: without it the CRC-32
+		// gate rejects nearly every mutation before the payload decoders
+		// (view, database, per-strategy structures) see a byte. The v1
+		// wrap must always fail typed: this build no longer reads v1.
 		tryDecode(t, data)
-		tryDecode(t, framePayload(1, stripFrame(data)))
-		tryDecode(t, framePayload(2, stripFrame(data)))
+		if _, err := ReadRepresentation(bytes.NewReader(framePayload(1, stripFrame(data)))); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("v1 frame: err = %v, want ErrSnapshotVersion", err)
+		}
+		tryDecode(t, framePayload(snapshotVersion, stripFrame(data)))
 	})
 }
 

@@ -38,8 +38,7 @@ type mmapRef struct {
 // OpenRepresentationMmap: the undecoded payload (a subslice of the
 // mapping), its expected checksum, and the one-shot decode guard.
 // Field order packs the sub-word fields (sum rides in once's alignment
-// tail; version and checkStrategy share the final word): 80 bytes instead
-// of the 88 a declaration-order layout costs.
+// tail), keeping the struct at 80 bytes with no padding waste.
 type lazySnapshot struct {
 	once    sync.Once
 	sum     uint32
@@ -49,7 +48,6 @@ type lazySnapshot struct {
 	// wantStrategy cross-checks a shard frame against the composite's
 	// declared strategy; checkStrategy gates it (outer frames skip it).
 	wantStrategy  Strategy
-	version       uint16
 	checkStrategy bool
 }
 
@@ -80,7 +78,7 @@ func (r *Representation) ensure() error {
 // frame's own CRC, verified when that shard first materializes.
 func (l *lazySnapshot) materialize(dst *Representation) error {
 	d := relation.NewDecoder(l.payload)
-	pre, err := decodeSnapshotPrefix(d, l.version)
+	pre, err := decodeSnapshotPrefix(d)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -169,7 +167,7 @@ func decodeLazySharded(d *relation.Decoder, r *Representation, pre *snapshotPref
 // Only the frame header is validated now; payload checksum and content
 // wait for first touch.
 func newLazyFromFrame(frame []byte, ref *mmapRef, want Strategy) (*Representation, error) {
-	payload, sum, version, err := splitFrame(frame)
+	payload, sum, err := splitFrame(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -177,32 +175,31 @@ func newLazyFromFrame(frame []byte, ref *mmapRef, want Strategy) (*Representatio
 		return nil, fmt.Errorf("%w: %d trailing bytes after frame", ErrBadSnapshot, len(frame)-snapshotHeaderLen-len(payload)-4)
 	}
 	return &Representation{lazy: &lazySnapshot{
-		payload: payload, sum: sum, version: version, ref: ref,
+		payload: payload, sum: sum, ref: ref,
 		wantStrategy: want, checkStrategy: true,
 	}}, nil
 }
 
 // splitFrame validates a snapshot frame header in place and returns the
-// payload subslice, its expected checksum, and the format version. Nothing
-// is copied and no checksum is computed.
-func splitFrame(frame []byte) (payload []byte, sum uint32, version uint16, err error) {
+// payload subslice and its expected checksum. Nothing is copied and no
+// checksum is computed.
+func splitFrame(frame []byte) (payload []byte, sum uint32, err error) {
 	if len(frame) < snapshotHeaderLen+4 {
-		return nil, 0, 0, fmt.Errorf("%w: short header", ErrBadSnapshot)
+		return nil, 0, fmt.Errorf("%w: short header", ErrBadSnapshot)
 	}
 	if string(frame[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, 0, 0, fmt.Errorf("%w: bad magic bytes", ErrBadSnapshot)
+		return nil, 0, fmt.Errorf("%w: bad magic bytes", ErrBadSnapshot)
 	}
-	version = binary.BigEndian.Uint16(frame[len(snapshotMagic):])
-	if version < snapshotMinVersion || version > snapshotVersion {
-		return nil, 0, 0, fmt.Errorf("%w: snapshot has format version %d, this build reads versions %d..%d", ErrSnapshotVersion, version, snapshotMinVersion, snapshotVersion)
+	if version := binary.BigEndian.Uint16(frame[len(snapshotMagic):]); version != snapshotVersion {
+		return nil, 0, fmt.Errorf("%w: snapshot has format version %d, this build reads version %d", ErrSnapshotVersion, version, snapshotVersion)
 	}
 	payloadLen := binary.BigEndian.Uint64(frame[len(snapshotMagic)+2:])
 	if payloadLen > uint64(len(frame)-snapshotHeaderLen-4) {
-		return nil, 0, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, len(frame)-snapshotHeaderLen-4, payloadLen)
+		return nil, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, len(frame)-snapshotHeaderLen-4, payloadLen)
 	}
 	payload = frame[snapshotHeaderLen : snapshotHeaderLen+int(payloadLen)]
 	sum = binary.BigEndian.Uint32(frame[snapshotHeaderLen+int(payloadLen):])
-	return payload, sum, version, nil
+	return payload, sum, nil
 }
 
 // OpenRepresentationMmap maps the snapshot file at path and returns a
@@ -227,7 +224,7 @@ func OpenRepresentationMmap(path string) (*Representation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrBadSnapshot, path, err)
 	}
-	payload, sum, version, err := splitFrame(ref.data)
+	payload, sum, err := splitFrame(ref.data)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +241,7 @@ func OpenRepresentationMmap(path string) (*Representation, error) {
 	return &Representation{
 		orig: view,
 		view: view.ExtendToFull(),
-		lazy: &lazySnapshot{payload: payload, sum: sum, version: version, ref: ref},
+		lazy: &lazySnapshot{payload: payload, sum: sum, ref: ref},
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -130,32 +131,6 @@ func TestMmapLoadSharded(t *testing.T) {
 	}
 }
 
-// TestMmapV1BackCompat loads the committed version-1 fixtures through the
-// mmap path and compares them against the eager loader.
-func TestMmapV1BackCompat(t *testing.T) {
-	for _, name := range []string{"v1-primitive.cqs", "v1-decomposition.cqs", "v1-materialized.cqs"} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join("testdata", name)
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eager, err := ReadRepresentation(f)
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := OpenRepresentationMmap(path)
-			if err != nil {
-				t.Fatalf("OpenRepresentationMmap: %v", err)
-			}
-			if want, got := snapEnum(t, eager), snapEnum(t, m); !bytes.Equal(want, got) {
-				t.Fatal("mmap v1 enumeration differs from eager load")
-			}
-		})
-	}
-}
-
 // TestMmapRejectsCorruption pins the mmap error contract: header-level
 // damage fails at open with the usual typed errors, payload-level damage
 // surfaces at first touch through the no-error access surfaces.
@@ -187,10 +162,14 @@ func TestMmapRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		bad := append([]byte(nil), snap...)
-		binary.BigEndian.PutUint16(bad[len(snapshotMagic):], snapshotVersion+41)
-		if _, err := OpenRepresentationMmap(write(t, bad)); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+		for _, v := range []uint16{1, snapshotVersion + 41} {
+			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+				bad := append([]byte(nil), snap...)
+				binary.BigEndian.PutUint16(bad[len(snapshotMagic):], v)
+				if _, err := OpenRepresentationMmap(write(t, bad)); !errors.Is(err, ErrSnapshotVersion) {
+					t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+				}
+			})
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {

@@ -17,33 +17,17 @@ type QuerySource interface {
 	Query(vb relation.Tuple) Iterator
 }
 
-// defaultServerBuffer is the default per-request channel capacity: deep
-// enough to decouple producer and consumer for typical result sizes, small
-// enough that an undrained request exerts backpressure instead of
-// buffering an unbounded result set. Override with WithServerBuffer.
+// defaultServerBuffer is the per-request channel capacity: deep enough to
+// decouple producer and consumer for typical result sizes, small enough
+// that an undrained request exerts backpressure instead of buffering an
+// unbounded result set.
 const defaultServerBuffer = 256
 
 // ServerOption customizes NewServer.
 type ServerOption func(*serverConfig) error
 
 type serverConfig struct {
-	buffer     int
 	flushBatch int
-}
-
-// WithServerBuffer sets the per-request iterator channel capacity. n
-// trades memory per in-flight request against producer/consumer coupling:
-// n tuples are buffered before the serving worker blocks on an undrained
-// iterator. n must be at least 1; NewServer fails with ErrBadOption
-// otherwise.
-func WithServerBuffer(n int) ServerOption {
-	return func(c *serverConfig) error {
-		if n < 1 {
-			return fmt.Errorf("%w: server buffer %d, need at least 1", ErrBadOption, n)
-		}
-		c.buffer = n
-		return nil
-	}
 }
 
 // WithFlushBatch makes serving workers hand results to iterators in
@@ -69,22 +53,20 @@ func WithFlushBatch(n int) ServerOption {
 // Server is a batching front over a QuerySource: callers submit access
 // requests from any goroutine and receive a per-request Iterator
 // immediately, while a fixed pool of workers drains the underlying
-// representation and streams tuples into the iterators. It exists to drive
-// one compiled representation at hardware speed from many clients —
-// submission never blocks, fan-out is bounded by the worker count, and
-// per-request results arrive in enumeration order.
+// representation and streams tuples into the iterators. No request path
+// uses it — httpserve enumerates on the handler goroutine — and it stays
+// only as the subject of the repository benchmark's core.server probe,
+// until that benchmark's contract changes.
 //
-// Iterators returned by Submit/QueryBatch block in Next until their
-// request is served; requests are served in submission order. Close aborts
-// outstanding work: undrained iterators terminate early rather than hang.
-// SubmitContext additionally ties one request to a context: when it is
-// cancelled the request's iterator terminates and its serving worker
-// abandons the enumeration.
+// Iterators returned by SubmitContext block in Next until their request is
+// served; requests are served in submission order. When a request's
+// context is cancelled its iterator terminates and its serving worker
+// abandons the enumeration. Close aborts outstanding work: undrained
+// iterators terminate early rather than hang.
 type Server struct {
-	src     QuerySource
-	workers int
-	buffer  int
-	batch   int // flush batch: tuples per channel operation (>= 1)
+	src    QuerySource
+	buffer int // per-request channel capacity, in tuples
+	batch  int // flush batch: tuples per channel operation (>= 1)
 
 	// pool recycles batch buffers between serving workers and iterators:
 	// a worker fills a pooled buffer, the consuming iterator drains it and
@@ -100,11 +82,8 @@ type Server struct {
 	wg   sync.WaitGroup
 	once sync.Once
 	// closed is guarded by mu; it sits after once so the two sub-word
-	// fields share one padding slot (184 → 176 bytes).
+	// fields share one padding slot.
 	closed bool
-
-	requests atomic.Uint64
-	tuples   atomic.Uint64
 }
 
 type serverReq struct {
@@ -143,10 +122,9 @@ type errReporter interface{ Err() error }
 // IterErr returns the terminal error of a result stream — an Iterator or
 // a BlockIterator — or nil when it does not report one. It is meaningful
 // once the stream has ended (Next returned false, NextBlock came back
-// empty). For iterators returned by Server.Submit / SubmitContext nil means
-// the enumeration completed; ErrClosed means the server was closed
-// mid-stream; the submitting context's error means it was cancelled; any
-// other error was surfaced by the underlying source mid-enumeration.
+// empty): nil means the enumeration completed, a context error means it
+// was cancelled, and any other error was surfaced by the underlying
+// source mid-enumeration.
 func IterErr(it any) error {
 	if r, ok := it.(errReporter); ok {
 		return r.Err()
@@ -156,19 +134,19 @@ func IterErr(it any) error {
 
 // NewServer starts a server over src with the given number of worker
 // goroutines; workers <= 0 means runtime.GOMAXPROCS(0). Callers must Close
-// the server when done. An invalid option (e.g. WithServerBuffer below 1)
+// the server when done. An invalid option (e.g. WithFlushBatch below 1)
 // fails with an error wrapping ErrBadOption and starts nothing.
 func NewServer(src QuerySource, workers int, opts ...ServerOption) (*Server, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg := serverConfig{buffer: defaultServerBuffer, flushBatch: 1}
+	cfg := serverConfig{flushBatch: 1}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	s := &Server{src: src, workers: workers, buffer: cfg.buffer, batch: cfg.flushBatch, quit: make(chan struct{})}
+	s := &Server{src: src, buffer: defaultServerBuffer, batch: cfg.flushBatch, quit: make(chan struct{})}
 	s.pool.New = func() any {
 		b := make([]relation.Tuple, 0, s.batch)
 		return &b
@@ -181,29 +159,13 @@ func NewServer(src QuerySource, workers int, opts ...ServerOption) (*Server, err
 	return s, nil
 }
 
-// Submit enqueues one access request and returns its result stream. It
-// never blocks: the queue is unbounded and serving happens on the worker
-// pool. After Close, the returned iterator is immediately exhausted.
-func (s *Server) Submit(vb relation.Tuple) Iterator {
-	it, err := s.SubmitContext(context.Background(), vb)
-	if err != nil { // closed: preserve the legacy exhausted-iterator contract
-		out := make(chan *[]relation.Tuple)
-		close(out)
-		// The fabricated stream was never served; its terminal error says
-		// so instead of posing as a complete empty enumeration.
-		st := &streamErr{}
-		st.set(err)
-		return &chanIterator{ch: out, st: st}
-	}
-	return it
-}
-
 // SubmitContext enqueues one access request tied to ctx and returns its
-// result stream. When ctx is cancelled the iterator terminates (Next
-// returns false) and the serving worker abandons the enumeration instead
-// of filling a buffer nobody drains. Submitting to a closed server fails
-// with ErrClosed; a ctx that is already done fails with its error. A nil
-// ctx means context.Background().
+// result stream. It never blocks: the queue is unbounded and serving
+// happens on the worker pool. When ctx is cancelled the iterator
+// terminates (Next returns false) and the serving worker abandons the
+// enumeration instead of filling a buffer nobody drains. Submitting to a
+// closed server fails with ErrClosed; a ctx that is already done fails
+// with its error. A nil ctx means context.Background().
 func (s *Server) SubmitContext(ctx context.Context, vb relation.Tuple) (Iterator, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -212,7 +174,7 @@ func (s *Server) SubmitContext(ctx context.Context, vb relation.Tuple) (Iterator
 		return nil, err
 	}
 	// The channel carries batches; its capacity is sized so the buffered
-	// tuple count stays roughly WithServerBuffer regardless of the batch.
+	// tuple count stays roughly s.buffer regardless of the batch.
 	capBatches := s.buffer / s.batch
 	if capBatches < 1 {
 		capBatches = 1
@@ -225,50 +187,9 @@ func (s *Server) SubmitContext(ctx context.Context, vb relation.Tuple) (Iterator
 		return nil, ErrClosed
 	}
 	s.queue = append(s.queue, &serverReq{vb: vb.Clone(), out: out, ctx: ctx, st: st})
-	s.requests.Add(1)
 	s.mu.Unlock()
 	s.cond.Signal()
 	return &chanIterator{ch: out, ctx: ctx, st: st, pool: &s.pool}, nil
-}
-
-// Binder is the optional named-binding surface of a QuerySource: sources
-// that know their view's bound-variable order (Representation does) resolve
-// name→value maps into positional valuations for SubmitArgs.
-type Binder interface {
-	Bind(args map[string]relation.Value) (relation.Tuple, error)
-}
-
-// SubmitArgs is SubmitContext with the binding given by bound-variable
-// name instead of position — the submission path of network fronts, whose
-// clients send name→value maps rather than positional tuples. A source
-// that cannot resolve names, or a valuation that does not match the view's
-// bound variables, fails with an error wrapping ErrBadBinding.
-func (s *Server) SubmitArgs(ctx context.Context, args map[string]relation.Value) (Iterator, error) {
-	b, ok := s.src.(Binder)
-	if !ok {
-		return nil, fmt.Errorf("%w: query source cannot resolve named bindings", ErrBadBinding)
-	}
-	vb, err := b.Bind(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.SubmitContext(ctx, vb)
-}
-
-// QueryBatch submits every valuation and returns the per-request iterators
-// in matching order. Up to the server's worker count of requests are
-// evaluated concurrently. Requests are served FIFO with bounded
-// per-request buffers, so consumers should drain the iterators roughly in
-// submission order: leaving an early iterator undrained while its result
-// set exceeds the buffer blocks the worker serving it (backpressure), and
-// with all workers blocked that way later requests wait until the early
-// ones drain or the server closes.
-func (s *Server) QueryBatch(vbs []relation.Tuple) []Iterator {
-	out := make([]Iterator, len(vbs))
-	for i, vb := range vbs {
-		out[i] = s.Submit(vb)
-	}
-	return out
 }
 
 // worker pops requests in FIFO order and serves them until the server
@@ -317,7 +238,6 @@ func (s *Server) serve(req *serverReq) {
 		*bp = batch
 		select {
 		case req.out <- bp:
-			s.tuples.Add(uint64(len(batch)))
 			bp = s.pool.Get().(*[]relation.Tuple)
 			batch = (*bp)[:0]
 			return true
@@ -360,10 +280,8 @@ func (s *Server) serve(req *serverReq) {
 // abortErr names the reason aborted fired: the request's own context error
 // when it is done, ErrClosed otherwise (the server is quitting).
 func (s *Server) abortErr(req *serverReq) error {
-	if req.ctx != nil {
-		if err := req.ctx.Err(); err != nil {
-			return err
-		}
+	if err := req.ctx.Err(); err != nil {
+		return err
 	}
 	return ErrClosed
 }
@@ -386,14 +304,6 @@ func (s *Server) aborted(req *serverReq) bool {
 	return false
 }
 
-// Closed reports whether Close has begun. A false result is advisory
-// only: a concurrent Close may land immediately after.
-func (s *Server) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Close stops accepting requests, aborts in-flight enumerations, and waits
 // for the workers to exit. Iterators for unserved requests terminate empty.
 // Close is idempotent.
@@ -408,19 +318,6 @@ func (s *Server) Close() {
 	})
 }
 
-// ServerStats counts the server's lifetime traffic.
-type ServerStats struct {
-	Workers  int
-	Buffer   int
-	Requests uint64
-	Tuples   uint64
-}
-
-// Stats reports the traffic counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{Workers: s.workers, Buffer: s.buffer, Requests: s.requests.Load(), Tuples: s.tuples.Load()}
-}
-
 // chanIterator adapts a batched result channel to the Iterator interface.
 // Workers ship pooled batches (see WithFlushBatch); the iterator drains one
 // batch locally between channel receives and recycles spent buffers into
@@ -430,10 +327,10 @@ type chanIterator struct {
 	ch    <-chan *[]relation.Tuple
 	cur   *[]relation.Tuple // batch currently being drained; nil between batches
 	idx   int               // next position in cur
-	pool  *sync.Pool        // recycles spent batches; nil for fabricated streams
-	ctx   context.Context   // nil for the legacy contextless path
-	st    *streamErr        // terminal error set by the serving worker; may be nil
-	ended bool              // the result channel closed (worker finished or aborted)
+	pool  *sync.Pool        // recycles spent batches
+	ctx   context.Context
+	st    *streamErr // terminal error set by the serving worker
+	ended bool       // the result channel closed (worker finished or aborted)
 }
 
 // Err returns the stream's terminal error (see IterErr). It is meaningful
@@ -445,23 +342,15 @@ func (it *chanIterator) Err() error {
 	// stream stays error-free even if the caller cancels its context
 	// afterwards.
 	if it.ended {
-		if it.st == nil {
-			return nil
-		}
 		return it.st.get()
 	}
 	// A consumer-side cancellation can observe Next() == false before the
 	// serving worker notices the done channel, so the context error is
 	// consulted directly rather than waiting for the worker to record it.
-	if it.st != nil {
-		if err := it.st.get(); err != nil {
-			return err
-		}
+	if err := it.st.get(); err != nil {
+		return err
 	}
-	if it.ctx != nil {
-		return it.ctx.Err()
-	}
-	return nil
+	return it.ctx.Err()
 }
 
 // Next blocks until the serving worker produces the next tuple, returning
@@ -472,10 +361,7 @@ func (it *chanIterator) Err() error {
 // and the closed done channel at random, yielding a nondeterministic
 // number of post-cancellation tuples.
 func (it *chanIterator) Next() (relation.Tuple, bool) {
-	var done <-chan struct{}
-	if it.ctx != nil {
-		done = it.ctx.Done() // nil for Background: the selects degenerate to receives
-	}
+	done := it.ctx.Done() // nil for Background: the selects degenerate to receives
 	if done != nil {
 		select {
 		case <-done:
@@ -509,9 +395,6 @@ func (it *chanIterator) Next() (relation.Tuple, bool) {
 func (it *chanIterator) recycle() {
 	bp := it.cur
 	it.cur = nil
-	if it.pool == nil {
-		return
-	}
 	clear(*bp)
 	it.pool.Put(bp)
 }

@@ -29,15 +29,14 @@ import (
 // deterministically at load time, so a loaded representation enumerates
 // byte-for-byte identically to the freshly compiled one.
 //
-// Version history: version 1 (PR 3) carried a single backend and no shard
-// count; version 2 adds the shard-count field and the sharded composite
-// payload. Version-1 snapshots still load.
+// Version history: version 1 carried a single backend and no shard count;
+// version 2 adds the shard-count field and the sharded composite payload.
+// This build reads version 2 only: a version-1 frame fails with
+// ErrSnapshotVersion.
 
 const (
 	snapshotMagic   = "CQREPS"
 	snapshotVersion = 2
-	// snapshotMinVersion is the oldest format this build still reads.
-	snapshotMinVersion = 1
 	// snapshotHeaderLen is magic + version + payload length.
 	snapshotHeaderLen = len(snapshotMagic) + 2 + 8
 )
@@ -108,9 +107,8 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic bytes", ErrBadSnapshot)
 	}
-	version := binary.BigEndian.Uint16(hdr[len(snapshotMagic):])
-	if version < snapshotMinVersion || version > snapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot has format version %d, this build reads versions %d..%d", ErrSnapshotVersion, version, snapshotMinVersion, snapshotVersion)
+	if version := binary.BigEndian.Uint16(hdr[len(snapshotMagic):]); version != snapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot has format version %d, this build reads version %d", ErrSnapshotVersion, version, snapshotVersion)
 	}
 	payloadLen := binary.BigEndian.Uint64(hdr[len(snapshotMagic)+2:])
 
@@ -128,7 +126,7 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 
-	r, err := decodeRepresentation(relation.NewDecoder(payload.Bytes()), version)
+	r, err := decodeRepresentation(relation.NewDecoder(payload.Bytes()))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -146,9 +144,9 @@ type snapshotPrefix struct {
 }
 
 // decodeSnapshotPrefix reads the payload prefix shared by the eager and
-// mmap load paths: view, base relations, strategy, build time, and (for
-// version >= 2) the shard count.
-func decodeSnapshotPrefix(d *relation.Decoder, version uint16) (*snapshotPrefix, error) {
+// mmap load paths: view, base relations, strategy, build time, and the
+// shard count.
+func decodeSnapshotPrefix(d *relation.Decoder) (*snapshotPrefix, error) {
 	view, err := decodeView(d)
 	if err != nil {
 		return nil, err
@@ -158,18 +156,15 @@ func decodeSnapshotPrefix(d *relation.Decoder, version uint16) (*snapshotPrefix,
 		return nil, err
 	}
 	pre := &snapshotPrefix{view: view, db: db, strategy: Strategy(d.Uint()), buildTime: time.Duration(d.Int()), shards: 1}
-	if version >= 2 {
-		n := d.Uint()
-		// Bounded like every other count in the codec: a sharded payload
-		// carries one length-prefixed nested frame (at least a header and
-		// checksum) per shard, so a larger count is corruption and must
-		// fail before it can size an allocation.
-		if n > 1 {
-			if n > uint64(d.Remaining()/(snapshotHeaderLen+5)) {
-				return nil, fmt.Errorf("shard count %d exceeds remaining payload (%d bytes)", n, d.Remaining())
-			}
-			pre.shards = int(n)
+	// Bounded like every other count in the codec: a sharded payload
+	// carries one length-prefixed nested frame (at least a header and
+	// checksum) per shard, so a larger count is corruption and must fail
+	// before it can size an allocation.
+	if n := d.Uint(); n > 1 {
+		if n > uint64(d.Remaining()/(snapshotHeaderLen+5)) {
+			return nil, fmt.Errorf("shard count %d exceeds remaining payload (%d bytes)", n, d.Remaining())
 		}
+		pre.shards = int(n)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -196,8 +191,8 @@ func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
 // it re-runs the cheap deterministic front of Build over the stored view
 // and relations, then installs the decoded expensive structures —
 // dispatched through the backend registry — instead of recompiling them.
-func decodeRepresentation(d *relation.Decoder, version uint16) (*Representation, error) {
-	pre, err := decodeSnapshotPrefix(d, version)
+func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
+	pre, err := decodeSnapshotPrefix(d)
 	if err != nil {
 		return nil, err
 	}

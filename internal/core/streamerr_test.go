@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
-	"cqrep/internal/cq"
 	"cqrep/internal/relation"
 )
 
@@ -97,10 +95,11 @@ func TestServerStreamCleanEndHasNoError(t *testing.T) {
 }
 
 func TestServerStreamCancellationError(t *testing.T) {
-	srv, err := NewServer(&failSource{n: 1 << 20}, 1, WithServerBuffer(1))
+	srv, err := NewServer(&failSource{n: 1 << 20}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.buffer = 1
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -123,10 +122,11 @@ func TestServerStreamCancellationError(t *testing.T) {
 }
 
 func TestServerStreamCloseError(t *testing.T) {
-	srv, err := NewServer(&failSource{n: 1 << 20}, 1, WithServerBuffer(1))
+	srv, err := NewServer(&failSource{n: 1 << 20}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.buffer = 1
 	it, err := srv.SubmitContext(context.Background(), relation.Tuple{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +149,11 @@ func TestServerStreamUnservedRequestReportsClosed(t *testing.T) {
 	// One worker wedged on an undrained huge request; a second queued
 	// request is never served before Close and must report ErrClosed, not
 	// pose as an empty result.
-	srv, err := NewServer(&failSource{n: 1 << 20}, 1, WithServerBuffer(1))
+	srv, err := NewServer(&failSource{n: 1 << 20}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.buffer = 1
 	first, err := srv.SubmitContext(context.Background(), relation.Tuple{})
 	if err != nil {
 		t.Fatal(err)
@@ -193,49 +194,4 @@ func (s *SliceBackedIter) Next() (relation.Tuple, bool) {
 	t := s.ts[0]
 	s.ts = s.ts[1:]
 	return t, true
-}
-
-func TestServerSubmitArgs(t *testing.T) {
-	view := cq.MustParse("V[bf](x, y) :- R(x, y)")
-	db := relation.NewDatabase()
-	r := relation.NewRelation("R", 2)
-	r.MustInsert(1, 10)
-	r.MustInsert(1, 11)
-	r.MustInsert(2, 20)
-	db.Add(r)
-	rep, err := Build(view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(rep, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	it, err := srv.SubmitArgs(context.Background(), map[string]relation.Value{"x": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Drain(it)
-	want := Drain(rep.Query(relation.Tuple{1}))
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("SubmitArgs = %v, want %v", got, want)
-	}
-	if terr := IterErr(it); terr != nil {
-		t.Fatalf("IterErr = %v", terr)
-	}
-
-	if _, err := srv.SubmitArgs(context.Background(), map[string]relation.Value{"nope": 1}); !errors.Is(err, ErrBadBinding) {
-		t.Fatalf("bad name error = %v, want ErrBadBinding", err)
-	}
-
-	plain, err := NewServer(&failSource{n: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if _, err := plain.SubmitArgs(context.Background(), map[string]relation.Value{"x": 1}); !errors.Is(err, ErrBadBinding) {
-		t.Fatalf("non-binder source error = %v, want ErrBadBinding", err)
-	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -13,14 +12,12 @@ import (
 	"cqrep/internal/workload"
 )
 
-// E16Parallel measures the scaling PR's two hot paths: compilation
-// parallelism (core.WithWorkers over multi-bag Theorem-2 builds and
-// dictionary-heavy Theorem-1 builds) and serving concurrency (core.Server
-// throughput at increasing worker counts over one shared representation).
-// The structures are identical at every worker count — the tables report
+// E16Parallel measures compilation parallelism: core.WithWorkers over a
+// multi-bag Theorem-2 build and a dictionary-heavy Theorem-1 build. The
+// structures are identical at every worker count — the tables report
 // entry counts alongside wall-clock so the invariance is visible in the
 // output.
-func E16Parallel(sizePer, queries int, seed int64, workerCounts []int) []*bench.Table {
+func E16Parallel(sizePer int, seed int64, workerCounts []int) []*bench.Table {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4, 8}
 	}
@@ -75,7 +72,6 @@ func E16Parallel(sizePer, queries int, seed int64, workerCounts []int) []*bench.
 	t2 := bench.NewTable("E16 Parallel compilation: triangle heavy-pair dictionary",
 		"workers", "build", "speedup", "entries")
 	base = 0
-	var rep *core.Representation
 	for _, w := range workerCounts {
 		r, err := core.Build(triView, triDB, core.WithTau(tau), core.WithWorkers(w))
 		if err != nil {
@@ -86,36 +82,7 @@ func E16Parallel(sizePer, queries int, seed int64, workerCounts []int) []*bench.
 			base = st.BuildTime
 		}
 		t2.Add(w, st.BuildTime, float64(base)/float64(st.BuildTime), st.Entries)
-		rep = r
 	}
 
-	// Serving: one compiled representation, many concurrent requests
-	// through the batching server.
-	requests := queries * 20
-	rng := rand.New(rand.NewSource(seed + 16))
-	vbs := sampleVbs(rng, rep.Instance(), requests)
-
-	t3 := bench.NewTable("E16 Concurrent serving: core.Server throughput",
-		"workers", "requests", "tuples", "total", "req/s")
-	for _, w := range workerCounts {
-		srv, err := core.NewServer(rep, w)
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		its := srv.QueryBatch(vbs)
-		for _, it := range its {
-			for {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		st := srv.Stats()
-		srv.Close()
-		t3.Add(w, st.Requests, st.Tuples, elapsed,
-			float64(st.Requests)/elapsed.Seconds())
-	}
-	return []*bench.Table{t1, t2, t3}
+	return []*bench.Table{t1, t2}
 }

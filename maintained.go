@@ -120,6 +120,6 @@ func (m *Maintained) Rebuilds() int { return m.m.Rebuilds() }
 func (m *Maintained) Quiesce() { m.m.Quiesce() }
 
 // Snapshot returns the current compiled snapshot as a Representation —
-// a stable, immutable view of the data as of the last rebuild, suitable
-// for serving through a Server while updates keep flowing in.
+// a stable, immutable view of the data as of the last rebuild, safe for
+// concurrent readers while updates keep flowing in.
 func (m *Maintained) Snapshot() *Representation { return &Representation{rep: m.m.Rep()} }

@@ -6,22 +6,19 @@ import (
 	"cqrep/internal/core"
 )
 
-// Option customizes Compile, NewServer, and NewMaintained through one
-// consolidated functional-option vocabulary. Options that do not apply to
-// the consumer are validated but otherwise ignored — WithServerBuffer on
+// Option customizes Compile, NewMaintained and ResumeMaintained through
+// one consolidated functional-option vocabulary. Options that do not apply
+// to the consumer are validated but otherwise ignored — WithDeltaApply on
 // Compile, for example, is legal and inert — so one option slice can be
-// shared between compiling a representation and serving it.
+// shared between compiling a representation and maintaining it.
 type Option func(*config)
 
 // config accumulates the consolidated options. Invalid arguments are
 // recorded in err and surfaced by the consuming constructor, keeping the
 // option functions themselves infallible.
 type config struct {
-	build        []core.Option
-	workers      int
-	serverBuffer int
-	flushBatch   int
-	err          error
+	build []core.Option
+	err   error
 }
 
 func newConfig(opts []Option) *config {
@@ -83,19 +80,18 @@ func WithDelayBudget(tau float64) Option {
 	return func(c *config) { c.build = append(c.build, core.WithDelayBudget(tau)) }
 }
 
-// WithWorkers bounds the goroutines used during compilation — including
-// parallel shard sub-builds — and, for NewServer, the serving worker pool.
-// n must be at least 1; violating that fails the consuming constructor
-// with ErrBadOption. Omit the option for the runtime.GOMAXPROCS(0)
-// default. The compiled representation is identical for every worker
-// count — parallelism changes only the wall-clock.
+// WithWorkers bounds the goroutines used during compilation, including
+// parallel shard sub-builds. n must be at least 1; violating that fails
+// the consuming constructor with ErrBadOption. Omit the option for the
+// runtime.GOMAXPROCS(0) default. The compiled representation is
+// identical for every worker count — parallelism changes only the
+// wall-clock.
 func WithWorkers(n int) Option {
 	return func(c *config) {
 		if n < 1 {
 			c.fail(fmt.Errorf("%w: worker count %d, need at least 1", ErrBadOption, n))
 			return
 		}
-		c.workers = n
 		c.build = append(c.build, core.WithWorkers(n))
 	}
 }
@@ -134,38 +130,4 @@ func WithShards(n int) Option {
 // Compile ignores the option: it only affects rebuilds.
 func WithDeltaApply(enabled bool) Option {
 	return func(c *config) { c.build = append(c.build, core.WithDeltaApply(enabled)) }
-}
-
-// WithServerBuffer sets a Server's per-request iterator channel capacity
-// (default 256). n trades memory per in-flight request against
-// producer/consumer coupling: a serving worker buffers up to n tuples
-// before blocking on an undrained iterator. n must be at least 1;
-// violating that fails the consuming constructor with ErrBadOption.
-func WithServerBuffer(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			c.fail(fmt.Errorf("%w: server buffer %d, need at least 1", ErrBadOption, n))
-			return
-		}
-		c.serverBuffer = n
-	}
-}
-
-// WithFlushBatch makes a Server's workers hand results to iterators in
-// pooled batches of up to n tuples instead of one channel operation per
-// tuple. The first tuple of every stream is still delivered alone — the
-// time-to-first-answer delay does not grow with n — but steady-state
-// enumeration amortizes channel synchronization over n tuples and recycles
-// the batch buffers, making serving (near-)zero-alloc per tuple. Streams
-// are byte-identical for every n. n must be at least 1 (the default:
-// per-tuple delivery); violating that fails the consuming constructor with
-// ErrBadOption.
-func WithFlushBatch(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			c.fail(fmt.Errorf("%w: flush batch %d, need at least 1", ErrBadOption, n))
-			return
-		}
-		c.flushBatch = n
-	}
 }

@@ -1,6 +1,6 @@
 // Validation and sharding tests of the consolidated public options:
 // WithWorkers and WithShards must reject non-positive values with
-// ErrBadOption at Compile/NewServer/NewMaintained time, and WithShards
+// ErrBadOption at Compile/NewMaintained time, and WithShards
 // must compile a representation that enumerates and persists exactly like
 // the unsharded one.
 package cqrep_test
@@ -18,8 +18,7 @@ import (
 )
 
 // TestOptionValidation covers the ErrBadOption contract: every consuming
-// constructor reports a non-positive worker, shard, or server-buffer
-// count through errors.Is(err, ErrBadOption), and valid minimal values
+// constructor reports a non-positive worker or shard count through errors.Is(err, ErrBadOption), and valid minimal values
 // pass.
 func TestOptionValidation(t *testing.T) {
 	ctx := context.Background()
@@ -27,14 +26,10 @@ func TestOptionValidation(t *testing.T) {
 	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
 
 	bad := map[string]cqrep.Option{
-		"WithWorkers(0)":       cqrep.WithWorkers(0),
-		"WithWorkers(-3)":      cqrep.WithWorkers(-3),
-		"WithShards(0)":        cqrep.WithShards(0),
-		"WithShards(-1)":       cqrep.WithShards(-1),
-		"WithServerBuffer(0)":  cqrep.WithServerBuffer(0),
-		"WithServerBuffer(-9)": cqrep.WithServerBuffer(-9),
-		"WithFlushBatch(0)":    cqrep.WithFlushBatch(0),
-		"WithFlushBatch(-4)":   cqrep.WithFlushBatch(-4),
+		"WithWorkers(0)":  cqrep.WithWorkers(0),
+		"WithWorkers(-3)": cqrep.WithWorkers(-3),
+		"WithShards(0)":   cqrep.WithShards(0),
+		"WithShards(-1)":  cqrep.WithShards(-1),
 	}
 	for name, opt := range bad {
 		t.Run(name+"/Compile", func(t *testing.T) {
@@ -49,95 +44,18 @@ func TestOptionValidation(t *testing.T) {
 		})
 	}
 
-	rep0, err := cqrep.Compile(ctx, view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, opt := range bad {
-		t.Run(name+"/NewServer", func(t *testing.T) {
-			srv, err := cqrep.NewServer(rep0, opt)
-			if !errors.Is(err, cqrep.ErrBadOption) {
-				if srv != nil {
-					srv.Close()
-				}
-				t.Fatalf("NewServer err = %v, want errors.Is(_, ErrBadOption)", err)
-			}
-		})
-	}
-
 	// Later valid options must still apply; the first invalid one wins.
 	if _, err := cqrep.Compile(ctx, view, db, cqrep.WithShards(0), cqrep.WithWorkers(2)); !errors.Is(err, cqrep.ErrBadOption) {
 		t.Fatalf("mixed options err = %v, want ErrBadOption", err)
 	}
 
 	// Minimal valid values compile.
-	rep, err := cqrep.Compile(ctx, view, db, cqrep.WithWorkers(1), cqrep.WithShards(1), cqrep.WithServerBuffer(1), cqrep.WithFlushBatch(1))
+	rep, err := cqrep.Compile(ctx, view, db, cqrep.WithWorkers(1), cqrep.WithShards(1))
 	if err != nil {
 		t.Fatalf("minimal valid options: %v", err)
 	}
 	if rep.Stats().Shards != 1 {
 		t.Fatalf("Stats().Shards = %d, want 1", rep.Stats().Shards)
-	}
-}
-
-// TestFlushBatchEnumeration checks streams are identical for every flush
-// batch size, including batches larger than the result set and a batch
-// equal to the buffer.
-func TestFlushBatchEnumeration(t *testing.T) {
-	ctx := context.Background()
-	db := workload.TriangleDB(3, 40, 400)
-	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
-	rep, err := cqrep.Compile(ctx, view, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := db.Relation("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bindings []cqrep.Tuple
-	for i := 0; i < r.Len() && len(bindings) < 20; i += r.Len()/20 + 1 {
-		row := r.Row(i)
-		bindings = append(bindings, cqrep.Tuple{row[0], row[1]})
-	}
-
-	collect := func(opts ...cqrep.Option) [][]byte {
-		t.Helper()
-		srv, err := cqrep.NewServer(rep, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		var out [][]byte
-		for _, vb := range bindings {
-			it, err := srv.Submit(ctx, vb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var tuples []cqrep.Tuple
-			for {
-				tup, ok := it.Next()
-				if !ok {
-					break
-				}
-				tuples = append(tuples, tup)
-			}
-			if err := cqrep.IterErr(it); err != nil {
-				t.Fatalf("IterErr: %v", err)
-			}
-			out = append(out, encodeAll(tuples))
-		}
-		return out
-	}
-
-	want := collect()
-	for _, n := range []int{1, 2, 7, 64, 100000} {
-		got := collect(cqrep.WithFlushBatch(n), cqrep.WithServerBuffer(64))
-		for i := range want {
-			if !bytes.Equal(want[i], got[i]) {
-				t.Fatalf("WithFlushBatch(%d): stream %d differs from default", n, i)
-			}
-		}
 	}
 }
 
