@@ -87,12 +87,14 @@ difftest:
 # decoder (corrupt input must fail typed, never panic or over-allocate),
 # the HTTP binding parser, and the binary stream frame reader. Mirrors
 # the CI fuzz job; run with a longer -fuzztime locally when touching any
-# of the codecs.
+# of the codecs. -fuzzminimizetime=50x caps the minimization of each new
+# coverage-expanding input, whose 60 s default would otherwise eat the
+# whole budget on a cold fuzz cache.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzReadRepresentation -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
-	$(GO) test -fuzz=FuzzBindingsJSON -fuzztime=$(FUZZTIME) -run '^$$' ./internal/httpserve
-	$(GO) test -fuzz=FuzzBinaryStream -fuzztime=$(FUZZTIME) -run '^$$' ./internal/httpserve
+	$(GO) test -fuzz=FuzzReadRepresentation -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzBindingsJSON -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/httpserve
+	$(GO) test -fuzz=FuzzBinaryStream -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/httpserve
 
 # Contract lint gate (DESIGN.md §7): build the cqlint multichecker, run
 # its analysistest suites, and sweep the whole tree through

@@ -1,6 +1,6 @@
 // Tests of the public cqrep facade. They live in package cqrep_test and
 // exercise the library exactly as an out-of-tree consumer would: through
-// Compile, All/AllArgs, the legacy Query iterators, and NewMaintained,
+// Compile, All2, the Query iterators, and NewMaintained,
 // branching on failures with errors.Is only.
 package cqrep_test
 
@@ -8,7 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"slices"
+	"iter"
 	"testing"
 
 	"cqrep"
@@ -25,17 +25,31 @@ func encodeAll(ts []cqrep.Tuple) []byte {
 	return out
 }
 
+// collect drains an All2 sequence, failing the test on an error element:
+// every caller here expects a complete enumeration.
+func collect(t *testing.T, seq iter.Seq2[cqrep.Tuple, error]) []cqrep.Tuple {
+	t.Helper()
+	var out []cqrep.Tuple
+	for tup, err := range seq {
+		if err != nil {
+			t.Fatalf("enumeration ended with an error element after %d tuples: %v", len(out), err)
+		}
+		out = append(out, tup)
+	}
+	return out
+}
+
 // assertSeqMatchesIterator checks that the range-over-func enumeration and
-// the legacy iterator agree byte-for-byte on every sampled binding.
+// the Query iterator agree byte-for-byte on every sampled binding.
 func assertSeqMatchesIterator(t *testing.T, rep *cqrep.Representation, bindings []cqrep.Tuple) {
 	t.Helper()
 	ctx := context.Background()
 	total := 0
 	for _, vb := range bindings {
 		legacy := cqrep.Drain(rep.Query(vb))
-		seq := slices.Collect(rep.All(ctx, vb))
+		seq := collect(t, rep.All2(ctx, vb))
 		if !bytes.Equal(encodeAll(legacy), encodeAll(seq)) {
-			t.Fatalf("binding %v: All enumerated %d tuples, legacy Iterator %d, or order differs:\nAll:    %v\nlegacy: %v",
+			t.Fatalf("binding %v: All2 enumerated %d tuples, Iterator %d, or order differs:\nAll2:     %v\nIterator: %v",
 				vb, len(seq), len(legacy), seq, legacy)
 		}
 		total += len(legacy)
@@ -166,8 +180,8 @@ func TestTypedErrors(t *testing.T) {
 		if _, err := rep.QueryArgs(map[string]cqrep.Value{"nope": 1}); !errors.Is(err, cqrep.ErrBadBinding) {
 			t.Fatalf("QueryArgs err = %v, want ErrBadBinding", err)
 		}
-		if _, err := rep.AllArgs(ctx, map[string]cqrep.Value{"x": 1}); !errors.Is(err, cqrep.ErrBadBinding) {
-			t.Fatalf("AllArgs err = %v, want ErrBadBinding", err)
+		if _, err := rep.Bind(map[string]cqrep.Value{"x": 1}); !errors.Is(err, cqrep.ErrBadBinding) {
+			t.Fatalf("Bind err = %v, want ErrBadBinding", err)
 		}
 	})
 	t.Run("ErrBadBinding/all-panic", func(t *testing.T) {
@@ -182,7 +196,21 @@ func TestTypedErrors(t *testing.T) {
 				t.Fatalf("panic = %v, want error wrapping ErrBadBinding", r)
 			}
 		}()
-		rep.All(ctx, cqrep.Tuple{1}) // view has two bound variables
+		rep.All2(ctx, cqrep.Tuple{1}) // view has two bound variables
+	})
+	t.Run("ErrBadBinding/maintained-all-panic", func(t *testing.T) {
+		m, err := cqrep.NewMaintained(ctx, view, db, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			r := recover()
+			err, ok := r.(error)
+			if !ok || !errors.Is(err, cqrep.ErrBadBinding) {
+				t.Fatalf("panic = %v, want error wrapping ErrBadBinding", r)
+			}
+		}()
+		m.All2(ctx, cqrep.Tuple{1, 2, 3}) // view has two bound variables
 	})
 }
 
@@ -203,7 +231,7 @@ func TestMaintainedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := slices.Collect(m.All(ctx, cqrep.Tuple{1, 4}))
+	before := collect(t, m.All2(ctx, cqrep.Tuple{1, 4}))
 	if len(before) != 0 {
 		t.Fatalf("before insert: %v, want empty", before)
 	}
@@ -219,7 +247,7 @@ func TestMaintainedFacade(t *testing.T) {
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after := slices.Collect(m.All(ctx, cqrep.Tuple{1, 4}))
+	after := collect(t, m.All2(ctx, cqrep.Tuple{1, 4}))
 	if len(after) == 0 {
 		t.Fatal("after insert+flush: triangle 1-?-4 still missing")
 	}

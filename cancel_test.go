@@ -81,8 +81,9 @@ func TestCompileCancelDecomposition(t *testing.T) {
 		cqrep.WithStrategy(cqrep.DecompositionStrategy), cqrep.WithWorkers(4))
 }
 
-// TestAllCancelMidEnumeration cancels the context inside a range loop and
-// requires the sequence to stop within one tuple.
+// TestAllCancelMidEnumeration cancels the context inside an All2 range loop
+// and requires the sequence to stop within one tuple, ending with exactly
+// one (nil, context.Canceled) element.
 func TestAllCancelMidEnumeration(t *testing.T) {
 	ctx0 := context.Background()
 	db := workload.TriangleDB(7, 120, 900)
@@ -107,14 +108,24 @@ func TestAllCancelMidEnumeration(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(ctx0)
 	defer cancel()
-	got := 0
-	for range rep.All(ctx, binding) {
+	got, errs := 0, 0
+	for tup, err := range rep.All2(ctx, binding) {
+		if err != nil {
+			errs++
+			if tup != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("terminal element (%v, %v), want (nil, context.Canceled)", tup, err)
+			}
+			continue
+		}
+		if errs > 0 {
+			t.Fatalf("tuple %v after the terminal error element", tup)
+		}
 		got++
 		if got == 2 {
 			cancel()
 		}
 	}
-	if got != 2 {
-		t.Fatalf("enumerated %d tuples after cancelling at 2 (full result: %d)", got, total)
+	if got != 2 || errs != 1 {
+		t.Fatalf("enumerated %d tuples and %d error elements after cancelling at 2, want 2 and 1 (full result: %d)", got, errs, total)
 	}
 }

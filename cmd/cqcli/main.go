@@ -242,14 +242,23 @@ func serveLoop(ctx context.Context, rep *cqrep.Representation, limit int) {
 			continue
 		}
 		count := 0
-		for t := range rep.All(ctx, vb) {
+		var qerr error
+		for t, err := range rep.All2(ctx, vb) {
+			if err != nil {
+				qerr = err
+				break
+			}
 			count++
 			if count <= limit {
 				fmt.Println(t)
 			}
 		}
-		if ctx.Err() != nil {
-			interrupted()
+		if qerr != nil {
+			if ctx.Err() != nil {
+				interrupted()
+			}
+			fmt.Fprintf(os.Stderr, "query failed after %d tuples: %v\n", count, qerr)
+			continue
 		}
 		fmt.Fprintf(os.Stderr, "%d tuples\n", count)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Representation is a compiled adorned view ready to serve access
 // requests. It is immutable after Compile and safe for any number of
-// concurrent callers; every enumeration (All sequence or legacy Iterator)
+// concurrent callers; every enumeration (All2 sequence or Query iterator)
 // carries its own state. The base Database must not be mutated while
 // queries run; use Maintained for views over changing data.
 type Representation struct {
@@ -43,34 +43,15 @@ func Compile(ctx context.Context, view *View, db *Database, opts ...Option) (*Re
 	return &Representation{rep: rep}, nil
 }
 
-// All enumerates the answers to one access request as a range-over-func
+// All2 enumerates the answers to one access request as a range-over-func
 // sequence: binding is the bound-variable valuation in BoundNames order,
-// and the sequence yields matching free-variable tuples in the
-// representation's enumeration order (identical to the legacy Query
-// iterator's order, tuple for tuple).
-//
-//	for t := range rep.All(ctx, binding) {
-//	    ...
-//	}
-//
-// The sequence checks ctx between tuples, so cancelling it ends even a
-// huge enumeration promptly; breaking out of the range loop simply stops
-// the pull — nothing leaks either way, and the sequence is resumable-free
-// (each call to All starts a fresh enumeration).
-//
-// A binding of the wrong arity is a programming error and panics with an
-// error wrapping ErrBadBinding; use Bind or AllArgs for a checked path.
-func (r *Representation) All(ctx context.Context, binding Tuple) iter.Seq[Tuple] {
-	checkBindingArity(binding, len(r.rep.BoundNames()))
-	return allSeq(ctx, func() Iterator { return r.rep.Query(binding) })
-}
-
-// All2 is All with the terminal error surfaced: the sequence yields
-// (tuple, nil) for every answer and, when the enumeration ends early —
-// context cancelled, or the underlying stream failed mid-enumeration —
-// one final (nil, error) element. A sequence that ends without an error
-// element enumerated every answer. This is the form to range when a
-// truncated result must not be mistaken for a complete one:
+// and the sequence yields (tuple, nil) for every matching free-variable
+// tuple in the representation's enumeration order (identical to the
+// Query iterator's order, tuple for tuple). When the enumeration ends
+// early — context cancelled, or the underlying stream failed
+// mid-enumeration — it yields one final (nil, error) element. A sequence
+// that ends without an error element enumerated every answer, so a
+// truncated result is never mistaken for a complete one:
 //
 //	for t, err := range rep.All2(ctx, binding) {
 //	    if err != nil {
@@ -79,43 +60,31 @@ func (r *Representation) All(ctx context.Context, binding Tuple) iter.Seq[Tuple]
 //	    ...
 //	}
 //
-// All is the lossy convenience form, implemented over All2.
+// The sequence checks ctx between tuples, so cancelling it ends even a
+// huge enumeration promptly; breaking out of the range loop simply stops
+// the pull. Each ranging starts a fresh enumeration.
+//
+// A binding of the wrong arity is a programming error and panics with an
+// error wrapping ErrBadBinding; use Bind to build a checked binding from
+// variable names.
 func (r *Representation) All2(ctx context.Context, binding Tuple) iter.Seq2[Tuple, error] {
-	checkBindingArity(binding, len(r.rep.BoundNames()))
+	checkBindingArity(binding, r.rep.View())
 	return allSeq2(ctx, func() Iterator { return r.rep.Query(binding) })
 }
 
-// checkBindingArity enforces the All contract: arity mismatches are
-// programming errors and panic with an error wrapping ErrBadBinding.
-func checkBindingArity(binding Tuple, n int) {
-	if len(binding) != n {
+// checkBindingArity enforces the All2 contract: arity mismatches are
+// programming errors and panic with an error wrapping ErrBadBinding. The
+// count comes from the view, which an mmap-loaded representation holds
+// before its payload decodes, so a corrupt payload surfaces as the
+// sequence's error element instead of as a bogus arity panic.
+func checkBindingArity(binding Tuple, view *View) {
+	if n := len(view.BoundVars()); len(binding) != n {
 		panic(fmt.Errorf("%w: binding has %d values for %d bound variables", ErrBadBinding, len(binding), n))
 	}
 }
 
-// allSeq is the shared enumeration contract behind Representation.All and
-// Maintained.All: each ranging opens a fresh iterator, ctx is polled
-// between tuples, and breaking out of the loop simply stops the pull. It
-// is the lossy wrapper over allSeq2 — the terminal error element is
-// consumed and deliberately dropped, which is exactly the truncation
-// hazard All2 exists to avoid.
-func allSeq(ctx context.Context, open func() Iterator) iter.Seq[Tuple] {
-	seq2 := allSeq2(ctx, open)
-	return func(yield func(Tuple) bool) {
-		for t, err := range seq2 {
-			if err != nil {
-				// The convenience form ends silently on cancellation or
-				// stream failure; use All2 to observe the difference.
-				return
-			}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-// allSeq2 is the error-carrying enumeration behind All2: tuples stream as
+// allSeq2 is the enumeration behind Representation.All2 and
+// Maintained.All2: each ranging opens a fresh iterator, tuples stream as
 // (t, nil) elements, and an early end — ctx cancelled between tuples, or
 // a terminal stream error reported through IterErr — yields one final
 // (nil, error) element before the sequence stops.
@@ -144,21 +113,11 @@ func allSeq2(ctx context.Context, open func() Iterator) iter.Seq2[Tuple, error] 
 	}
 }
 
-// AllArgs is All with the binding given by variable name; unlike All it
-// reports a mismatched binding as an error wrapping ErrBadBinding instead
-// of panicking.
-func (r *Representation) AllArgs(ctx context.Context, args map[string]Value) (iter.Seq[Tuple], error) {
-	vb, err := r.Bind(args)
-	if err != nil {
-		return nil, err
-	}
-	return r.All(ctx, vb), nil
-}
-
-// Query answers an access request through the legacy pull iterator. It is
+// Query answers an access request through the pull iterator. It is
 // safe to call from any number of goroutines; the returned Iterator is
 // not itself safe for sharing between goroutines. New code should prefer
-// All, which adds cancellation; both enumerate in the same order.
+// All2, which adds cancellation and yields the terminal error in the
+// loop; both enumerate in the same order.
 func (r *Representation) Query(binding Tuple) Iterator { return r.rep.Query(binding) }
 
 // QueryArgs is Query with the binding given by variable name; a valuation
@@ -194,5 +153,5 @@ func (r *Representation) View() *View { return r.rep.View() }
 // FreeNames returns the output column names of enumerated tuples.
 func (r *Representation) FreeNames() []string { return r.rep.FreeNames() }
 
-// BoundNames returns the expected valuation order for All/Query bindings.
+// BoundNames returns the expected valuation order for All2/Query bindings.
 func (r *Representation) BoundNames() []string { return r.rep.BoundNames() }

@@ -38,8 +38,8 @@ type (
 	Strategy = core.Strategy
 	// Stats describes a built representation.
 	Stats = core.Stats
-	// Iterator is the legacy pull-style access-request result stream;
-	// Representation.All is the range-over-func equivalent.
+	// Iterator is the pull-style access-request result stream;
+	// Representation.All2 is the range-over-func equivalent.
 	Iterator = core.Iterator
 )
 
@@ -105,7 +105,7 @@ func AllOnesCover(n int) Cover {
 	return u
 }
 
-// Drain collects a legacy iterator fully.
+// Drain collects an iterator fully.
 func Drain(it Iterator) []Tuple { return core.Drain(it) }
 
 // IterErr returns the terminal error of a result stream, or nil when the

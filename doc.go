@@ -20,13 +20,17 @@
 //
 // Answers stream through Go 1.23+ range-over-func iteration; the sequence
 // checks ctx between tuples, so a cancelled context ends even a huge
-// enumeration promptly:
+// enumeration promptly, and an early end arrives as a final error
+// element:
 //
-//	for t := range rep.All(ctx, cqrep.Tuple{1, 3}) {
+//	for t, err := range rep.All2(ctx, cqrep.Tuple{1, 3}) {
+//	    if err != nil {
+//	        return err // cancelled or failed: the result is partial
+//	    }
 //	    ...
 //	}
 //
-// The legacy pull iterator (rep.Query(vb).Next()) remains available and
+// The pull iterator (rep.Query(vb).Next()) remains available and
 // enumerates in exactly the same order.
 //
 // Failures wrap typed sentinel errors — ErrBadView, ErrInfeasibleBudget,

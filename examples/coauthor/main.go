@@ -76,7 +76,10 @@ func main() {
 	}
 	start := time.Now()
 	coauthors := map[cqrep.Value]bool{}
-	for t := range compressed.All(ctx, cqrep.Tuple{busiest}) {
+	for t, err := range compressed.All2(ctx, cqrep.Tuple{busiest}) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		if t[0] != busiest {
 			coauthors[t[0]] = true // t = (y, p); project the paper away
 		}

@@ -73,7 +73,10 @@ func main() {
 	for a := cqrep.Value(0); a < 45 && count == 0; a++ {
 		for b := cqrep.Value(0); b < 45; b++ {
 			var sample cqrep.Tuple
-			for t := range rep.All(ctx, cqrep.Tuple{a, b}) {
+			for t, err := range rep.All2(ctx, cqrep.Tuple{a, b}) {
+				if err != nil {
+					log.Fatal(err)
+				}
 				if count == 0 {
 					sample = t
 				}

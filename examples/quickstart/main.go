@@ -55,12 +55,15 @@ func main() {
 
 		// Access request: mutual friends of 1 and 3, enumerated with the
 		// range-over-func API.
-		seq, err := rep.AllArgs(ctx, map[string]cqrep.Value{"x": 1, "z": 3})
+		vb, err := rep.Bind(map[string]cqrep.Value{"x": 1, "z": 3})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print("mutual friends of 1 and 3: ")
-		for t := range seq {
+		for t, err := range rep.All2(ctx, vb) {
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("%v ", t[0])
 		}
 		fmt.Println()

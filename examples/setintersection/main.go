@@ -61,12 +61,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := rep.AllArgs(ctx, map[string]cqrep.Value{"x1": 1, "x2": 2})
+	vb, err := rep.Bind(map[string]cqrep.Value{"x1": 1, "x2": 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 	var out []cqrep.Value
-	for t := range seq {
+	for t, err := range rep.All2(ctx, vb) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		out = append(out, t[0])
 	}
 	fmt.Printf("|set1 ∩ set2| = %d", len(out))

@@ -17,7 +17,7 @@
 // `go list -export -deps`, so the testdata type-checks against the same
 // compiled export data the lint gate uses. The synthesized import path
 // places the testdata inside the module, which lets it declare its own
-// sentinels, All-shaped methods and lock-bearing structs and have the
+// sentinels, All2-shaped methods and lock-bearing structs and have the
 // module-scoped analyzers treat them as first-party code.
 package analyzertest
 

@@ -14,12 +14,10 @@
 //
 //   - httpserve.Stream values (Client.Open): same rule with Stream.Err.
 //
-//   - range-over-func enumerations: All/AllArgs sequences end silently
-//     on context cancellation, so a function that ranges one over a
-//     cancellable context must consult ctx.Err() afterwards — or use
-//     the All2 form, whose iter.Seq2[Tuple, error] yields the terminal
-//     error as its last element. Ranging an All2 sequence while
-//     dropping its error element defeats the point and is flagged.
+//   - range-over-func enumerations (All2): an iter.Seq2[Tuple, error]
+//     yields the terminal error as its last element. Ranging one while
+//     dropping that element — one range variable, or a blank error
+//     variable — defeats the point and is flagged.
 //
 // The analyzer runs on non-test files: the production contract is what
 // it guards, and tests exercise failure paths deliberately.
@@ -35,8 +33,8 @@ import (
 // Analyzer flags result streams whose terminal error is never consulted.
 var Analyzer = &analyzers.Analyzer{
 	Name: "streamcheck",
-	Doc: "flag result streams (core.Iterator, core.BlockIterator, httpserve.Stream, All/All2 sequences) " +
-		"drained without consulting their terminal error (IterErr / Err / ctx.Err)",
+	Doc: "flag result streams (core.Iterator, core.BlockIterator, httpserve.Stream, All2 sequences) " +
+		"drained without consulting their terminal error (IterErr / Err / the error element)",
 	Run: run,
 }
 
@@ -95,9 +93,6 @@ func analyzeFunc(pass *analyzers.Pass, fd *ast.FuncDecl) {
 		}
 		if producesStream(pass, call) {
 			checkStreamCall(pass, fd, parents, call)
-		}
-		if ctxArg, ok := seqCall(pass, call); ok {
-			checkSeqCall(pass, fd, parents, call, ctxArg)
 		}
 		if isSeq2Call(pass, call) {
 			checkSeq2Call(pass, fd, parents, call)
@@ -267,26 +262,7 @@ func scanUses(pass *analyzers.Pass, fd *ast.FuncDecl, parents parentMap, obj typ
 	return consulted, escaped
 }
 
-// --- All / AllArgs sequences (iter.Seq, cancellation truncates) -----------
-
-// seqCall matches module methods named All/AllArgs returning an iter.Seq
-// with a leading context argument, returning that context expression.
-func seqCall(pass *analyzers.Pass, call *ast.CallExpr) (ast.Expr, bool) {
-	obj := analyzers.CalleeObj(pass.TypesInfo, call)
-	if obj == nil || !analyzers.InModule(obj.Pkg()) {
-		return nil, false
-	}
-	if obj.Name() != "All" && obj.Name() != "AllArgs" {
-		return nil, false
-	}
-	if !resultIncludes(pass, call, "Seq") || len(call.Args) == 0 {
-		return nil, false
-	}
-	if !analyzers.IsContext(pass.TypesInfo.TypeOf(call.Args[0])) {
-		return nil, false
-	}
-	return call.Args[0], true
-}
+// --- All2 sequences (iter.Seq2 with the error element) --------------------
 
 // resultIncludes reports whether call's result (or one element of its
 // result tuple) is iter.<name>.
@@ -305,148 +281,6 @@ func resultIncludes(pass *analyzers.Pass, call *ast.CallExpr, name string) bool 
 	}
 	return analyzers.IsNamed(tv.Type, "iter", name)
 }
-
-func checkSeqCall(pass *analyzers.Pass, fd *ast.FuncDecl, parents parentMap, call *ast.CallExpr, ctxArg ast.Expr) {
-	// Non-cancellable contexts cannot truncate: nil, Background(), TODO(),
-	// or a local whose only origin is one of those.
-	if isNonCancellable(pass, fd, ctxArg) {
-		return
-	}
-	ctxID, ok := ast.Unparen(ctxArg).(*ast.Ident)
-	if !ok {
-		return // derived expression (r.Context(), ...): not trackable
-	}
-	ctxObj := pass.TypesInfo.Uses[ctxID]
-	if ctxObj == nil {
-		return
-	}
-	if !seqIsRanged(pass, fd, parents, call) {
-		return // returned or passed on: the consumer inherits the duty
-	}
-	if consultsCtxErr(pass, fd, ctxObj) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"ranging %s over a cancellable context without consulting %s.Err() afterwards: "+
-			"cancellation silently truncates the enumeration — check %s.Err(), or use All2 and handle its error element",
-		calleeName(pass, call), ctxID.Name, ctxID.Name)
-}
-
-func calleeName(pass *analyzers.Pass, call *ast.CallExpr) string {
-	if obj := analyzers.CalleeObj(pass.TypesInfo, call); obj != nil {
-		return obj.Name()
-	}
-	return "All"
-}
-
-// seqIsRanged reports whether the sequence produced by call is ranged in
-// fd — directly, or through a local variable.
-func seqIsRanged(pass *analyzers.Pass, fd *ast.FuncDecl, parents parentMap, call *ast.CallExpr) bool {
-	switch p := parents.parent(call).(type) {
-	case *ast.RangeStmt:
-		return ast.Unparen(p.X) == ast.Expr(call)
-	case *ast.AssignStmt:
-		for _, l := range p.Lhs {
-			id, ok := ast.Unparen(l).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				obj = pass.TypesInfo.Uses[id]
-			}
-			if obj == nil || !analyzers.IsNamed(obj.Type(), "iter", "Seq") {
-				continue
-			}
-			ranged := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if rs, ok := n.(*ast.RangeStmt); ok {
-					if x, ok := ast.Unparen(rs.X).(*ast.Ident); ok && pass.TypesInfo.Uses[x] == obj {
-						ranged = true
-					}
-				}
-				return !ranged
-			})
-			return ranged
-		}
-	}
-	return false
-}
-
-// isNonCancellable recognizes context expressions that cannot be
-// cancelled: nil, context.Background(), context.TODO(), or an identifier
-// assigned from one of those in this function.
-func isNonCancellable(pass *analyzers.Pass, fd *ast.FuncDecl, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if id, ok := e.(*ast.Ident); ok {
-		if id.Name == "nil" {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return false
-		}
-		fresh := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, l := range as.Lhs {
-				lid, ok := ast.Unparen(l).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				lobj := pass.TypesInfo.Defs[lid]
-				if lobj == nil {
-					lobj = pass.TypesInfo.Uses[lid]
-				}
-				if lobj != obj || i >= len(as.Rhs) {
-					continue
-				}
-				if isFreshRootCall(pass, as.Rhs[i]) {
-					fresh = true
-				}
-			}
-			return true
-		})
-		return fresh
-	}
-	return isFreshRootCall(pass, e)
-}
-
-func isFreshRootCall(pass *analyzers.Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	obj := analyzers.CalleeObj(pass.TypesInfo, call)
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" &&
-		(obj.Name() == "Background" || obj.Name() == "TODO")
-}
-
-// consultsCtxErr reports whether fd contains a call ctx.Err() on the
-// given context object.
-func consultsCtxErr(pass *analyzers.Pass, fd *ast.FuncDecl, ctxObj types.Object) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Err" {
-			return true
-		}
-		if x, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pass.TypesInfo.Uses[x] == ctxObj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// --- All2 sequences (iter.Seq2 with the error element) --------------------
 
 // isSeq2Call matches module calls returning iter.Seq2[..., error].
 func isSeq2Call(pass *analyzers.Pass, call *ast.CallExpr) bool {

@@ -1,6 +1,6 @@
 // Package stream is streamcheck's testdata: each function is one flag or
 // no-flag case for the consult-or-escape rule over core.Iterator,
-// core.BlockIterator, httpserve.Stream and the All/All2 sequence forms.
+// core.BlockIterator, httpserve.Stream and the All2 sequence form.
 package stream
 
 import (
@@ -149,59 +149,14 @@ func blocksConsulted() (int, error) {
 	return n, core.IterErr(blocks)
 }
 
-// --- All-shaped sequences (ctx cancellation truncates) --------------------
+// --- All2-shaped sequences (the error element must be consumed) -----------
 
 type rep struct{}
-
-func (rep) All(ctx context.Context, b int) iter.Seq[int] {
-	_ = ctx
-	return func(yield func(int) bool) {}
-}
 
 func (rep) All2(ctx context.Context, b int) iter.Seq2[int, error] {
 	_ = ctx
 	return func(yield func(int, error) bool) {}
 }
-
-func rangeAllNoConsult(ctx context.Context, r rep) int {
-	n := 0
-	for range r.All(ctx, 0) { // want `without consulting ctx.Err`
-		n++
-	}
-	return n
-}
-
-func rangeAllConsulted(ctx context.Context, r rep) (int, error) {
-	n := 0
-	for range r.All(ctx, 0) {
-		n++
-	}
-	return n, ctx.Err()
-}
-
-func rangeAllBackground(r rep) int {
-	ctx := context.Background() // non-cancellable: nothing to consult
-	n := 0
-	for range r.All(ctx, 0) {
-		n++
-	}
-	return n
-}
-
-func allEscapes(ctx context.Context, r rep) iter.Seq[int] {
-	return r.All(ctx, 0) // the caller ranges it and inherits the duty
-}
-
-func rangeAllViaVar(ctx context.Context, r rep) int {
-	n := 0
-	seq := r.All(ctx, 0) // want `without consulting ctx.Err`
-	for range seq {
-		n++
-	}
-	return n
-}
-
-// --- All2-shaped sequences (the error element must be consumed) -----------
 
 func rangeAll2OneVar(ctx context.Context, r rep) int {
 	n := 0

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -48,6 +49,8 @@ func FuzzReadRepresentation(f *testing.F) {
 	f.Add([]byte("CQREPS"))
 	f.Add([]byte("not a snapshot at all........."))
 
+	// One scratch directory per fuzz process for the mmap path's files.
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The format frames its payload with a length field; cap the input
 		// so the fuzzer spends its budget on structure, not on I/O volume.
@@ -60,11 +63,11 @@ func FuzzReadRepresentation(f *testing.F) {
 		// gate rejects nearly every mutation before the payload decoders
 		// (view, database, per-strategy structures) see a byte. The v1
 		// wrap must always fail typed: this build no longer reads v1.
-		tryDecode(t, data)
+		tryDecode(t, dir, data)
 		if _, err := ReadRepresentation(bytes.NewReader(framePayload(1, stripFrame(data)))); !errors.Is(err, ErrSnapshotVersion) {
 			t.Fatalf("v1 frame: err = %v, want ErrSnapshotVersion", err)
 		}
-		tryDecode(t, framePayload(snapshotVersion, stripFrame(data)))
+		tryDecode(t, dir, framePayload(snapshotVersion, stripFrame(data)))
 	})
 }
 
@@ -96,10 +99,15 @@ func framePayload(version uint16, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// tryDecode runs one decode attempt and, on claimed success, proves the
-// representation is actually servable and re-encodable.
-func tryDecode(t *testing.T, data []byte) {
+// tryDecode runs one decode attempt on each load path — eager, and mmap
+// with the composite and every shard materialized — requires both to
+// agree on accepting or rejecting the bytes and, on claimed success,
+// proves the representation is actually servable and re-encodable.
+func tryDecode(t *testing.T, dir string, data []byte) {
 	rep, err := ReadRepresentation(bytes.NewReader(data))
+	if merr := mmapDecode(t, dir, data); (err == nil) != (merr == nil) {
+		t.Fatalf("load paths disagree: eager err = %v, mmap err = %v", err, merr)
+	}
 	if err != nil {
 		return
 	}
@@ -116,4 +124,38 @@ func tryDecode(t *testing.T, data []byte) {
 	if _, err := rep.WriteTo(&bytes.Buffer{}); err != nil {
 		t.Fatalf("decoded representation does not re-encode: %v", err)
 	}
+}
+
+// mmapDecode loads data through the mmap path, from a fresh file in dir,
+// and forces every lazy frame to decode, returning the first error either
+// step reports.
+func mmapDecode(t *testing.T, dir string, data []byte) error {
+	f, err := os.CreateTemp(dir, "*.cqs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unlinking leaves a live mapping intact.
+	defer os.Remove(f.Name())
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenRepresentationMmap(f.Name())
+	if err != nil {
+		return err
+	}
+	if err := m.ensure(); err != nil {
+		return err
+	}
+	if sb, ok := m.be.(*shardedBackend); ok {
+		for _, sub := range sb.subs {
+			if err := sub.ensure(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -71,21 +71,19 @@ func (r *Representation) ensure() error {
 	return l.err
 }
 
-// materialize decodes the lazy payload into dst. Unsharded payloads are
-// checksum-verified in full before their backend decodes; sharded
-// composites skip the outer checksum — verifying it would touch every
-// nested frame, defeating per-shard laziness — and rely on each shard
-// frame's own CRC, verified when that shard first materializes.
+// materialize decodes the lazy payload into dst. The payload is
+// checksum-verified in full first — for a sharded composite that covers the
+// base relations in its prefix and reads every nested frame once, but
+// decodes none of them: each shard frame is verified against its own CRC
+// and decoded when that shard first materializes.
 func (l *lazySnapshot) materialize(dst *Representation) error {
+	if crc32.ChecksumIEEE(l.payload) != l.sum {
+		return fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
 	d := relation.NewDecoder(l.payload)
 	pre, err := decodeSnapshotPrefix(d)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if pre.shards <= 1 {
-		if crc32.ChecksumIEEE(l.payload) != l.sum {
-			return fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-		}
 	}
 	if l.checkStrategy && pre.strategy != l.wantStrategy {
 		return fmt.Errorf("%w: shard has strategy %v, composite claims %v", ErrBadSnapshot, pre.strategy, l.wantStrategy)

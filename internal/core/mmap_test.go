@@ -242,4 +242,43 @@ func TestMmapRejectsCorruption(t *testing.T) {
 			t.Fatal("no routed request surfaced the damaged shard frame")
 		}
 	})
+	t.Run("sharded prefix bitflip surfaces at first touch", func(t *testing.T) {
+		sharded, err := Build(view, db, WithShards(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ssnap, err := os.ReadFile(saveSnapshot(t, sharded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip the low bit of the last base-relation value in the
+		// composite's prefix: the payload still decodes, so only the outer
+		// checksum can tell.
+		payload := ssnap[snapshotHeaderLen : len(ssnap)-4]
+		d := relation.NewDecoder(payload)
+		if _, err := decodeView(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Database(); err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), ssnap...)
+		bad[snapshotHeaderLen+len(payload)-d.Remaining()-1] ^= 0x01
+		m, err := OpenRepresentationMmap(write(t, bad))
+		if err != nil {
+			t.Fatalf("open must defer payload verification, got %v", err)
+		}
+		it := m.Query(sampleBindings(sharded, 1, 1)[0])
+		for {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		if err := IterErr(it); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("IterErr = %v, want ErrBadSnapshot", err)
+		}
+		if m.Database() != nil {
+			t.Fatal("corrupt composite exposes its base relations")
+		}
+	})
 }

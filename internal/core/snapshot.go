@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"cqrep/internal/cq"
@@ -42,8 +47,7 @@ const (
 )
 
 // WriteTo serializes the representation as one snapshot frame. It
-// implements io.WriterTo; use the root package's Save for the file-path
-// convenience.
+// implements io.WriterTo; Save is the file-path form.
 func (r *Representation) WriteTo(w io.Writer) (int64, error) {
 	if err := r.ensure(); err != nil { // mmap-loaded: materialize before re-encoding
 		return 0, err
@@ -78,6 +82,53 @@ func (r *Representation) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// Save writes the representation's snapshot to path via a temporary file
+// in the same directory plus an atomic rename, so readers never observe a
+// half-written snapshot and a failed Save leaves no partial file behind.
+// The file ends up with plain os.Create permissions (0666 before umask) —
+// readable for the compile-once/serve-many handoff under the default
+// umask, private under a restrictive one.
+func (r *Representation) Save(path string) error {
+	f, tmp, err := createSibling(path)
+	if err != nil {
+		return err
+	}
+	if _, err := r.WriteTo(f); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("cqrep: saving snapshot %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// createSibling opens a fresh temporary file next to path with the mode a
+// plain os.Create would give the destination (0666 restricted by the
+// process umask — os.CreateTemp would pin 0600 and chmod would override
+// the umask, both wrong for an artifact meant to replace path).
+func createSibling(path string) (*os.File, string, error) {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	for i := 0; i < 10000; i++ {
+		tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp%d", base, rand.Uint64()))
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		return f, tmp, err
+	}
+	return nil, "", fmt.Errorf("cqrep: saving snapshot %s: cannot create a temporary sibling", path)
+}
+
 // referencedDB returns the base relations the view's body references — the
 // part of the build database a snapshot must carry. Unreferenced relations
 // in the original database are deliberately not stored.
@@ -92,9 +143,10 @@ func (r *Representation) referencedDB() *relation.Database {
 }
 
 // ReadRepresentation loads a snapshot previously written by WriteTo.
-// A stream that does not start with the snapshot magic, fails its
-// checksum, is truncated, or carries an inconsistent payload fails with an
-// error wrapping ErrBadSnapshot; a version this build does not understand
+// The stream must hold exactly one frame: one that does not start with the
+// snapshot magic, fails its checksum, is truncated, carries an
+// inconsistent payload, or goes on past the frame fails with an error
+// wrapping ErrBadSnapshot; a version this build does not understand
 // fails with ErrSnapshotVersion. On success the loaded representation
 // answers queries byte-for-byte identically to the one that was saved;
 // Stats().BuildTime reports the original compression time T_C, not the
@@ -124,6 +176,11 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 	}
 	if got := crc32.ChecksumIEEE(payload.Bytes()); got != binary.BigEndian.Uint32(sum[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
+	// A snapshot is exactly one frame, as the mmap path also requires.
+	var extra [1]byte
+	if n, _ := io.ReadFull(rd, extra[:]); n != 0 {
+		return nil, fmt.Errorf("%w: trailing bytes after snapshot frame", ErrBadSnapshot)
 	}
 
 	r, err := decodeRepresentation(relation.NewDecoder(payload.Bytes()))

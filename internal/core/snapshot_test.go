@@ -209,6 +209,12 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
+	t.Run("trailing garbage after frame", func(t *testing.T) {
+		bad := append(append([]byte(nil), snap...), 0x00)
+		if _, err := ReadRepresentation(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("err = %v, want ErrBadSnapshot", err)
+		}
+	})
 	t.Run("trailing garbage inside payload is rejected", func(t *testing.T) {
 		// Extend the payload by one byte, fixing length and checksum, so
 		// only the structural trailing-bytes check can catch it.

@@ -2,7 +2,6 @@ package httpserve
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"cqrep/internal/core"
@@ -93,7 +92,7 @@ func rebuildOptions(rep *core.Representation) []core.Option {
 // rename), then drop every replayed entry from the log. Any failure
 // leaves the log as it was.
 func compactAfterRecovery(rep *core.Representation, walPath, snapPath string) error {
-	if err := saveSnapshot(rep, snapPath); err != nil {
+	if err := rep.Save(snapPath); err != nil {
 		return err
 	}
 	log, _, err := wal.Open(walPath)
@@ -105,33 +104,4 @@ func compactAfterRecovery(rep *core.Representation, walPath, snapPath string) er
 	// left to persist.
 	log.SetSnapshot(func(uint64) error { return nil })
 	return log.Compact(log.LastSeq())
-}
-
-// saveSnapshot writes rep's snapshot frame atomically next to path.
-func saveSnapshot(rep *core.Representation, path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := rep.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// CreateTemp opens 0600; snapshots are world-readable artifacts.
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

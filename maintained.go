@@ -15,7 +15,7 @@ import (
 // swap, so queries never stall on compilation.
 //
 // Maintained is safe for concurrent use: any number of goroutines may
-// call All/Query/Insert/Delete/Flush. Ownership of the database passes to
+// call All2/Query/Insert/Delete/Flush. Ownership of the database passes to
 // Maintained at construction; callers must not mutate it afterwards.
 type Maintained struct {
 	m   *core.Maintained
@@ -48,29 +48,21 @@ func (m *Maintained) Insert(rel string, t Tuple) error { return m.m.Insert(rel, 
 // same non-blocking rebuild policy as Insert.
 func (m *Maintained) Delete(rel string, t Tuple) error { return m.m.Delete(rel, t) }
 
-// All enumerates one access request against the current snapshot as a
+// All2 enumerates one access request against the current snapshot as a
 // range-over-func sequence, with the same contract as
-// Representation.All: ctx cancels mid-enumeration, and a binding of the
-// wrong arity panics with an error wrapping ErrBadBinding. Like Query it
-// never blocks on maintenance — each ranging of the sequence picks up the
-// freshest snapshot (triggering a background rebuild if stale) and then
-// enumerates that one consistent snapshot even if a rebuild swaps in a
-// fresher one midway.
-func (m *Maintained) All(ctx context.Context, binding Tuple) iter.Seq[Tuple] {
-	checkBindingArity(binding, len(m.m.Rep().BoundNames()))
-	return allSeq(ctx, m.open(binding))
-}
-
-// All2 is All with the terminal error surfaced, with the same contract as
-// Representation.All2: the sequence yields one final (nil, error) element
-// when the enumeration was cut short — by cancellation, or by a snapshot
-// query failure that All would silently render as an empty result.
+// Representation.All2: ctx cancels mid-enumeration, an early end — by
+// cancellation, or by a snapshot query failure — yields one final
+// (nil, error) element, and a binding of the wrong arity panics with an
+// error wrapping ErrBadBinding. Like Query it never blocks on maintenance:
+// each ranging of the sequence picks up the freshest snapshot (triggering
+// a background rebuild if stale) and then enumerates that one consistent
+// snapshot even if a rebuild swaps in a fresher one midway.
 func (m *Maintained) All2(ctx context.Context, binding Tuple) iter.Seq2[Tuple, error] {
-	checkBindingArity(binding, len(m.m.Rep().BoundNames()))
+	checkBindingArity(binding, m.m.Rep().View())
 	return allSeq2(ctx, m.open(binding))
 }
 
-// open adapts the snapshot Query to allSeq's opener: a query failure
+// open adapts the snapshot Query to allSeq2's opener: a query failure
 // (none exist today; guard anyway) becomes an exhausted iterator whose
 // terminal error carries the failure, so All2 surfaces it instead of
 // yielding a plausible-looking empty enumeration.
@@ -91,7 +83,7 @@ func (errIterator) Next() (Tuple, bool) { return nil, false }
 func (e errIterator) Err() error        { return e.err }
 
 // Query answers an access request against the current snapshot through
-// the legacy pull iterator. It never blocks on a rebuild: when the
+// the pull iterator. It never blocks on a rebuild: when the
 // snapshot is past its staleness budget a background rebuild is triggered
 // and the query proceeds against the old (consistent) snapshot.
 func (m *Maintained) Query(binding Tuple) (Iterator, error) { return m.m.Query(binding) }

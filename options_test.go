@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"cqrep"
@@ -89,8 +88,8 @@ func TestWithShardsPublic(t *testing.T) {
 		bindings = append(bindings, cqrep.Tuple{row[0], row[1]})
 	}
 	for _, vb := range bindings {
-		want := slices.Collect(base.All(ctx, vb))
-		got := slices.Collect(sharded.All(ctx, vb))
+		want := collect(t, base.All2(ctx, vb))
+		got := collect(t, sharded.All2(ctx, vb))
 		if !bytes.Equal(encodeAll(want), encodeAll(got)) {
 			t.Fatalf("sharded enumeration differs for %v", vb)
 		}
@@ -111,7 +110,7 @@ func TestWithShardsPublic(t *testing.T) {
 		t.Fatalf("loaded Stats().Shards = %d, want 4", loaded.Stats().Shards)
 	}
 	for _, vb := range bindings {
-		if !bytes.Equal(encodeAll(slices.Collect(sharded.All(ctx, vb))), encodeAll(slices.Collect(loaded.All(ctx, vb)))) {
+		if !bytes.Equal(encodeAll(collect(t, sharded.All2(ctx, vb))), encodeAll(collect(t, loaded.All2(ctx, vb)))) {
 			t.Fatalf("loaded sharded snapshot enumerates differently for %v", vb)
 		}
 	}
@@ -138,7 +137,7 @@ func TestMaintainedWithShards(t *testing.T) {
 	if err := m.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	got := slices.Collect(m.Snapshot().All(ctx, cqrep.Tuple{2000, 2002}))
+	got := collect(t, m.Snapshot().All2(ctx, cqrep.Tuple{2000, 2002}))
 	if len(got) != 1 {
 		t.Fatalf("inserted triangle not visible through sharded Maintained: %v", got)
 	}

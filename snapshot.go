@@ -1,13 +1,9 @@
 package cqrep
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"math/rand"
 	"os"
-	"path/filepath"
 
 	"cqrep/internal/core"
 )
@@ -45,46 +41,7 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 // The file ends up with plain os.Create permissions (0666 before umask) —
 // readable for the compile-once/serve-many handoff under the default
 // umask, private under a restrictive one.
-func (r *Representation) Save(path string) error {
-	f, tmp, err := createSibling(path)
-	if err != nil {
-		return err
-	}
-	if _, err := r.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cqrep: saving snapshot %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// createSibling opens a fresh temporary file next to path with the mode a
-// plain os.Create would give the destination (0666 restricted by the
-// process umask — os.CreateTemp would pin 0600 and chmod would override
-// the umask, both wrong for an artifact meant to replace path).
-func createSibling(path string) (*os.File, string, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	for i := 0; i < 10000; i++ {
-		tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp%d", base, rand.Uint64()))
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
-		if errors.Is(err, fs.ErrExist) {
-			continue
-		}
-		return f, tmp, err
-	}
-	return nil, "", fmt.Errorf("cqrep: saving snapshot %s: cannot create a temporary sibling", path)
-}
+func (r *Representation) Save(path string) error { return r.rep.Save(path) }
 
 // Load reads a snapshot file previously written by Save, with the same
 // error contract as ReadRepresentation.

@@ -1,4 +1,4 @@
-// Snapshot persistence tests of the public facade: Save → Load → All must
+// Snapshot persistence tests of the public facade: Save → Load → All2 must
 // be byte-identical to the in-memory representation across strategies and
 // workloads, and damaged files must fail with the typed sentinel errors.
 package cqrep_test
@@ -59,7 +59,7 @@ func enumBytes(t *testing.T, rep *cqrep.Representation, vbs []cqrep.Tuple) []byt
 	t.Helper()
 	var buf bytes.Buffer
 	for _, vb := range vbs {
-		for tup := range rep.All(context.Background(), vb) {
+		for _, tup := range collect(t, rep.All2(context.Background(), vb)) {
 			buf.Write(tup.AppendEncode(nil))
 			buf.WriteByte(';')
 		}
@@ -109,16 +109,13 @@ func TestSnapshotSaveLoadProperty(t *testing.T) {
 					if rep.Stats().Strategy != loaded.Stats().Strategy {
 						t.Fatalf("strategy drifted: %v -> %v", rep.Stats().Strategy, loaded.Stats().Strategy)
 					}
-					// The legacy Query iterator and the All sequence agree
-					// on the loaded representation too.
+					// The Query iterator and the All2 sequence agree on the
+					// loaded representation too.
 					for _, vb := range vbs[:5] {
 						legacy := cqrep.Drain(loaded.Query(vb))
-						var seq []cqrep.Tuple
-						for tup := range loaded.All(context.Background(), vb) {
-							seq = append(seq, tup)
-						}
+						seq := collect(t, loaded.All2(context.Background(), vb))
 						if len(legacy) != len(seq) {
-							t.Fatalf("Query/All disagree after load: %d vs %d tuples", len(legacy), len(seq))
+							t.Fatalf("Query/All2 disagree after load: %d vs %d tuples", len(legacy), len(seq))
 						}
 					}
 				})
@@ -193,6 +190,18 @@ func TestSnapshotLoadMmap(t *testing.T) {
 		if err := cqrep.IterErr(it); !errors.Is(err, cqrep.ErrBadSnapshot) {
 			t.Fatalf("IterErr = %v, want ErrBadSnapshot", err)
 		}
+		// All2 surfaces the same failure as its error element, not as an
+		// empty range.
+		var elems int
+		for tup, err := range mapped.All2(ctx, cqrep.Tuple{1, 2}) {
+			elems++
+			if tup != nil || !errors.Is(err, cqrep.ErrBadSnapshot) {
+				t.Fatalf("All2 element (%v, %v), want (nil, ErrBadSnapshot)", tup, err)
+			}
+		}
+		if elems != 1 {
+			t.Fatalf("All2 yielded %d elements over a corrupt payload, want exactly one error element", elems)
+		}
 	})
 }
 
@@ -242,6 +251,12 @@ func TestSnapshotFileErrors(t *testing.T) {
 			if _, err := cqrep.Load(p); !errors.Is(err, cqrep.ErrBadSnapshot) {
 				t.Fatalf("truncation to 1/%d: err = %v, want ErrBadSnapshot", frac, err)
 			}
+		}
+	})
+	t.Run("trailing garbage after frame", func(t *testing.T) {
+		p := mutate(t, "trailing.cqs", func(b []byte) []byte { return append(b, 0x00) })
+		if _, err := cqrep.Load(p); !errors.Is(err, cqrep.ErrBadSnapshot) {
+			t.Fatalf("err = %v, want ErrBadSnapshot", err)
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
