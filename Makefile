@@ -74,14 +74,16 @@ snapshot-check:
 	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v1$$' ./internal/core
 	$(GO) run ./cmd/cqbench -run E17 -n 1500 -queries 20
 
-# Differential gate: every strategy (and the sharded composites) must
-# enumerate byte-for-byte what the independent naive join produces, over
-# 120 seeded random acyclic CQ/database instances — including the cached
-# composites, where the cache-on servers must answer byte-identically to
-# cache-off across reload/move churn. -shuffle=on so the harness cannot
-# come to depend on test order.
+# Differential gate: the whole internal/difftest package. Every strategy
+# (and the sharded composites) must enumerate byte-for-byte what the
+# independent naive join produces, over 120 seeded random acyclic
+# CQ/database instances; the cached composites must answer cache-on
+# byte-identically to cache-off across reload/move churn; the distributed
+# and wire-format composites must match a single node in both encodings;
+# and the churn suites must survive maintenance and crash recovery.
+# -shuffle=on so the harness cannot come to depend on test order.
 difftest:
-	$(GO) test -shuffle=on -v -run 'TestDifferential|TestCached|TestNaiveJoin|TestGenerator' ./internal/difftest
+	$(GO) test -shuffle=on -v ./internal/difftest
 
 # Fuzz smoke: a short budget per native fuzz target — the snapshot
 # decoder (corrupt input must fail typed, never panic or over-allocate),

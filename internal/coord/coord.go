@@ -4,10 +4,13 @@
 // /v1/views, /v1/stats — by routing bound-key requests to the one worker
 // owning the key's shard and scattering free enumerations to every worker,
 // k-way merging the per-shard streams in the backend's declared EnumOrder.
-// The result is byte-identical to single-node serving: hash partitioning
-// makes the shards disjoint, each shard enumerates in the composite's
-// order, and the merge is the in-process sharded backend's own
-// (core.MergeBlocks).
+// Queries run through the node's own request pipeline (httpserve.Front),
+// so status codes, error bodies, headers, caching and counters are the
+// node's by construction; only how a request resolves is the
+// coordinator's (query.go). The result is byte-identical to single-node
+// serving: hash partitioning makes the shards disjoint, each shard
+// enumerates in the composite's order, and the merge is the in-process
+// sharded backend's own (core.MergeBlocks).
 //
 // Workers join by snapshot: the coordinator loads the full sharded
 // snapshots once, exports every shard as a self-contained snapshot file
@@ -15,7 +18,7 @@
 // A joining worker POSTs /v1/join; the coordinator pushes /v1/attach calls
 // that tell the worker which shard files to fetch and serve (scoped names
 // "V@i"), then swaps the shard map atomically. The swap uses the same
-// refcount-gated retire discipline as /v1/reload: streams in flight keep
+// refcount gate (httpserve.RetireGate) as /v1/reload: streams in flight keep
 // the map generation they started on, and shards moved away from a worker
 // are detached only after the old generation's last stream finishes — a
 // rebalance never breaks an in-flight stream.
@@ -26,8 +29,8 @@
 // that died mid-stream (surfaced to the client as the IterErr-style
 // terminal, never silent truncation), and its fixed-width frames decode
 // into one reused slab per worker link. The coordinator re-encodes into the
-// client's Accept-negotiated format through the same delivery loop and
-// encoder the workers themselves use (httpserve.Deliver).
+// client's Accept-negotiated format through the same front, delivery loop
+// and encoder the workers themselves use.
 package coord
 
 import (
@@ -88,7 +91,6 @@ type viewMeta struct {
 	shards    int
 	keyIdx    int // position of the shard key in a bound valuation; -1 = scatter
 	enumOrder []int
-	arity     int // free-variable count, the wire arity
 	loadedAt  time.Time
 }
 
@@ -96,46 +98,9 @@ type viewMeta struct {
 // acquire it for their whole stream; a rebalance swaps the pointer and
 // detaches moved shards only after the old generation drains.
 type shardMap struct {
+	httpserve.RetireGate
 	gen    uint64
 	owners map[string][]string // view → shard → worker base URL ("" unassigned)
-
-	mu      sync.Mutex
-	refs    int
-	retired bool
-	idle    chan struct{}
-}
-
-func (m *shardMap) acquire() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.retired {
-		return false
-	}
-	m.refs++
-	return true
-}
-
-func (m *shardMap) release() {
-	m.mu.Lock()
-	m.refs--
-	last := m.retired && m.refs == 0
-	m.mu.Unlock()
-	if last {
-		close(m.idle)
-	}
-}
-
-// retire marks the generation dead and blocks until its last in-flight
-// stream releases it.
-func (m *shardMap) retire() {
-	m.mu.Lock()
-	m.retired = true
-	idleNow := m.refs == 0
-	m.mu.Unlock()
-	if idleNow {
-		close(m.idle)
-	}
-	<-m.idle
 }
 
 // placement is one shard (its scoped name) on one worker.
@@ -153,14 +118,10 @@ type workerStats struct {
 type Coordinator struct {
 	opts  Options
 	mux   *http.ServeMux
-	start time.Time
+	front *httpserve.Front
 
 	views map[string]*viewMeta
 	names []string // sorted
-
-	// cache replays merged result streams for repeated bindings, keyed by
-	// shard-map generation; nil when Options.CacheBytes is unset.
-	cache *httpserve.ResultCache
 
 	// mu serializes membership changes and shard-map swaps (join, move).
 	mu      sync.Mutex
@@ -177,15 +138,6 @@ type Coordinator struct {
 
 	workersMu sync.Mutex
 	workers   map[string]*workerStats
-
-	requests        atomic.Uint64
-	errors          atomic.Uint64
-	tuples          atomic.Uint64
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	delay           httpserve.LatencyHist
-	total           httpserve.LatencyHist
 }
 
 // New loads every snapshot, exports its shards into the spool directory,
@@ -206,7 +158,6 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:       opts,
-		start:      time.Now(),
 		views:      make(map[string]*viewMeta, len(paths)),
 		workers:    make(map[string]*workerStats),
 		attachedAt: make(map[placement]uint64),
@@ -223,17 +174,21 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 		c.names = append(c.names, vm.name)
 	}
 	sort.Strings(c.names)
-	c.cache = httpserve.NewResultCache(opts.CacheBytes) // nil when caching is off
+	// The merged-result cache keys on the shard-map generation, so
+	// join/move invalidate stale entries by key.
+	c.front = httpserve.NewFront(httpserve.Options{
+		MaxBodyBytes: opts.MaxBodyBytes,
+		FlushBatch:   opts.FlushBatch,
+		CacheBytes:   opts.CacheBytes,
+	}, http.StatusBadGateway, c.resolve)
 	c.smap.Store(c.emptyMap())
-	if c.cache != nil {
-		c.cache.SetGeneration(c.smap.Load().gen)
-	}
+	c.front.SetGeneration(c.smap.Load().gen)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query/{view}", c.handleQuery)
+	mux.HandleFunc("POST /v1/query/{view}", c.front.ServeQuery)
 	mux.HandleFunc("GET /v1/views", c.handleViews)
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux.HandleFunc("GET /healthz", c.front.ServeHealth)
 	mux.HandleFunc("GET /readyz", c.handleReady)
 	mux.HandleFunc("POST /v1/join", c.handleJoin)
 	mux.HandleFunc("POST /v1/move", c.handleMove)
@@ -246,17 +201,7 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 // loadView reads one snapshot, extracts the routing metadata, and exports
 // its shards to spool files.
 func (c *Coordinator) loadView(path string) (*viewMeta, error) {
-	var rep *core.Representation
-	var err error
-	if c.opts.Mmap {
-		rep, err = core.OpenRepresentationMmap(path)
-	} else {
-		var f *os.File
-		if f, err = os.Open(path); err == nil {
-			rep, err = core.ReadRepresentation(f)
-			f.Close()
-		}
-	}
+	rep, err := httpserve.LoadSnapshot(path, c.opts.Mmap)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s: %w", path, err)
 	}
@@ -270,11 +215,10 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 		shards:    rep.ShardCount(),
 		keyIdx:    rep.ShardKeyIndex(),
 		enumOrder: rep.EnumOrder(),
-		arity:     len(rep.FreeNames()),
 		loadedAt:  time.Now(),
 	}
 	for i := 0; i < vm.shards; i++ {
-		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", sanitize(vm.name), i))
+		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", httpserve.FileStem(vm.name), i))
 		f, err := os.Create(fp)
 		if err != nil {
 			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, vm.name, err)
@@ -293,7 +237,7 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 
 // emptyMap is generation 1 with every shard unassigned.
 func (c *Coordinator) emptyMap() *shardMap {
-	m := &shardMap{gen: 1, owners: make(map[string][]string, len(c.views)), idle: make(chan struct{})}
+	m := &shardMap{gen: 1, owners: make(map[string][]string, len(c.views))}
 	for name, vm := range c.views {
 		m.owners[name] = make([]string, vm.shards)
 	}
@@ -305,20 +249,6 @@ func (c *Coordinator) emptyMap() *shardMap {
 // colliding, and the coordinator can address exactly one of them.
 func scopedName(view string, shard int) string {
 	return view + "@" + strconv.Itoa(shard)
-}
-
-// sanitize maps a view name onto a filesystem-safe file stem.
-func sanitize(name string) string {
-	out := make([]byte, 0, len(name))
-	for _, ch := range []byte(name) {
-		switch {
-		case ch >= 'a' && ch <= 'z', ch >= 'A' && ch <= 'Z', ch >= '0' && ch <= '9', ch == '-', ch == '_', ch == '.':
-			out = append(out, ch)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }
 
 func (c *Coordinator) workerClient(base string) *httpserve.Client {
@@ -460,7 +390,7 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 		}
 	}
 	base := strings.TrimRight(c.opts.SelfURL, "/")
-	next := &shardMap{gen: old.gen + 1, owners: desired, idle: make(chan struct{})}
+	next := &shardMap{gen: old.gen + 1, owners: desired}
 	for _, mv := range moves {
 		name := scopedName(mv.view, mv.shard)
 		c.placeMu.Lock()
@@ -474,16 +404,14 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 		}
 	}
 	c.smap.Store(next)
-	if c.cache != nil {
-		// Entries keyed to older generations are now unreachable by any new
-		// request (they key on the generation they load); drop them so the
-		// budget is spent on the live generation only.
-		c.cache.SetGeneration(next.gen)
-	}
+	// Entries keyed to older generations are now unreachable by any new
+	// request (they key on the generation they load); drop them so the
+	// budget is spent on the live generation only.
+	c.front.SetGeneration(next.gen)
 	c.retired.Add(1)
 	go func() {
 		defer c.retired.Done()
-		old.retire()
+		old.Retire()
 		// The old generation has drained: no stream can still be reading a
 		// moved shard from its previous owner. But a later assignment may
 		// have given the shard back to that owner while this generation was
@@ -521,7 +449,7 @@ func (c *Coordinator) Close() {
 	old := c.smap.Swap(nil)
 	c.mu.Unlock()
 	if old != nil {
-		old.retire()
+		old.Retire()
 	}
 	c.retired.Wait()
 }
@@ -533,24 +461,7 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // CacheStats snapshots the merged-result cache counters; ok is false
 // when caching is off.
-func (c *Coordinator) CacheStats() (httpserve.CacheStats, bool) {
-	if c.cache == nil {
-		return httpserve.CacheStats{}, false
-	}
-	return c.cache.Stats(), true
-}
-
-func (c *Coordinator) errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	c.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"ok": true})
-}
+func (c *Coordinator) CacheStats() (httpserve.CacheStats, bool) { return c.front.CacheStats() }
 
 // handleReady reports ready only when every shard of every view has an
 // owner: a coordinator with coverage gaps would 503 a routed request, so
@@ -558,7 +469,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.Error(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	assigned, total := 0, 0
@@ -566,7 +477,7 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		for i, owner := range sm.owners[name] {
 			total++
 			if owner == "" {
-				c.errorJSON(w, http.StatusServiceUnavailable, "shard %s unassigned (%d/%d assigned)", scopedName(name, i), assigned, total)
+				c.front.Error(w, http.StatusServiceUnavailable, "shard %s unassigned (%d/%d assigned)", scopedName(name, i), assigned, total)
 				return
 			}
 			assigned++
@@ -587,7 +498,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.URL == "" {
-		c.errorJSON(w, http.StatusBadRequest, "join wants {\"url\": worker-base-url}")
+		c.front.Error(w, http.StatusBadRequest, "join wants {\"url\": worker-base-url}")
 		return
 	}
 	if err := c.Join(r.Context(), req.URL); err != nil {
@@ -595,7 +506,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		c.errorJSON(w, status, "join %s: %v", req.URL, err)
+		c.front.Error(w, status, "join %s: %v", req.URL, err)
 		return
 	}
 	sm := c.smap.Load()
@@ -620,7 +531,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 		Worker string `json:"worker"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.View == "" || req.Worker == "" {
-		c.errorJSON(w, http.StatusBadRequest, "move wants {\"view\":..., \"shard\":..., \"worker\":...}")
+		c.front.Error(w, http.StatusBadRequest, "move wants {\"view\":..., \"shard\":..., \"worker\":...}")
 		return
 	}
 	if err := c.Move(r.Context(), req.View, req.Shard, req.Worker); err != nil {
@@ -628,7 +539,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		c.errorJSON(w, status, "move: %v", err)
+		c.front.Error(w, status, "move: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -638,7 +549,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.Error(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -652,12 +563,12 @@ func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleShardFile(w http.ResponseWriter, r *http.Request) {
 	vm, ok := c.views[r.PathValue("view")]
 	if !ok {
-		c.errorJSON(w, http.StatusNotFound, "unknown view %q", r.PathValue("view"))
+		c.front.Error(w, http.StatusNotFound, "unknown view %q", r.PathValue("view"))
 		return
 	}
 	shard, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil || shard < 0 || shard >= len(vm.files) {
-		c.errorJSON(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.name, len(vm.files))
+		c.front.Error(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.name, len(vm.files))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -667,7 +578,7 @@ func (c *Coordinator) handleShardFile(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleViews(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.Error(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	type viewsResponse struct {
@@ -709,7 +620,7 @@ type WorkerReport struct {
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.Error(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	c.workersMu.Lock()
@@ -729,24 +640,12 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	c.workersMu.Unlock()
-	resp := map[string]any{
-		"uptime_ms":        time.Since(c.start).Milliseconds(),
-		"generation":       sm.gen,
-		"requests":         c.requests.Load(),
-		"errors":           c.errors.Load(),
-		"tuples":           c.tuples.Load(),
-		"streams_complete": c.streamsComplete.Load(),
-		"streams_errored":  c.streamsErrored.Load(),
-		"streams_aborted":  c.streamsAborted.Load(),
-		"first_tuple":      c.delay.Summary(),
-		"total":            c.total.Summary(),
-		"workers":          reports,
-	}
-	if c.cache != nil {
-		// The same "cache" block shape as a cqserve node, so one stats
-		// consumer (cqload's hit-ratio report) reads either tier.
-		resp["cache"] = c.cache.Stats()
-	}
+	// The node's own front block plus the per-worker breakdown, so one
+	// stats consumer (cqload, the repository benchmark) reads either tier.
+	resp := struct {
+		httpserve.FrontStats
+		Workers []WorkerReport `json:"workers"`
+	}{c.front.Stats(sm.gen), reports}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }

@@ -123,6 +123,14 @@ func startClusterCached(t *testing.T, paths []string, nWorkers, flushBatch int, 
 // rawQuery POSTs one query and returns status plus the raw body bytes.
 func rawQuery(t *testing.T, base, view, body string, format httpserve.Format) (int, []byte) {
 	t.Helper()
+	resp, b := rawResponse(t, base, view, body, format)
+	return resp.StatusCode, b
+}
+
+// rawResponse POSTs one query and returns the response (body closed) and
+// its raw body bytes.
+func rawResponse(t *testing.T, base, view, body string, format httpserve.Format) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/query/"+view, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -138,14 +146,15 @@ func rawQuery(t *testing.T, base, view, body string, format httpserve.Format) (i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, b
+	return resp, b
 }
 
 // TestDistributedByteIdentity is the tentpole property on concrete views:
-// every response body from the coordinator — routed bound-key requests,
-// scattered merged enumerations, limits, misses — equals the single-node
-// body byte for byte, in both encodings, and keeps doing so after a shard
-// moves between workers.
+// every response from the coordinator — routed bound-key requests,
+// scattered merged enumerations, limits, misses, malformed requests —
+// equals the single-node response byte for byte, with the same status and
+// the same Content-Type, X-Cqrep-View and X-Cqrep-Free headers, in both
+// encodings, and keeps doing so after a shard moves between workers.
 func TestDistributedByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	const flushBatch = 3 // tiny batches force frame boundaries inside results
@@ -167,32 +176,54 @@ func TestDistributedByteIdentity(t *testing.T) {
 
 	cl := startCluster(t, paths, 3, flushBatch)
 
-	requests := []struct {
-		view string
-		body string
-	}{
-		{"P", `{}`},           // full scatter-merge
-		{"P", `{"limit": 7}`}, // merged prefix
-		{"V", `{"bindings":{"x":1,"z":2}}`},
-		{"V", `{"bindings":{"x":3,"z":3}}`},
-		{"V", `{"bindings":{"x":1099511627776,"z":1}}`}, // guaranteed miss
-		{"V", `{"bindings":{"x":2,"z":5},"limit":1}`},
+	type request struct {
+		view   string
+		body   string
+		status int // the single node's answer
+	}
+	requests := []request{
+		{"P", `{}`, http.StatusOK},           // full scatter-merge
+		{"P", `{"limit": 7}`, http.StatusOK}, // merged prefix
+		{"V", `{"bindings":{"x":1,"z":2}}`, http.StatusOK},
+		{"V", `{"bindings":{"x":3,"z":3}}`, http.StatusOK},
+		{"V", `{"bindings":{"x":1099511627776,"z":1}}`, http.StatusOK}, // guaranteed miss
+		{"V", `{"bindings":{"x":2,"z":5},"limit":1}`, http.StatusOK},
+		// Error rows: the body is parsed before the view is resolved.
+		{"Nope", `{not json`, http.StatusBadRequest},
+		{"V", `{not json`, http.StatusBadRequest},
+		{"V", `{"bindings": {"nope": 1}}`, http.StatusBadRequest},
+		{"V", `{"bindings": {"x": 1}}`, http.StatusBadRequest},
+		{"V", `{"bindings": {"x": 1.5, "z": 2}}`, http.StatusBadRequest},
+		{"V", `{"bindings":{"x":1,"z":2}` + strings.Repeat(" ", 1<<20) + `}`, http.StatusRequestEntityTooLarge},
+		{"Nope", `{}`, http.StatusNotFound},
 	}
 	// Cover more key values so all three workers see routed traffic.
 	for x := 0; x < 12; x++ {
-		requests = append(requests, struct{ view, body string }{"V", fmt.Sprintf(`{"bindings":{"x":%d,"z":%d}}`, x, (x+1)%7)})
+		requests = append(requests, request{"V", fmt.Sprintf(`{"bindings":{"x":%d,"z":%d}}`, x, (x+1)%7), http.StatusOK})
 	}
 	verify := func(stage string) {
 		t.Helper()
 		for _, rq := range requests {
+			name := rq.body
+			if len(name) > 40 {
+				name = name[:40] + "..."
+			}
 			for _, format := range []httpserve.Format{httpserve.FormatNDJSON, httpserve.FormatBinary} {
-				wantStatus, want := rawQuery(t, singleTS.URL, rq.view, rq.body, format)
-				gotStatus, got := rawQuery(t, cl.coordTS.URL, rq.view, rq.body, format)
-				if wantStatus != gotStatus {
-					t.Fatalf("%s: %s %s (%s): status %d != single-node %d", stage, rq.view, rq.body, format, gotStatus, wantStatus)
+				wantResp, want := rawResponse(t, singleTS.URL, rq.view, rq.body, format)
+				gotResp, got := rawResponse(t, cl.coordTS.URL, rq.view, rq.body, format)
+				if wantResp.StatusCode != rq.status {
+					t.Fatalf("%s: %s %s (%s): single node answered %d, want %d", stage, rq.view, name, format, wantResp.StatusCode, rq.status)
+				}
+				if gotResp.StatusCode != wantResp.StatusCode {
+					t.Fatalf("%s: %s %s (%s): status %d != single-node %d", stage, rq.view, name, format, gotResp.StatusCode, wantResp.StatusCode)
 				}
 				if !bytes.Equal(want, got) {
-					t.Fatalf("%s: %s %s (%s): body diverges from single node\nwant %q\ngot  %q", stage, rq.view, rq.body, format, want, got)
+					t.Fatalf("%s: %s %s (%s): body diverges from single node\nwant %q\ngot  %q", stage, rq.view, name, format, want, got)
+				}
+				for _, h := range []string{"Content-Type", "X-Cqrep-View", "X-Cqrep-Free"} {
+					if g, w := gotResp.Header.Get(h), wantResp.Header.Get(h); g != w {
+						t.Fatalf("%s: %s %s (%s): %s %q != single-node %q", stage, rq.view, name, format, h, g, w)
+					}
 				}
 			}
 		}
@@ -234,6 +265,58 @@ func TestDistributedByteIdentity(t *testing.T) {
 	}
 	if stats.StreamsComplete == 0 {
 		t.Fatalf("no complete streams recorded")
+	}
+}
+
+// TestStatsBlockBothTiers decodes both tiers' /v1/stats into the shared
+// httpserve.FrontStats block and checks its key names literally, since
+// cqload and the repository benchmark parse them by name.
+func TestStatsBlockBothTiers(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{buildSnapshot(t, dir, "v", cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"),
+		workload.TriangleDB(5, 30, 300), core.WithStrategy(core.MaterializedStrategy), core.WithShards(2))}
+	const cacheBytes = 1 << 20
+	node, err := httpserve.New(paths, httpserve.Options{CacheBytes: cacheBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	nodeTS := httptest.NewServer(node)
+	defer nodeTS.Close()
+	cl := startClusterCached(t, paths, 2, 0, cacheBytes)
+
+	keys := []string{"uptime_ms", "generation", "requests", "errors", "tuples", "streams_complete",
+		"streams_errored", "streams_aborted", "first_tuple", "total", "cache"}
+	for tier, base := range map[string]string{"node": nodeTS.URL, "coordinator": cl.coordTS.URL} {
+		for x := 0; x < 4; x++ {
+			rawQuery(t, base, "V", fmt.Sprintf(`{"bindings":{"x":%d,"z":%d}}`, x, x+1), httpserve.FormatNDJSON)
+		}
+		rawQuery(t, base, "V", `{"bindings":{"x":1}}`, httpserve.FormatNDJSON) // a 400
+		resp, err := http.Get(base + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatalf("%s: %v", tier, err)
+		}
+		for _, k := range keys {
+			if _, ok := raw[k]; !ok {
+				t.Errorf("%s: /v1/stats has no %q key: %s", tier, k, body)
+			}
+		}
+		var st httpserve.FrontStats
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("%s: %v", tier, err)
+		}
+		if st.Requests != 5 || st.Errors != 1 || st.StreamsComplete != 4 || st.Total.Count != 4 || st.Generation == 0 || st.Cache == nil {
+			t.Errorf("%s: stats block %+v, want 5 requests, 1 error, 4 complete streams, a generation and a cache block", tier, st)
+		}
 	}
 }
 
@@ -533,7 +616,7 @@ func TestDetachSkipsShardGivenBack(t *testing.T) {
 	}
 
 	held := c.smap.Load()
-	if !held.acquire() {
+	if !held.Acquire() {
 		t.Fatal("could not hold the live generation")
 	}
 	if err := c.Move(ctx, "E", 0, b); err != nil {
@@ -542,7 +625,7 @@ func TestDetachSkipsShardGivenBack(t *testing.T) {
 	if err := c.Move(ctx, "E", 0, a); err != nil {
 		t.Fatalf("move B→A: %v", err)
 	}
-	held.release()
+	held.Release()
 	c.retired.Wait() // every delayed detach has run
 
 	status, got := rawQuery(t, cl.coordTS.URL, "E", query, httpserve.FormatBinary)

@@ -3,6 +3,7 @@ package httpserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -206,9 +207,50 @@ func TestServeBinaryAllocsPerTuple(t *testing.T) {
 	if perTuple := allocs / scanAnswers; perTuple >= 0.05 {
 		t.Fatalf("serving %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", scanAnswers, allocs, perTuple)
 	}
-	if got := h.tuples.Load(); got == 0 || got%scanAnswers != 0 {
+	if got := h.front.streams.tuples.Load(); got == 0 || got%scanAnswers != 0 {
 		t.Fatalf("handler counted %d tuples, want a multiple of %d", got, scanAnswers)
 	}
+}
+
+// TestPointRequestAllocs pins the node's per-request cost on the point
+// path: one NDJSON request of the Theorem-1 triangle view at tau 8 through
+// Handler.ServeHTTP — body read, binding parse, registry resolve, bind,
+// enumerate, encode — with its httptest request built inside the count.
+// maxAllocs is the count measured with go1.24 on linux/amd64; a change may
+// lower it, never raise it.
+func TestPointRequestAllocs(t *testing.T) {
+	const maxAllocs = 165
+	view, db := triangleFixture(t, 7)
+	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, core.WithStrategy(core.PrimitiveStrategy), core.WithTau(8))
+	h, err := New([]string{path}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	var body []byte
+	for _, vb := range sampleBindings(rep, 8, 3) {
+		if len(core.Drain(rep.Query(vb))) > 0 {
+			body, _ = json.Marshal(map[string]any{"bindings": bindByName(rep, vb)})
+			break
+		}
+	}
+	if body == nil {
+		t.Fatal("fixture produced no answered binding")
+	}
+	w := &discardResponse{header: make(http.Header)}
+	allocs := testing.AllocsPerRun(50, func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/V", bytes.NewReader(body))
+		req.Header.Set("Accept", NDJSONMediaType)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("one point request allocated %.0f times, want <= %d", allocs, maxAllocs)
+	}
+	t.Logf("point request: %.0f allocations", allocs)
 }
 
 // TestBinaryStreamDrainAllocsPerTuple is the client-side pin: draining a

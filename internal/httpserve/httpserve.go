@@ -14,10 +14,11 @@
 // Reload is hot: the per-view registry is swapped atomically, requests
 // in flight keep streaming from the representation they started on, and
 // the old generation is released only after its last stream finishes.
-// A request enumerates on its own handler goroutine, block by block
-// (core.Representation.QueryBlocks) through Deliver into the one
-// StreamWriter, so its context — client disconnect, shutdown — cuts the
-// enumeration directly.
+// Queries run through the Front (front.go), the request pipeline the
+// coordinator (internal/coord) runs too; the node resolves a request to a
+// refcounted registry entry, which enumerates block by block
+// (core.Representation.QueryBlocks) on the request's own goroutine, so its
+// context — client disconnect, shutdown — cuts the enumeration directly.
 package httpserve
 
 import (
@@ -106,7 +107,7 @@ const defaultFlushBatch = 128
 type Handler struct {
 	opts  Options
 	mux   *http.ServeMux
-	start time.Time
+	front *Front
 
 	// specs is the registry recipe: Reload re-reads it, Attach/Detach
 	// mutate it. Guarded by reloadMu.
@@ -115,33 +116,13 @@ type Handler struct {
 	// reg is the current registry; queries load it once and hold a
 	// reference on their entry for their whole stream, so a concurrent
 	// reload can swap the registry without tearing anyone's view.
-	reg atomic.Pointer[registry]
-	// cache replays encoded result streams for repeated bindings; nil
-	// when Options.CacheBytes is unset. Entries are keyed by registry
-	// generation, so swaps invalidate by construction (cache.go).
-	cache     *ResultCache
+	reg       atomic.Pointer[registry]
 	reloadMu  sync.Mutex // serializes Reload/Close swaps
 	reloads   atomic.Uint64
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeDone chan struct{}  // closed once every stream has drained
 	retired   sync.WaitGroup // background retire goroutines
-
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	tuples   atomic.Uint64
-	// Stream dispositions: every stream that started (headers committed or
-	// first tuple produced) lands in exactly one bucket. complete includes
-	// limit-truncated streams (the client got what it asked for); errored
-	// means a terminal error reached the client (the IterErr contract);
-	// aborted means the client went away or shutdown cut the stream — the
-	// client did NOT see a clean terminal, so counting it as served would
-	// hide mid-stream terminations.
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	delay           LatencyHist // time to first streamed tuple
-	total           LatencyHist // full request wall-clock
 }
 
 // registry is one immutable generation of the view table; Reload builds a
@@ -160,67 +141,46 @@ type blockSource interface {
 
 // viewEntry is one served view: its representation and the in-flight
 // reference gate that lets a retirer wait for the last stream started on
-// it. The gate is the whole-generation-or-retry guarantee: a request
-// either acquires an entry and streams wholly from it, or retries on the
-// fresh registry.
+// it. It is the Target a node's queries resolve to; the gate's Release is
+// the Target's.
 type viewEntry struct {
+	RetireGate
 	name     string
 	path     string
 	rep      *core.Representation
 	src      blockSource // rep, except under test
 	loadedAt time.Time
-
-	mu      sync.Mutex
-	refs    int
-	retired bool
-	idle    chan struct{} // closed when retired with no refs left
-
-	requests        atomic.Uint64
-	tuples          atomic.Uint64
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	baseTup         func() int // lazy: materializes mmap-loaded representations
-	wal             walStatus  // recovery outcome when Options.WALDir is set
+	counters StreamCounters
+	baseTup  func() int // lazy: materializes mmap-loaded representations
+	wal      walStatus  // recovery outcome when Options.WALDir is set
 }
 
-// acquire takes a reference on the entry; it fails once the entry has
-// been retired by a reload or shutdown (the caller then retries on the
-// fresh registry).
-func (e *viewEntry) acquire() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.retired {
-		return false
-	}
-	e.refs++
-	return true
+func (e *viewEntry) Name() string              { return e.name }
+func (e *viewEntry) Rep() *core.Representation { return e.rep }
+func (e *viewEntry) Counters() *StreamCounters { return &e.counters }
+func (e *viewEntry) Open(ctx context.Context, vb relation.Tuple, _ QueryRequest) (core.BlockIterator, func(), error) {
+	return e.src.QueryBlocks(ctx, vb), nil, nil
 }
 
-// release drops a reference; the last release after retirement unblocks
-// the retirer.
-func (e *viewEntry) release() {
-	e.mu.Lock()
-	e.refs--
-	last := e.retired && e.refs == 0
-	e.mu.Unlock()
-	if last {
-		close(e.idle)
+// resolve is the node's Resolver: the registry lookup and the entry
+// acquire. An entry retired between the registry load and the acquire (a
+// reload or close raced us) refuses the reference; retry on the fresh
+// registry so the request lands wholly on one generation.
+func (h *Handler) resolve(name string) (Target, uint64, error) {
+	for attempt := 0; attempt < 8; attempt++ {
+		reg := h.reg.Load()
+		if reg == nil {
+			return nil, 0, StatusErrorf(http.StatusServiceUnavailable, "server is shutting down")
+		}
+		entry, ok := reg.views[name]
+		if !ok {
+			return nil, 0, StatusErrorf(http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", name)
+		}
+		if entry.Acquire() {
+			return entry, reg.gen, nil
+		}
 	}
-}
-
-// retire marks the entry dead and waits for in-flight streams to finish.
-// Requests in flight keep streaming from the old representation; new
-// requests fail acquire and route to the replacement.
-func (e *viewEntry) retire() {
-	e.mu.Lock()
-	e.retired = true
-	idleNow := e.refs == 0
-	e.mu.Unlock()
-	if idleNow {
-		close(e.idle)
-	}
-	<-e.idle
+	return nil, 0, StatusErrorf(http.StatusServiceUnavailable, "view %q is reloading, retry", name)
 }
 
 // New loads every snapshot path into a per-view registry and returns the
@@ -242,23 +202,21 @@ func New(paths []string, opts Options) (*Handler, error) {
 // spec list: a worker process starts with no views and gains them through
 // Attach as its coordinator assigns shards.
 func NewSpecs(specs []SnapshotSpec, opts Options) (*Handler, error) {
-	h := &Handler{opts: opts, specs: append([]SnapshotSpec(nil), specs...), start: time.Now(), closeDone: make(chan struct{})}
-	h.cache = NewResultCache(opts.CacheBytes) // nil when caching is off
+	h := &Handler{opts: opts, specs: append([]SnapshotSpec(nil), specs...), closeDone: make(chan struct{})}
+	h.front = NewFront(opts, http.StatusInternalServerError, h.resolve)
 	reg, err := h.loadRegistry(1)
 	if err != nil {
 		return nil, err
 	}
 	h.reg.Store(reg)
-	if h.cache != nil {
-		h.cache.SetGeneration(reg.gen)
-	}
+	h.front.SetGeneration(reg.gen)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query/{view}", h.handleQuery)
+	mux.HandleFunc("POST /v1/query/{view}", h.front.ServeQuery)
 	mux.HandleFunc("GET /v1/views", h.handleViews)
 	mux.HandleFunc("GET /v1/stats", h.handleStats)
 	mux.HandleFunc("POST /v1/reload", h.handleReload)
-	mux.HandleFunc("GET /healthz", h.handleHealth)
+	mux.HandleFunc("GET /healthz", h.front.ServeHealth)
 	mux.HandleFunc("GET /readyz", h.handleReady)
 	if opts.Admin {
 		mux.HandleFunc("POST /v1/attach", h.handleAttach)
@@ -291,7 +249,7 @@ func (h *Handler) loadRegistry(gen uint64) (*registry, error) {
 
 // loadEntry loads one snapshot spec into a servable view entry.
 func (h *Handler) loadEntry(spec SnapshotSpec) (*viewEntry, error) {
-	rep, err := loadSnapshot(spec.Path, h.opts.Mmap)
+	rep, err := LoadSnapshot(spec.Path, h.opts.Mmap)
 	if err != nil {
 		return nil, fmt.Errorf("httpserve: %s: %w", spec.Path, err)
 	}
@@ -314,7 +272,6 @@ func (h *Handler) loadEntry(spec SnapshotSpec) (*viewEntry, error) {
 		rep:      rep,
 		src:      rep,
 		loadedAt: time.Now(),
-		idle:     make(chan struct{}),
 		// Deferred: counting base tuples materializes the
 		// representation, which an mmap load must not do at startup.
 		baseTup: sync.OnceValue(func() int { return baseTuples(rep) }),
@@ -356,9 +313,7 @@ func (h *Handler) Attach(name, path string) error {
 	reg.names = append(reg.names, name)
 	sort.Strings(reg.names)
 	h.reg.Store(reg)
-	if h.cache != nil {
-		h.cache.SetGeneration(reg.gen)
-	}
+	h.front.SetGeneration(reg.gen)
 
 	kept := h.specs[:0]
 	for _, s := range h.specs {
@@ -371,7 +326,7 @@ func (h *Handler) Attach(name, path string) error {
 		h.retired.Add(1)
 		go func() {
 			defer h.retired.Done()
-			replaced.retire()
+			replaced.Retire()
 		}()
 	}
 	return nil
@@ -400,9 +355,7 @@ func (h *Handler) Detach(name string) error {
 	}
 	sort.Strings(reg.names)
 	h.reg.Store(reg)
-	if h.cache != nil {
-		h.cache.SetGeneration(reg.gen)
-	}
+	h.front.SetGeneration(reg.gen)
 
 	kept := h.specs[:0]
 	for _, s := range h.specs {
@@ -414,7 +367,7 @@ func (h *Handler) Detach(name string) error {
 	h.retired.Add(1)
 	go func() {
 		defer h.retired.Done()
-		gone.retire()
+		gone.Retire()
 	}()
 	return nil
 }
@@ -441,20 +394,7 @@ func baseTuples(rep *core.Representation) int {
 // CacheStats snapshots the result-cache counters; ok is false when
 // caching is off. In-process callers (experiment E21) read hit rates
 // through this instead of re-parsing the /v1/stats JSON.
-func (h *Handler) CacheStats() (CacheStats, bool) {
-	if h.cache == nil {
-		return CacheStats{}, false
-	}
-	return h.cache.Stats(), true
-}
-
-// flushBatch resolves the steady-state tuples-per-flush option.
-func (h *Handler) flushBatch() int {
-	if h.opts.FlushBatch > 0 {
-		return h.opts.FlushBatch
-	}
-	return defaultFlushBatch
-}
+func (h *Handler) CacheStats() (CacheStats, bool) { return h.front.CacheStats() }
 
 // Reload re-reads every snapshot path and atomically swaps the registry.
 // On any load failure the old registry stays in place untouched. Requests
@@ -472,15 +412,13 @@ func (h *Handler) Reload() (uint64, error) {
 		return 0, err
 	}
 	h.reg.Store(reg)
-	if h.cache != nil {
-		h.cache.SetGeneration(reg.gen)
-	}
+	h.front.SetGeneration(reg.gen)
 	h.reloads.Add(1)
 	h.retired.Add(1)
 	go func() {
 		defer h.retired.Done()
 		for _, e := range old.views {
-			e.retire()
+			e.Retire()
 		}
 	}()
 	return reg.gen, nil
@@ -499,7 +437,7 @@ func (h *Handler) Close() {
 		h.reloadMu.Unlock()
 		if old != nil {
 			for _, e := range old.views {
-				e.retire()
+				e.Retire()
 			}
 		}
 		h.retired.Wait()
@@ -510,189 +448,6 @@ func (h *Handler) Close() {
 // ServeHTTP dispatches the wire API.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
-}
-
-// errorJSON writes a one-object JSON error body with the given status.
-func (h *Handler) errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	h.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// handleQuery streams one access request in the negotiated encoding —
-// NDJSON (one JSON array line per tuple) or the binary framing (wire.go) —
-// in enumeration order. A stream that dies mid-way ends with the format's
-// terminal error (the {"error": ...} object line, the error frame) so
-// clients can tell a truncated enumeration from a complete one (see
-// core.IterErr).
-func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	h.requests.Add(1)
-	start := time.Now()
-	name := r.PathValue("view")
-
-	maxBody := h.opts.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		// Only an actual size overflow is 413; any other read failure
-		// (malformed chunking, client disconnect mid-body) is the
-		// client's bad request, not an oversized one.
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		h.errorJSON(w, status, "request body: %v", err)
-		return
-	}
-	req, err := ParseBindings(body)
-	if err != nil {
-		h.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	format := NegotiateFormat(r.Header.Get("Accept"))
-
-	// An entry retired between our registry load and acquire (reload/close
-	// raced us) refuses the reference; retry on the fresh registry so the
-	// request lands wholly on one generation.
-	for attempt := 0; attempt < 8; attempt++ {
-		reg := h.reg.Load()
-		if reg == nil {
-			h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
-		entry, ok := reg.views[name]
-		if !ok {
-			h.errorJSON(w, http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", name)
-			return
-		}
-		if !entry.acquire() {
-			continue
-		}
-		h.streamQuery(w, r, entry, req, format, reg.gen, start)
-		entry.release()
-		return
-	}
-	h.errorJSON(w, http.StatusServiceUnavailable, "view %q is reloading, retry", name)
-}
-
-// streamQuery runs one acquired request to completion. gen is the
-// generation of the registry the entry was acquired from — the cache keys
-// on it, so a replayed stream always belongs to the generation this
-// request loaded.
-func (h *Handler) streamQuery(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format Format, gen uint64, start time.Time) {
-	vb, err := entry.rep.Bind(req.Bindings)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrBadBinding) {
-			status = http.StatusBadRequest
-		}
-		h.errorJSON(w, status, "%v", err)
-		return
-	}
-	var flight *CacheFlight
-	if h.cache != nil && req.Limit == 0 {
-		res := h.cache.Acquire(entry.name, gen, format, string(vb.AppendEncode(nil)))
-		if res.Hit {
-			h.serveCached(w, entry, format, res.Body, res.Tuples, start)
-			return
-		}
-		if res.Leader {
-			flight = res.Flight
-		} else if body, tuples, ok := res.Flight.Wait(r.Context()); ok {
-			// Follower: the leader's bytes were produced under the same
-			// generation this request acquired.
-			h.serveCached(w, entry, format, body, tuples, start)
-			return
-		}
-		// A failed flight (or our own context expiring while parked) falls
-		// through to computing directly, with no flight: coalescing never
-		// turns one stream's failure into another's.
-	}
-	h.streamLive(r.Context(), w, entry, vb, req.Limit, format, start, flight)
-}
-
-// serveCached replays one cached encoded stream, with the same headers,
-// counters, and flush behavior a live complete stream would have had.
-func (h *Handler) serveCached(w http.ResponseWriter, entry *viewEntry, format Format, body []byte, tuples int, start time.Time) {
-	entry.requests.Add(1)
-	w.Header().Set("X-Cqrep-View", entry.name)
-	w.Header().Set("X-Cqrep-Free", strconv.Itoa(len(entry.rep.FreeNames())))
-	w.Header().Set("Content-Type", format.MediaType())
-	if tuples > 0 {
-		h.delay.Add(time.Since(start))
-	}
-	w.Write(body)
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
-	h.tuples.Add(uint64(tuples))
-	entry.tuples.Add(uint64(tuples))
-	h.streamsComplete.Add(1)
-	entry.streamsComplete.Add(1)
-	h.total.Add(time.Since(start))
-}
-
-// streamLive computes and streams one request from the backend, on this
-// goroutine. A non-nil flight means this request leads a cache fill: the
-// response bytes are teed into a capture and published on a complete
-// stream, abandoned on any other outcome (so waiters fall back instead of
-// hanging).
-func (h *Handler) streamLive(ctx context.Context, w http.ResponseWriter, entry *viewEntry, vb relation.Tuple, limit int, format Format, start time.Time, flight *CacheFlight) {
-	published := false
-	if flight != nil {
-		defer func() { // deferred so that a panicking enumeration cannot strand the waiters
-			if !published {
-				h.cache.Abandon(flight)
-			}
-		}()
-	}
-	entry.requests.Add(1)
-	defer func() { h.total.Add(time.Since(start)) }()
-
-	arity := len(entry.rep.FreeNames())
-	w.Header().Set("X-Cqrep-View", entry.name)
-	w.Header().Set("X-Cqrep-Free", strconv.Itoa(arity))
-	var tee *CacheTee
-	if flight != nil {
-		tee = NewCacheTee(w, h.cache.MaxEntryBytes())
-		w = tee
-	}
-	// Blocks are borrowed from the backend — a materialized bucket lends
-	// sub-slices of itself — and only read.
-	sw := NewStreamWriter(w, format, arity, h.flushBatch())
-	disp, err := Deliver(ctx, sw, entry.src.QueryBlocks(ctx, vb), limit, func() { h.delay.Add(time.Since(start)) })
-	n := sw.Wrote()
-	h.tuples.Add(uint64(n))
-	entry.tuples.Add(uint64(n))
-	switch disp {
-	case StreamErrored:
-		if n == 0 {
-			// Nothing was streamed yet — the stream header is only staged — so
-			// the status line is still ours: fail properly instead of a 200
-			// with an error trailer.
-			h.errorJSON(w, http.StatusInternalServerError, "%v", err)
-		} else {
-			h.errors.Add(1)
-		}
-		h.streamsErrored.Add(1)
-		entry.streamsErrored.Add(1)
-	case StreamAborted:
-		h.streamsAborted.Add(1)
-		entry.streamsAborted.Add(1)
-	default:
-		h.streamsComplete.Add(1)
-		entry.streamsComplete.Add(1)
-		if tee != nil {
-			if body, ok := tee.Captured(); ok {
-				h.cache.Publish(flight, body, n)
-				published = true
-			}
-		}
-	}
 }
 
 // appendTupleJSON renders one tuple as a compact JSON array of integers.
@@ -733,7 +488,7 @@ type viewsResponse struct {
 func (h *Handler) handleViews(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.Error(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	resp := viewsResponse{Generation: reg.gen}
@@ -791,63 +546,37 @@ type ViewStats struct {
 	WALError    string `json:"wal_error,omitempty"`
 }
 
-// statsResponse is the /v1/stats body.
+// statsResponse is the /v1/stats body: the front's block, the reload
+// count and the per-view rows.
 type statsResponse struct {
-	UptimeMs        int64          `json:"uptime_ms"`
-	Generation      uint64         `json:"generation"`
-	Reloads         uint64         `json:"reloads"`
-	Requests        uint64         `json:"requests"`
-	Errors          uint64         `json:"errors"`
-	Tuples          uint64         `json:"tuples"`
-	StreamsComplete uint64         `json:"streams_complete"`
-	StreamsErrored  uint64         `json:"streams_errored"`
-	StreamsAborted  uint64         `json:"streams_aborted"`
-	FirstTuple      LatencySummary `json:"first_tuple"`
-	Total           LatencySummary `json:"total"`
-	// Cache is the result-cache block; nil (omitted) when caching is off.
-	Cache *CacheStats `json:"cache,omitempty"`
-	Views []ViewStats `json:"views"`
+	FrontStats
+	Reloads uint64      `json:"reloads"`
+	Views   []ViewStats `json:"views"`
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.Error(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	resp := statsResponse{
-		UptimeMs:        time.Since(h.start).Milliseconds(),
-		Generation:      reg.gen,
-		Reloads:         h.reloads.Load(),
-		Requests:        h.requests.Load(),
-		Errors:          h.errors.Load(),
-		Tuples:          h.tuples.Load(),
-		FirstTuple:      h.delay.Summary(),
-		Total:           h.total.Summary(),
-		StreamsComplete: h.streamsComplete.Load(),
-		StreamsErrored:  h.streamsErrored.Load(),
-		StreamsAborted:  h.streamsAborted.Load(),
-	}
-	if h.cache != nil {
-		cs := h.cache.Stats()
-		resp.Cache = &cs
-	}
+	resp := statsResponse{FrontStats: h.front.Stats(reg.gen), Reloads: h.reloads.Load()}
 	for _, name := range reg.names {
 		e := reg.views[name]
 		st := e.rep.Stats()
 		row := ViewStats{
 			Name:            e.name,
-			Requests:        e.requests.Load(),
-			Tuples:          e.tuples.Load(),
-			StreamsComplete: e.streamsComplete.Load(),
-			StreamsErrored:  e.streamsErrored.Load(),
-			StreamsAborted:  e.streamsAborted.Load(),
+			Requests:        e.counters.requests.Load(),
+			Tuples:          e.counters.tuples.Load(),
+			StreamsComplete: e.counters.complete.Load(),
+			StreamsErrored:  e.counters.errored.Load(),
+			StreamsAborted:  e.counters.aborted.Load(),
 			Entries:         st.Entries,
 			Shards:          st.Shards,
 			BaseTuples:      e.baseTup(),
 		}
-		if h.cache != nil {
-			vc := h.cache.ViewStats(e.name)
+		if cache := h.front.cache; cache != nil {
+			vc := cache.ViewStats(e.name)
 			row.Cache = &vc
 		}
 		row.WALReplayed = e.wal.replayed
@@ -860,13 +589,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleHealth is process liveness: the handler is up and dispatching. It
-// says nothing about views — a worker with zero attached shards is healthy.
-func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"ok": true})
-}
-
 // handleReady is serving readiness: every registered view must be loaded
 // AND decodable. For mmap-loaded snapshots that means forcing the lazy
 // decode (Ensure), so a readiness probe doubles as a warmup — payload
@@ -876,17 +598,17 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleReady(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.Error(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	if h.opts.ReadyGate != nil && !h.opts.ReadyGate() {
-		h.errorJSON(w, http.StatusServiceUnavailable, "not ready: gate closed")
+		h.front.Error(w, http.StatusServiceUnavailable, "not ready: gate closed")
 		return
 	}
 	walReplayed := 0
 	for _, name := range reg.names {
 		if err := reg.views[name].rep.Ensure(); err != nil {
-			h.errorJSON(w, http.StatusServiceUnavailable, "view %q not decodable: %v", name, err)
+			h.front.Error(w, http.StatusServiceUnavailable, "view %q not decodable: %v", name, err)
 			return
 		}
 		walReplayed += reg.views[name].wal.replayed
@@ -917,14 +639,14 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil || req.Name == "" || req.Source == "" {
-		h.errorJSON(w, http.StatusBadRequest, "attach wants {\"name\":..., \"source\": path-or-url}")
+		h.front.Error(w, http.StatusBadRequest, "attach wants {\"name\":..., \"source\": path-or-url}")
 		return
 	}
 	path := req.Source
 	if isHTTPURL(req.Source) {
 		path, err = h.spoolFetch(r.Context(), req.Name, req.Source)
 		if err != nil {
-			h.errorJSON(w, http.StatusBadGateway, "fetch %s: %v", req.Source, err)
+			h.front.Error(w, http.StatusBadGateway, "fetch %s: %v", req.Source, err)
 			return
 		}
 	}
@@ -933,7 +655,7 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "attach %q: %v", req.Name, err)
+		h.front.Error(w, status, "attach %q: %v", req.Name, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -949,7 +671,7 @@ func (h *Handler) handleDetach(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil || req.Name == "" {
-		h.errorJSON(w, http.StatusBadRequest, "detach wants {\"name\": ...}")
+		h.front.Error(w, http.StatusBadRequest, "detach wants {\"name\": ...}")
 		return
 	}
 	if err := h.Detach(req.Name); err != nil {
@@ -957,7 +679,7 @@ func (h *Handler) handleDetach(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "detach %q: %v", req.Name, err)
+		h.front.Error(w, status, "detach %q: %v", req.Name, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -992,16 +714,7 @@ func (h *Handler) spoolFetch(ctx context.Context, name, url string) (string, err
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("status %s", resp.Status)
 	}
-	safe := make([]byte, 0, len(name))
-	for _, c := range []byte(name) {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			safe = append(safe, c)
-		default:
-			safe = append(safe, '_')
-		}
-	}
-	f, err := os.CreateTemp(dir, "cqrep-"+string(safe)+"-*.snap")
+	f, err := os.CreateTemp(dir, "cqrep-"+FileStem(name)+"-*.snap")
 	if err != nil {
 		return "", err
 	}
@@ -1024,16 +737,32 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "reload failed, previous registry still serving: %v", err)
+		h.front.Error(w, status, "reload failed, previous registry still serving: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"generation": gen})
 }
 
-// loadSnapshot reads one snapshot file through the core decoder — eagerly,
+// FileStem maps a view or registry name onto a filesystem-safe file stem:
+// every byte outside [A-Za-z0-9._-] becomes '_', so a hostile name cannot
+// leave the directory it names a file in.
+func FileStem(name string) string {
+	out := make([]byte, 0, len(name))
+	for _, c := range []byte(name) {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
+			out = append(out, c)
+		default:
+			out = append(out, '_')
+		}
+	}
+	return string(out)
+}
+
+// LoadSnapshot reads one snapshot file through the core decoder — eagerly,
 // or as a lazily-decoded mapping when mmap is set.
-func loadSnapshot(path string, mmap bool) (*core.Representation, error) {
+func LoadSnapshot(path string, mmap bool) (*core.Representation, error) {
 	if mmap {
 		return core.OpenRepresentationMmap(path)
 	}
@@ -1047,8 +776,8 @@ func loadSnapshot(path string, mmap bool) (*core.Representation, error) {
 
 // LatencyHist is a lock-free latency histogram over power-of-two
 // microsecond buckets — coarse, but constant-time on the request path and
-// good enough for the p50/p99 health signal of /v1/stats. Exported so the
-// coordinator can keep per-worker breakdowns with the same shape.
+// good enough for the p50/p99 health signal of /v1/stats. Exported because
+// the coordinator also keeps a per-worker first-tuple breakdown.
 type LatencyHist struct {
 	buckets [48]atomic.Uint64
 }
