@@ -126,7 +126,13 @@ func BenchmarkE15DeltaShapes(b *testing.B) {
 
 func triangleFixture(b *testing.B, edges int) (*join.Instance, []relation.Tuple) {
 	b.Helper()
-	db := workload.TriangleDB(7, edges/12, edges/2)
+	return triangleInstance(b, workload.TriangleDB(7, edges/12, edges/2))
+}
+
+// triangleInstance binds the mutual-friend view to db and draws 64 edges
+// as requests.
+func triangleInstance(b *testing.B, db *relation.Database) (*join.Instance, []relation.Tuple) {
+	b.Helper()
 	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
 	nv, err := cq.Normalize(view, db)
 	if err != nil {
@@ -165,12 +171,12 @@ func BenchmarkBuildTriangleTauLinear(b *testing.B) { benchBuildTriangle(b, 4000)
 
 // ---- Micro-benchmarks: per-request query cost ----
 
-func benchQueryTriangle(b *testing.B, tau float64) {
-	inst, vbs := triangleFixture(b, 4000)
-	s, err := primitive.Build(inst, fractional.Cover{0.5, 0.5, 0.5}, tau)
+func benchQueryTriangle(b *testing.B, inst *join.Instance, vbs []relation.Tuple, u fractional.Cover, tau float64) {
+	s, err := primitive.Build(inst, u, tau)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	tuples := 0
 	for i := 0; i < b.N; i++ {
@@ -186,8 +192,25 @@ func benchQueryTriangle(b *testing.B, tau float64) {
 	b.ReportMetric(float64(tuples)/float64(b.N), "tuples/req")
 }
 
-func BenchmarkQueryTriangleTau1(b *testing.B)    { benchQueryTriangle(b, 1) }
-func BenchmarkQueryTriangleTauSqrt(b *testing.B) { benchQueryTriangle(b, math.Sqrt(4000)) }
+func BenchmarkQueryTriangleTau1(b *testing.B) {
+	inst, vbs := triangleFixture(b, 4000)
+	benchQueryTriangle(b, inst, vbs, fractional.Cover{0.5, 0.5, 0.5}, 1)
+}
+
+func BenchmarkQueryTriangleTauSqrt(b *testing.B) {
+	inst, vbs := triangleFixture(b, 4000)
+	benchQueryTriangle(b, inst, vbs, fractional.Cover{0.5, 0.5, 0.5}, math.Sqrt(4000))
+}
+
+// BenchmarkQueryTriangleSkewedTau8 is the Theorem-1 probe path of the
+// point-ndjson workload at a quarter of its size: the mutual-friend view
+// over a hub-heavy graph, the all-ones cover, τ = 8, one edge per request.
+// Hub requests cross many light (⊥) nodes, so this is where per-node costs
+// — dictionary lookups, enumerator setup, allocations — show.
+func BenchmarkQueryTriangleSkewedTau8(b *testing.B) {
+	inst, vbs := triangleInstance(b, workload.SkewedTriangleDB(42, 500, 5000))
+	benchQueryTriangle(b, inst, vbs, fractional.Cover{1, 1, 1}, 8)
+}
 func BenchmarkQueryTriangleDirect(b *testing.B) {
 	inst, vbs := triangleFixture(b, 4000)
 	d := baseline.NewDirectEval(inst)

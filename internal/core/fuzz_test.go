@@ -44,6 +44,13 @@ func FuzzReadRepresentation(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A primitive frame whose dictionary repeats a key: decoding must
+	// reject it rather than let the later entry win.
+	raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(repeatLastDictEntry(raw, 2))
 	// Degenerate non-snapshots.
 	f.Add([]byte{})
 	f.Add([]byte("CQREPS"))

@@ -219,7 +219,7 @@ func TestServeBinaryAllocsPerTuple(t *testing.T) {
 // maxAllocs is the count measured with go1.24 on linux/amd64; a change may
 // lower it, never raise it.
 func TestPointRequestAllocs(t *testing.T) {
-	const maxAllocs = 165
+	const maxAllocs = 66
 	view, db := triangleFixture(t, 7)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, core.WithStrategy(core.PrimitiveStrategy), core.WithTau(8))
 	h, err := New([]string{path}, Options{})

@@ -178,18 +178,25 @@ func (b Box) String() string {
 // exactly the interval (Lemma 1). The boxes number at most 2µ+1 (2µ−1 for
 // open intervals as in the paper, plus up to two unit boxes for inclusive
 // endpoints).
-func Decompose(iv Interval) []Box {
+func Decompose(iv Interval) []Box { return AppendDecompose(nil, iv) }
+
+// AppendDecompose appends the box decomposition of iv to dst and returns
+// the extended slice, so a caller that decomposes many intervals can reuse
+// one buffer. The boxes' prefixes share storage with iv's endpoints
+// (capacity-capped, so appending to one copies); they must not be
+// modified.
+func AppendDecompose(dst []Box, iv Interval) []Box {
 	mu := iv.Mu()
 	if iv.Empty() {
-		return nil
+		return dst
 	}
 	if mu == 0 {
 		// Zero free variables: the only valuation is the empty tuple.
-		return []Box{{Prefix: relation.Tuple{}}}
+		return append(dst, Box{Prefix: relation.Tuple{}})
 	}
 	cmp := iv.Lo.Compare(iv.Hi)
 	if cmp == 0 {
-		return []Box{UnitBox(iv.Lo)}
+		return append(dst, Box{Prefix: iv.Lo[:mu:mu]})
 	}
 
 	// First differing position (0-based).
@@ -198,53 +205,52 @@ func Decompose(iv Interval) []Box {
 		j++
 	}
 
-	var boxes []Box
 	// Left endpoint unit box for inclusive Lo.
 	if iv.LoInc {
-		boxes = append(boxes, UnitBox(iv.Lo))
+		dst = append(dst, Box{Prefix: iv.Lo[:mu:mu]})
 	}
 	// Left boxes B^ℓ_µ ... B^ℓ_{j+1}: ⟨a1..a_{i-1}, (a_i, ⊤]⟩ for i from µ
 	// down to j+2 in paper's 1-based terms; 0-based: prefix length i from
 	// µ-1 down to j+1.
 	for i := mu - 1; i >= j+1; i-- {
 		b := Box{
-			Prefix:   iv.Lo[:i].Clone(),
+			Prefix:   iv.Lo[:i:i],
 			HasRange: true,
 			Lo:       iv.Lo[i], LoInc: false,
 			Hi: relation.PosInf, HiInc: true,
 		}
 		if !b.EmptyRange() {
-			boxes = append(boxes, b)
+			dst = append(dst, b)
 		}
 	}
 	// Middle box ⟨a1..a_{j-1}, (a_j, b_j)⟩.
 	mid := Box{
-		Prefix:   iv.Lo[:j].Clone(),
+		Prefix:   iv.Lo[:j:j],
 		HasRange: true,
 		Lo:       iv.Lo[j], LoInc: false,
 		Hi: iv.Hi[j], HiInc: false,
 	}
 	if !mid.EmptyRange() {
-		boxes = append(boxes, mid)
+		dst = append(dst, mid)
 	}
 	// Right boxes B^r_{j+1} ... B^r_µ: ⟨b1..b_i, [⊥, b_{i+1})⟩; 0-based
 	// prefix length i from j+1 up to µ-1.
 	for i := j + 1; i <= mu-1; i++ {
 		b := Box{
-			Prefix:   iv.Hi[:i].Clone(),
+			Prefix:   iv.Hi[:i:i],
 			HasRange: true,
 			Lo:       relation.NegInf, LoInc: true,
 			Hi: iv.Hi[i], HiInc: false,
 		}
 		if !b.EmptyRange() {
-			boxes = append(boxes, b)
+			dst = append(dst, b)
 		}
 	}
 	// Right endpoint unit box for inclusive Hi.
 	if iv.HiInc {
-		boxes = append(boxes, UnitBox(iv.Hi))
+		dst = append(dst, Box{Prefix: iv.Hi[:mu:mu]})
 	}
-	return boxes
+	return dst
 }
 
 // SplitAt partitions iv at the point c into the sub-intervals

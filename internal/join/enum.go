@@ -9,6 +9,11 @@ import (
 // the join ⋈_F R_F(v_b) restricted to a canonical f-box. It is a pull-based
 // iterator with O(µ · |atoms|) state, implementing a leapfrog-style
 // worst-case-optimal backtracking search over sorted indexes.
+//
+// One Enum serves any number of boxes under the same bound valuation:
+// Reset restarts it on another box without allocating, and the per-atom
+// position ranges of the bound valuation are sought once, on first use,
+// and kept across resets.
 type Enum struct {
 	inst *Instance
 	vb   relation.Tuple
@@ -17,10 +22,13 @@ type Enum struct {
 	assignment relation.Tuple
 	// ranges[ai][d] is the position range of atom ai in its BoundFirst
 	// index after fixing the bound valuation and the free positions < d.
-	ranges  [][]rng
-	started bool
-	done    bool
-	ops     uint64
+	// ranges[ai][0] depends on the bound valuation alone.
+	ranges   [][]rng
+	baseDone bool // ranges[·][0] hold the bound valuation's ranges
+	baseOK   bool // every atom's bound range is non-empty
+	started  bool
+	done     bool
+	ops      uint64
 }
 
 type rng struct{ lo, hi int }
@@ -30,11 +38,29 @@ type rng struct{ lo, hi int }
 // of the instance's view.
 func NewEnum(inst *Instance, vb relation.Tuple, box interval.Box) *Enum {
 	e := &Enum{inst: inst, vb: vb, box: box, assignment: make(relation.Tuple, inst.Mu)}
+	stride := inst.Mu + 1
+	flat := make([]rng, len(inst.Atoms)*stride)
 	e.ranges = make([][]rng, len(inst.Atoms))
 	for i := range e.ranges {
-		e.ranges[i] = make([]rng, inst.Mu+1)
+		e.ranges[i] = flat[i*stride : (i+1)*stride : (i+1)*stride]
 	}
 	return e
+}
+
+// Reset restarts the enumeration on box under the same bound valuation.
+// Ops keeps counting across resets.
+func (e *Enum) Reset(box interval.Box) {
+	e.box = box
+	e.started = false
+	e.done = false
+}
+
+// Rebind restarts the enumeration on box under a new bound valuation vb,
+// which the next Next seeks afresh.
+func (e *Enum) Rebind(vb relation.Tuple, box interval.Box) {
+	e.vb = vb
+	e.baseDone = false
+	e.Reset(box)
 }
 
 // Ops returns the number of index seeks performed so far — a
@@ -44,50 +70,88 @@ func (e *Enum) Ops() uint64 { return e.ops }
 // Next returns the next free-variable valuation, or false when the
 // enumeration is complete. The returned tuple is freshly allocated.
 func (e *Enum) Next() (relation.Tuple, bool) {
-	if e.done {
+	if !e.step() {
 		return nil, false
+	}
+	if e.inst.Mu == 0 {
+		return relation.Tuple{}, true
+	}
+	return e.assignment.Clone(), true
+}
+
+// Exists reports whether the enumeration is non-empty, consuming at most
+// one result and allocating nothing. Use on a fresh or reset enumerator.
+func (e *Enum) Exists() bool { return e.step() }
+
+// step advances the assignment to the next solution, reporting false once
+// the enumeration is complete.
+func (e *Enum) step() bool {
+	if e.done {
+		return false
 	}
 	if !e.started {
 		e.started = true
 		if e.box.EmptyRange() || !e.initBase() {
 			e.done = true
-			return nil, false
+			return false
 		}
 		if e.inst.Mu == 0 {
 			e.done = true
-			return relation.Tuple{}, true
+			return true
 		}
 		if e.descendFrom(0, relation.NegInf) {
-			return e.assignment.Clone(), true
+			return true
 		}
 		e.done = true
-		return nil, false
+		return false
 	}
 	if e.advance(e.inst.Mu - 1) {
-		return e.assignment.Clone(), true
+		return true
 	}
 	e.done = true
-	return nil, false
+	return false
 }
 
-// Exists reports whether the enumeration is non-empty, consuming at most
-// one result. Use on a fresh enumerator.
-func (e *Enum) Exists() bool {
-	_, ok := e.Next()
-	return ok
+// Contains reports whether the free tuple ft, together with the bound
+// valuation, satisfies every atom — whether it is an output tuple of the
+// join. This is the unit-interval evaluation of Algorithm 2. It narrows
+// each atom's bound-valuation range (sought once, shared with the
+// enumeration) by the free columns, a constant number of index probes,
+// and allocates nothing. Every column of an atom holds a bound or a free
+// variable, so a non-empty range means the row is present.
+func (e *Enum) Contains(ft relation.Tuple) bool {
+	if !e.initBase() {
+		return false
+	}
+	for ai, a := range e.inst.Atoms {
+		r, nb := e.ranges[ai][0], len(a.BoundPos)
+		lo, hi := r.lo, r.hi
+		for k, pos := range a.FreePos {
+			if lo, hi = a.BoundFirst.ValueRange(lo, hi, nb+k, ft[pos]); lo >= hi {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // initBase fixes the bound valuation in every atom and verifies the
-// all-bound atoms.
+// all-bound atoms. The seeks run once per bound valuation; a reset reuses
+// their result.
 func (e *Enum) initBase() bool {
+	if e.baseDone {
+		return e.baseOK
+	}
+	e.baseDone, e.baseOK = true, false
 	for ai, a := range e.inst.Atoms {
 		e.ops++
-		lo, hi := a.BoundFirst.Range(a.vbPrefix(e.vb))
+		lo, hi := a.boundRange(e.vb)
 		if lo >= hi {
 			return false
 		}
 		e.ranges[ai][0] = rng{lo, hi}
 	}
+	e.baseOK = true
 	return true
 }
 
@@ -206,15 +270,7 @@ func searchValues(dom []relation.Value, v relation.Value) int {
 }
 
 // atomsAt returns the atom indexes containing free position d.
-func (e *Enum) atomsAt(d int) []int {
-	var out []int
-	for ai, a := range e.inst.Atoms {
-		if a.ContainsFree(d) {
-			out = append(out, ai)
-		}
-	}
-	return out
-}
+func (e *Enum) atomsAt(d int) []int { return e.inst.freeAtoms[d] }
 
 // fix records assignment[d] = v and narrows every atom range.
 func (e *Enum) fix(d int, v relation.Value) {

@@ -73,6 +73,10 @@ type Instance struct {
 	// BoundDomains[i] is the sorted active domain of the bound variable at
 	// global bound position i.
 	BoundDomains [][]relation.Value
+
+	// freeAtoms[d] lists the indexes of the atoms containing the free
+	// variable at global free position d.
+	freeAtoms [][]int
 }
 
 // NewInstance prepares indexes and active domains for the normalized view.
@@ -131,6 +135,12 @@ func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 		inst.Atoms = append(inst.Atoms, a)
 	}
 
+	inst.freeAtoms = make([][]int, inst.Mu)
+	for ai, a := range inst.Atoms {
+		for _, d := range a.FreePos {
+			inst.freeAtoms[d] = append(inst.freeAtoms[d], ai)
+		}
+	}
 	inst.FreeDomains = make([][]relation.Value, inst.Mu)
 	for d := range inst.FreeDomains {
 		inst.FreeDomains[d] = inst.domainOf(freePosSelector(d))
@@ -185,76 +195,55 @@ func (inst *Instance) domainOf(sel selector) []relation.Value {
 	return out
 }
 
-// vbPrefix extracts the atom's bound-column values from a global bound
-// valuation.
-func (a *AtomInfo) vbPrefix(vb relation.Tuple) relation.Tuple {
-	p := make(relation.Tuple, len(a.BoundPos))
+// boundRange returns the position range of the atom's BoundFirst index
+// whose bound columns equal the global bound valuation vb.
+func (a *AtomInfo) boundRange(vb relation.Tuple) (int, int) {
+	lo, hi := 0, a.BoundFirst.Len()
 	for i, pos := range a.BoundPos {
-		p[i] = vb[pos]
+		if lo, hi = a.BoundFirst.ValueRange(lo, hi, i, vb[pos]); lo >= hi {
+			break
+		}
 	}
-	return p
+	return lo, hi
 }
 
-// boxConstraint describes how a canonical box restricts the atom's free
-// columns: pinned values for the leading columns, and an optional range on
-// the next column.
-func (a *AtomInfo) boxConstraint(b interval.Box) (pins relation.Tuple, hasRange bool, lo relation.Value, loInc bool, hi relation.Value, hiInc bool) {
+// boxRange narrows [lo, hi) of ix — an index whose order columns from
+// depth on are the atom's free columns in f-order, constant on the columns
+// before depth — to the rows compatible with the canonical box: the box's
+// pinned values on the leading free columns, then its range on the next
+// one when the atom contains that variable.
+func (a *AtomInfo) boxRange(ix *relation.Index, lo, hi, depth int, b interval.Box) (int, int) {
 	p := len(b.Prefix)
 	k := 0
-	for k < len(a.FreePos) && a.FreePos[k] < p {
-		k++
-	}
-	pins = make(relation.Tuple, k)
-	for i := 0; i < k; i++ {
-		pins[i] = b.Prefix[a.FreePos[i]]
+	for ; k < len(a.FreePos) && a.FreePos[k] < p; k++ {
+		if lo, hi = ix.ValueRange(lo, hi, depth+k, b.Prefix[a.FreePos[k]]); lo >= hi {
+			return lo, hi
+		}
 	}
 	if b.HasRange && k < len(a.FreePos) && a.FreePos[k] == p {
-		return pins, true, b.Lo, b.LoInc, b.Hi, b.HiInc
+		return ix.IntervalRange(lo, hi, depth+k, b.Lo, b.LoInc, b.Hi, b.HiInc)
 	}
-	return pins, false, 0, false, 0, false
+	return lo, hi
 }
 
 // CountBox returns |R_F ⋉ B| for the atom at index ai: the number of rows
 // whose free columns are compatible with the canonical box.
 func (inst *Instance) CountBox(ai int, b interval.Box) int {
 	a := inst.Atoms[ai]
-	pins, hasRange, lo, loInc, hi, hiInc := a.boxConstraint(b)
-	if hasRange {
-		return a.FreeFirst.CountPrefixInterval(pins, lo, loInc, hi, hiInc)
-	}
-	return a.FreeFirst.CountPrefix(pins)
+	lo, hi := a.boxRange(a.FreeFirst, 0, a.FreeFirst.Len(), 0, b)
+	return hi - lo
 }
 
 // CountBoxBound returns |R_F(v_b) ⋉ B|: rows matching both the bound
 // valuation and the box.
 func (inst *Instance) CountBoxBound(ai int, vb relation.Tuple, b interval.Box) int {
 	a := inst.Atoms[ai]
-	pins, hasRange, lo, loInc, hi, hiInc := a.boxConstraint(b)
-	prefix := append(a.vbPrefix(vb), pins...)
-	if hasRange {
-		return a.BoundFirst.CountPrefixInterval(prefix, lo, loInc, hi, hiInc)
+	lo, hi := a.boundRange(vb)
+	if lo >= hi {
+		return 0
 	}
-	return a.BoundFirst.CountPrefix(prefix)
-}
-
-// ContainsAll reports whether the fully specified valuation (bound tuple vb
-// plus free tuple ft) satisfies every atom — i.e. whether it is an output
-// tuple of the join. This is the unit-interval evaluation of Algorithm 2,
-// a constant number of index probes.
-func (inst *Instance) ContainsAll(vb, ft relation.Tuple) bool {
-	for _, a := range inst.Atoms {
-		row := make(relation.Tuple, len(a.Vars))
-		for i, col := range a.BoundCols {
-			row[col] = vb[a.BoundPos[i]]
-		}
-		for k, col := range a.FreeCols {
-			row[col] = ft[a.FreePos[k]]
-		}
-		if !a.Rel.Contains(row) {
-			return false
-		}
-	}
-	return true
+	lo, hi = a.boxRange(a.BoundFirst, lo, hi, len(a.BoundPos), b)
+	return hi - lo
 }
 
 // CheckAllBoundAtoms verifies the atoms whose variables are all bound: each
@@ -265,8 +254,7 @@ func (inst *Instance) CheckAllBoundAtoms(vb relation.Tuple) bool {
 		if len(a.FreeCols) > 0 {
 			continue
 		}
-		lo, hi := a.BoundFirst.Range(a.vbPrefix(vb))
-		if lo >= hi {
+		if lo, hi := a.boundRange(vb); lo >= hi {
 			return false
 		}
 	}

@@ -125,8 +125,7 @@ func TestRefineOnesFlipsEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	ones, zeros := 0, 0
-	for key, bit := range s.dict {
-		_ = key
+	for _, bit := range s.dict.bits {
 		if bit == 1 {
 			ones++
 		} else {
@@ -148,12 +147,12 @@ func TestRefineOnesFlipsEntries(t *testing.T) {
 		}
 		return false
 	})
-	for _, bit := range s.dict {
+	for _, bit := range s.dict.bits {
 		if bit != 0 {
 			t.Fatal("entry not flipped to 0")
 		}
 	}
-	if got := len(s.dict); got != ones+zeros {
+	if got := s.dict.live; got != ones+zeros {
 		t.Fatalf("entry count changed: %d vs %d", got, ones+zeros)
 	}
 	// After total rejection every answer must be empty via the dictionary

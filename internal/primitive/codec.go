@@ -2,7 +2,6 @@ package primitive
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"cqrep/internal/interval"
@@ -19,8 +18,8 @@ import (
 
 // EncodeTo appends the structure to e: τ, the exhaustive flag, the build
 // time, the fractional edge cover, the tree in id (pre-)order, and the
-// dictionary with keys sorted so identical structures always serialize to
-// identical bytes.
+// dictionary in its key order, so identical structures always serialize
+// to identical bytes.
 func (s *Structure) EncodeTo(e *relation.Encoder) {
 	e.Float(s.tau)
 	e.Bool(s.exhaustive)
@@ -39,16 +38,7 @@ func (s *Structure) EncodeTo(e *relation.Encoder) {
 		e.Int(linkID(n.right))
 	}
 
-	keys := make([]string, 0, len(s.dict))
-	for k := range s.dict {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uint(uint64(len(keys)))
-	for _, k := range keys {
-		e.Raw([]byte(k))
-		e.Byte(s.dict[k])
-	}
+	s.dict.encodeTo(e)
 }
 
 // linkID returns a child pointer as an id, -1 when absent.
@@ -62,8 +52,9 @@ func linkID(n *node) int64 {
 // Decode reads a structure previously written by EncodeTo, rebinding it to
 // inst (freshly built from the same base relations). The estimator is
 // reconstructed from the stored cover; tree links, intervals, and
-// dictionary keys are validated so a corrupt payload fails instead of
-// producing a structure that panics at query time.
+// dictionary keys (strictly increasing, naming existing nodes) are
+// validated so a corrupt payload fails instead of producing a structure
+// that panics or answers wrongly at query time.
 func Decode(d *relation.Decoder, inst *join.Instance) (*Structure, error) {
 	tau := d.Float()
 	exhaustive := d.Bool()
@@ -128,22 +119,8 @@ func Decode(d *relation.Decoder, inst *join.Instance) (*Structure, error) {
 		s.root = s.nodes[0]
 	}
 
-	keyLen := 4 + 8*len(inst.NV.Bound)
-	nDict := d.Count(keyLen + 1)
-	if err := d.Err(); err != nil {
+	if s.dict, err = decodeDict(d, len(inst.NV.Bound), nNodes); err != nil {
 		return nil, err
-	}
-	s.dict = make(map[string]byte, nDict)
-	for i := 0; i < nDict; i++ {
-		key := d.Raw(keyLen)
-		bit := d.Byte()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if bit > 1 {
-			return nil, fmt.Errorf("primitive: snapshot dictionary bit %#x at entry %d", bit, i)
-		}
-		s.dict[string(key)] = bit
 	}
 	return s, nil
 }

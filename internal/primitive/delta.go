@@ -1,6 +1,8 @@
 package primitive
 
 import (
+	"slices"
+
 	"cqrep/internal/join"
 	"cqrep/internal/relation"
 )
@@ -24,10 +26,12 @@ import (
 // DeltaRebase therefore rebases the tree and dictionary onto the updated
 // instance wholesale and repairs exactly the dangerous direction: for
 // every net-added output it walks the root-to-leaf containment chain of
-// the output's free tuple and deletes any 0-entry for the output's bound
-// valuation along it (⊥ re-evaluates, which is correct). Deletions need no
-// dictionary work at all, and the delay guarantee degrades gracefully —
-// amortized rebuilds (Maintained's existing policy) restore it.
+// the output's free tuple and invalidates any 0-entry for the output's
+// bound valuation along it (⊥ re-evaluates, which is correct): the entry
+// is marked absent in a copy of the bit array, while the keys and the slot
+// index stay shared with the receiver. Deletions need no dictionary work
+// at all, and the delay guarantee degrades gracefully — amortized rebuilds
+// (Maintained's existing policy) restore it.
 
 // DeltaRebase returns a Structure answering queries over inst — the same
 // normalized view compiled over an updated database — reusing this
@@ -46,15 +50,14 @@ func (s *Structure) DeltaRebase(inst *join.Instance, addVb, addFree []relation.T
 		root: s.root, nodes: s.nodes, maxLevel: s.maxLevel,
 		dict: s.dict, exhaustive: s.exhaustive,
 	}
-	var stale []string
+	var stale []int
 	for i, ft := range addFree {
 		if !s.root.iv.Contains(ft) {
 			return nil, false
 		}
-		vbKey := addVb[i].AppendEncode(nil)
 		for n := s.root; n != nil; {
-			if bit, heavy := s.lookup(n.id, vbKey); heavy && bit == 0 {
-				stale = append(stale, dictKey(n.id, addVb[i]))
+			if e := s.dict.find(n.id, addVb[i]); e >= 0 && s.dict.bits[e] == 0 {
+				stale = append(stale, e)
 			}
 			if n.beta == nil {
 				break
@@ -74,14 +77,15 @@ func (s *Structure) DeltaRebase(inst *join.Instance, addVb, addFree []relation.T
 		}
 	}
 	if len(stale) > 0 {
-		nd := make(map[string]byte, len(s.dict))
-		for k, v := range s.dict {
-			nd[k] = v
+		// Copy-on-write: only the bits change, so the rebase shares the
+		// receiver's keys and slot index.
+		out.dict.bits = slices.Clone(s.dict.bits)
+		for _, e := range stale {
+			if out.dict.bits[e] != absent {
+				out.dict.bits[e] = absent
+				out.dict.live--
+			}
 		}
-		for _, k := range stale {
-			delete(nd, k)
-		}
-		out.dict = nd
 	}
 	return out, true
 }

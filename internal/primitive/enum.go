@@ -12,13 +12,19 @@ import (
 // delay-balanced tree, consulting the dictionary at every node; light (⊥)
 // nodes are evaluated with the worst-case-optimal enumerator, heavy 1-nodes
 // recurse, and 0-nodes are skipped.
+//
+// The traversal allocates nothing per node: one join.Enum per request is
+// reset onto every light box and answers every split-point check, so each
+// atom's bound-prefix range is sought once per request, and light
+// intervals are decomposed into a box slice the iterator owns. Only the
+// answers are allocated.
 type Iter struct {
-	s     *Structure
-	vb    relation.Tuple
-	vbKey []byte
+	s  *Structure
+	vb relation.Tuple
 
 	stack   []frame
-	sub     *join.Enum
+	en      *join.Enum // the request's enumerator: ⊥ boxes and β checks
+	inSub   bool       // en is enumerating boxes[boxIdx]
 	boxes   []interval.Box
 	boxIdx  int
 	started bool
@@ -34,14 +40,14 @@ type frame struct {
 // Query returns an iterator over the result of the access request with
 // bound valuation vb (in the view's bound-variable order).
 func (s *Structure) Query(vb relation.Tuple) *Iter {
-	return &Iter{s: s, vb: vb, vbKey: vb.AppendEncode(nil)}
+	return &Iter{s: s, vb: vb}
 }
 
 // Ops returns the number of index and dictionary probes performed so far —
 // the machine-independent work counter behind the delay measurements.
 func (it *Iter) Ops() uint64 {
-	if it.sub != nil {
-		return it.ops + it.sub.Ops()
+	if it.en != nil {
+		return it.ops + it.en.Ops()
 	}
 	return it.ops
 }
@@ -62,21 +68,21 @@ func (it *Iter) Next() (relation.Tuple, bool) {
 			it.done = true
 			return nil, false
 		}
+		it.stack = make([]frame, 0, it.s.maxLevel+1)
+		it.en = join.NewEnum(it.s.inst, it.vb, interval.Box{})
 		it.push(it.s.root)
 	}
 	for {
-		if it.sub != nil {
-			t, ok := it.sub.Next()
-			if ok {
+		if it.inSub {
+			if t, ok := it.en.Next(); ok {
 				return t, true
 			}
-			it.ops += it.sub.Ops()
-			it.sub = nil
 			it.boxIdx++
 			if it.boxIdx < len(it.boxes) {
-				it.sub = join.NewEnum(it.s.inst, it.vb, it.boxes[it.boxIdx])
+				it.en.Reset(it.boxes[it.boxIdx])
 				continue
 			}
+			it.inSub = false
 			it.pop()
 			continue
 		}
@@ -89,15 +95,19 @@ func (it *Iter) Next() (relation.Tuple, bool) {
 		switch f.state {
 		case 0:
 			it.ops++
-			bit, heavy := it.s.lookup(n.id, it.vbKey)
+			bit, heavy := it.s.dict.lookup(n.id, it.vb)
 			if !heavy {
 				// ⊥: the pair is light; evaluate the whole interval with
 				// the worst-case-optimal enumerator (time O(τ_ℓ)).
 				f.state = 3
-				it.boxes = interval.Decompose(n.iv)
+				if it.boxes == nil {
+					it.boxes = make([]interval.Box, 0, 2*it.s.inst.Mu+1)
+				}
+				it.boxes = interval.AppendDecompose(it.boxes[:0], n.iv)
 				it.boxIdx = 0
 				if len(it.boxes) > 0 {
-					it.sub = join.NewEnum(it.s.inst, it.vb, it.boxes[0])
+					it.en.Reset(it.boxes[0])
+					it.inSub = true
 				} else {
 					it.pop()
 				}
@@ -114,7 +124,7 @@ func (it *Iter) Next() (relation.Tuple, bool) {
 		case 1:
 			f.state = 2
 			it.ops++
-			if n.beta != nil && it.s.inst.ContainsAll(it.vb, n.beta) {
+			if n.beta != nil && it.en.Contains(n.beta) {
 				return n.beta.Clone(), true
 			}
 		case 2:

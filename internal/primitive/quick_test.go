@@ -1,41 +1,64 @@
 package primitive
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"cqrep/internal/relation"
 )
 
-// TestQuickDictKeyRoundTrip: encoding a (node, valuation) pair and decoding
-// it recovers the originals — the dictionary cannot alias distinct pairs.
+// TestQuickDictKeyRoundTrip: a (node, valuation) pair stored in the table
+// looks up to its bit, reads back as the same pair, and survives the
+// snapshot encoding — the table cannot lose or alter a key.
 func TestQuickDictKeyRoundTrip(t *testing.T) {
-	f := func(id int32, a, b, c int64) bool {
-		if id < 0 {
-			id = -id
-		}
+	f := func(rawID uint16, a, b, c int64, one bool) bool {
+		id := int32(rawID % 512)
 		vb := relation.Tuple{relation.Value(a), relation.Value(b), relation.Value(c)}
-		gotID, gotVb := decodeDictKey(dictKey(id, vb), 3)
-		return gotID == id && gotVb.Equal(vb)
+		bit := byte(0)
+		if one {
+			bit = 1
+		}
+		perNode := make([]nodeEntries, id+1)
+		perNode[id].add(vb, bit)
+		tab := joinDict(3, perNode)
+		if got, ok := tab.lookup(id, vb); !ok || got != bit {
+			return false
+		}
+		if gotID, gotVb := tab.entry(0); gotID != id || !gotVb.Equal(vb) {
+			return false
+		}
+		var buf bytes.Buffer
+		enc := relation.NewEncoder(&buf)
+		tab.encodeTo(enc)
+		back, err := decodeDict(relation.NewDecoder(buf.Bytes()), 3, int(id)+1)
+		return err == nil && reflect.DeepEqual(back.keys, tab.keys) && reflect.DeepEqual(back.bits, tab.bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickDictKeyInjective: distinct pairs get distinct keys.
+// TestQuickDictKeyInjective: distinct pairs get distinct entries — neither
+// reads the other's bit, not even the same valuation at another node.
 func TestQuickDictKeyInjective(t *testing.T) {
-	f := func(id1, id2 int32, a1, a2 int64) bool {
-		if id1 < 0 {
-			id1 = -id1
-		}
-		if id2 < 0 {
-			id2 = -id2
-		}
-		k1 := dictKey(id1, relation.Tuple{relation.Value(a1)})
-		k2 := dictKey(id2, relation.Tuple{relation.Value(a2)})
+	f := func(raw1, raw2 uint16, a1, a2 int64) bool {
+		id1, id2 := int32(raw1%64), int32(raw2%64)
+		vb1, vb2 := relation.Tuple{relation.Value(a1)}, relation.Tuple{relation.Value(a2)}
 		same := id1 == id2 && a1 == a2
-		return (k1 == k2) == same
+		perNode := make([]nodeEntries, 64)
+		perNode[id1].add(vb1, 1)
+		if !same {
+			perNode[id2].add(vb2, 0)
+		}
+		tab := joinDict(1, perNode)
+		bit1, ok1 := tab.lookup(id1, vb1)
+		bit2, ok2 := tab.lookup(id2, vb2)
+		if !ok1 || !ok2 || bit1 != 1 {
+			return false
+		}
+		return (bit2 == 1) == same && (tab.live == 1) == same
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -2,7 +2,6 @@ package primitive
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -41,7 +40,7 @@ type Structure struct {
 	root       *node
 	nodes      []*node // by id
 	maxLevel   int
-	dict       map[string]byte
+	dict       dict
 	exhaustive bool
 
 	buildTime time.Time
@@ -61,7 +60,7 @@ type buildConfig struct {
 // Workers bounds the number of goroutines used to build the heavy-pair
 // dictionary. n <= 0 means runtime.GOMAXPROCS(0). The output is
 // deterministic regardless of the worker count: tree nodes own disjoint key
-// ranges of the dictionary, so per-node results merge into the same map no
+// ranges of the dictionary, so per-node results join into the same table no
 // matter which worker computed them.
 func Workers(n int) BuildOption { return func(c *buildConfig) { c.workers = n } }
 
@@ -110,7 +109,7 @@ func build(inst *join.Instance, u fractional.Cover, tau float64, exhaustive bool
 	if err != nil {
 		return nil, err
 	}
-	s := &Structure{inst: inst, est: est, tau: tau, dict: make(map[string]byte), exhaustive: exhaustive}
+	s := &Structure{inst: inst, est: est, tau: tau, dict: emptyDict(len(inst.NV.Bound)), exhaustive: exhaustive}
 	start := time.Now()
 
 	root, ok := s.rootInterval()
@@ -183,13 +182,6 @@ func (s *Structure) buildTree(ctx context.Context, iv interval.Interval, level i
 	return n, nil
 }
 
-// dictKey encodes a (node, valuation) pair as a compact map key.
-func dictKey(id int32, vb relation.Tuple) string {
-	buf := make([]byte, 4, 4+8*len(vb))
-	binary.BigEndian.PutUint32(buf, uint32(id))
-	return string(vb.AppendEncode(buf))
-}
-
 // buildDictionary computes the heavy-pair dictionary of Appendix A: for
 // every tree node w at level ℓ and every bound valuation v_b with
 // T(v_b, I(w)) > τ_ℓ, it stores one bit recording whether the join
@@ -198,59 +190,60 @@ func dictKey(id int32, vb relation.Tuple) string {
 // Nodes are independent — each owns the dictionary keys prefixed with its
 // id — so they are processed by up to workers goroutines pulling node
 // indices from a shared counter (nodes near the root carry most of the
-// candidate work, so static striping would balance poorly). Per-node
-// results are merged afterwards; the final map is identical for every
-// worker count. Workers poll ctx between nodes and every 64 candidates
-// within a node, so cancellation aborts the pull loop promptly and
-// buildDictionary returns ctx.Err().
+// candidate work, so static striping would balance poorly). Each node's
+// entries land in its own slot and the slots are joined in id order, so
+// the table is identical for every worker count. Workers poll ctx between
+// nodes and every 64 candidates within a node, so cancellation aborts the
+// pull loop promptly and buildDictionary returns ctx.Err().
 func (s *Structure) buildDictionary(ctx context.Context, workers int) error {
+	results := make([]nodeEntries, len(s.nodes))
 	if workers > len(s.nodes) {
 		workers = len(s.nodes)
 	}
 	if workers <= 1 {
-		for _, n := range s.nodes {
-			if err := s.nodeDictionary(ctx, n, s.dict); err != nil {
+		for i, n := range s.nodes {
+			var err error
+			if results[i], err = s.nodeDictionary(ctx, n); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	results := make([]map[string]byte, len(s.nodes))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.nodes) || ctx.Err() != nil {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(s.nodes) || ctx.Err() != nil {
+						return
+					}
+					ne, err := s.nodeDictionary(ctx, s.nodes[i])
+					if err != nil {
+						return
+					}
+					results[i] = ne
 				}
-				m := make(map[string]byte)
-				if s.nodeDictionary(ctx, s.nodes[i], m) != nil {
-					return
-				}
-				results[i] = m
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, m := range results {
-		for k, bit := range m {
-			s.dict[k] = bit
+			}()
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
+	s.dict = joinDict(len(s.inst.NV.Bound), results)
 	return nil
 }
 
-// nodeDictionary computes one node's heavy-pair entries into dst. The
-// candidate stream of a node near the root can dominate the whole build,
-// so ctx is polled every 64 candidates, not just per node.
-func (s *Structure) nodeDictionary(ctx context.Context, n *node, dst map[string]byte) error {
+// nodeDictionary computes one node's heavy-pair entries. The candidate
+// stream of a node near the root can dominate the whole build, so ctx is
+// polled every 64 candidates, not just per node.
+//
+// T(v_b, I(w)) is summed over the node's own boxes in decomposition order,
+// exactly as Estimator.TIntervalBound would, without decomposing I(w)
+// again per candidate; one Enum serves every emptiness check.
+func (s *Structure) nodeDictionary(ctx context.Context, n *node) (nodeEntries, error) {
 	candidates := join.BoundCandidates
 	if s.exhaustive {
 		candidates = join.BoundCandidatesExhaustive
@@ -258,44 +251,49 @@ func (s *Structure) nodeDictionary(ctx context.Context, n *node, dst map[string]
 	tauL := s.levelThreshold(n.level)
 	boxes := interval.Decompose(n.iv)
 	seen := make(map[string]bool)
-	steps := 0
+	en := join.NewEnum(s.inst, nil, interval.Box{})
+	var (
+		out   nodeEntries
+		key   []byte
+		steps int
+	)
 	for _, b := range boxes {
 		candidates(s.inst, b, func(vb relation.Tuple) bool {
 			if steps++; steps&0x3f == 0 && ctx.Err() != nil {
 				return false
 			}
-			key := string(vb.AppendEncode(nil))
-			if seen[key] {
+			key = vb.AppendEncode(key[:0])
+			if seen[string(key)] {
 				return true
 			}
-			seen[key] = true
-			if s.est.TIntervalBound(vb, n.iv) <= tauL {
+			seen[string(key)] = true
+			t := 0.0
+			for _, eb := range boxes {
+				t += s.est.TBoxBound(vb, eb)
+			}
+			if t <= tauL {
 				return true
 			}
 			bit := byte(0)
-			for _, eb := range boxes {
-				if join.NewEnum(s.inst, vb, eb).Exists() {
+			for i, eb := range boxes {
+				if i == 0 {
+					en.Rebind(vb, eb)
+				} else {
+					en.Reset(eb)
+				}
+				if en.Exists() {
 					bit = 1
 					break
 				}
 			}
-			dst[dictKey(n.id, vb)] = bit
+			out.add(vb, bit)
 			return true
 		})
 		if err := ctx.Err(); err != nil {
-			return err
+			return nodeEntries{}, err
 		}
 	}
-	return nil
-}
-
-// lookup returns the dictionary entry for (node, vb): 0, 1, or ⊥ (ok ==
-// false) when the pair is not heavy.
-func (s *Structure) lookup(id int32, vbKey []byte) (byte, bool) {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(id))
-	bit, ok := s.dict[string(buf[:])+string(vbKey)]
-	return bit, ok
+	return out, nil
 }
 
 // Instance returns the underlying join instance.
@@ -331,8 +329,8 @@ func (s *Structure) Stats() Stats {
 	return Stats{
 		TreeNodes:   len(s.nodes),
 		MaxLevel:    s.maxLevel,
-		DictEntries: len(s.dict),
-		Bytes:       len(s.nodes)*perNode + len(s.dict)*perEntry,
+		DictEntries: s.dict.live,
+		Bytes:       len(s.nodes)*perNode + s.dict.live*perEntry,
 		BuildTime:   s.elapsed,
 	}
 }
@@ -366,7 +364,7 @@ func (s *Structure) Nodes() []NodeView {
 // DictBit exposes dictionary entries for tests: it returns the stored bit
 // and whether the (node, valuation) pair is present.
 func (s *Structure) DictBit(id int32, vb relation.Tuple) (byte, bool) {
-	return s.lookup(id, vb.AppendEncode(nil))
+	return s.dict.lookup(id, vb)
 }
 
 // NodeInterval returns the f-interval of the identified tree node.
@@ -381,14 +379,13 @@ func (s *Structure) NodeInterval(id int32) interval.Interval {
 // that a 1-entry guarantees a full downstream output, not merely a
 // bag-local one.
 func (s *Structure) RefineOnes(keep func(id int32, iv interval.Interval, vb relation.Tuple) bool) {
-	nb := len(s.inst.NV.Bound)
-	for key, bit := range s.dict {
+	for e, bit := range s.dict.bits {
 		if bit != 1 {
 			continue
 		}
-		id, vb := decodeDictKey(key, nb)
+		id, vb := s.dict.entry(e)
 		if !keep(id, s.nodes[id].iv, vb) {
-			s.dict[key] = 0
+			s.dict.bits[e] = 0
 		}
 	}
 }
@@ -399,15 +396,5 @@ func (s *Structure) RefineOnes(keep func(id int32, iv interval.Interval, vb rela
 // the root interval from scratch, which demonstrates that the dictionary —
 // not the tree alone — delivers the delay guarantee.
 func (s *Structure) DropDictionary() {
-	s.dict = make(map[string]byte)
-}
-
-// decodeDictKey inverts dictKey.
-func decodeDictKey(key string, nb int) (int32, relation.Tuple) {
-	id := int32(binary.BigEndian.Uint32([]byte(key[:4])))
-	vb := make(relation.Tuple, nb)
-	for i := 0; i < nb; i++ {
-		vb[i] = relation.Value(binary.BigEndian.Uint64([]byte(key[4+8*i : 12+8*i])))
-	}
-	return id, vb
+	s.dict = emptyDict(len(s.inst.NV.Bound))
 }

@@ -113,7 +113,7 @@ func (ix *Index) Range(prefix Tuple) (int, int) {
 func (ix *Index) SubRange(lo, hi, depth int, prefix Tuple) (int, int) {
 	for k, want := range prefix {
 		d := depth + k
-		lo, hi = ix.valueRange(lo, hi, d, want)
+		lo, hi = ix.ValueRange(lo, hi, d, want)
 		if lo >= hi {
 			return lo, lo
 		}
@@ -121,35 +121,43 @@ func (ix *Index) SubRange(lo, hi, depth int, prefix Tuple) (int, int) {
 	return lo, hi
 }
 
-// valueRange returns the subrange of [lo, hi) where order column d equals
-// want, assuming columns before d are constant on [lo, hi).
-func (ix *Index) valueRange(lo, hi, d int, want Value) (int, int) {
-	c := ix.cols[d]
-	first := lo + sort.Search(hi-lo, func(i int) bool {
-		return ix.rel.rows[ix.perm[lo+i]][c] >= want
-	})
-	last := lo + sort.Search(hi-lo, func(i int) bool {
-		return ix.rel.rows[ix.perm[lo+i]][c] > want
-	})
-	return first, last
+// ValueRange returns the subrange of [lo, hi) where order column d equals
+// want, assuming columns before d are constant on [lo, hi). It is the
+// one-column step of SubRange, for callers that narrow column by column
+// without building a prefix tuple.
+func (ix *Index) ValueRange(lo, hi, d int, want Value) (int, int) {
+	first := ix.SeekGE(lo, hi, d, want)
+	return first, ix.SeekGT(first, hi, d, want)
 }
 
 // SeekGE returns the first position in [lo, hi) whose order column depth has
 // value >= v, assuming columns before depth are constant on [lo, hi).
 func (ix *Index) SeekGE(lo, hi, depth int, v Value) int {
 	c := ix.cols[depth]
-	return lo + sort.Search(hi-lo, func(i int) bool {
-		return ix.rel.rows[ix.perm[lo+i]][c] >= v
-	})
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.rel.rows[ix.perm[mid]][c] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // SeekGT returns the first position in [lo, hi) whose order column depth has
 // value > v, assuming columns before depth are constant on [lo, hi).
 func (ix *Index) SeekGT(lo, hi, depth int, v Value) int {
 	c := ix.cols[depth]
-	return lo + sort.Search(hi-lo, func(i int) bool {
-		return ix.rel.rows[ix.perm[lo+i]][c] > v
-	})
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.rel.rows[ix.perm[mid]][c] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // IntervalRange narrows [lo, hi) — constant on the first depth order columns
