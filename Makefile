@@ -71,7 +71,7 @@ examples:
 # format regression fails the build. Mirrors the CI snapshot job.
 snapshot-check:
 	$(GO) test -run 'TestSnapshot' ./...
-	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v1$$' ./internal/core
+	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v[12]$$' ./internal/core
 	$(GO) run ./cmd/cqbench -run E17 -n 1500 -queries 20
 
 # Differential gate: the whole internal/difftest package. Every strategy

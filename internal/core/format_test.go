@@ -12,19 +12,18 @@ import (
 	"cqrep/internal/workload"
 )
 
-// TestSnapshotFormatFixture loads testdata/triangle_v2.cqs, a Theorem-1
+// TestSnapshotFormatFixture loads testdata/triangle_v3.cqs, a Theorem-1
 // snapshot of the mutual-friend view over workload.SkewedTriangleDB(11, 20,
-// 90) at τ = 2, written by the encoder that kept the heavy-pair dictionary
-// in a string-keyed map and sorted it on write. The flat table must read
-// it unchanged (format version 2), write it back byte for byte, and answer
-// every request exactly like a fresh compile of the same inputs.
+// 90) at τ = 2 with the valuation-major heavy-pair dictionary. It must
+// read (format version 3), write back byte for byte, and answer every
+// request exactly like a fresh compile of the same inputs.
 func TestSnapshotFormatFixture(t *testing.T) {
-	raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); v != 2 || snapshotVersion != 2 {
-		t.Fatalf("fixture is version %d, this build writes %d; both must stay 2", v, snapshotVersion)
+	if v := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); v != 3 || snapshotVersion != 3 {
+		t.Fatalf("fixture is version %d, this build writes %d; both must stay 3", v, snapshotVersion)
 	}
 	loaded, err := ReadRepresentation(bytes.NewReader(raw))
 	if err != nil {
@@ -71,23 +70,38 @@ func TestSnapshotFormatFixture(t *testing.T) {
 // dictionary entry repeats the one before it is corrupt, not a dictionary
 // in which the later entry wins.
 func TestSnapshotRejectsRepeatedDictionaryKey(t *testing.T) {
-	raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRepresentation(bytes.NewReader(repeatLastDictEntry(raw, 2))); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := ReadRepresentation(bytes.NewReader(repeatLastDictEntry(t, raw))); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("err = %v, want ErrBadSnapshot", err)
 	}
 }
 
 // repeatLastDictEntry rewrites a single-backend primitive snapshot frame
-// so its last heavy-pair dictionary entry — the payload's final bytes — is
-// a copy of the one before it, and re-frames it with a valid checksum. nb
-// is the view's number of bound variables.
-func repeatLastDictEntry(frame []byte, nb int) []byte {
-	payload := append([]byte(nil), stripFrame(frame)...)
-	entry := 4 + 8*nb + 1
-	n := len(payload)
-	copy(payload[n-entry:], payload[n-2*entry:n-entry])
-	return framePayload(snapshotVersion, payload)
+// so its last heavy-pair dictionary entry names the same node as the one
+// before it — the same (node, valuation) pair twice — and re-frames it
+// with a valid checksum. The payload ends with the dictionary's last
+// valuation's id deltas and then its bitmap, so the entry's delta is the
+// uvarint just before the bitmap; it becomes 0.
+func repeatLastDictEntry(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	rep, err := ReadRepresentation(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.be.(primitiveBackend).s
+	d := s.Stats().DictEntries
+	if d < 2 {
+		t.Fatalf("fixture dictionary holds %d entries", d)
+	}
+	payload := stripFrame(frame)
+	end := len(payload) - (d+7)/8 // the bitmap starts here
+	start := end - 1
+	for start > 0 && payload[start-1]&0x80 != 0 {
+		start--
+	}
+	out := append(append(append([]byte(nil), payload[:start]...), 0), payload[end:]...)
+	return framePayload(snapshotVersion, out)
 }

@@ -24,7 +24,8 @@ import (
 // strategy (single-backend and sharded), so mutations explore the
 // neighborhood of the one supported format version.
 func FuzzReadRepresentation(f *testing.F) {
-	// v2 frames across the persistable strategy menu, sharded included.
+	// Current-version frames across the persistable strategy menu, sharded
+	// included.
 	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
 	db := workload.TriangleDB(5, 12, 40)
 	for _, opts := range [][]Option{
@@ -44,13 +45,14 @@ func FuzzReadRepresentation(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// A primitive frame whose dictionary repeats a key: decoding must
-	// reject it rather than let the later entry win.
-	raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+	// The committed v3 fixture, and a copy whose dictionary repeats an
+	// entry: decoding must reject that rather than let the later entry win.
+	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(repeatLastDictEntry(raw, 2))
+	f.Add(raw)
+	f.Add(repeatLastDictEntry(f, raw))
 	// Degenerate non-snapshots.
 	f.Add([]byte{})
 	f.Add([]byte("CQREPS"))
@@ -64,15 +66,18 @@ func FuzzReadRepresentation(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		// Three decoding angles per input: the bytes as a whole frame, and
-		// the bytes as a *payload* wrapped in a correctly-checksummed v1
-		// and v2 frame. The v2 wrap matters most: without it the CRC-32
-		// gate rejects nearly every mutation before the payload decoders
-		// (view, database, per-strategy structures) see a byte. The v1
-		// wrap must always fail typed: this build no longer reads v1.
+		// Decoding angles per input: the bytes as a whole frame, and the
+		// bytes as a *payload* wrapped in a correctly-checksummed v1, v2
+		// and current-version frame. The current-version wrap matters
+		// most: without it the CRC-32 gate rejects nearly every mutation
+		// before the payload decoders (view, database, per-strategy
+		// structures) see a byte. The v1 and v2 wraps must always fail
+		// typed: this build reads neither.
 		tryDecode(t, dir, data)
-		if _, err := ReadRepresentation(bytes.NewReader(framePayload(1, stripFrame(data)))); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("v1 frame: err = %v, want ErrSnapshotVersion", err)
+		for _, v := range []uint16{1, 2} {
+			if _, err := ReadRepresentation(bytes.NewReader(framePayload(v, stripFrame(data)))); !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("v%d frame: err = %v, want ErrSnapshotVersion", v, err)
+			}
 		}
 		tryDecode(t, dir, framePayload(snapshotVersion, stripFrame(data)))
 	})

@@ -13,7 +13,7 @@ import (
 // lazy.go implements the mmap-backed snapshot load path: OpenRepresentationMmap
 // maps a snapshot file and returns in O(file-open) time, deferring all
 // decoding — base relations, indexes, backend structures — to the first
-// access. For version-2 sharded snapshots the laziness is per shard: the
+// access. For sharded snapshots the laziness is per shard: the
 // composite materializes only its routing metadata, and each shard's
 // nested frame (a zero-copy subslice of the mapping) decodes independently
 // on first touch, so a bound-key access request pays for exactly one

@@ -357,7 +357,7 @@ func TestMaintainedDirtyShardRebuild(t *testing.T) {
 }
 
 // TestSnapshotShardCountBounded pins the corrupt-count defense: a
-// CRC-valid version-2 frame claiming an absurd shard count must fail with
+// CRC-valid frame claiming an absurd shard count must fail with
 // ErrBadSnapshot instead of sizing an allocation from attacker-controlled
 // bytes.
 func TestSnapshotShardCountBounded(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // worker can join by fetching exactly the shards it is assigned — the
 // join-by-snapshot protocol of DESIGN.md §6. Each shard's
 // sub-representation already serializes as a complete snapshot frame (the
-// v2 sharded payload nests one per shard), so export is a plain WriteTo of
+// sharded payload nests one per shard), so export is a plain WriteTo of
 // the sub-representation; a worker loads the file with the ordinary eager
 // or mmap decoder and serves it like any other view.
 

@@ -35,13 +35,16 @@ import (
 // byte-for-byte identically to the freshly compiled one.
 //
 // Version history: version 1 carried a single backend and no shard count;
-// version 2 adds the shard-count field and the sharded composite payload.
-// This build reads version 2 only: a version-1 frame fails with
-// ErrSnapshotVersion.
+// version 2 adds the shard-count field and the sharded composite payload;
+// version 3 stores the Theorem-1 heavy-pair dictionary valuation-major
+// (front-coded valuations, per valuation its node ids as deltas, and one
+// packed bitmap of the bits) where version 2 wrote one fixed-width
+// (node, valuation) key per entry. This build reads version 3 only: a
+// version-1 or version-2 frame fails with ErrSnapshotVersion.
 
 const (
 	snapshotMagic   = "CQREPS"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	// snapshotHeaderLen is magic + version + payload length.
 	snapshotHeaderLen = len(snapshotMagic) + 2 + 8
 )

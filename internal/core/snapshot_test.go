@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -176,13 +177,13 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadSnapshot", err)
 		}
 	})
-	// Version 1 (the pre-sharding format) is no longer read: its frame
-	// fails typed, like any version this build does not understand.
+	// Version 1 (the pre-sharding format) and version 2 (the key-per-entry
+	// dictionary) are no longer read: their frames fail typed, like any
+	// version this build does not understand.
 	t.Run("version skew", func(t *testing.T) {
-		for _, v := range []uint16{1, snapshotVersion + 41} {
+		for _, v := range []uint16{1, 2, 43} { // 43: a version from the future
 			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
-				bad := append([]byte(nil), snap...)
-				binary.BigEndian.PutUint16(bad[len(snapshotMagic):], v)
+				bad := versionSkewFrame(t, snap, v)
 				_, err := ReadRepresentation(bytes.NewReader(bad))
 				if !errors.Is(err, ErrSnapshotVersion) {
 					t.Fatalf("err = %v, want ErrSnapshotVersion", err)
@@ -230,4 +231,24 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadSnapshot", err)
 		}
 	})
+}
+
+// versionSkewFrame returns a frame of format version v: for version 2 the
+// committed testdata/triangle_v2.cqs, a real file the version-2 encoder
+// wrote; for any other version snap with its version field rewritten.
+func versionSkewFrame(t *testing.T, snap []byte, v uint16) []byte {
+	t.Helper()
+	if v == 2 {
+		raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); got != 2 {
+			t.Fatalf("triangle_v2.cqs is version %d", got)
+		}
+		return raw
+	}
+	bad := append([]byte(nil), snap...)
+	binary.BigEndian.PutUint16(bad[len(snapshotMagic):], v)
+	return bad
 }

@@ -251,8 +251,11 @@ func (c *Client) Open(ctx context.Context, view string, opts QueryOptions) (Stre
 		}
 		return &binaryStream{dec: dec, body: resp.Body}, nil
 	}
+	// The scanner starts at its default 4 KB and grows only for long
+	// lines: a point request's lines are a few bytes, and a fixed 64 KB per
+	// stream was most of a point-request client's garbage.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	return &ndjsonStream{sc: sc, body: resp.Body}, nil
 }
 

@@ -51,10 +51,10 @@ func linkID(n *node) int64 {
 
 // Decode reads a structure previously written by EncodeTo, rebinding it to
 // inst (freshly built from the same base relations). The estimator is
-// reconstructed from the stored cover; tree links, intervals, and
-// dictionary keys (strictly increasing, naming existing nodes) are
-// validated so a corrupt payload fails instead of producing a structure
-// that panics or answers wrongly at query time.
+// reconstructed from the stored cover; tree links (a pre-order tree),
+// intervals, and the dictionary (see decodeDict) are validated so a
+// corrupt payload fails instead of producing a structure that panics or
+// answers wrongly at query time.
 func Decode(d *relation.Decoder, inst *join.Instance) (*Structure, error) {
 	tau := d.Float()
 	exhaustive := d.Bool()
@@ -98,22 +98,8 @@ func Decode(d *relation.Decoder, inst *join.Instance) (*Structure, error) {
 		}
 		s.nodes[i] = n
 	}
-	for i, l := range links {
-		for side, id := range l {
-			if id == -1 {
-				continue
-			}
-			// Children always follow their parent in pre-order, so a link
-			// must point strictly forward; anything else is corruption.
-			if id <= int64(i) || id >= int64(nNodes) {
-				return nil, fmt.Errorf("primitive: snapshot node %d has invalid child link %d", i, id)
-			}
-			if side == 0 {
-				s.nodes[i].left = s.nodes[id]
-			} else {
-				s.nodes[i].right = s.nodes[id]
-			}
-		}
+	if err := s.linkPreorder(links); err != nil {
+		return nil, err
 	}
 	if nNodes > 0 {
 		s.root = s.nodes[0]
@@ -123,4 +109,44 @@ func Decode(d *relation.Decoder, inst *join.Instance) (*Structure, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// linkPreorder installs the decoded child links after checking that they
+// form the tree Build numbers: ids in pre-order from the root 0. A left
+// child is the next id, a right child the first id after the left
+// subtree, and the root's subtree is every node. Then every node but the
+// root has exactly one parent, and Algorithm 2 visits ids in increasing
+// order, which the dictionary's forward cursor relies on. Children are
+// checked before their parents, so a link that breaks the order fails at
+// the node that holds it.
+func (s *Structure) linkPreorder(links [][2]int64) error {
+	n := len(s.nodes)
+	end := make([]int64, n) // one past the last id of each node's subtree
+	for i := n - 1; i >= 0; i-- {
+		l, r := links[i][0], links[i][1]
+		for _, id := range links[i] {
+			if id != -1 && (id <= int64(i) || id >= int64(n)) {
+				return fmt.Errorf("primitive: snapshot node %d has invalid child link %d", i, id)
+			}
+		}
+		end[i] = int64(i) + 1
+		if l != -1 {
+			if l != end[i] {
+				return fmt.Errorf("primitive: snapshot node %d has left child %d, want %d", i, l, end[i])
+			}
+			s.nodes[i].left = s.nodes[l]
+			end[i] = end[l]
+		}
+		if r != -1 {
+			if r != end[i] {
+				return fmt.Errorf("primitive: snapshot node %d has right child %d, want %d", i, r, end[i])
+			}
+			s.nodes[i].right = s.nodes[r]
+			end[i] = end[r]
+		}
+	}
+	if n > 0 && end[0] != int64(n) {
+		return fmt.Errorf("primitive: snapshot nodes %d to %d are unreachable from the root", end[0], n-1)
+	}
+	return nil
 }

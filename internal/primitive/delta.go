@@ -28,10 +28,11 @@ import (
 // every net-added output it walks the root-to-leaf containment chain of
 // the output's free tuple and invalidates any 0-entry for the output's
 // bound valuation along it (⊥ re-evaluates, which is correct): the entry
-// is marked absent in a copy of the bit array, while the keys and the slot
-// index stay shared with the receiver. Deletions need no dictionary work
-// at all, and the delay guarantee degrades gracefully — amortized rebuilds
-// (Maintained's existing policy) restore it.
+// is marked absent in a copy of the bit array, while the valuations, the
+// id lists and the slot index stay shared with the receiver. Deletions
+// need no dictionary work at all, and the delay guarantee degrades
+// gracefully — amortized rebuilds (Maintained's existing policy) restore
+// it.
 
 // DeltaRebase returns a Structure answering queries over inst — the same
 // normalized view compiled over an updated database — reusing this
@@ -55,9 +56,14 @@ func (s *Structure) DeltaRebase(inst *join.Instance, addVb, addFree []relation.T
 		if !s.root.iv.Contains(ft) {
 			return nil, false
 		}
-		for n := s.root; n != nil; {
-			if e := s.dict.find(n.id, addVb[i]); e >= 0 && s.dict.bits[e] == 0 {
-				stale = append(stale, e)
+		// The chain descends to ever larger ids, so the valuation's entry
+		// range is walked forward like a request's.
+		cur, end := s.dict.span(addVb[i])
+		for n := s.root; n != nil && cur < end; {
+			var bit byte
+			var heavy bool
+			if bit, heavy, cur = s.dict.at(cur, end, n.id); heavy && bit == 0 {
+				stale = append(stale, cur-1)
 			}
 			if n.beta == nil {
 				break
@@ -78,7 +84,7 @@ func (s *Structure) DeltaRebase(inst *join.Instance, addVb, addFree []relation.T
 	}
 	if len(stale) > 0 {
 		// Copy-on-write: only the bits change, so the rebase shares the
-		// receiver's keys and slot index.
+		// receiver's valuations, id lists and slot index.
 		out.dict.bits = slices.Clone(s.dict.bits)
 		for _, e := range stale {
 			if out.dict.bits[e] != absent {

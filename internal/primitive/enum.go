@@ -13,23 +13,28 @@ import (
 // nodes are evaluated with the worst-case-optimal enumerator, heavy 1-nodes
 // recurse, and 0-nodes are skipped.
 //
-// The traversal allocates nothing per node: one join.Enum per request is
-// reset onto every light box and answers every split-point check, so each
-// atom's bound-prefix range is sought once per request, and light
-// intervals are decomposed into a box slice the iterator owns. Only the
-// answers are allocated.
+// The request's valuation is looked up in the dictionary once. Its entry
+// range then serves as a cursor: the traversal visits nodes in increasing
+// pre-order id, so each node's entry is found by seeking forward from the
+// last one. The traversal allocates nothing per node: one join.Enum per
+// request is reset onto every light box and answers every split-point
+// check, so each atom's bound-prefix range is sought once per request, and
+// light intervals are decomposed into a box slice the iterator owns. Only
+// the answers are allocated.
 type Iter struct {
 	s  *Structure
 	vb relation.Tuple
 
 	stack   []frame
 	en      *join.Enum // the request's enumerator: ⊥ boxes and β checks
-	inSub   bool       // en is enumerating boxes[boxIdx]
 	boxes   []interval.Box
 	boxIdx  int
+	ops     uint64
+	cur     int // the dictionary entries of vb not yet passed: [cur, end)
+	end     int
+	inSub   bool // en is enumerating boxes[boxIdx]
 	started bool
 	done    bool
-	ops     uint64
 }
 
 type frame struct {
@@ -69,6 +74,7 @@ func (it *Iter) Next() (relation.Tuple, bool) {
 			return nil, false
 		}
 		it.stack = make([]frame, 0, it.s.maxLevel+1)
+		it.cur, it.end = it.s.dict.span(it.vb)
 		it.en = join.NewEnum(it.s.inst, it.vb, interval.Box{})
 		it.push(it.s.root)
 	}
@@ -95,7 +101,9 @@ func (it *Iter) Next() (relation.Tuple, bool) {
 		switch f.state {
 		case 0:
 			it.ops++
-			bit, heavy := it.s.dict.lookup(n.id, it.vb)
+			var bit byte
+			var heavy bool
+			bit, heavy, it.cur = it.s.dict.at(it.cur, it.end, n.id)
 			if !heavy {
 				// ⊥: the pair is light; evaluate the whole interval with
 				// the worst-case-optimal enumerator (time O(τ_ℓ)).

@@ -47,9 +47,11 @@ func TestParallelDictionaryDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(seq.Nodes(), par.Nodes()) {
 				t.Fatal("tree nodes diverge across worker counts")
 			}
-			// The slot index is seeded per table; the entries are the
-			// dictionary.
-			if !reflect.DeepEqual(seq.dict.keys, par.dict.keys) || !reflect.DeepEqual(seq.dict.bits, par.dict.bits) {
+			// The slot index is seeded per table; the valuations, their
+			// ranges and their entries are the dictionary.
+			a, b := &seq.dict, &par.dict
+			if !reflect.DeepEqual(a.vals, b.vals) || !reflect.DeepEqual(a.off, b.off) ||
+				!reflect.DeepEqual(a.ids, b.ids) || !reflect.DeepEqual(a.bits, b.bits) || len(a.slots) != len(b.slots) {
 				t.Fatalf("dictionaries diverge: %d entries sequential vs %d parallel",
 					seq.dict.live, par.dict.live)
 			}

@@ -26,14 +26,15 @@ func TestQuickDictKeyRoundTrip(t *testing.T) {
 		if got, ok := tab.lookup(id, vb); !ok || got != bit {
 			return false
 		}
-		if gotID, gotVb := tab.entry(0); gotID != id || !gotVb.Equal(vb) {
+		if tab.nvals() != 1 || tab.ids[0] != id || !tab.valuation(0).Equal(vb) {
 			return false
 		}
 		var buf bytes.Buffer
 		enc := relation.NewEncoder(&buf)
 		tab.encodeTo(enc)
 		back, err := decodeDict(relation.NewDecoder(buf.Bytes()), 3, int(id)+1)
-		return err == nil && reflect.DeepEqual(back.keys, tab.keys) && reflect.DeepEqual(back.bits, tab.bits)
+		return err == nil && reflect.DeepEqual(back.vals, tab.vals) && reflect.DeepEqual(back.off, tab.off) &&
+			reflect.DeepEqual(back.ids, tab.ids) && reflect.DeepEqual(back.bits, tab.bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"cqrep/internal/fractional"
 	"cqrep/internal/interval"
@@ -59,9 +60,9 @@ type buildConfig struct {
 
 // Workers bounds the number of goroutines used to build the heavy-pair
 // dictionary. n <= 0 means runtime.GOMAXPROCS(0). The output is
-// deterministic regardless of the worker count: tree nodes own disjoint key
-// ranges of the dictionary, so per-node results join into the same table no
-// matter which worker computed them.
+// deterministic regardless of the worker count: each tree node's entries
+// are computed on their own, so the per-node results join into the same
+// table no matter which worker computed them.
 func Workers(n int) BuildOption { return func(c *buildConfig) { c.workers = n } }
 
 // Context arms Build with a cancellation context: tree construction and
@@ -187,7 +188,7 @@ func (s *Structure) buildTree(ctx context.Context, iv interval.Interval, level i
 // T(v_b, I(w)) > τ_ℓ, it stores one bit recording whether the join
 // restricted to I(w) under v_b is non-empty.
 //
-// Nodes are independent — each owns the dictionary keys prefixed with its
+// Nodes are independent — each owns the dictionary entries that carry its
 // id — so they are processed by up to workers goroutines pulling node
 // indices from a shared counter (nodes near the root carry most of the
 // candidate work, so static striping would balance poorly). Each node's
@@ -314,8 +315,8 @@ type Stats struct {
 	MaxLevel int
 	// DictEntries is the number of heavy (node, valuation) pairs stored.
 	DictEntries int
-	// Bytes estimates the footprint of tree plus dictionary (excluding the
-	// always-linear base indexes).
+	// Bytes is the footprint of the tree's nodes and the dictionary's
+	// arrays as held in memory (excluding the always-linear base indexes).
 	Bytes int
 	// BuildTime is the preprocessing (compression) time T_C.
 	BuildTime time.Duration
@@ -323,16 +324,24 @@ type Stats struct {
 
 // Stats reports the structure's size counters.
 func (s *Structure) Stats() Stats {
-	mu := s.inst.Mu
-	perNode := 8*2*mu + 8*mu + 32 // two interval endpoints, beta, links
-	perEntry := 4 + 8*len(s.inst.NV.Bound) + 1
 	return Stats{
 		TreeNodes:   len(s.nodes),
 		MaxLevel:    s.maxLevel,
 		DictEntries: s.dict.live,
-		Bytes:       len(s.nodes)*perNode + s.dict.live*perEntry,
+		Bytes:       s.treeFootprint() + s.dict.footprint(),
 		BuildTime:   s.elapsed,
 	}
+}
+
+// treeFootprint returns the bytes the tree holds: per node its struct, its
+// pointer in the id-ordered node list, and its interval endpoints and split
+// point.
+func (s *Structure) treeFootprint() int {
+	b := len(s.nodes) * int(unsafe.Sizeof(node{})+unsafe.Sizeof(s.root))
+	for _, n := range s.nodes {
+		b += 8 * (len(n.iv.Lo) + len(n.iv.Hi) + len(n.beta))
+	}
+	return b
 }
 
 // NodeView is a read-only description of one tree node, used by tests and
@@ -377,15 +386,22 @@ func (s *Structure) NodeInterval(id int32) interval.Interval {
 // keep returns false are flipped to 0. The Theorem-2 construction uses this
 // to push bottom-up semijoin information into parent-bag dictionaries, so
 // that a 1-entry guarantees a full downstream output, not merely a
-// bag-local one.
+// bag-local one. The entries of one valuation share one vb, which keep
+// must not modify.
 func (s *Structure) RefineOnes(keep func(id int32, iv interval.Interval, vb relation.Tuple) bool) {
-	for e, bit := range s.dict.bits {
-		if bit != 1 {
-			continue
-		}
-		id, vb := s.dict.entry(e)
-		if !keep(id, s.nodes[id].iv, vb) {
-			s.dict.bits[e] = 0
+	t := &s.dict
+	for v := 0; v < t.nvals(); v++ {
+		var vb relation.Tuple
+		for e := t.off[v]; e < t.off[v+1]; e++ {
+			if t.bits[e] != 1 {
+				continue
+			}
+			if vb == nil {
+				vb = t.valuation(v)
+			}
+			if id := t.ids[e]; !keep(id, s.nodes[id].iv, vb) {
+				t.bits[e] = 0
+			}
 		}
 	}
 }
