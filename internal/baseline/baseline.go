@@ -13,6 +13,8 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,39 +27,64 @@ import (
 // with the free tuples of each bucket in lexicographic order.
 type MaterializedView struct {
 	inst    *join.Instance
-	buckets map[string][]relation.Tuple
+	buckets map[string]bucket
 	tuples  int
 	elapsed time.Duration
+}
+
+// bucket is one bound valuation's free tuples, back to back in one slab of
+// stride μ. A slab is never written once the view that holds it is
+// published: ApplyOutputDelta edits private copies, so every row a query
+// lends out keeps its values for good.
+type bucket struct {
+	vals []relation.Value
+	n    int
+}
+
+// search returns the position of the first row of b not below t, and
+// whether that row is t.
+func (b bucket) search(mu int, t relation.Tuple) (int, bool) {
+	i := sort.Search(b.n, func(j int) bool { return !relation.RowAt(b.vals, mu, j).Less(t) })
+	return i, i < b.n && relation.RowAt(b.vals, mu, i).Equal(t)
 }
 
 // Materialize evaluates the full view with the worst-case-optimal join and
 // indexes the result by bound valuation.
 func Materialize(inst *join.Instance) (*MaterializedView, error) {
 	start := time.Now()
-	m := &MaterializedView{inst: inst, buckets: make(map[string][]relation.Tuple)}
-	// Enumerate distinct bound valuations, then their free tuples; this
-	// yields each bucket already in lexicographic free order.
+	m := &MaterializedView{inst: inst, buckets: make(map[string]bucket)}
+	// Each bucket's free tuples are written straight into its slab, box
+	// by box: the canonical boxes of the full interval partition the free
+	// space in lexicographic order, so the bucket comes out sorted.
+	boxes := interval.Decompose(interval.Full(inst.Mu))
+	e := join.NewEnum(inst, relation.Tuple{}, boxes[0])
+	fill := func(vb relation.Tuple) {
+		var b bucket
+		e.Rebind(vb, boxes[0])
+		for i, box := range boxes {
+			if i > 0 {
+				e.Reset(box)
+			}
+			for ok := true; ok; {
+				if b.vals, ok = e.AppendNext(b.vals); ok {
+					b.n++
+				}
+			}
+		}
+		if b.n > 0 {
+			if cap(b.vals) > len(b.vals) {
+				b.vals = slices.Clone(b.vals) // drop append's spare room
+			}
+			m.buckets[string(vb.AppendEncode(nil))] = b
+			m.tuples += b.n
+		}
+	}
 	if len(inst.NV.Bound) == 0 {
-		var out []relation.Tuple
-		for _, b := range interval.Decompose(interval.Full(inst.Mu)) {
-			out = append(out, join.Drain(join.NewEnum(inst, relation.Tuple{}, b))...)
-		}
-		if len(out) > 0 {
-			m.buckets[""] = out
-			m.tuples = len(out)
-		}
+		fill(relation.Tuple{})
 	} else {
 		join.BoundCandidates(inst, interval.Box{}, func(vb relation.Tuple) bool {
-			if !inst.CheckAllBoundAtoms(vb) {
-				return true
-			}
-			var out []relation.Tuple
-			for _, b := range interval.Decompose(interval.Full(inst.Mu)) {
-				out = append(out, join.Drain(join.NewEnum(inst, vb, b))...)
-			}
-			if len(out) > 0 {
-				m.buckets[string(vb.AppendEncode(nil))] = out
-				m.tuples += len(out)
+			if inst.CheckAllBoundAtoms(vb) {
+				fill(vb)
 			}
 			return true
 		})
@@ -69,14 +96,15 @@ func Materialize(inst *join.Instance) (*MaterializedView, error) {
 // Query returns an iterator over the access request's free tuples in
 // lexicographic order with O(1) delay.
 func (m *MaterializedView) Query(vb relation.Tuple) *SliceIter {
-	return &SliceIter{tuples: m.buckets[string(vb.AppendEncode(nil))]}
+	b := m.buckets[string(vb.AppendEncode(nil))]
+	return &SliceIter{vals: b.vals, arity: m.inst.Mu, n: b.n}
 }
 
 // Contains reports whether the bound valuation has any answer — a native
 // bucket probe for membership (Exists) requests, with no iterator
 // allocation.
 func (m *MaterializedView) Contains(vb relation.Tuple) bool {
-	return len(m.buckets[string(vb.AppendEncode(nil))]) > 0
+	return m.buckets[string(vb.AppendEncode(nil))].n > 0
 }
 
 // Stats reports the materialization footprint.
@@ -86,43 +114,59 @@ type Stats struct {
 	BuildTime time.Duration
 }
 
-// Stats reports output tuples stored and an estimated byte footprint.
+// Stats reports output tuples stored and their byte footprint: the slabs,
+// one word per stored value, plus per bucket its directory entry (the key
+// string's header and bytes, the slab's header and the count).
 func (m *MaterializedView) Stats() Stats {
-	mu := m.inst.Mu
 	const word = 8
 	return Stats{
 		Tuples:    m.tuples,
-		Bytes:     m.tuples*(mu*word+3*word) + len(m.buckets)*(len(m.inst.NV.Bound)*word+6*word),
+		Bytes:     m.tuples*m.inst.Mu*word + len(m.buckets)*(len(m.inst.NV.Bound)*word+6*word),
 		BuildTime: m.elapsed,
 	}
 }
 
-// SliceIter iterates a pre-materialized tuple slice.
+// lendBatch is how many rows a SliceIter's scratch holds at least (the
+// serving loop's default frame), so a stream that asks for one row and
+// then for frames allocates its scratch once.
+const lendBatch = 128
+
+// SliceIter iterates a stored run of rows: a bucket's slab, or the one
+// empty tuple of a true all-bound request.
 type SliceIter struct {
-	tuples []relation.Tuple
-	pos    int
+	vals    []relation.Value
+	arity   int
+	n, pos  int
+	scratch []relation.Tuple // NextBlock's lent headers
 }
 
 // Next returns the next tuple or false at the end. The tuple is the
-// caller's: it is cloned out of the stored slice.
+// caller's: it is cloned out of the stored slab.
 func (it *SliceIter) Next() (relation.Tuple, bool) {
-	if it.pos >= len(it.tuples) {
+	if it.pos >= it.n {
 		return nil, false
 	}
-	t := it.tuples[it.pos]
+	t := relation.RowAt(it.vals, it.arity, it.pos)
 	it.pos++
 	return t.Clone(), true
 }
 
-// NextBlock returns the next up-to-max tuples as a sub-slice of the stored
-// slice — no copy, no allocation — or an empty block at the end. The block
-// and its tuples are borrowed: read-only, and valid only until the next
-// call. Stored slices are never edited in place (ApplyOutputDelta is
-// copy-on-write), so a block stays intact under concurrent maintenance.
-func (it *SliceIter) NextBlock(max int) []relation.Tuple {
-	end := min(it.pos+max, len(it.tuples))
-	blk := it.tuples[it.pos:end:end]
-	it.pos = end
+// NextBlock returns the next up-to-want tuples, or an empty block at the
+// end. The tuples are capped views of the stored slab, no copy; the block
+// holding them is the iterator's own scratch, allocated once. The block is
+// borrowed: read-only, and valid only until the next call. Stored slabs
+// are never written (ApplyOutputDelta is copy-on-write), so a lent tuple
+// stays intact under concurrent maintenance.
+func (it *SliceIter) NextBlock(want int) []relation.Tuple {
+	k := min(want, it.n-it.pos)
+	if cap(it.scratch) < k {
+		it.scratch = make([]relation.Tuple, min(it.n-it.pos, max(k, lendBatch)))
+	}
+	blk := it.scratch[:k]
+	for i := range blk {
+		blk[i] = relation.RowAt(it.vals, it.arity, it.pos+i)
+	}
+	it.pos += k
 	return blk
 }
 
@@ -233,7 +277,7 @@ func NewAllBound(inst *join.Instance) *AllBound { return &AllBound{inst: inst} }
 // valuation is in the view, an empty iterator otherwise.
 func (a *AllBound) Query(vb relation.Tuple) *SliceIter {
 	if a.Contains(vb) {
-		return &SliceIter{tuples: []relation.Tuple{{}}}
+		return &SliceIter{n: 1}
 	}
 	return &SliceIter{}
 }
@@ -257,19 +301,16 @@ func (m *MaterializedView) ApplyOutputDelta(inst *join.Instance, delVb, delFree,
 	start := time.Now()
 	out := &MaterializedView{inst: inst, buckets: m.buckets, tuples: m.tuples}
 	if len(delVb)+len(addVb) > 0 {
-		// Clone the bucket map once; individual bucket slices are cloned
-		// only when first edited (touched tracks which are ours).
-		nb := make(map[string][]relation.Tuple, len(m.buckets))
-		for k, v := range m.buckets {
-			nb[k] = v
-		}
-		out.buckets = nb
+		// Clone the bucket map once; a bucket's slab is copied only when
+		// first edited (touched tracks which are ours to edit in place).
+		out.buckets = maps.Clone(m.buckets)
 	}
+	mu := inst.Mu
 	touched := make(map[string]bool)
-	own := func(key string) []relation.Tuple {
+	own := func(key string) bucket {
 		b := out.buckets[key]
 		if !touched[key] {
-			b = append([]relation.Tuple(nil), b...)
+			b.vals = slices.Clone(b.vals)
 			touched[key] = true
 		}
 		return b
@@ -277,12 +318,12 @@ func (m *MaterializedView) ApplyOutputDelta(inst *join.Instance, delVb, delFree,
 	for i, vb := range delVb {
 		key := string(vb.AppendEncode(nil))
 		b := own(key)
-		idx := sort.Search(len(b), func(j int) bool { return !b[j].Less(delFree[i]) })
-		if idx >= len(b) || !b[idx].Equal(delFree[i]) {
+		idx, ok := b.search(mu, delFree[i])
+		if !ok {
 			return nil, fmt.Errorf("baseline: delta removes absent output %v|%v", vb, delFree[i])
 		}
-		b = append(b[:idx], b[idx+1:]...)
-		if len(b) == 0 {
+		b.vals = slices.Delete(b.vals, idx*mu, idx*mu+mu)
+		if b.n--; b.n == 0 {
 			delete(out.buckets, key)
 		} else {
 			out.buckets[key] = b
@@ -292,13 +333,12 @@ func (m *MaterializedView) ApplyOutputDelta(inst *join.Instance, delVb, delFree,
 	for i, vb := range addVb {
 		key := string(vb.AppendEncode(nil))
 		b := own(key)
-		idx := sort.Search(len(b), func(j int) bool { return !b[j].Less(addFree[i]) })
-		if idx < len(b) && b[idx].Equal(addFree[i]) {
+		idx, dup := b.search(mu, addFree[i])
+		if dup {
 			return nil, fmt.Errorf("baseline: delta inserts duplicate output %v|%v", vb, addFree[i])
 		}
-		b = append(b, nil)
-		copy(b[idx+1:], b[idx:])
-		b[idx] = addFree[i].Clone()
+		b.vals = slices.Insert(b.vals, idx*mu, addFree[i]...)
+		b.n++
 		out.buckets[key] = b
 		out.tuples++
 	}

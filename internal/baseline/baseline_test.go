@@ -140,3 +140,65 @@ func TestDirectIterOpsAndEmptyValuation(t *testing.T) {
 		t.Error("malformed valuation must yield nothing")
 	}
 }
+
+// TestApplyOutputDeltaKeepsLentBlocks: a block lent by the old view keeps
+// its values while ApplyOutputDelta deletes from and inserts into the very
+// bucket it came from, and the old view keeps serving its own answers.
+func TestApplyOutputDeltaKeepsLentBlocks(t *testing.T) {
+	inst, _ := scanInstance(t, 2, 8)
+	old, err := Materialize(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb := relation.Tuple{1}
+	before := old.Query(vb).Drain()
+	it := old.Query(vb)
+	lent := it.NextBlock(4)
+	want := make([]relation.Tuple, len(lent))
+	for i, row := range lent {
+		want[i] = row.Clone()
+	}
+	dels := []relation.Tuple{before[0], before[2]}
+	adds := []relation.Tuple{{before[1][0] + 1}, {before[3][0] + 1}}
+	next, err := old.ApplyOutputDelta(inst, []relation.Tuple{vb, vb}, dels, []relation.Tuple{vb, vb}, adds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range lent {
+		if !row.Equal(want[i]) {
+			t.Fatalf("lent row %d changed from %v to %v", i, want[i], row)
+		}
+	}
+	rest := it.NextBlock(len(before))
+	if got := len(lent) + len(rest); got != len(before) {
+		t.Fatalf("old iterator served %d answers after the delta, want %d", got, len(before))
+	}
+	for i, row := range rest {
+		if !row.Equal(before[len(lent)+i]) {
+			t.Fatalf("old iterator answer %d = %v, want %v", len(lent)+i, row, before[len(lent)+i])
+		}
+	}
+	got := next.Query(vb).Drain()
+	if len(got) != len(before) || !got[0].Equal(before[1]) || !got[1].Equal(adds[0]) {
+		t.Fatalf("new view serves %v, from %v minus %v plus %v", got, before, dels, adds)
+	}
+}
+
+// TestAllBoundLendsEmptyTuple: the one answer of a true all-bound request
+// is the empty tuple, never nil, on both the per-tuple and block paths.
+func TestAllBoundLendsEmptyTuple(t *testing.T) {
+	db := workload.TriangleDB(5, 20, 40)
+	inst := instanceFor(t, cq.MustParse("V[bbb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), db)
+	instF := instanceFor(t, cq.MustParse("V(x, y, z) :- R(x, y), R(y, z), R(z, x)"), db)
+	all := NewDirectEval(instF).Query(relation.Tuple{}).Drain()
+	if len(all) == 0 {
+		t.Fatal("no triangles in sample graph")
+	}
+	blk := NewAllBound(inst).Query(all[0]).NextBlock(8)
+	if len(blk) != 1 || blk[0] == nil || len(blk[0]) != 0 {
+		t.Fatalf("block = %#v, want one empty non-nil tuple", blk)
+	}
+	if tup, ok := NewAllBound(inst).Query(all[0]).Next(); !ok || tup == nil || len(tup) != 0 {
+		t.Fatalf("Next = %#v, %v, want the empty non-nil tuple", tup, ok)
+	}
+}

@@ -27,10 +27,10 @@ func (m *MaterializedView) EncodeTo(e *relation.Encoder) {
 	e.Uint(uint64(len(keys)))
 	for _, k := range keys {
 		e.Raw([]byte(k))
-		tuples := m.buckets[k]
-		e.Uint(uint64(len(tuples)))
-		for _, t := range tuples {
-			e.TupleFixed(t)
+		b := m.buckets[k]
+		e.Uint(uint64(b.n))
+		for _, v := range b.vals {
+			e.Value(v)
 		}
 	}
 }
@@ -39,6 +39,9 @@ func (m *MaterializedView) EncodeTo(e *relation.Encoder) {
 // EncodeTo, rebinding it to inst (freshly built from the same base
 // relations). Bucket keys and tuple arities are fixed by the view's bound
 // and free variable counts, so truncation and corruption fail decoding.
+// Each bucket decodes into one slab. Buckets must arrive in the order
+// EncodeTo writes them, keys and each bucket's tuples strictly increasing,
+// so a decoded view serves every answer once and in order.
 func DecodeMaterialized(d *relation.Decoder, inst *join.Instance) (*MaterializedView, error) {
 	elapsed := time.Duration(d.Int())
 	keyLen := 8 * len(inst.NV.Bound)
@@ -46,27 +49,32 @@ func DecodeMaterialized(d *relation.Decoder, inst *join.Instance) (*Materialized
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	m := &MaterializedView{inst: inst, buckets: make(map[string][]relation.Tuple, nBuckets), elapsed: elapsed}
+	mu := inst.Mu
+	m := &MaterializedView{inst: inst, buckets: make(map[string]bucket, nBuckets), elapsed: elapsed}
+	prev := ""
 	for i := 0; i < nBuckets; i++ {
 		key := string(d.Raw(keyLen))
-		n := d.Count(8 * inst.Mu)
+		n := d.Count(8 * mu)
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
 		if n == 0 {
 			return nil, fmt.Errorf("baseline: snapshot bucket %d is empty", i)
 		}
-		if _, dup := m.buckets[key]; dup {
-			return nil, fmt.Errorf("baseline: snapshot repeats bucket %d", i)
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("baseline: snapshot bucket %d is out of order", i)
 		}
-		tuples := make([]relation.Tuple, n)
-		for j := range tuples {
-			tuples[j] = d.TupleFixed(inst.Mu)
-		}
+		prev = key
+		b := bucket{vals: d.Values(n * mu), n: n}
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		m.buckets[key] = tuples
+		for j := 1; j < n; j++ {
+			if relation.RowAt(b.vals, mu, j-1).Compare(relation.RowAt(b.vals, mu, j)) >= 0 {
+				return nil, fmt.Errorf("baseline: snapshot bucket %d repeats or disorders tuple %d", i, j)
+			}
+		}
+		m.buckets[key] = b
 		m.tuples += n
 	}
 	return m, nil

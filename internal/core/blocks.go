@@ -32,8 +32,9 @@ func Ready(b BlockIterator) bool {
 // QueryBlocks answers an access request block by block — the serving
 // path's form of Query. Backends that store their answers contiguously
 // (materialized buckets, directly, behind a routed shard key, or merged
-// across shards) hand out sub-slices of the stored buckets: no copy, no
-// allocation, and ctx is the caller's to observe between blocks. Every
+// across shards) lend views of the stored rows, no copy, in a block the
+// iterator allocates once, and ctx is the caller's to observe between
+// blocks. Every
 // other backend goes through one adapter that fills a reused buffer from
 // Next and polls ctx per tuple, so a cancelled request abandons a slow
 // enumeration within one answer's delay; its IterErr is then ctx's error.

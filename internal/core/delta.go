@@ -259,8 +259,11 @@ func (ev *viewEval) extend(asg []relation.Value, set []bool, rest []int, emit fu
 		}
 		return
 	}
+	// The relation is quiescent during delta evaluation, so its rows are
+	// read in place rather than cloned per scan step.
 	b := bound{asg: asg, set: set}
-	for _, row := range ea.rel.Tuples() {
+	for i, n := 0, ea.rel.Len(); i < n; i++ {
+		row := ea.rel.Row(i)
 		ok := true
 		for p, vid := range ea.vars {
 			if vid < 0 {

@@ -79,6 +79,43 @@ func TestSnapshotRejectsRepeatedDictionaryKey(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsDisorderedBucket: a materialized snapshot whose bucket
+// repeats or reorders its answers is corrupt. Serving it would break
+// "every answer exactly once, in order".
+func TestSnapshotRejectsDisorderedBucket(t *testing.T) {
+	if _, err := ReadRepresentation(bytes.NewReader(disorderedBucket(t))); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// disorderedBucket is a single-bucket materialized snapshot of
+// W[bf](x, y) :- S(x, y) over S = {(1,10), (1,20), (1,30)} whose bucket is
+// rewritten to (30), (30), (10) and re-framed with a valid checksum. The
+// payload ends with the bucket's three values, 8 bytes each.
+func disorderedBucket(t testing.TB) []byte {
+	t.Helper()
+	s := relation.NewRelation("S", 2)
+	for _, y := range []relation.Value{10, 20, 30} {
+		s.MustInsert(1, y)
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	rep, err := Build(cq.MustParse("W[bf](x, y) :- S(x, y)"), db, WithStrategy(MaterializedStrategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rep.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), stripFrame(buf.Bytes())...)
+	tail := payload[len(payload)-24:]
+	for i, v := range []uint64{30, 30, 10} {
+		binary.BigEndian.PutUint64(tail[8*i:], v)
+	}
+	return framePayload(snapshotVersion, payload)
+}
+
 // repeatLastDictEntry rewrites a single-backend primitive snapshot frame
 // so its last heavy-pair dictionary entry names the same node as the one
 // before it — the same (node, valuation) pair twice — and re-frames it

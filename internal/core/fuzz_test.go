@@ -53,6 +53,8 @@ func FuzzReadRepresentation(f *testing.F) {
 	}
 	f.Add(raw)
 	f.Add(repeatLastDictEntry(f, raw))
+	// A materialized bucket that repeats and reorders its answers.
+	f.Add(disorderedBucket(f))
 	// Degenerate non-snapshots.
 	f.Add([]byte{})
 	f.Add([]byte("CQREPS"))

@@ -79,6 +79,16 @@ func (e *Enum) Next() (relation.Tuple, bool) {
 	return e.assignment.Clone(), true
 }
 
+// AppendNext appends the next free-variable valuation to dst, reporting
+// false (and dst unchanged) when the enumeration is complete: Next without
+// the per-tuple allocation, for builders that store answers back to back.
+func (e *Enum) AppendNext(dst []relation.Value) ([]relation.Value, bool) {
+	if !e.step() {
+		return dst, false
+	}
+	return append(dst, e.assignment...), true
+}
+
 // Exists reports whether the enumeration is non-empty, consuming at most
 // one result and allocating nothing. Use on a fresh or reset enumerator.
 func (e *Enum) Exists() bool { return e.step() }

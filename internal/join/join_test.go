@@ -12,6 +12,18 @@ import (
 	"cqrep/internal/relation"
 )
 
+// Drain collects every remaining tuple from an enumerator.
+func Drain(e *Enum) []relation.Tuple {
+	var out []relation.Tuple
+	for {
+		t, ok := e.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
+}
+
 // runningExampleDB builds the instance of Example 13 of the paper.
 func runningExampleDB() *relation.Database {
 	db := relation.NewDatabase()

@@ -72,15 +72,3 @@ func NaiveJoin(inst *Instance, vb relation.Tuple, box interval.Box) []relation.T
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
-
-// Drain collects every remaining tuple from an enumerator.
-func Drain(e *Enum) []relation.Tuple {
-	var out []relation.Tuple
-	for {
-		t, ok := e.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-	}
-}

@@ -330,9 +330,25 @@ func (d *Decoder) TupleFixed(arity int) Tuple {
 	return t
 }
 
-// Relation reads one relation (see Encoder.Relation), rebuilding the
-// deduplicated sorted row set. Rows containing the reserved sentinel
-// values are rejected, mirroring Insert.
+// Values reads n Values into one fresh slab, the bulk form of Value for
+// rows of a known stride. Callers bound n by Count first, so the slab never
+// outgrows the payload.
+func (d *Decoder) Values(n int) []Value {
+	p := d.take(8 * n)
+	if p == nil {
+		return nil
+	}
+	vals := make([]Value, n)
+	for i := range vals {
+		vals[i] = Value(binary.BigEndian.Uint64(p[8*i:]))
+	}
+	return vals
+}
+
+// Relation reads one relation (see Encoder.Relation) into one slab and
+// rebuilds the deduplicated sorted row set; rows written in order, as
+// Encoder.Relation writes them, stay in place. Rows containing the
+// reserved sentinel values are rejected, mirroring Insert.
 func (d *Decoder) Relation() (*Relation, error) {
 	name := d.String()
 	arity := int(d.Uint())
@@ -347,21 +363,18 @@ func (d *Decoder) Relation() (*Relation, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	r := NewRelation(name, arity)
-	r.rows = make([]Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		t := d.TupleFixed(arity)
-		if d.err != nil {
+	vals := d.Values(n * arity)
+	if d.err != nil {
+		return nil, d.err
+	}
+	for i, v := range vals {
+		if v == NegInf || v == PosInf {
+			d.fail("relation %s: row %v contains reserved sentinel value", name, RowAt(vals, arity, i/arity))
 			return nil, d.err
 		}
-		for _, v := range t {
-			if v == NegInf || v == PosInf {
-				d.fail("relation %s: row %v contains reserved sentinel value", name, t)
-				return nil, d.err
-			}
-		}
-		r.rows = append(r.rows, t)
 	}
+	r := NewRelation(name, arity)
+	r.vals, r.n = vals, n
 	r.dedupe()
 	return r, nil
 }

@@ -211,3 +211,27 @@ func TestDecoderHardening(t *testing.T) {
 		}
 	})
 }
+
+// TestDecodeRelationAllocsFlat: decoding a relation allocates one slab
+// however many rows it holds, so the count is the same at 1k and at 16k
+// rows (rows written in order are kept in place, not re-sorted).
+func TestDecodeRelationAllocsFlat(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{1 << 10, 1 << 14} {
+		r := NewRelation("R", 2)
+		for i := 0; i < n; i++ {
+			r.MustInsert(Value(i/16), Value(i))
+		}
+		var buf bytes.Buffer
+		NewEncoder(&buf).Relation(r)
+		raw := buf.Bytes()
+		counts = append(counts, testing.AllocsPerRun(10, func() {
+			if _, err := NewDecoder(raw).Relation(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("decoding a relation allocates %.0f times at 1k rows and %.0f at 16k", counts[0], counts[1])
+	}
+}

@@ -1,8 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Index is a sorted access path over a relation: a permutation of the rows
@@ -12,11 +13,15 @@ import (
 // construction of Theorem 1 relies on.
 //
 // An Index is immutable once built; Relation.Index caches one index per
-// column signature.
+// column signature. It captures the slab and arity it was built over, so a
+// stale index stays self-consistent after its relation mutates, and a seek
+// reads a value with one load through the permutation.
 type Index struct {
-	rel  *Relation
-	cols []int
-	perm []int32
+	rel   *Relation
+	vals  []Value
+	arity int
+	cols  []int
+	perm  []int32
 }
 
 // Index returns the (cached) index of r ordered by the given columns.
@@ -50,21 +55,19 @@ func (r *Relation) Index(cols ...int) *Index {
 		}
 	}
 
-	ix := &Index{rel: r, cols: full, perm: make([]int32, len(r.rows))}
+	vals, a := r.vals[:len(r.vals):len(r.vals)], r.arity
+	ix := &Index{rel: r, vals: vals, arity: a, cols: full, perm: make([]int32, r.n)}
 	for i := range ix.perm {
 		ix.perm[i] = int32(i)
 	}
-	sort.Slice(ix.perm, func(a, b int) bool {
-		ta, tb := r.rows[ix.perm[a]], r.rows[ix.perm[b]]
+	slices.SortFunc(ix.perm, func(i, j int32) int {
+		ri, rj := int(i)*a, int(j)*a
 		for _, c := range full {
-			switch {
-			case ta[c] < tb[c]:
-				return true
-			case ta[c] > tb[c]:
-				return false
+			if d := cmp.Compare(vals[ri+c], vals[rj+c]); d != 0 {
+				return d
 			}
 		}
-		return false
+		return 0
 	})
 
 	r.mu.Lock()
@@ -93,12 +96,12 @@ func (ix *Index) Columns() []int { return ix.cols }
 
 // Tuple returns the row stored at sorted position pos. The tuple must not be
 // modified.
-func (ix *Index) Tuple(pos int) Tuple { return ix.rel.rows[ix.perm[pos]] }
+func (ix *Index) Tuple(pos int) Tuple { return RowAt(ix.vals, ix.arity, int(ix.perm[pos])) }
 
 // ValueAt returns the value of the depth-th order column at sorted position
 // pos. Depth indexes into the order columns, not the raw schema.
 func (ix *Index) ValueAt(pos, depth int) Value {
-	return ix.rel.rows[ix.perm[pos]][ix.cols[depth]]
+	return ix.vals[int(ix.perm[pos])*ix.arity+ix.cols[depth]]
 }
 
 // Range returns the half-open position range [lo, hi) of rows whose first
@@ -133,10 +136,10 @@ func (ix *Index) ValueRange(lo, hi, d int, want Value) (int, int) {
 // SeekGE returns the first position in [lo, hi) whose order column depth has
 // value >= v, assuming columns before depth are constant on [lo, hi).
 func (ix *Index) SeekGE(lo, hi, depth int, v Value) int {
-	c := ix.cols[depth]
+	vals, perm, a, c := ix.vals, ix.perm, ix.arity, ix.cols[depth]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ix.rel.rows[ix.perm[mid]][c] < v {
+		if vals[int(perm[mid])*a+c] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -148,10 +151,10 @@ func (ix *Index) SeekGE(lo, hi, depth int, v Value) int {
 // SeekGT returns the first position in [lo, hi) whose order column depth has
 // value > v, assuming columns before depth are constant on [lo, hi).
 func (ix *Index) SeekGT(lo, hi, depth int, v Value) int {
-	c := ix.cols[depth]
+	vals, perm, a, c := ix.vals, ix.perm, ix.arity, ix.cols[depth]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ix.rel.rows[ix.perm[mid]][c] <= v {
+		if vals[int(perm[mid])*a+c] <= v {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -2,9 +2,9 @@ package relation
 
 // partition.go is the hash-partitioning vocabulary behind the core
 // package's sharded representations: a deterministic value→shard hash plus
-// helpers that split or alias relations without copying tuple payloads.
-// All of them produce read-only derived relations — mutating a partition
-// or an alias never disturbs the source rows.
+// helpers that split or alias relations. A partition owns a slab of its
+// own; an alias shares the source's slab capped to its length. Mutating a
+// partition or an alias never disturbs the source rows.
 
 // ShardOf deterministically maps a value to one of n shards. The hash is a
 // fixed 64-bit mix (the splitmix64 finalizer), so partitions are stable
@@ -42,9 +42,9 @@ func TupleShard(t Tuple, cols []int, n int) int {
 
 // PartitionByColumns splits r into n relations named name in one pass:
 // tuple t lands in shard s iff every column in cols hashes to s (see
-// TupleShard). Tuple payloads are shared with r; each partition owns its
-// row slice and is already deduplicated (a subsequence of a sorted
-// deduplicated row set stays sorted and duplicate-free).
+// TupleShard). Each partition appends its rows into a slab of its own and
+// is already deduplicated (a subsequence of a sorted deduplicated row set
+// stays sorted and duplicate-free).
 func (r *Relation) PartitionByColumns(name string, cols []int, n int) []*Relation {
 	r.dedupe()
 	r.mu.Lock()
@@ -54,12 +54,20 @@ func (r *Relation) PartitionByColumns(name string, cols []int, n int) []*Relatio
 		out[i] = NewRelation(name, r.arity)
 		out[i].deduped.Store(true)
 	}
-	for _, t := range r.rows {
+	for i := 0; i < r.n; i++ {
+		t := r.Row(i)
 		if s := TupleShard(t, cols, n); s >= 0 {
-			out[s].rows = append(out[s].rows, t)
+			out[s].appendRow(t)
 		}
 	}
 	return out
+}
+
+// appendRow adds t past the slab's length, for builders that produce rows
+// in sorted order.
+func (r *Relation) appendRow(t Tuple) {
+	r.vals = append(r.vals, t...)
+	r.n++
 }
 
 // FilterShard returns the single shard-s partition of r under cols (the
@@ -71,23 +79,24 @@ func (r *Relation) FilterShard(name string, cols []int, s, n int) *Relation {
 	defer r.mu.Unlock()
 	out := NewRelation(name, r.arity)
 	out.deduped.Store(true)
-	for _, t := range r.rows {
-		if TupleShard(t, cols, n) == s {
-			out.rows = append(out.rows, t)
+	for i := 0; i < r.n; i++ {
+		if t := r.Row(i); TupleShard(t, cols, n) == s {
+			out.appendRow(t)
 		}
 	}
 	return out
 }
 
-// Renamed returns a copy of r under a new name, sharing the (immutable)
-// tuple payloads like Clone. Sharded builds use it to register one base
+// Renamed returns a copy of r under a new name sharing r's slab capped to
+// its length, like Clone. Sharded builds use it to register one base
 // relation under per-atom aliases.
 func (r *Relation) Renamed(name string) *Relation {
 	r.dedupe()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := NewRelation(name, r.arity)
-	c.rows = append(make([]Tuple, 0, len(r.rows)), r.rows...)
+	c.vals = r.vals[:len(r.vals):len(r.vals)]
+	c.n = r.n
 	c.deduped.Store(true)
 	return c
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,10 +19,18 @@ import (
 // immutable once built. Mutations must be externally serialized against
 // readers — the core package's Maintained does this by cloning before it
 // applies a batch.
+//
+// The rows live back to back in one value slab, stride arity, so a row
+// costs its values and nothing else. A slab is never written below its
+// length once a row of it has been handed out: Insert appends past the
+// length, Delete and dedupe build a fresh slab, and Clone, Renamed and
+// every Index share the slab capped to its length. A row handed out by Row
+// or an Index therefore keeps its values for good.
 type Relation struct {
 	name  string
 	arity int
-	rows  []Tuple
+	vals  []Value // n rows of arity values each
+	n     int     // row count; the slab alone cannot tell it at arity 0
 
 	mu      sync.Mutex
 	deduped atomic.Bool
@@ -58,12 +67,29 @@ func (r *Relation) Arity() int { return r.arity }
 // Len returns the number of distinct tuples.
 func (r *Relation) Len() int {
 	r.dedupe()
-	return len(r.rows)
+	return r.n
 }
 
-// Row returns the i-th stored tuple. The returned tuple must not be
-// modified. Row indices are stable only between mutations.
-func (r *Relation) Row(i int) Tuple { return r.rows[i] }
+// Row returns the i-th stored tuple, a capped view of the slab. The
+// returned tuple must not be modified. Row indices are stable only between
+// mutations; the tuple's values are stable for good.
+func (r *Relation) Row(i int) Tuple { return RowAt(r.vals, r.arity, i) }
+
+// RowAt returns row i of a slab of stride-arity rows as a sub-slice capped
+// to the row, so appending to it never reaches the next row. Arity zero
+// yields the empty (non-nil) tuple.
+func RowAt(slab []Value, arity, i int) Tuple {
+	if arity == 0 {
+		return Tuple{}
+	}
+	lo := i * arity
+	return Tuple(slab[lo : lo+arity : lo+arity])
+}
+
+// compareRows orders rows i and j of a stride-arity slab lexicographically.
+func compareRows(slab []Value, arity, i, j int) int {
+	return slices.Compare(slab[i*arity:i*arity+arity], slab[j*arity:j*arity+arity])
+}
 
 // Insert adds a tuple. It returns an error when the arity does not match or
 // the tuple contains a reserved sentinel value. Inserting after indexes have
@@ -79,7 +105,8 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.rows = append(r.rows, t.Clone())
+	r.vals = append(r.vals, t...)
+	r.n++
 	r.deduped.Store(false)
 	// Any previously built index is now stale.
 	r.indexes = make(map[string]*Index)
@@ -95,13 +122,23 @@ func (r *Relation) Delete(t Tuple) bool {
 	r.dedupe()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.Search(len(r.rows), func(i int) bool { return !r.rows[i].Less(t) })
-	if i >= len(r.rows) || !r.rows[i].Equal(t) {
+	i, ok := r.search(t)
+	if !ok {
 		return false
 	}
-	r.rows = append(r.rows[:i], r.rows[i+1:]...)
+	lo, hi := i*r.arity, (i+1)*r.arity
+	vals := make([]Value, 0, len(r.vals)-r.arity)
+	r.vals = append(append(vals, r.vals[:lo]...), r.vals[hi:]...)
+	r.n--
 	r.indexes = make(map[string]*Index)
 	return true
+}
+
+// search returns the position of the first row not below t in the sorted
+// row set, and whether that row is t.
+func (r *Relation) search(t Tuple) (int, bool) {
+	i := sort.Search(r.n, func(i int) bool { return !r.Row(i).Less(t) })
+	return i, i < r.n && r.Row(i).Equal(t)
 }
 
 // MustInsert is Insert that panics on error; it is a convenience for tests
@@ -116,7 +153,10 @@ func (r *Relation) MustInsert(vals ...Value) {
 // call it first, so the relation behaves as a set. The atomic fast path
 // keeps concurrent readers off the mutex once the relation is quiescent
 // (the Store below happens-before any Load that observes true, so readers
-// also observe the sorted rows).
+// also observe the sorted rows). Rows that are already strictly increasing
+// in an exactly sized slab, as decoded ones are, stay where they are;
+// otherwise it sorts a permutation and gathers the distinct rows into a
+// fresh slab, leaving the old one intact for anything that still views it.
 func (r *Relation) dedupe() {
 	if r.deduped.Load() {
 		return
@@ -126,14 +166,30 @@ func (r *Relation) dedupe() {
 	if r.deduped.Load() {
 		return
 	}
-	sort.Slice(r.rows, func(i, j int) bool { return r.rows[i].Less(r.rows[j]) })
-	out := r.rows[:0]
-	for i, t := range r.rows {
-		if i == 0 || !t.Equal(r.rows[i-1]) {
-			out = append(out, t)
-		}
+	a := r.arity
+	sorted := true
+	for i := 1; i < r.n && sorted; i++ {
+		sorted = compareRows(r.vals, a, i-1, i) < 0
 	}
-	r.rows = out
+	if !sorted {
+		perm := make([]int32, r.n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortFunc(perm, func(i, j int32) int { return compareRows(r.vals, a, int(i), int(j)) })
+		vals := make([]Value, 0, len(r.vals))
+		n := 0
+		for k, p := range perm {
+			if k > 0 && compareRows(r.vals, a, int(perm[k-1]), int(p)) == 0 {
+				continue
+			}
+			vals = append(vals, r.Row(int(p))...)
+			n++
+		}
+		r.vals, r.n = vals, n
+	} else if cap(r.vals) > len(r.vals) {
+		r.vals = slices.Clone(r.vals) // drop append's spare room
+	}
 	r.deduped.Store(true)
 }
 
@@ -143,16 +199,18 @@ func (r *Relation) Contains(t Tuple) bool {
 		return false
 	}
 	r.dedupe()
-	i := sort.Search(len(r.rows), func(i int) bool { return !r.rows[i].Less(t) })
-	return i < len(r.rows) && r.rows[i].Equal(t)
+	_, ok := r.search(t)
+	return ok
 }
 
-// Tuples returns a copy of the tuple set in lexicographic order.
+// Tuples returns a copy of the tuple set in lexicographic order: capped
+// views of one fresh slab, so the copy costs two allocations.
 func (r *Relation) Tuples() []Tuple {
 	r.dedupe()
-	out := make([]Tuple, len(r.rows))
-	for i, t := range r.rows {
-		out[i] = t.Clone()
+	vals := slices.Clone(r.vals)
+	out := make([]Tuple, r.n)
+	for i := range out {
+		out[i] = RowAt(vals, r.arity, i)
 	}
 	return out
 }
@@ -162,35 +220,31 @@ func (r *Relation) Tuples() []Tuple {
 func (r *Relation) Project(name string, cols []int) *Relation {
 	r.dedupe()
 	p := NewRelation(name, len(cols))
-	for _, t := range r.rows {
-		p.rows = append(p.rows, t.Project(cols))
+	p.vals = make([]Value, 0, r.n*len(cols))
+	for i := 0; i < r.n; i++ {
+		t := r.Row(i)
+		for _, c := range cols {
+			p.vals = append(p.vals, t[c])
+		}
 	}
+	p.n = r.n
 	p.dedupe()
 	return p
 }
 
-// Clone returns an independent copy of the relation sharing the (immutable)
-// tuple payloads but owning its row slice, so mutating the clone never
-// disturbs readers of the original. Indexes are not copied; the clone
-// rebuilds them lazily.
-func (r *Relation) Clone() *Relation {
-	r.dedupe()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := NewRelation(r.name, r.arity)
-	c.rows = append(make([]Tuple, 0, len(r.rows)), r.rows...)
-	c.deduped.Store(true)
-	return c
-}
+// Clone returns an independent copy of the relation sharing the slab,
+// capped to its length: mutating the clone reallocates before it writes, so
+// it never disturbs readers of the original. Indexes are not copied; the
+// clone rebuilds them lazily.
+func (r *Relation) Clone() *Relation { return r.Renamed(r.name) }
 
-// SizeBytes estimates the in-memory footprint of the tuple payload: one
-// machine word per value plus a slice header per tuple. Index footprints are
+// SizeBytes is the in-memory footprint of the tuple payload: the slab, one
+// machine word per value, plus its slice header. Index footprints are
 // accounted separately by Index.SizeBytes.
 func (r *Relation) SizeBytes() int {
 	r.dedupe()
 	const wordSize = 8
-	const sliceHeader = 3 * wordSize
-	return len(r.rows)*(sliceHeader+r.arity*wordSize) + sliceHeader
+	return wordSize * (len(r.vals) + 3)
 }
 
 // String renders the relation for debugging: name, arity and cardinality.

@@ -346,3 +346,30 @@ func TestIndexCaching(t *testing.T) {
 		t.Error("distinct signatures must get distinct indexes")
 	}
 }
+
+// TestSizeBytesIsSlab: a relation's footprint is its values, 8 bytes each,
+// plus one constant, at every arity and cardinality; arity-0 rows are the
+// empty, non-nil tuple.
+func TestSizeBytesIsSlab(t *testing.T) {
+	base := NewRelation("E", 0).SizeBytes()
+	for arity := 0; arity <= 3; arity++ {
+		for _, n := range []int{0, 1, 7, 100} {
+			r := NewRelation("R", arity)
+			for i := 0; i < n; i++ {
+				tup := make(Tuple, arity)
+				for c := range tup {
+					tup[c] = Value(i*(c+1) + c)
+				}
+				r.MustInsert(tup...)
+			}
+			if got, want := r.SizeBytes(), 8*arity*r.Len()+base; got != want {
+				t.Errorf("arity %d, %d rows: SizeBytes = %d, want %d", arity, r.Len(), got, want)
+			}
+			for i := 0; i < r.Len(); i++ {
+				if row := r.Row(i); row == nil || len(row) != arity || cap(row) != arity {
+					t.Fatalf("arity %d row %d = %#v (cap %d), want a capped row of its arity", arity, i, row, cap(row))
+				}
+			}
+		}
+	}
+}
