@@ -66,13 +66,14 @@ examples:
 		$(GO) run "./$$d" || exit 1; \
 	done
 
-# Snapshot format gate: the round-trip/corruption test suites plus the E17
-# compile → save → load → verify pass over the E1/E6 workloads, so any wire
-# format regression fails the build. Mirrors the CI snapshot job.
+# Snapshot format gate: the round-trip/corruption test suites (compile →
+# save → load → byte-identical enumeration across strategies, including a
+# planner-chosen space-budget structure), so any wire format regression
+# fails the build. Load-vs-compile cost is the repository benchmark's
+# setup_s and core.snapshot_load_s. Mirrors the CI snapshot job.
 snapshot-check:
 	$(GO) test -run 'TestSnapshot' ./...
 	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v[12]$$' ./internal/core
-	$(GO) run ./cmd/cqbench -run E17 -n 1500 -queries 20
 
 # Differential gate: the whole internal/difftest package. Every strategy
 # (and the sharded composites) must enumerate byte-for-byte what the
@@ -116,11 +117,12 @@ lint:
 	fi
 
 # cqserve end-to-end gate: compile → snapshot → cqserve → curl, diffed
-# against cqcli serve output for the same snapshot, then the E19 serving
-# and E21 cached-serving experiment smokes. Mirrors the CI serve job.
+# against cqcli serve output for the same snapshot, then the E21
+# cached-serving experiment smoke. Serving throughput and first-tuple
+# delay are the repository benchmark's scan-binary and point-ndjson
+# workloads. Mirrors the CI serve job.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-	$(GO) run ./cmd/cqbench -run E19 -n 1200 -queries 8 -workers 1,4
 	$(GO) run ./cmd/cqbench -run E21 -n 800 -queries 4
 
 # Distributed-serving end-to-end gate: one cqcoord coordinator + three
@@ -136,11 +138,11 @@ dist-smoke:
 # Durable-maintenance crash gate (DESIGN.md §9): the churn difftest and
 # crash-recovery suites under -race, then the wal_smoke.sh crash script —
 # a cqchurn writer killed mid-script and a kill -9'd cqserve -wal-dir must
-# both recover byte-identically from the update log; then the E20
-# maintenance experiment smoke. Mirrors the CI wal job.
+# both recover byte-identically from the update log. Delta-vs-recompile
+# cost is the repository benchmark's churn-readwrite core.maintain.*
+# metrics. Mirrors the CI wal job.
 wal-smoke:
 	$(GO) test -race -shuffle=on -run 'TestChurn|TestDeltaApply|TestWAL|TestUpdateLog|TestNoopDelete|TestRebuildBatch' ./internal/core ./internal/difftest ./internal/httpserve ./internal/wal
 	sh scripts/wal_smoke.sh
-	$(GO) run ./cmd/cqbench -run E20 -n 800 -queries 4
 
 ci: build vet fmt-check lint test race flake bench-smoke bench-contract examples snapshot-check difftest fuzz-smoke serve-smoke dist-smoke wal-smoke

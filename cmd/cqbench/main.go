@@ -5,16 +5,14 @@
 //	cqbench -run all                     # everything at default scale
 //	cqbench -run E1,E5 -n 20000          # selected experiments, custom scale
 //	cqbench -run E16 -workers 1,2,4,8    # parallel build scaling
-//	cqbench -run E17                     # snapshot load vs recompile startup cost
 //	cqbench -run E18 -shards 1,2,4,8     # sharded compile/rebuild scaling
-//	cqbench -run E19 -workers 1,2,4,8    # network serving delay/throughput
 //
 // Scales are edge/tuple counts; all generators are seeded and
 // deterministic. cqbench drives the suite through the public cqrep
 // experiment facade (Experiments / RunExperiment) — like cqcli, it
-// imports nothing under internal/. Performance claims about the serving
-// stack come from the repository benchmark in benchmark/, not from these
-// tables.
+// imports nothing under internal/. Performance claims about snapshot
+// startup, network serving and delta maintenance come from the repository
+// benchmark in benchmark/, not from these tables.
 package main
 
 import (
@@ -29,8 +27,9 @@ import (
 
 // selectExperiments resolves -run to the experiment id set: "all" is the
 // whole suite, anything else a comma-separated id list, case- and
-// space-insensitive. An id the suite does not list is an error, so a typo
-// cannot quietly run less than was asked for.
+// space-insensitive. An id the suite does not list is an error naming every
+// id it does list, so a typo or a retired id cannot quietly run less than
+// was asked for.
 func selectExperiments(run string, all []cqrep.Experiment) (map[string]bool, error) {
 	known := map[string]bool{}
 	for _, e := range all {
@@ -43,11 +42,22 @@ func selectExperiments(run string, all []cqrep.Experiment) (map[string]bool, err
 	for _, id := range strings.Split(run, ",") {
 		key := strings.ToUpper(strings.TrimSpace(id))
 		if !known[key] {
-			return nil, fmt.Errorf("cqbench: unknown experiment %q (want E1..%s)", id, all[len(all)-1].ID)
+			return nil, fmt.Errorf("cqbench: unknown experiment %q (want one of %s)", id, experimentIDs(all))
 		}
 		selected[key] = true
 	}
 	return selected, nil
+}
+
+// experimentIDs lists the registered ids, comma-separated, in suite order.
+// Retired ids leave gaps, so a range such as "E1..E21" would name ids that
+// do not run.
+func experimentIDs(all []cqrep.Experiment) string {
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, ", ")
 }
 
 // parseCounts parses a comma-separated list of positive ints (the -workers
@@ -77,11 +87,11 @@ func parseCounts(flagName, s string) ([]int, error) {
 
 func main() {
 	all := cqrep.Experiments()
-	run := flag.String("run", "all", fmt.Sprintf("comma-separated experiment ids (E1..%s) or 'all'", all[len(all)-1].ID))
+	run := flag.String("run", "all", fmt.Sprintf("comma-separated experiment ids (%s) or 'all'", experimentIDs(all)))
 	n := flag.Int("n", 8000, "base data scale (edges / tuples per relation)")
 	queries := flag.Int("queries", 50, "access requests per measurement")
 	seed := flag.Int64("seed", 42, "generator seed")
-	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated parallel-build worker counts for E16 (run sorted ascending; the smallest is the speedup baseline); doubles as the concurrent-client sweep of E19")
+	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated parallel-build worker counts for E16 (run sorted ascending; the smallest is the speedup baseline)")
 	shardsFlag := flag.String("shards", "1,2,4,8", "comma-separated shard counts for E18: compile-time and rebuild-time scaling on the E1/E6 workloads, verified byte-identical")
 	flag.Parse()
 

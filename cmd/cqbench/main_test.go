@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -76,9 +78,7 @@ func TestSelectExperiments(t *testing.T) {
 		{"explicit ids", "E1,E6", []string{"E1", "E6"}},
 		{"case and space insensitive", " e2 , E18 ", []string{"E2", "E18"}},
 		{"run E16 directly", "E16", []string{"E16"}},
-		{"run E17 directly", "E17", []string{"E17"}},
 		{"run E18 directly", "E18", []string{"E18"}},
-		{"run E19 directly", "E19", []string{"E19"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -108,26 +108,62 @@ func TestSelectExperiments(t *testing.T) {
 		})
 	}
 
+	// The error lists the registered ids exactly: every one of them, and
+	// none of the retired ids (E17, E19, E20) that a range such as
+	// "E1..E21" would wrongly name as valid.
 	t.Run("unknown id", func(t *testing.T) {
-		for _, run := range []string{"E1,E99", "E0", "E1,", ""} {
+		listed := regexp.MustCompile(`\(want one of ([^)]*)\)`)
+		for _, run := range []string{"E1,E99", "E0", "E1,", "", "E17", "E19", "e20", "E16,E19"} {
 			got, err := selectExperiments(run, all)
 			if err == nil {
 				t.Fatalf("-run %q selected %v, want an error", run, got)
 			}
-			if want := "E1.." + all[len(all)-1].ID; !strings.Contains(err.Error(), want) {
-				t.Fatalf("-run %q: error %q does not name the valid range %s", run, err, want)
+			m := listed.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("-run %q: error %q lists no ids", run, err)
+			}
+			ids := strings.Split(m[1], ", ")
+			if len(ids) != len(all) {
+				t.Fatalf("-run %q: error lists %v, want the %d registered ids", run, ids, len(all))
+			}
+			for i, e := range all {
+				if ids[i] != e.ID {
+					t.Fatalf("-run %q: error lists %v, want %s at position %d", run, ids, e.ID, i)
+				}
+			}
+			for _, id := range ids {
+				if id == "E17" || id == "E19" || id == "E20" {
+					t.Fatalf("-run %q: error names retired experiment %s as valid", run, id)
+				}
 			}
 		}
 	})
 }
 
+// runIDs matches an experiment selection on a command line: -run followed
+// by one or more comma-separated ids (case-insensitive, as cqbench reads
+// them). go test's own -run patterns ('TestSnapshot', NONE, '^$') do not
+// start with an id and are not matched.
+var runIDs = regexp.MustCompile(`-run[= ]+['"]?([Ee][0-9]+\b(?:,[Ee][0-9]+\b)*)`)
+
 // TestSelectedExperimentsRunnable checks that every id the Makefile and CI
-// pass to -run resolves in RunExperiment's registry (an id drifting out of
-// the suite must fail here, not at 2 a.m. in a benchmark run).
+// pass to -run resolves in RunExperiment's registry, so a make target or
+// CI step left pointing at a retired experiment fails here instead of in
+// the pipeline.
 func TestSelectedExperimentsRunnable(t *testing.T) {
-	for _, run := range []string{"E1", "E16", "E17", "E18", "E19", "E20", "E21"} {
-		if _, err := selectExperiments(run, cqrep.Experiments()); err != nil {
-			t.Fatalf("-run %s: %v", run, err)
+	for _, path := range []string{"../../Makefile", "../../.github/workflows/ci.yml"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := runIDs.FindAllStringSubmatch(string(src), -1)
+		if len(matches) == 0 {
+			t.Fatalf("%s: no -run E… selection found; the extraction pattern has drifted from the file", path)
+		}
+		for _, m := range matches {
+			if _, err := selectExperiments(m[1], cqrep.Experiments()); err != nil {
+				t.Errorf("%s: -run %s: %v", path, m[1], err)
+			}
 		}
 	}
 }

@@ -1,6 +1,5 @@
 // Command cqload drives a running cqserve instance with concurrent
-// clients and reports delay percentiles — the load generator behind the
-// E19 serving experiment:
+// clients and reports delay percentiles:
 //
 //	cqserve -snapshot v.cqs -addr :8080 &
 //	cqload -url http://127.0.0.1:8080 -view V -bindings req.txt -c 8 -n 2000

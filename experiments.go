@@ -14,8 +14,7 @@ type ExperimentTable = bench.Table
 
 // ExperimentConfig scales an experiment run. Scale, Queries, Workers, and
 // Shards fall back to the EXPERIMENTS.md defaults (8000, 50, 1·2·4·8,
-// 1·2·4·8) when left zero; Workers doubles as the concurrent-client sweep
-// of the serving experiment E19. Seed is used exactly as given — 0 is a valid
+// 1·2·4·8) when left zero. Seed is used exactly as given — 0 is a valid
 // PRNG seed, not a request for the default (cmd/cqbench's -seed flag
 // defaults to 42). Per-experiment scale adjustments (e.g. E5 and E6
 // divide the scale because their preprocessing is super-linear) are
@@ -46,7 +45,7 @@ func (c ExperimentConfig) withDefaults() ExperimentConfig {
 
 // Experiment identifies one reproduction experiment.
 type Experiment struct {
-	ID          string // "E1".."E21"
+	ID          string // "E1", "E2", ...; ids of retired experiments are not reused
 	Description string
 }
 
@@ -105,21 +104,9 @@ var experimentRunners = []struct {
 		func(c ExperimentConfig) []*bench.Table {
 			return experiments.E16Parallel(c.Scale/8, c.Seed, c.Workers)
 		}},
-	{"E17", "snapshot startup: loading a saved representation vs recompiling (E1/E6)",
-		func(c ExperimentConfig) []*bench.Table {
-			return experiments.E17SnapshotStartup(c.Scale, c.Queries, c.Seed)
-		}},
 	{"E18", "sharded compilation and maintenance scaling vs shard count (E1/E6); scale n/2 — each count compiles the view twice",
 		func(c ExperimentConfig) []*bench.Table {
 			return experiments.E18Sharding(c.Scale/2, c.Queries, c.Seed, c.Shards)
-		}},
-	{"E19", "network serving (cqserve HTTP front): throughput and p50/p99 first-tuple delay vs concurrent clients, streams verified byte-identical; scale n/2",
-		func(c ExperimentConfig) []*bench.Table {
-			return experiments.E19Serve(c.Scale/2, c.Queries, c.Seed, c.Workers)
-		}},
-	{"E20", "delta maintenance vs full recompile: sustained updates/sec and query p99 under concurrent readers, final states verified byte-identical between modes",
-		func(c ExperimentConfig) []*bench.Table {
-			return experiments.E20Maintain(c.Scale, c.Queries, c.Seed, 4)
 		}},
 	{"E21", "generation-keyed result cache under Zipf workloads: hit rate and cached serving throughput vs skew exponent on a budget that holds a fraction of the key set, cache-on verified byte-identical to cache-off",
 		func(c ExperimentConfig) []*bench.Table {
@@ -137,8 +124,8 @@ func Experiments() []Experiment {
 }
 
 // RunExperiment regenerates one experiment's tables. id is case-
-// insensitive ("e1" == "E1"); an unknown id is an error listing the valid
-// range.
+// insensitive ("e1" == "E1"); an unknown id is an error listing every
+// registered id.
 func RunExperiment(id string, cfg ExperimentConfig) ([]*ExperimentTable, error) {
 	cfg = cfg.withDefaults()
 	key := strings.ToUpper(strings.TrimSpace(id))
@@ -147,5 +134,9 @@ func RunExperiment(id string, cfg ExperimentConfig) ([]*ExperimentTable, error) 
 			return r.fn(cfg), nil
 		}
 	}
-	return nil, fmt.Errorf("cqrep: unknown experiment %q (want E1..%s)", id, experimentRunners[len(experimentRunners)-1].id)
+	ids := make([]string, len(experimentRunners))
+	for i, r := range experimentRunners {
+		ids[i] = r.id
+	}
+	return nil, fmt.Errorf("cqrep: unknown experiment %q (want one of %s)", id, strings.Join(ids, ", "))
 }

@@ -102,8 +102,8 @@ func (a *Aggregate) Add(st DelayStats) {
 
 // Percentile returns the q-quantile of ascending-sorted durations by
 // nearest rank, rounded to the microsecond (the delay reports' unit).
-// An empty slice yields 0. Shared by the E19 serving experiment and the
-// cqload load generator so their percentile math cannot drift apart.
+// An empty slice yields 0. The cqload load generator reports its delay
+// percentiles through it.
 func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

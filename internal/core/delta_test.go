@@ -182,26 +182,65 @@ func TestDeltaApplySharded(t *testing.T) {
 	}
 }
 
-// TestDeltaApplyDisabled pins the WithDeltaApply(false) escape hatch: same
-// final state, zero delta applies.
+// TestDeltaApplyDisabled pins the WithDeltaApply(false) escape hatch on a
+// materialized self-join and in two regimes that bracket the delta
+// capability: a materialized view whose churned R joins a static fan-out
+// T (a recompile re-materializes the amplified output; the delta path
+// touches only the changed derivations) and an all-bound index. Disabled,
+// the churned view matches a fresh Build with zero delta applies; by
+// default, the same script reaches the same state through the delta path.
 func TestDeltaApplyDisabled(t *testing.T) {
-	view := cq.MustParse("V[bf](x, y) :- R(x, p), R(p, y)")
-	opts := []Option{WithStrategy(MaterializedStrategy), WithDeltaApply(false)}
-	m, err := NewMaintained(view, pathDB(7, 40), 0.5, opts...)
-	if err != nil {
-		t.Fatal(err)
+	plainDB := func() *relation.Database { return pathDB(7, 40) }
+	fanOutDB := func() *relation.Database {
+		db := plainDB()
+		tr := relation.NewRelation("T", 2)
+		for p := 0; p < 8; p++ {
+			for y := 0; y < 16; y++ {
+				tr.MustInsert(relation.Value(p), relation.Value(y))
+			}
+		}
+		db.Add(tr)
+		return db
 	}
-	mirror := churnMaintained(t, m, 17, 60)
-	fresh, err := Build(view, mirror, WithStrategy(MaterializedStrategy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, m.Rep(), fresh, boundSpace(1, 0, 8))
-	if m.DeltaApplies() != 0 {
-		t.Fatalf("delta path used despite WithDeltaApply(false): %d", m.DeltaApplies())
-	}
-	if m.Rebuilds() == 0 {
-		t.Fatal("no rebuilds happened at all")
+	for _, tc := range []struct {
+		name string
+		view string
+		opts []Option
+		db   func() *relation.Database
+	}{
+		{"materialized-selfjoin", "V[bf](x, y) :- R(x, p), R(p, y)", []Option{WithStrategy(MaterializedStrategy)}, plainDB},
+		{"materialized-fanout", "V[bf](x, y) :- R(x, p), T(p, y)", []Option{WithStrategy(MaterializedStrategy)}, fanOutDB},
+		{"allbound", "V[bb](x, y) :- R(x, y)", []Option{WithStrategy(AllBoundStrategy)}, plainDB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			view := cq.MustParse(tc.view)
+			off, err := NewMaintained(view, tc.db(), 0.5, append(append([]Option{}, tc.opts...), WithDeltaApply(false))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			on, err := NewMaintained(view, tc.db(), 0.5, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirror := churnMaintained(t, off, 17, 60)
+			churnMaintained(t, on, 17, 60)
+			fresh, err := Build(view, mirror, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vbs := boundSpace(len(fresh.BoundNames()), 0, 8)
+			requireIdentical(t, off.Rep(), fresh, vbs)
+			requireIdentical(t, on.Rep(), fresh, vbs)
+			if off.DeltaApplies() != 0 {
+				t.Fatalf("delta path used despite WithDeltaApply(false): %d", off.DeltaApplies())
+			}
+			if off.Rebuilds() == 0 {
+				t.Fatal("no rebuilds happened at all")
+			}
+			if on.DeltaApplies() == 0 {
+				t.Fatalf("default mode never took the delta path (rebuilds=%d)", on.Rebuilds())
+			}
+		})
 	}
 }
 

@@ -73,6 +73,10 @@ func TestSnapshotRoundTripStrategies(t *testing.T) {
 		opts []Option
 	}{
 		{"primitive", []Option{WithStrategy(PrimitiveStrategy), WithTau(4)}},
+		// τ and α chosen by the Section-6 planner rather than given: the
+		// snapshot must carry the planned parameters, not re-plan on load.
+		// The budget is 8 entries per edge of the 220-edge fixture.
+		{"primitive/space-budget", []Option{WithStrategy(PrimitiveStrategy), WithSpaceBudget(8 * 220)}},
 		{"decomposition", []Option{WithStrategy(DecompositionStrategy)}},
 		{"materialized", []Option{WithStrategy(MaterializedStrategy)}},
 		{"direct", []Option{WithStrategy(DirectStrategy)}},
@@ -93,6 +97,9 @@ func TestSnapshotRoundTripStrategies(t *testing.T) {
 			}
 			if loaded.Stats().Entries != r.Stats().Entries {
 				t.Fatalf("entries %d != %d", loaded.Stats().Entries, r.Stats().Entries)
+			}
+			if got, want := loaded.Stats(), r.Stats(); got.Tau != want.Tau || got.Alpha != want.Alpha {
+				t.Fatalf("loaded (tau, alpha) = (%v, %v), compiled (%v, %v)", got.Tau, got.Alpha, want.Tau, want.Alpha)
 			}
 		})
 	}

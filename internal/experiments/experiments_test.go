@@ -4,51 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"cqrep/internal/bench"
 )
 
 func fmtSscan(s string, out *float64) (int, error) { return fmt.Sscan(s, out) }
-
-func countRows(tables []*bench.Table) int {
-	n := 0
-	for _, tb := range tables {
-		if !strings.Contains(tb.String(), "##") {
-			return 0
-		}
-		n += len(tb.Rows)
-	}
-	return n
-}
-
-// TestAllExperimentsSmoke runs every experiment at a small scale and sanity
-// checks that tables render with rows.
-func TestAllExperimentsSmoke(t *testing.T) {
-	runs := map[string]func() int{
-		"E1":  func() int { return countRows(E1Triangle(400, 5, 1)) },
-		"E2":  func() int { return countRows(E2AllBound(400, 10, 1)) },
-		"E3":  func() int { return countRows(E3DRep([]int{200, 400}, 1)) },
-		"E4":  func() int { return countRows(E4LoomisWhitney(150, 5, 1)) },
-		"E5":  func() int { return countRows(E5StarSlack(150, 5, 1)) },
-		"E6":  func() int { return countRows(E6PathDecomp(150, 5, 1)) },
-		"E7":  func() int { return countRows(E7SetIntersection(300, 5, 1)) },
-		"E8":  func() int { return countRows(E8RunningExample()) },
-		"E9":  func() int { return countRows(E9Optimizer(10000)) },
-		"E10": func() int { return countRows(E10Connex()) },
-		"E11": func() int { return countRows(E11Coauthor(400, 5, 1)) },
-		"E12": func() int { return countRows(E12AnswerTime(200, 5, 1)) },
-		"E13": func() int { return countRows(E13DictionaryAblation(400, 5, 1)) },
-		"E14": func() int { return countRows(E14BuildScaling([]int{200, 400}, 1)) },
-		"E15": func() int { return countRows(E15DeltaShapes(120, 5, 1)) },
-		"E18": func() int { return countRows(E18Sharding(400, 5, 1, []int{1, 2})) },
-	}
-	for name, run := range runs {
-		rows := run()
-		if rows == 0 {
-			t.Errorf("%s produced no rows", name)
-		}
-	}
-}
 
 // TestE8MatchesFigure3 pins the E8 reproduction to the paper's tree: five
 // nodes, split points (1,1,2) and (1,2,2).

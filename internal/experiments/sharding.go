@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"cqrep/internal/bench"
@@ -115,4 +117,30 @@ func speedup(baseline, measured time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1fx", float64(baseline)/float64(measured))
+}
+
+// verifyIdentical drains a sample of access requests from both
+// representations and insists on byte-identical enumerations — order
+// included.
+func verifyIdentical(a, b *core.Representation, queries int, seed int64) {
+	vbs := sampleVbs(rand.New(rand.NewSource(seed+17)), a.Instance(), queries)
+	for _, vb := range vbs {
+		var wantBuf, gotBuf bytes.Buffer
+		wantIt, gotIt := a.Query(vb), b.Query(vb)
+		for _, t := range core.Drain(wantIt) {
+			wantBuf.Write(t.AppendEncode(nil))
+		}
+		for _, t := range core.Drain(gotIt) {
+			gotBuf.Write(t.AppendEncode(nil))
+		}
+		if err := core.IterErr(wantIt); err != nil {
+			panic(fmt.Sprintf("E18: unsharded enumeration for %v died: %v", vb, err))
+		}
+		if err := core.IterErr(gotIt); err != nil {
+			panic(fmt.Sprintf("E18: sharded enumeration for %v died: %v", vb, err))
+		}
+		if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+			panic(fmt.Sprintf("E18: sharded representation enumerates differently for request %v", vb))
+		}
+	}
 }

@@ -15,12 +15,13 @@ import (
 )
 
 // client.go is the reference consumer of the wire API: cmd/cqload and the
-// E19 experiment drive a cqserve instance through it, and the end-to-end
-// tests use it to check byte-identical enumeration against the in-process
-// representation. The client is built around two pieces: a typed Format
-// that names the stream encoding it asks for via Accept, and a Stream
-// interface both encodings decode into — a consumer drains tuples the same
-// way whether the bytes underneath were NDJSON lines or binary frames.
+// repository benchmark drive a cqserve instance through it, and the
+// end-to-end tests use it to check byte-identical enumeration against the
+// in-process representation. The client is built around two pieces: a
+// typed Format that names the stream encoding it asks for via Accept, and
+// a Stream interface both encodings decode into — a consumer drains tuples
+// the same way whether the bytes underneath were NDJSON lines or binary
+// frames.
 
 // Format selects the result stream encoding of a query request.
 type Format int

@@ -8,8 +8,8 @@ import (
 
 // ChurnOp is one scripted base-relation update: an insert or a delete of
 // Tuple in Rel. Scripts are plain data so the same sequence can drive a
-// core.Maintained, a WAL replay, a difftest gate, and the E20 experiment
-// and be compared step for step.
+// core.Maintained, a WAL replay, a difftest gate, and cmd/cqchurn and be
+// compared step for step.
 type ChurnOp struct {
 	Rel   string
 	Tuple relation.Tuple

@@ -126,7 +126,8 @@ func WithShards(n int) Option {
 // structure copy-on-write instead of recompiling; everything else (and
 // every batch the delta path cannot prove safe) falls back to the full
 // recompile. Disabling it forces the recompile path everywhere, which is
-// useful for A/B measurement (experiment E20) and as an escape hatch.
+// what the repository benchmark's recompile probe (churn-readwrite's
+// core.maintain.recompile_ms) measures against, and an escape hatch.
 // Compile ignores the option: it only affects rebuilds.
 func WithDeltaApply(enabled bool) Option {
 	return func(c *config) { c.build = append(c.build, core.WithDeltaApply(enabled)) }
