@@ -68,11 +68,12 @@ examples:
 
 # Snapshot format gate: the round-trip/corruption test suites (compile →
 # save → load → byte-identical enumeration across strategies, including a
-# planner-chosen space-budget structure), so any wire format regression
-# fails the build. Load-vs-compile cost is the repository benchmark's
-# setup_s and core.snapshot_load_s. Mirrors the CI snapshot job.
+# planner-chosen space-budget structure, on the eager and the mmap load
+# paths), so any wire format regression fails the build. Load-vs-compile
+# cost is the repository benchmark's setup_s and core.snapshot_load_s.
+# Mirrors the CI snapshot job.
 snapshot-check:
-	$(GO) test -run 'TestSnapshot' ./...
+	$(GO) test -run 'TestSnapshot|TestMmapLoadIdentity' ./...
 	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v[12]$$' ./internal/core
 
 # Differential gate: the whole internal/difftest package. Every strategy

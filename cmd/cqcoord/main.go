@@ -1,6 +1,7 @@
 // Command cqcoord is the scatter-gather front of the distributed serving
-// tier (DESIGN.md §6): it loads the full sharded snapshots, exports one
-// self-contained snapshot file per shard, and serves the same client API
+// tier (DESIGN.md §6): it decodes each sharded snapshot once, exports one
+// self-contained snapshot file per shard, keeps only a route card per view
+// (the adorned view and its shard key), and serves the same client API
 // as a single cqserve node — routing bound-key queries to the worker that
 // owns the key's shard and merging free enumerations across all workers
 // in the view's declared EnumOrder, byte-identically to single-node
@@ -52,7 +53,6 @@ type config struct {
 	spool      string
 	flushBatch int
 	cacheBytes int64
-	mmap       bool
 	drain      time.Duration
 }
 
@@ -73,7 +73,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.spool, "spool", "", "directory for exported per-shard snapshot files (default: fresh temp dir)")
 	fs.IntVar(&cfg.flushBatch, "flush-batch", 0, "tuples batched per client-stream flush (0 = default 128); match the workers' for byte-identical streams")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "merged-result cache budget in bytes (0 = caching off); a hot binding replays from memory with zero worker hops, invalidated by shard-map generation on join/move")
-	fs.BoolVar(&cfg.mmap, "mmap", false, "mmap the coordinator's snapshot copies instead of eager decode")
 	fs.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -131,7 +130,6 @@ func run(ctx context.Context, cfg config, logw *os.File) error {
 		SelfURL:    self,
 		SpoolDir:   cfg.spool,
 		FlushBatch: cfg.flushBatch,
-		Mmap:       cfg.mmap,
 		CacheBytes: cfg.cacheBytes,
 	})
 	if err != nil {

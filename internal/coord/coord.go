@@ -12,9 +12,10 @@
 // enumerates in the composite's order, and the merge is the in-process
 // sharded backend's own (core.MergeBlocks).
 //
-// Workers join by snapshot: the coordinator loads the full sharded
-// snapshots once, exports every shard as a self-contained snapshot file
+// Workers join by snapshot: the coordinator decodes each sharded snapshot
+// once, exports every shard as a self-contained snapshot file
 // (core.WriteShard), and serves the files on GET /v1/shardfile/{view}/{i}.
+// It keeps no decoded copy, only a route card per view (viewMeta).
 // A joining worker POSTs /v1/join; the coordinator pushes /v1/attach calls
 // that tell the worker which shard files to fetch and serve (scoped names
 // "V@i"), then swaps the shard map atomically. The swap uses the same
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	"cqrep/internal/core"
+	"cqrep/internal/cq"
 	"cqrep/internal/httpserve"
 )
 
@@ -67,10 +69,6 @@ type Options struct {
 	FlushBatch int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
-	// Mmap loads the coordinator's own snapshot copies through the mmap
-	// path. They are materialized either way (the coordinator needs shard
-	// metadata and routing), but mmap keeps the page cache shared.
-	Mmap bool
 	// HTTP is the client used for worker calls; nil means a dedicated
 	// client with sane timeouts for control calls and none for streams.
 	HTTP *http.Client
@@ -82,16 +80,13 @@ type Options struct {
 	CacheBytes int64
 }
 
-// viewMeta is the coordinator's per-view routing card, immutable after New.
+// viewMeta is the coordinator's per-view route card, immutable after New.
+// It holds no compiled structure: the workers answer, the card routes.
 type viewMeta struct {
-	name      string
-	rep       *core.Representation
-	path      string   // source snapshot
-	files     []string // exported per-shard snapshot files
-	shards    int
-	keyIdx    int // position of the shard key in a bound valuation; -1 = scatter
-	enumOrder []int
-	loadedAt  time.Time
+	view   *cq.View           // the full adorned view: names only, no data
+	keyIdx int                // position of the shard key in a bound valuation; -1 = scatter
+	files  []string           // exported per-shard snapshot files, one per shard
+	info   httpserve.ViewInfo // the /v1/views row, taken from the decode at load
 }
 
 // shardMap is one immutable generation of the ownership table. Queries
@@ -167,11 +162,11 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := c.views[vm.name]; dup {
-			return nil, fmt.Errorf("coord: duplicate view %q (snapshot %s)", vm.name, p)
+		if _, dup := c.views[vm.info.Name]; dup {
+			return nil, fmt.Errorf("coord: duplicate view %q (snapshot %s)", vm.info.Name, p)
 		}
-		c.views[vm.name] = vm
-		c.names = append(c.names, vm.name)
+		c.views[vm.info.Name] = vm
+		c.names = append(c.names, vm.info.Name)
 	}
 	sort.Strings(c.names)
 	// The merged-result cache keys on the shard-map generation, so
@@ -198,37 +193,44 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// loadView reads one snapshot, extracts the routing metadata, and exports
-// its shards to spool files.
+// loadView decodes one snapshot eagerly, verifying every shard frame it
+// ships, exports its shards to spool files, and returns the route card.
 func (c *Coordinator) loadView(path string) (*viewMeta, error) {
-	rep, err := httpserve.LoadSnapshot(path, c.opts.Mmap)
+	rep, err := httpserve.LoadSnapshot(path, false)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s: %w", path, err)
 	}
-	if err := rep.Ensure(); err != nil {
-		return nil, fmt.Errorf("coord: %s: %w", path, err)
-	}
+	st, name := rep.Stats(), rep.View().Name
 	vm := &viewMeta{
-		name:      rep.View().Name,
-		rep:       rep,
-		path:      path,
-		shards:    rep.ShardCount(),
-		keyIdx:    rep.ShardKeyIndex(),
-		enumOrder: rep.EnumOrder(),
-		loadedAt:  time.Now(),
+		view:   rep.View(),
+		keyIdx: rep.ShardKeyIndex(),
+		info: httpserve.ViewInfo{
+			Name:  name,
+			Bound: rep.BoundNames(),
+			Free:  rep.FreeNames(),
+			// Theorem 2's order depends on the stored decomposition, so it
+			// comes from the decode, not from the view.
+			EnumOrder:  rep.EnumOrder(),
+			Strategy:   st.Strategy.String(),
+			Shards:     rep.ShardCount(),
+			Entries:    st.Entries,
+			BaseTuples: 0, // base data lives on the workers
+			Snapshot:   path,
+			LoadedAt:   time.Now().UTC().Format(time.RFC3339),
+		},
 	}
-	for i := 0; i < vm.shards; i++ {
-		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", httpserve.FileStem(vm.name), i))
+	for i := 0; i < vm.info.Shards; i++ {
+		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", httpserve.FileStem(name), i))
 		f, err := os.Create(fp)
 		if err != nil {
-			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, vm.name, err)
+			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
 		}
 		if _, err := rep.WriteShard(i, f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, vm.name, err)
+			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
 		}
 		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, vm.name, err)
+			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
 		}
 		vm.files = append(vm.files, fp)
 	}
@@ -239,7 +241,7 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 func (c *Coordinator) emptyMap() *shardMap {
 	m := &shardMap{gen: 1, owners: make(map[string][]string, len(c.views))}
 	for name, vm := range c.views {
-		m.owners[name] = make([]string, vm.shards)
+		m.owners[name] = make([]string, vm.info.Shards)
 	}
 	return m
 }
@@ -314,8 +316,8 @@ func (c *Coordinator) Move(ctx context.Context, view string, shard int, workerUR
 	if !ok {
 		return fmt.Errorf("coord: unknown view %q", view)
 	}
-	if shard < 0 || shard >= vm.shards {
-		return fmt.Errorf("coord: view %q has shards [0,%d), not %d", view, vm.shards, shard)
+	if shard < 0 || shard >= vm.info.Shards {
+		return fmt.Errorf("coord: view %q has shards [0,%d), not %d", view, vm.info.Shards, shard)
 	}
 	member := false
 	for _, m := range c.members {
@@ -338,8 +340,7 @@ func (c *Coordinator) desired() map[string][]string {
 	out := make(map[string][]string, len(c.views))
 	idx := 0
 	for _, name := range c.names {
-		vm := c.views[name]
-		owners := make([]string, vm.shards)
+		owners := make([]string, c.views[name].info.Shards)
 		for i := range owners {
 			if len(c.members) > 0 {
 				owners[i] = c.members[idx%len(c.members)]
@@ -381,8 +382,7 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 	}
 	var moves []move
 	for _, name := range c.names {
-		vm := c.views[name]
-		for i := 0; i < vm.shards; i++ {
+		for i := 0; i < c.views[name].info.Shards; i++ {
 			from, to := old.owners[name][i], desired[name][i]
 			if to != "" && (to != from || to == forcePush) {
 				moves = append(moves, move{view: name, shard: i, from: from, to: to})
@@ -567,8 +567,8 @@ func (c *Coordinator) handleShardFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shard, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil || shard < 0 || shard >= len(vm.files) {
-		c.front.Error(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.name, len(vm.files))
+	if err != nil || shard < 0 || shard >= vm.info.Shards {
+		c.front.Error(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.info.Name, vm.info.Shards)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -587,20 +587,7 @@ func (c *Coordinator) handleViews(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := viewsResponse{Generation: sm.gen}
 	for _, name := range c.names {
-		vm := c.views[name]
-		st := vm.rep.Stats()
-		resp.Views = append(resp.Views, httpserve.ViewInfo{
-			Name:       vm.name,
-			Bound:      vm.rep.BoundNames(),
-			Free:       vm.rep.FreeNames(),
-			EnumOrder:  vm.enumOrder,
-			Strategy:   st.Strategy.String(),
-			Shards:     vm.shards,
-			Entries:    st.Entries,
-			BaseTuples: 0, // base data lives on the workers
-			Snapshot:   vm.path,
-			LoadedAt:   vm.loadedAt.UTC().Format(time.RFC3339),
-		})
+		resp.Views = append(resp.Views, c.views[name].info)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

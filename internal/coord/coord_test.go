@@ -3,8 +3,11 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -686,4 +689,103 @@ func TestRoutedRelayAllocsPerTuple(t *testing.T) {
 		t.Fatalf("relaying %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", answers, allocs, perTuple)
 	}
 	t.Logf("routed relay: %.0f allocations per %d-answer request", allocs, answers)
+}
+
+// identitySnapshots writes TestDistributedByteIdentity's two sharded
+// snapshots: a materialized view in 3 shards and a Theorem-2
+// decomposition in 4, whose EnumOrder is not head order.
+func identitySnapshots(t *testing.T, dir string) []string {
+	t.Helper()
+	return []string{
+		buildSnapshot(t, dir, "v", cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), workload.TriangleDB(7, 40, 420),
+			core.WithStrategy(core.MaterializedStrategy), core.WithShards(3)),
+		buildSnapshot(t, dir, "p", cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"), workload.PathDB(11, 2, 300, 20),
+			core.WithStrategy(core.DecompositionStrategy), core.WithShards(4)),
+	}
+}
+
+// getViews fetches and decodes one tier's GET /v1/views.
+func getViews(t *testing.T, h http.Handler) []httpserve.ViewInfo {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/views", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/views: %d %s", rec.Code, rec.Body)
+	}
+	var resp struct {
+		Views []httpserve.ViewInfo `json:"views"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Views
+}
+
+// TestViewsMatchSingleNode holds the coordinator's route cards to what a
+// node that decoded the same snapshots reports: every /v1/views field a
+// client plans with — names, adornment, EnumOrder, strategy, shard count,
+// entries — is equal, though the coordinator keeps no decoded copy.
+func TestViewsMatchSingleNode(t *testing.T) {
+	paths := identitySnapshots(t, t.TempDir())
+	single, err := httpserve.New(paths, httpserve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	c, err := New(paths, Options{SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	want, got := getViews(t, single), getViews(t, c)
+	if len(got) != len(want) {
+		t.Fatalf("coordinator lists %d views, node %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Name != w.Name || g.Strategy != w.Strategy || g.Shards != w.Shards || g.Entries != w.Entries ||
+			fmt.Sprint(g.Bound) != fmt.Sprint(w.Bound) || fmt.Sprint(g.Free) != fmt.Sprint(w.Free) ||
+			fmt.Sprint(g.EnumOrder) != fmt.Sprint(w.EnumOrder) {
+			t.Errorf("view %d: coordinator %+v, node %+v", i, g, w)
+		}
+		if w.Name == "P" && w.EnumOrder == nil {
+			t.Error("the decomposition view must declare a non-head EnumOrder")
+		}
+	}
+}
+
+// TestNewRejectsCorruptShardFrame damages one nested shard frame and
+// re-seals the outer checksum, so only the shard's own checksum can tell:
+// the coordinator must refuse the snapshot at New, before any worker
+// fetches the damaged frame.
+func TestNewRejectsCorruptShardFrame(t *testing.T) {
+	path := identitySnapshots(t, t.TempDir())[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame layout: 6-byte magic, 2-byte version, 8-byte payload length,
+	// payload, 4-byte CRC-32 of the payload. Shard 0's frame is the second
+	// occurrence of the magic.
+	const magicLen, headerLen = 6, 16
+	at := bytes.Index(raw[magicLen:], raw[:magicLen])
+	if at < 0 {
+		t.Fatal("no nested shard frame found")
+	}
+	at += magicLen
+	nested := binary.BigEndian.Uint64(raw[at+magicLen+2:])
+	raw[at+headerLen+int(nested)-1] ^= 0x01 // the shard's last payload byte
+	binary.BigEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[headerLen:len(raw)-4]))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = New([]string{path}, Options{SpoolDir: t.TempDir()})
+	if !errors.Is(err, core.ErrBadSnapshot) {
+		t.Fatalf("New = %v, want ErrBadSnapshot", err)
+	}
+	if !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("New = %v, want the failure pinned on shard 0 (the outer checksum was re-sealed)", err)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cqrep/internal/core"
+	"cqrep/internal/cq"
 	"cqrep/internal/httpserve"
 	"cqrep/internal/relation"
 )
@@ -63,8 +64,8 @@ type scatter struct {
 	sm *shardMap
 }
 
-func (s *scatter) Name() string                        { return s.vm.name }
-func (s *scatter) Rep() *core.Representation           { return s.vm.rep }
+func (s *scatter) Name() string                        { return s.vm.info.Name }
+func (s *scatter) View() *cq.View                      { return s.vm.view }
 func (s *scatter) Counters() *httpserve.StreamCounters { return nil }
 func (s *scatter) Release()                            { s.sm.Release() }
 
@@ -74,18 +75,18 @@ func (s *scatter) Release()                            { s.sm.Release() }
 // the streams.
 func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.QueryRequest) (core.BlockIterator, func(), error) {
 	vm := s.vm
-	shards := make([]int, 0, vm.shards)
+	shards := make([]int, 0, vm.info.Shards)
 	if vm.keyIdx >= 0 {
-		shards = append(shards, relation.ShardOf(vb[vm.keyIdx], vm.shards))
+		shards = append(shards, relation.ShardOf(vb[vm.keyIdx], vm.info.Shards))
 	} else {
-		for i := 0; i < vm.shards; i++ {
+		for i := 0; i < vm.info.Shards; i++ {
 			shards = append(shards, i)
 		}
 	}
-	owners := s.sm.owners[vm.name]
+	owners := s.sm.owners[vm.info.Name]
 	for _, sh := range shards {
 		if owners[sh] == "" {
-			return nil, nil, httpserve.StatusErrorf(http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.name, sh))
+			return nil, nil, httpserve.StatusErrorf(http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.info.Name, sh))
 		}
 	}
 
@@ -100,7 +101,7 @@ func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.Que
 		go func() {
 			defer wg.Done()
 			wc.ws.requests.Add(1)
-			st, err := s.c.workerClient(wc.worker).Open(ctx, scopedName(vm.name, wc.shard), httpserve.QueryOptions{
+			st, err := s.c.workerClient(wc.worker).Open(ctx, scopedName(vm.info.Name, wc.shard), httpserve.QueryOptions{
 				Bindings: req.Bindings,
 				Limit:    req.Limit, // a merged prefix of L draws only from per-shard prefixes of L
 				Format:   httpserve.FormatBinary,
@@ -129,7 +130,7 @@ func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.Que
 		}
 		its[i] = wc
 	}
-	return core.MergeBlocks(vm.enumOrder, its), cleanup, nil
+	return core.MergeBlocks(vm.info.EnumOrder, its), cleanup, nil
 }
 
 // workerCursor is one worker stream as a merge input: its blocks, the

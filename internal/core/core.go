@@ -484,12 +484,21 @@ func (r *Representation) QueryArgs(args map[string]relation.Value) (Iterator, er
 }
 
 // Bind resolves named bound values into a valuation in the view's bound
-// order, wrapping failures with ErrBadBinding.
+// order, wrapping failures with ErrBadBinding. An mmap-loaded
+// representation that fails to decode returns that error instead.
 func (r *Representation) Bind(args map[string]relation.Value) (relation.Tuple, error) {
 	if err := r.ensure(); err != nil {
 		return nil, err
 	}
-	vb, err := r.nv.BindArgs(args)
+	return BindView(r.view, args)
+}
+
+// BindView resolves named bound values against the full view v (what
+// Representation.View returns), wrapping failures with ErrBadBinding. It
+// needs no compiled structure, so a router that holds only the view binds
+// exactly as the representation that answers the request would.
+func BindView(v *cq.View, args map[string]relation.Value) (relation.Tuple, error) {
+	vb, err := v.BindArgs(args)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadBinding, err)
 	}

@@ -10,6 +10,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -187,6 +188,36 @@ func (v *View) BoundVars() []string {
 		}
 	}
 	return out
+}
+
+// BindArgs assembles a bound-variable valuation tuple (in head order) from
+// a name→value map. Every bound variable must be supplied; extra names are
+// rejected so typos fail loudly. Call it on the full view (ExtendToFull),
+// where a body-only variable of a projected view is a free head variable.
+func (v *View) BindArgs(args map[string]relation.Value) (relation.Tuple, error) {
+	for name := range args {
+		i := slices.Index(v.Head, name)
+		if i < 0 {
+			return nil, fmt.Errorf("cq: view %s has no variable %q", v.Name, name)
+		}
+		if v.Pattern[i] != Bound {
+			return nil, fmt.Errorf("cq: variable %q of view %s is free, not bound", name, v.Name)
+		}
+	}
+	// Every name is now a bound variable, so a complete valuation has
+	// exactly len(args) values.
+	vb := make(relation.Tuple, 0, len(args))
+	for i, h := range v.Head {
+		if v.Pattern[i] != Bound {
+			continue
+		}
+		val, ok := args[h]
+		if !ok {
+			return nil, fmt.Errorf("cq: access request missing bound variable %q", h)
+		}
+		vb = append(vb, val)
+	}
+	return vb, nil
 }
 
 // BodyVars returns all distinct body variables, head variables first (in

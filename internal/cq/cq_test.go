@@ -192,25 +192,21 @@ func TestNormalizeErrors(t *testing.T) {
 }
 
 func TestBindArgs(t *testing.T) {
-	db := testDB()
-	nv, err := Normalize(MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vb, err := nv.BindArgs(map[string]relation.Value{"x": 1, "z": 3})
+	v := MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+	vb, err := v.BindArgs(map[string]relation.Value{"x": 1, "z": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vb.Equal(relation.Tuple{1, 3}) {
 		t.Errorf("vb = %v, want (1, 3)", vb)
 	}
-	if _, err := nv.BindArgs(map[string]relation.Value{"x": 1}); err == nil {
+	if _, err := v.BindArgs(map[string]relation.Value{"x": 1}); err == nil {
 		t.Error("missing bound var must fail")
 	}
-	if _, err := nv.BindArgs(map[string]relation.Value{"x": 1, "z": 3, "y": 2}); err == nil {
+	if _, err := v.BindArgs(map[string]relation.Value{"x": 1, "z": 3, "y": 2}); err == nil {
 		t.Error("binding a free var must fail")
 	}
-	if _, err := nv.BindArgs(map[string]relation.Value{"x": 1, "z": 3, "w": 2}); err == nil {
+	if _, err := v.BindArgs(map[string]relation.Value{"x": 1, "z": 3, "w": 2}); err == nil {
 		t.Error("unknown var must fail")
 	}
 }

@@ -173,34 +173,3 @@ func (nv *NormalizedView) Hypergraph() Hypergraph {
 	}
 	return h
 }
-
-// BindArgs assembles a bound-variable valuation tuple (in Bound order) from
-// a name→value map. Every bound variable must be supplied; extra names are
-// rejected so typos fail loudly.
-func (nv *NormalizedView) BindArgs(args map[string]relation.Value) (relation.Tuple, error) {
-	for name := range args {
-		id, ok := nv.varIndex[name]
-		if !ok {
-			return nil, fmt.Errorf("cq: view %s has no variable %q", nv.Source.Name, name)
-		}
-		isBound := false
-		for _, b := range nv.Bound {
-			if b == id {
-				isBound = true
-				break
-			}
-		}
-		if !isBound {
-			return nil, fmt.Errorf("cq: variable %q of view %s is free, not bound", name, nv.Source.Name)
-		}
-	}
-	vb := make(relation.Tuple, len(nv.Bound))
-	for i, id := range nv.Bound {
-		val, ok := args[nv.Vars[id]]
-		if !ok {
-			return nil, fmt.Errorf("cq: access request missing bound variable %q", nv.Vars[id])
-		}
-		vb[i] = val
-	}
-	return vb, nil
-}

@@ -21,7 +21,7 @@ func E11Coauthor(entries, queries int, seed int64) []*bench.Table {
 	rng := newRand(seed + 8)
 
 	// Compressed: the Theorem-2 structure with constant-delay bags.
-	rep, err := core.Build(view, db, WithDefaults()...)
+	rep, err := core.Build(view, db)
 	if err != nil {
 		panic(err)
 	}
@@ -72,6 +72,3 @@ func E11Coauthor(entries, queries int, seed int64) []*bench.Table {
 	t.Note = "|R| = " + fmtInt(r.Len()) + " author-paper pairs; queries hit the busiest authors"
 	return []*bench.Table{t}
 }
-
-// WithDefaults returns the option set used for "auto" application builds.
-func WithDefaults() []core.Option { return nil }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cqrep/internal/core"
+	"cqrep/internal/cq"
 	"cqrep/internal/relation"
 )
 
@@ -23,10 +24,13 @@ import (
 
 // Target is one view a query resolved to, held by its tier — a node's
 // registry entry, the coordinator's shard-map generation — until Release,
-// so the whole response comes from one generation.
+// so the whole response comes from one generation. The front binds the
+// request and counts the free variables from the full adorned view alone;
+// only Open touches what answers the request — a node's representation,
+// the coordinator's workers.
 type Target interface {
-	Name() string              // X-Cqrep-View and the result-cache key
-	Rep() *core.Representation // binds the request, names the free variables
+	Name() string   // X-Cqrep-View and the result-cache key
+	View() *cq.View // the full view: binds the request, names the free variables
 	// Open starts the enumeration of vb; a non-nil cleanup runs once
 	// delivery ends. An error from StatusErrorf answers with its status,
 	// any other with the front's failure status.
@@ -186,13 +190,9 @@ func (f *Front) ServeQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	vb, err := t.Rep().Bind(req.Bindings)
+	vb, err := core.BindView(t.View(), req.Bindings)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrBadBinding) {
-			status = http.StatusBadRequest
-		}
-		f.Error(w, status, "%v", err)
+		f.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -229,7 +229,7 @@ func (f *Front) statusOf(err error) int {
 // viewHeaders names the view and its free-variable count on the response
 // and returns the count, the stream's arity.
 func viewHeaders(w http.ResponseWriter, t Target) int {
-	arity := len(t.Rep().FreeNames())
+	arity := len(t.View().FreeVars())
 	w.Header().Set("X-Cqrep-View", t.Name())
 	w.Header().Set("X-Cqrep-Free", strconv.Itoa(arity))
 	return arity

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"cqrep/internal/core"
+	"cqrep/internal/cq"
 	"cqrep/internal/relation"
 )
 
@@ -156,7 +157,7 @@ type viewEntry struct {
 }
 
 func (e *viewEntry) Name() string              { return e.name }
-func (e *viewEntry) Rep() *core.Representation { return e.rep }
+func (e *viewEntry) View() *cq.View            { return e.rep.View() }
 func (e *viewEntry) Counters() *StreamCounters { return &e.counters }
 func (e *viewEntry) Open(ctx context.Context, vb relation.Tuple, _ QueryRequest) (core.BlockIterator, func(), error) {
 	return e.src.QueryBlocks(ctx, vb), nil, nil

@@ -507,3 +507,43 @@ func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 		t.Fatalf("message = %q", re.Message)
 	}
 }
+
+// TestMmapUndecodableAnswers500 pins where an mmap-loaded snapshot's
+// payload failure surfaces: the front binds through the view, which the
+// open already decoded, so the damage shows when the request opens its
+// enumeration — before any byte is streamed, as a 500 naming
+// ErrBadSnapshot.
+func TestMmapUndecodableAnswers500(t *testing.T) {
+	view, db := triangleFixture(t, 31)
+	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last payload byte sits just before the 4-byte checksum: the
+	// header and the stored view still decode, the checksum does not match.
+	raw[len(raw)-5] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := New([]string{path}, Options{Mmap: true})
+	if err != nil {
+		t.Fatalf("an mmap load defers payload checks, got %v", err)
+	}
+	defer h.Close()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	vb := sampleBindings(rep, 1, 5)[0]
+	_, err = (&Client{Base: ts.URL}).Query(context.Background(), "V", bindByName(rep, vb), 0)
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("error = %v, want RemoteError", err)
+	}
+	if re.Status != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", re.Status)
+	}
+	if !strings.Contains(re.Message, core.ErrBadSnapshot.Error()) {
+		t.Fatalf("message = %q, want the ErrBadSnapshot text", re.Message)
+	}
+}
