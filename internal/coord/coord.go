@@ -64,7 +64,7 @@ type Options struct {
 	// fresh temp directory.
 	SpoolDir string
 	// FlushBatch is the steady-state tuples-per-flush of client-facing
-	// binary streams; <= 0 means the httpserve default. Byte identity with
+	// streams; <= 0 means the httpserve default. Byte identity with
 	// a single node requires the same value on both.
 	FlushBatch int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.

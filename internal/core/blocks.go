@@ -58,33 +58,54 @@ func AsBlocks(ctx context.Context, it Iterator) BlockIterator {
 }
 
 // blockAdapter serves NextBlock over a per-tuple Iterator whose tuples
-// are freshly built (so lending them out costs nothing extra).
+// are freshly built (so lending them out costs nothing extra). Once the
+// iterator has said it is done — or ctx has cut the stream — the adapter
+// is Ready and never calls Next again, so a serving loop does not push to
+// the socket before a call that cannot wait.
 type blockAdapter struct {
-	ctx context.Context
-	it  Iterator
-	buf []relation.Tuple
-	err error // ctx's error once cancellation cut the stream
+	ctx  context.Context
+	it   Iterator
+	one  [1]relation.Tuple // the lone first tuple's block
+	buf  []relation.Tuple
+	done bool
+	err  error // ctx's error once cancellation cut the stream
 }
 
 func (a *blockAdapter) NextBlock(max int) []relation.Tuple {
-	if a.err != nil {
+	if a.done {
 		return nil
+	}
+	if cap(a.buf) < max {
+		// The serving ramp asks for one tuple, then whole batches: the
+		// first fits the adapter itself, and the buffer is made once, at
+		// the batch's size.
+		if max == 1 {
+			a.buf = a.one[:0]
+		} else {
+			a.buf = make([]relation.Tuple, 0, max)
+		}
 	}
 	a.buf = a.buf[:0]
 	for len(a.buf) < max {
 		// A cancelled request drops the partial block: nothing after the
 		// cut is delivered.
 		if a.err = a.ctx.Err(); a.err != nil {
+			a.done = true
 			return nil
 		}
 		t, ok := a.it.Next()
 		if !ok {
+			a.done = true
 			break
 		}
 		a.buf = append(a.buf, t)
 	}
 	return a.buf
 }
+
+// Ready holds once the stream has ended: the next NextBlock returns the
+// empty block without asking the iterator.
+func (a *blockAdapter) Ready() bool { return a.done }
 
 // Err is the stream's terminal error (see IterErr): the cancellation that
 // cut it, or whatever the wrapped iterator reports.

@@ -168,6 +168,55 @@ func TestQueryBlocksAdapterObservesContext(t *testing.T) {
 	t.Fatal("no binding with at least 3 answers found")
 }
 
+// countingIter is a per-tuple Iterator over a fixed list that counts its
+// Next calls.
+type countingIter struct {
+	ts    []relation.Tuple
+	calls int
+}
+
+func (c *countingIter) Next() (relation.Tuple, bool) {
+	c.calls++
+	if len(c.ts) == 0 {
+		return nil, false
+	}
+	t := c.ts[0]
+	c.ts = c.ts[1:]
+	return t, true
+}
+
+// TestBlockAdapterStopsAtTheEnd pins the adapter's end: it is not Ready
+// while its iterator may still compute, is Ready once the iterator has
+// said it is done, and from then on answers the empty block without
+// calling Next again.
+func TestBlockAdapterStopsAtTheEnd(t *testing.T) {
+	it := &countingIter{ts: []relation.Tuple{{1}, {2}, {3}, {4}, {5}}}
+	blocks := AsBlocks(context.Background(), it)
+	for i, step := range []struct{ max, got, calls int }{
+		{1, 1, 1}, // the lone first tuple
+		{3, 3, 4}, // a full block: the end is not known yet
+		{3, 1, 6}, // the last answer, then the iterator's false
+		{3, 0, 6},
+		{1, 0, 6},
+	} {
+		if i < 3 && Ready(blocks) {
+			t.Fatalf("step %d: Ready before the iterator ended", i)
+		}
+		if blk := blocks.NextBlock(step.max); len(blk) != step.got {
+			t.Fatalf("step %d: NextBlock(%d) lent %d tuples, want %d", i, step.max, len(blk), step.got)
+		}
+		if it.calls != step.calls {
+			t.Fatalf("step %d: %d Next calls, want %d", i, it.calls, step.calls)
+		}
+		if i >= 2 && !Ready(blocks) {
+			t.Fatalf("step %d: not Ready after the iterator ended", i)
+		}
+	}
+	if err := IterErr(blocks); err != nil {
+		t.Fatalf("terminal error %v after a complete stream", err)
+	}
+}
+
 // lentStream is a BlockIterator over a fixed tuple list that ends in err.
 type lentStream struct {
 	ts  []relation.Tuple

@@ -212,6 +212,19 @@ func TestServeBinaryAllocsPerTuple(t *testing.T) {
 	}
 }
 
+// triangleHandler serves the Theorem-1 triangle view at tau 8 — the
+// point-request shape — from a fresh snapshot.
+func triangleHandler(t testing.TB) (*Handler, *core.Representation) {
+	t.Helper()
+	view, db := triangleFixture(t, 7)
+	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, core.WithStrategy(core.PrimitiveStrategy), core.WithTau(8))
+	h, err := New([]string{path}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, rep
+}
+
 // TestPointRequestAllocs pins the node's per-request cost on the point
 // path: one NDJSON request of the Theorem-1 triangle view at tau 8 through
 // Handler.ServeHTTP — body read, binding parse, registry resolve, bind,
@@ -219,13 +232,8 @@ func TestServeBinaryAllocsPerTuple(t *testing.T) {
 // maxAllocs is the count measured with go1.24 on linux/amd64; a change may
 // lower it, never raise it.
 func TestPointRequestAllocs(t *testing.T) {
-	const maxAllocs = 66
-	view, db := triangleFixture(t, 7)
-	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, core.WithStrategy(core.PrimitiveStrategy), core.WithTau(8))
-	h, err := New([]string{path}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const maxAllocs = 49
+	h, rep := triangleHandler(t)
 	defer h.Close()
 	var body []byte
 	for _, vb := range sampleBindings(rep, 8, 3) {
@@ -307,11 +315,15 @@ func (c *countingResponse) Flush() { c.flushes, c.flushed = c.flushes+1, c.body.
 // pushedTuples counts the answers a client could already decode from what
 // was flushed to it.
 func (c *countingResponse) pushedTuples(format Format) int {
-	pushed := c.body.Bytes()[:c.flushed]
+	return countTuples(c.body.Bytes()[:c.flushed], format)
+}
+
+// countTuples counts the answers a client decodes from body.
+func countTuples(body []byte, format Format) int {
 	if format == FormatNDJSON {
-		return bytes.Count(pushed, []byte("\n"))
+		return bytes.Count(body, []byte("\n"))
 	}
-	dec, err := newBinaryReader(bytes.NewReader(pushed))
+	dec, err := newBinaryReader(bytes.NewReader(body))
 	n := 0
 	for err == nil {
 		if _, ok := dec.Next(); !ok {
@@ -350,13 +362,15 @@ func TestMaterializedStreamLeavesInFullBuffers(t *testing.T) {
 
 // pacedSource serves the bucket's first answers through a per-tuple
 // iterator, which is what a computed structure looks like to the handler,
-// and records as each answer is computed how many the client already has.
+// and records as each answer is computed how many the client already has,
+// and how many flushes had happened when the last one was computed.
 type pacedSource struct {
-	rep    *core.Representation
-	w      *countingResponse
-	format Format
-	n      int
-	seen   []int
+	rep         *core.Representation
+	w           *countingResponse
+	format      Format
+	n           int
+	seen        []int
+	lastFlushes int
 }
 
 func (s *pacedSource) QueryBlocks(ctx context.Context, vb relation.Tuple) core.BlockIterator {
@@ -373,6 +387,7 @@ func (p *pacedIter) Next() (relation.Tuple, bool) {
 		return nil, false
 	}
 	p.s.seen = append(p.s.seen, p.s.w.pushedTuples(p.s.format))
+	p.s.lastFlushes = p.s.w.flushes
 	return p.it.Next()
 }
 
@@ -382,7 +397,9 @@ func (p *pacedIter) Err() error { return core.IterErr(p.it) }
 // the per-tuple adapter may take a whole delay per answer, so the first
 // answer leaves alone and every closed frame reaches the client before the
 // next answer is computed — the paper's per-answer delay is not hidden
-// behind a buffer.
+// behind a buffer. Both encodings take the same 1-then-batch ramp. Once
+// the last answer is computed nothing is flushed: the tail and the
+// terminal leave when the handler returns.
 func TestComputedStreamFlushesEachFrame(t *testing.T) {
 	path, rep := scanBucket(t)
 	const batch, answers = 4, 19
@@ -400,16 +417,93 @@ func TestComputedStreamFlushesEachFrame(t *testing.T) {
 		h.Close()
 
 		for i, got := range src.seen {
-			want := i // NDJSON: every line is its own frame
-			if format == FormatBinary && i > 0 {
+			want := i
+			if i > 0 {
 				want = 1 + (i-1)/batch*batch // the lone first tuple, then whole batches
 			}
 			if got != want {
 				t.Fatalf("%v: computing answer %d with %d answers at the client, want %d", format, i, got, want)
 			}
 		}
-		if got := w.pushedTuples(format); len(src.seen) != answers || got != answers {
+		if w.flushes != src.lastFlushes {
+			t.Fatalf("%v: %d flushes after the last answer was computed, want none", format, w.flushes-src.lastFlushes)
+		}
+		if got := countTuples(w.body.Bytes(), format); len(src.seen) != answers || got != answers {
 			t.Fatalf("%v: computed %d answers, client has %d, want %d", format, len(src.seen), got, answers)
+		}
+	}
+}
+
+// pointRequest finds a binding of the triangle view whose answers are more
+// than one and at most the default FlushBatch, and returns its body and its
+// answer count.
+func pointRequest(t testing.TB, rep *core.Representation) ([]byte, int) {
+	t.Helper()
+	for _, vb := range sampleBindings(rep, 32, 3) {
+		if n := len(core.Drain(rep.Query(vb))); n > 1 && n <= defaultFlushBatch {
+			body, err := json.Marshal(map[string]any{"bindings": bindByName(rep, vb)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return body, n
+		}
+	}
+	t.Fatal("fixture produced no binding with 2 to FlushBatch answers")
+	return nil, 0
+}
+
+// TestPointRequestPushes pins a point request's socket pushes: the
+// Theorem-1 structure computes each answer, so the lone first tuple is
+// flushed before the second is computed, and the rest of a result that
+// fits one batch leaves with the handler's return — one Flush in all, in
+// both encodings.
+func TestPointRequestPushes(t *testing.T) {
+	h, rep := triangleHandler(t)
+	defer h.Close()
+	body, answers := pointRequest(t, rep)
+	for _, format := range []Format{FormatBinary, FormatNDJSON} {
+		w := &countingResponse{header: make(http.Header)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/V", bytes.NewReader(body))
+		req.Header.Set("Accept", format.MediaType())
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("%v: status %d", format, w.status)
+		}
+		if w.flushes != 1 || w.pushedTuples(format) != 1 {
+			t.Fatalf("%v: %d flushes pushing %d answers, want 1 pushing the first", format, w.flushes, w.pushedTuples(format))
+		}
+		if got := countTuples(w.body.Bytes(), format); got != answers {
+			t.Fatalf("%v: client has %d answers, want %d", format, got, answers)
+		}
+	}
+}
+
+// BenchmarkPointRequestNDJSON serves one point request of the triangle
+// view at tau 8 per iteration over a loopback connection: body parse,
+// resolve, bind, enumerate, encode, and the client reading the stream.
+func BenchmarkPointRequestNDJSON(b *testing.B) {
+	h, rep := triangleHandler(b)
+	defer h.Close()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	body, _ := pointRequest(b, rep)
+	b.ReportAllocs()
+	for b.Loop() {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query/V", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Accept", NDJSONMediaType)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
 }

@@ -7,35 +7,42 @@ import (
 	"cqrep/internal/relation"
 )
 
+// bindingsSeeds are FuzzBindingsJSON's seed corpus; TestParseBindingsVerdicts
+// pins the verdict and the parsed request of every one.
+var bindingsSeeds = []string{
+	``,
+	`{}`,
+	`{"bindings": {}}`,
+	`{"bindings": {"x": 1, "z": 3}}`,
+	`{"bindings": {"x": -9223372036854775808}, "limit": 100}`,
+	`{"bindings": {"x": 9223372036854775807}}`,
+	`{"limit": 0}`,
+	`{"limit": 1099511627776}`,
+	`{"bindings": {"x": 1.5}}`,
+	`{"bindings": {"x": 1e3}}`,
+	`{"bindings": {"x": "1"}}`,
+	`{"bindings": {"x": null}}`,
+	`{"bindings": {"x": 1}, "unknown": true}`,
+	`{"bindings": {"x": 1}} trailing`,
+	`{"bindings": {"x": 1}}{"bindings": {"x": 2}}`,
+	`[1, 2, 3]`,
+	`{"bindings": 5}`,
+	`{"limit": -1}`,
+	`{"limit": 1.5}`,
+	"{\"bindings\": {\"\\u0000\": 1}}",
+	`{not json`,
+	`{"bindings": {"x": 1, "x": 2}}`,
+	`{"bindings": {"x": 1}, "bindings": {"z": 3}}`,
+	`{"bindings": {"\u0078": 1}}`,
+	`{"bindings": {"x\ud800": 1}}`,
+}
+
 // FuzzBindingsJSON hardens the HTTP binding parser against adversarial
 // request bodies: whatever arrives on the wire, ParseBindings must not
 // panic, must bound what it builds, and must either reject the input or
 // return a self-consistent request.
 func FuzzBindingsJSON(f *testing.F) {
-	seeds := []string{
-		``,
-		`{}`,
-		`{"bindings": {}}`,
-		`{"bindings": {"x": 1, "z": 3}}`,
-		`{"bindings": {"x": -9223372036854775808}, "limit": 100}`,
-		`{"bindings": {"x": 9223372036854775807}}`,
-		`{"limit": 0}`,
-		`{"limit": 1099511627776}`,
-		`{"bindings": {"x": 1.5}}`,
-		`{"bindings": {"x": 1e3}}`,
-		`{"bindings": {"x": "1"}}`,
-		`{"bindings": {"x": null}}`,
-		`{"bindings": {"x": 1}, "unknown": true}`,
-		`{"bindings": {"x": 1}} trailing`,
-		`{"bindings": {"x": 1}}{"bindings": {"x": 2}}`,
-		`[1, 2, 3]`,
-		`{"bindings": 5}`,
-		`{"limit": -1}`,
-		`{"limit": 1.5}`,
-		"{\"bindings\": {\"\\u0000\": 1}}",
-		`{not json`,
-	}
-	for _, s := range seeds {
+	for _, s := range bindingsSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -46,12 +46,12 @@ import (
 type Options struct {
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
-	// FlushBatch is the steady-state tuples-per-flush of binary result
-	// streams — the size of the blocks a request enumerates and of the
-	// frames it ships; <= 0 means defaultFlushBatch. The first tuple of
-	// every stream is always flushed alone, so batching never defers
-	// first-answer delay. NDJSON streams keep per-line flushing regardless.
-	// It also bounds what is buffered for a slow client: one block.
+	// FlushBatch is the steady-state tuples-per-flush of result streams,
+	// binary and NDJSON alike — the size of the blocks a request
+	// enumerates and of the frames it ships; <= 0 means defaultFlushBatch.
+	// The first tuple of every stream is always flushed alone, so batching
+	// never defers first-answer delay. It also bounds what is buffered for
+	// a slow client: one block.
 	FlushBatch int
 	// Mmap loads snapshots through the mmap path (cqrep.LoadMmap):
 	// startup is O(file-open) per snapshot and each view — each shard,

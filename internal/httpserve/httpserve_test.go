@@ -23,7 +23,7 @@ import (
 // compileAndSave builds the view over db and writes its snapshot to a
 // fresh file under dir, returning the path and the in-process
 // representation (the trusted baseline for byte-identity checks).
-func compileAndSave(t *testing.T, dir, name string, view *cq.View, db *relation.Database, opts ...core.Option) (string, *core.Representation) {
+func compileAndSave(t testing.TB, dir, name string, view *cq.View, db *relation.Database, opts ...core.Option) (string, *core.Representation) {
 	t.Helper()
 	rep, err := core.Build(view, db, opts...)
 	if err != nil {
@@ -44,7 +44,7 @@ func compileAndSave(t *testing.T, dir, name string, view *cq.View, db *relation.
 }
 
 // triangleFixture is the E1 mutual-friend workload at test scale.
-func triangleFixture(t *testing.T, seed int64) (*cq.View, *relation.Database) {
+func triangleFixture(t testing.TB, seed int64) (*cq.View, *relation.Database) {
 	t.Helper()
 	// Dense on purpose: 20 nodes with ~300 undirected edges is close to
 	// complete, so sampled (x, z) bindings nearly always have witnesses.

@@ -20,20 +20,23 @@ import (
 //
 // Frames and socket flushes are separate decisions. StreamWriter closes a
 // frame where the 1-then-FlushBatch ramp says (the first tuple alone, then
-// every FlushBatch; every line for NDJSON), so the bytes never depend on
-// how a source blocks its answers. Closed frames collect in a buffer that
+// every FlushBatch, in both encodings), so the bytes never depend on how a
+// source blocks its answers. Closed frames collect in a buffer that
 // Deliver pushes to the socket only before asking for a block that may
 // wait (core.Ready): a computed structure ships each frame before the next
-// is computed, a materialized bucket leaves in 32 KiB writes.
+// is computed, a materialized bucket leaves in 32 KiB writes. The tail of
+// a stream that ran to its end is not pushed: End stages it and the
+// terminal in the ResponseWriter, and net/http sends them with the end of
+// the response when the handler returns.
 
 // StreamWriter writes one result stream to an http.ResponseWriter in a
 // negotiated Format, and owns the framing: the first tuple closes a frame
 // alone (batching never defers first-answer delay), steady state closes a
-// frame per batch for binary and per line for NDJSON, and every stream ends
-// with an explicit terminal: End, Error, or (NDJSON) clean EOF. Nothing is
-// committed to the wire before the first tuple, so a caller whose upstream
-// fails before producing anything (Wrote() == 0) can still answer with a
-// real error status instead.
+// frame per batch, and every stream ends with an explicit terminal: End,
+// Error, or (NDJSON) clean EOF. Nothing is committed to the wire before
+// the first tuple, so a caller whose upstream fails before producing
+// anything (Wrote() == 0) can still answer with a real error status
+// instead.
 type StreamWriter struct {
 	flusher http.Flusher
 	bw      *bufio.Writer
@@ -41,6 +44,7 @@ type StreamWriter struct {
 	line    []byte        // ndjson scratch
 	batch   int
 	limit   int // current frame size (1-then-batch ramp)
+	pending int // tuples in the frame still filling
 	wrote   int
 }
 
@@ -69,9 +73,10 @@ func NewStreamWriter(w http.ResponseWriter, format Format, arity, flushBatch int
 // answer with a real HTTP error instead of Error.
 func (sw *StreamWriter) Wrote() int { return sw.wrote }
 
-// flush pushes every closed frame to the client — never the frame still
-// filling, whose boundary belongs to the ramp. Before the first tuple it
-// does nothing, so the staged header cannot commit the status line.
+// flush pushes every closed frame to the client — never a binary frame
+// still filling, whose boundary belongs to the ramp (NDJSON lines carry no
+// boundary, so they leave as written). Before the first tuple it does
+// nothing, so the staged header cannot commit the status line.
 func (sw *StreamWriter) flush() error {
 	if sw.wrote == 0 {
 		return nil
@@ -92,56 +97,66 @@ func (sw *StreamWriter) push() error {
 // Tuple stages one tuple; a non-nil error means the client is gone and the
 // stream should be abandoned.
 func (sw *StreamWriter) Tuple(t relation.Tuple) error {
-	if sw.enc == nil {
-		return sw.Block([]relation.Tuple{t})
-	}
 	sw.wrote++
-	sw.enc.Add(t)
+	sw.pending++
+	if sw.enc != nil {
+		sw.enc.Add(t)
+	} else if err := sw.writeLine(t); err != nil {
+		return err
+	}
 	return sw.closeIfFull()
 }
 
 // Room reports how many tuples the current frame still takes: 1 on a fresh
-// binary stream and FlushBatch from then on (less whatever is already
-// pending), always 1 for NDJSON. A producer that can enumerate in blocks
-// asks its source for this many and hands them to Block, which keeps every
-// frame boundary where tuple-at-a-time delivery would have put it.
-func (sw *StreamWriter) Room() int {
-	if sw.enc != nil {
-		return sw.limit - sw.enc.Pending()
-	}
-	return 1
-}
+// stream and FlushBatch from then on, less whatever is already pending. A
+// producer that can enumerate in blocks asks its source for this many and
+// hands them to Block, which keeps every frame boundary where
+// tuple-at-a-time delivery would have put it.
+func (sw *StreamWriter) Room() int { return sw.limit - sw.pending }
 
 // Block stages a run of tuples — borrowed: they are encoded before Block
 // returns and not retained — with Tuple's error contract.
 func (sw *StreamWriter) Block(ts []relation.Tuple) error {
 	sw.wrote += len(ts)
-	if sw.enc == nil {
+	sw.pending += len(ts)
+	if sw.enc != nil {
+		sw.enc.AddBlock(ts)
+	} else {
 		for _, t := range ts {
-			sw.line = appendTupleJSON(sw.line[:0], t)
-			if _, err := sw.bw.Write(sw.line); err != nil {
+			if err := sw.writeLine(t); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	sw.enc.AddBlock(ts)
 	return sw.closeIfFull()
 }
 
-// closeIfFull is the binary 1-then-batch ramp: the pending frame closes
-// once it holds limit tuples, and the first close raises limit to the
-// batch.
+func (sw *StreamWriter) writeLine(t relation.Tuple) error {
+	sw.line = appendTupleJSON(sw.line[:0], t)
+	_, err := sw.bw.Write(sw.line)
+	return err
+}
+
+// closeIfFull is the 1-then-batch ramp: the pending frame closes once it
+// holds limit tuples, and the first close raises limit to the batch. A
+// binary frame closes into the buffer; an NDJSON frame is its lines.
 func (sw *StreamWriter) closeIfFull() error {
-	if sw.enc.Pending() < sw.limit {
+	if sw.pending < sw.limit {
 		return nil
 	}
-	sw.limit = sw.batch
-	return sw.enc.Flush()
+	sw.pending, sw.limit = 0, sw.batch
+	if sw.enc != nil {
+		return sw.enc.Flush()
+	}
+	return nil
 }
 
 // End terminates a complete stream: pending tuples, then the binary end
-// frame (NDJSON completeness is the clean EOF).
+// frame (NDJSON completeness is the clean EOF). It hands everything to the
+// ResponseWriter without flushing it: returning from the handler sends the
+// rest of the stream and the end of the response together. A caller with
+// work to do before it returns pushes first (Deliver does, for a stream
+// its limit cut).
 func (sw *StreamWriter) End() error {
 	if sw.enc != nil {
 		if err := sw.enc.Flush(); err != nil {
@@ -151,7 +166,7 @@ func (sw *StreamWriter) End() error {
 			return err
 		}
 	}
-	return sw.push()
+	return sw.bw.Flush()
 }
 
 // Error terminates a failed stream with the terminal the format defines:
@@ -189,8 +204,10 @@ const (
 // Deliver runs one request's blocks into sw and terminates the stream.
 // Each round asks sw how many tuples its current frame takes (Room, capped
 // by limit), asks blocks for that many and stages them; before a NextBlock
-// that may wait it pushes the closed frames to the client. first, when
-// non-nil, runs once as the first tuple is staged.
+// that may wait it pushes the closed frames to the client. A source that
+// ran to its end is not pushed again: End leaves the tail and the
+// terminal for the handler's return. first, when non-nil, runs once as the
+// first tuple is staged.
 //
 // Only an enumeration that genuinely finished, or that the limit cut,
 // earns the clean terminal. A source error or a cut by ctx ends in the
@@ -234,7 +251,14 @@ func Deliver(ctx context.Context, sw *StreamWriter, blocks core.BlockIterator, l
 	}
 	switch {
 	case terr == nil:
-		if err := sw.End(); err != nil {
+		err := sw.End()
+		if err == nil && limited {
+			// The stream stops short of its source, whose cleanup (the
+			// coordinator closing worker streams) runs before the handler
+			// returns: the client gets the whole stream first.
+			err = sw.push()
+		}
+		if err != nil {
 			return StreamAborted, err
 		}
 		return StreamComplete, nil

@@ -158,9 +158,6 @@ func (e *binaryWriter) AddBlock(ts []relation.Tuple) {
 	e.count += len(ts)
 }
 
-// Pending reports the number of staged tuples.
-func (e *binaryWriter) Pending() int { return e.count }
-
 // Flush writes the pending tuples as one data frame; a pending count of
 // zero writes nothing.
 func (e *binaryWriter) Flush() error {

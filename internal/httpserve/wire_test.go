@@ -90,14 +90,16 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	if err := enc.Header(3); err != nil {
 		t.Fatal(err)
 	}
+	pending := 0
 	for i, tup := range tuples {
 		enc.Add(tup)
 		// Uneven flush points: 1 tuple, then growing batches, mirroring the
 		// server's ramp.
-		if enc.Pending() >= 1+i/7 {
+		if pending++; pending >= 1+i/7 {
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			pending = 0
 		}
 	}
 	enc.Flush()
