@@ -234,10 +234,13 @@ func newBuildConfig(ctx context.Context, opts []Option) (*config, error) {
 	return cfg, nil
 }
 
-// newShell runs the cheap, deterministic front of every build and load:
-// extend the view to full, normalize it against db, and construct the
-// linear-space base indexes. The returned representation has no backend
-// yet.
+// newShell runs the deterministic front of every build and load: extend
+// the view to full, normalize it against db, and construct the
+// linear-space base indexes and active domains. An index in the rows' own
+// column order, and a column's domain read off the rows or off an index
+// leading with that column, cost one pass each; every other index is a
+// comparison sort, the bulk of the shell. The returned representation has
+// no backend yet.
 func newShell(view *cq.View, db *relation.Database) (*Representation, error) {
 	full := view.ExtendToFull()
 	nv, err := cq.Normalize(full, db)

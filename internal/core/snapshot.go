@@ -232,9 +232,10 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*snapshotPrefix, error) {
 	return pre, nil
 }
 
-// shellFromPrefix re-runs the cheap deterministic front of Build (extend,
-// normalize, index) over the stored view and relations and installs the
-// prefix metadata. The returned representation has no backend yet.
+// shellFromPrefix re-runs the deterministic front of Build (extend,
+// normalize, index; see newShell) over the stored view and relations and
+// installs the prefix metadata. The returned representation has no backend
+// yet.
 func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
 	r, err := newShell(pre.view, pre.db)
 	if err != nil {
@@ -248,9 +249,12 @@ func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
 }
 
 // decodeRepresentation rebuilds a representation from a verified payload:
-// it re-runs the cheap deterministic front of Build over the stored view
-// and relations, then installs the decoded expensive structures —
-// dispatched through the backend registry — instead of recompiling them.
+// it re-runs the deterministic front of Build over the stored view and
+// relations, then installs the decoded expensive structures — dispatched
+// through the backend registry — instead of recompiling them. The front is
+// near-linear but not free: sorting each index whose column order is not
+// the rows' own is most of a materialized snapshot's load (DESIGN.md,
+// "Reconstruction and compatibility policy").
 func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
 	pre, err := decodeSnapshotPrefix(d)
 	if err != nil {

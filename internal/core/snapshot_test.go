@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -258,4 +259,37 @@ func versionSkewFrame(t *testing.T, snap []byte, v uint16) []byte {
 	bad := append([]byte(nil), snap...)
 	binary.BigEndian.PutUint16(bad[len(snapshotMagic):], v)
 	return bad
+}
+
+// BenchmarkReadRepresentation prices a snapshot load of the scan shape: a
+// 3-shard materialized W[bf](x, y) over 64 keys × 8192 answers. Loading
+// rebuilds the query shell of the whole view and of each shard around the
+// decoded buckets.
+func BenchmarkReadRepresentation(b *testing.B) {
+	const keys, perKey, stride = 64, 8192, 128
+	rng := rand.New(rand.NewSource(1))
+	s := relation.NewRelation("S", 2)
+	for k := 0; k < keys; k++ {
+		for j := 0; j < perKey; j++ {
+			s.MustInsert(relation.Value(k), relation.Value(j*stride+rng.Intn(stride)))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	r, err := Build(cq.MustParse("W[bf](x, y) :- S(x, y)"), db, WithStrategy(MaterializedStrategy), WithShards(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := r.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadRepresentation(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,6 +12,7 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cqrep/internal/cq"
@@ -175,24 +176,63 @@ func boundPosSelector(i int) selector {
 }
 
 // domainOf computes the sorted distinct values of a variable across all
-// atoms containing it.
+// atoms containing it: the union of each holder's column domain.
 func (inst *Instance) domainOf(sel selector) []relation.Value {
-	seen := make(map[relation.Value]bool)
+	var doms [][]relation.Value
 	for _, a := range inst.Atoms {
-		col := sel(a)
-		if col < 0 {
-			continue
-		}
-		for i, n := 0, a.Rel.Len(); i < n; i++ {
-			seen[a.Rel.Row(i)[col]] = true
+		if col := sel(a); col >= 0 {
+			doms = append(doms, a.columnDomain(col))
 		}
 	}
-	out := make([]relation.Value, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	if len(doms) == 1 {
+		return doms[0]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return sortedDistinct(slices.Concat(doms...))
+}
+
+// columnDomain returns the sorted distinct values of the atom's column col.
+// The rows are stored in lexicographic order and each index lists them in
+// its own, so when col is column 0 or an index's leading column the values
+// already come in order: one pass counts the distinct ones, a second
+// copies them. Any other column is gathered and sorted.
+func (a *AtomInfo) columnDomain(col int) []relation.Value {
+	rel, n := a.Rel, a.Rel.Len()
+	at := func(i int) relation.Value { return rel.Row(i)[col] }
+	switch col {
+	case 0:
+	case a.BoundFirst.Columns()[0]:
+		at = func(i int) relation.Value { return a.BoundFirst.ValueAt(i, 0) }
+	case a.FreeFirst.Columns()[0]:
+		at = func(i int) relation.Value { return a.FreeFirst.ValueAt(i, 0) }
+	default:
+		vals := make([]relation.Value, n)
+		for i := range vals {
+			vals[i] = at(i)
+		}
+		return sortedDistinct(vals)
+	}
+	distinct := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || at(i) != at(i-1) {
+			distinct++
+		}
+	}
+	out := make([]relation.Value, 0, distinct)
+	for i := 0; i < n; i++ {
+		if v := at(i); i == 0 || v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
 	return out
+}
+
+// sortedDistinct sorts vals in place and returns its distinct values in an
+// exactly sized copy, so a domain pins no larger array for the life of the
+// instance.
+func sortedDistinct(vals []relation.Value) []relation.Value {
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	return append(make([]relation.Value, 0, len(vals)), vals...)
 }
 
 // boundRange returns the position range of the atom's BoundFirst index

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -60,15 +61,19 @@ func (r *Relation) Index(cols ...int) *Index {
 	for i := range ix.perm {
 		ix.perm[i] = int32(i)
 	}
-	slices.SortFunc(ix.perm, func(i, j int32) int {
-		ri, rj := int(i)*a, int(j)*a
-		for _, c := range full {
-			if d := cmp.Compare(vals[ri+c], vals[rj+c]); d != 0 {
-				return d
+	// dedupe leaves the rows strictly increasing in column order 0..a-1,
+	// so the index in that order is the identity and needs no sort.
+	if !isIdentity(full) {
+		slices.SortFunc(ix.perm, func(i, j int32) int {
+			ri, rj := int(i)*a, int(j)*a
+			for _, c := range full {
+				if d := cmp.Compare(vals[ri+c], vals[rj+c]); d != 0 {
+					return d
+				}
 			}
-		}
-		return 0
-	})
+			return 0
+		})
+	}
 
 	r.mu.Lock()
 	r.indexes[sig] = ix
@@ -76,12 +81,24 @@ func (r *Relation) Index(cols ...int) *Index {
 	return ix
 }
 
+// colSignature is the cache key of an index's requested columns: each
+// column as a uvarint, so no two column lists share a key at any arity.
 func colSignature(cols []int) string {
-	b := make([]byte, 0, 2*len(cols))
+	b := make([]byte, 0, len(cols))
 	for _, c := range cols {
-		b = append(b, byte(c), ',')
+		b = binary.AppendUvarint(b, uint64(c))
 	}
 	return string(b)
+}
+
+// isIdentity reports whether the column order is 0, 1, ..., len-1.
+func isIdentity(cols []int) bool {
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of indexed rows.
