@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"cqrep/internal/cq"
 	"cqrep/internal/interval"
 	"cqrep/internal/join"
 	"cqrep/internal/relation"
@@ -26,7 +27,8 @@ import (
 // MaterializedView stores the full view output bucketed by bound valuation
 // with the free tuples of each bucket in lexicographic order.
 type MaterializedView struct {
-	inst    *join.Instance
+	mu      int // free variables: the stride of every bucket's slab
+	bound   int // bound variables: a bucket key holds 8 bytes per one
 	buckets map[string]bucket
 	tuples  int
 	elapsed time.Duration
@@ -52,7 +54,7 @@ func (b bucket) search(mu int, t relation.Tuple) (int, bool) {
 // indexes the result by bound valuation.
 func Materialize(inst *join.Instance) (*MaterializedView, error) {
 	start := time.Now()
-	m := &MaterializedView{inst: inst, buckets: make(map[string]bucket)}
+	m := &MaterializedView{mu: inst.Mu, bound: len(inst.NV.Bound), buckets: make(map[string]bucket)}
 	// Each bucket's free tuples are written straight into its slab, box
 	// by box: the canonical boxes of the full interval partition the free
 	// space in lexicographic order, so the bucket comes out sorted.
@@ -97,7 +99,7 @@ func Materialize(inst *join.Instance) (*MaterializedView, error) {
 // lexicographic order with O(1) delay.
 func (m *MaterializedView) Query(vb relation.Tuple) *SliceIter {
 	b := m.buckets[string(vb.AppendEncode(nil))]
-	return &SliceIter{vals: b.vals, arity: m.inst.Mu, n: b.n}
+	return &SliceIter{vals: b.vals, arity: m.mu, n: b.n}
 }
 
 // Contains reports whether the bound valuation has any answer — a native
@@ -121,7 +123,7 @@ func (m *MaterializedView) Stats() Stats {
 	const word = 8
 	return Stats{
 		Tuples:    m.tuples,
-		Bytes:     m.tuples*m.inst.Mu*word + len(m.buckets)*(len(m.inst.NV.Bound)*word+6*word),
+		Bytes:     m.tuples*m.mu*word + len(m.buckets)*(m.bound*word+6*word),
 		BuildTime: m.elapsed,
 	}
 }
@@ -288,8 +290,8 @@ func (a *AllBound) Contains(vb relation.Tuple) bool {
 	return len(vb) == len(a.inst.NV.Bound) && a.inst.CheckAllBoundAtoms(vb)
 }
 
-// ApplyOutputDelta returns a MaterializedView over inst (the same view
-// compiled over an updated database) built copy-on-write from this one:
+// ApplyOutputDelta returns a MaterializedView over nv (the same view
+// normalized over an updated database) built copy-on-write from this one:
 // dels remove existing output tuples, adds insert new ones, each bucket
 // keeping its lexicographic free order so enumeration stays byte-for-byte
 // identical to a fresh Materialize. The receiver is untouched — concurrent
@@ -297,15 +299,15 @@ func (a *AllBound) Contains(vb relation.Tuple) bool {
 // slices of (bound valuation, free tuple) pairs; a del that is not present
 // or an add that already is means the delta was mis-derived, and the call
 // fails so the caller can fall back to a full rematerialization.
-func (m *MaterializedView) ApplyOutputDelta(inst *join.Instance, delVb, delFree, addVb, addFree []relation.Tuple) (*MaterializedView, error) {
+func (m *MaterializedView) ApplyOutputDelta(nv *cq.NormalizedView, delVb, delFree, addVb, addFree []relation.Tuple) (*MaterializedView, error) {
 	start := time.Now()
-	out := &MaterializedView{inst: inst, buckets: m.buckets, tuples: m.tuples}
+	out := &MaterializedView{mu: len(nv.Free), bound: len(nv.Bound), buckets: m.buckets, tuples: m.tuples}
 	if len(delVb)+len(addVb) > 0 {
 		// Clone the bucket map once; a bucket's slab is copied only when
 		// first edited (touched tracks which are ours to edit in place).
 		out.buckets = maps.Clone(m.buckets)
 	}
-	mu := inst.Mu
+	mu := out.mu
 	touched := make(map[string]bool)
 	own := func(key string) bucket {
 		b := out.buckets[key]

@@ -160,7 +160,7 @@ func TestApplyOutputDeltaKeepsLentBlocks(t *testing.T) {
 	}
 	dels := []relation.Tuple{before[0], before[2]}
 	adds := []relation.Tuple{{before[1][0] + 1}, {before[3][0] + 1}}
-	next, err := old.ApplyOutputDelta(inst, []relation.Tuple{vb, vb}, dels, []relation.Tuple{vb, vb}, adds)
+	next, err := old.ApplyOutputDelta(inst.NV, []relation.Tuple{vb, vb}, dels, []relation.Tuple{vb, vb}, adds)
 	if err != nil {
 		t.Fatal(err)
 	}

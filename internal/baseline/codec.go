@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"cqrep/internal/join"
+	"cqrep/internal/cq"
 	"cqrep/internal/relation"
 )
 
@@ -29,28 +29,26 @@ func (m *MaterializedView) EncodeTo(e *relation.Encoder) {
 		e.Raw([]byte(k))
 		b := m.buckets[k]
 		e.Uint(uint64(b.n))
-		for _, v := range b.vals {
-			e.Value(v)
-		}
+		e.Values(b.vals)
 	}
 }
 
 // DecodeMaterialized reads a materialized view previously written by
-// EncodeTo, rebinding it to inst (freshly built from the same base
-// relations). Bucket keys and tuple arities are fixed by the view's bound
-// and free variable counts, so truncation and corruption fail decoding.
+// EncodeTo for the normalized view nv. It needs no join instance: bucket
+// keys and tuple arities are fixed by the view's bound and free variable
+// counts, so truncation and corruption fail decoding.
 // Each bucket decodes into one slab. Buckets must arrive in the order
 // EncodeTo writes them, keys and each bucket's tuples strictly increasing,
 // so a decoded view serves every answer once and in order.
-func DecodeMaterialized(d *relation.Decoder, inst *join.Instance) (*MaterializedView, error) {
+func DecodeMaterialized(d *relation.Decoder, nv *cq.NormalizedView) (*MaterializedView, error) {
 	elapsed := time.Duration(d.Int())
-	keyLen := 8 * len(inst.NV.Bound)
+	keyLen := 8 * len(nv.Bound)
 	nBuckets := d.Count(keyLen + 1)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	mu := inst.Mu
-	m := &MaterializedView{inst: inst, buckets: make(map[string]bucket, nBuckets), elapsed: elapsed}
+	mu := len(nv.Free)
+	m := &MaterializedView{mu: mu, bound: len(nv.Bound), buckets: make(map[string]bucket, nBuckets), elapsed: elapsed}
 	prev := ""
 	for i := 0; i < nBuckets; i++ {
 		key := string(d.Raw(keyLen))

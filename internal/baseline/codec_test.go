@@ -77,7 +77,7 @@ func TestDecodeMaterializedRejectsDisorder(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			raw := encodeBuckets(c.buckets)
-			m, err := DecodeMaterialized(relation.NewDecoder(raw), inst)
+			m, err := DecodeMaterialized(relation.NewDecoder(raw), inst.NV)
 			if !c.ok {
 				if err == nil {
 					t.Fatalf("decoded %d answers, want an error", m.Stats().Tuples)
@@ -110,7 +110,7 @@ func TestDecodeAllocsFlat(t *testing.T) {
 		m.EncodeTo(relation.NewEncoder(&buf))
 		raw := buf.Bytes()
 		counts = append(counts, testing.AllocsPerRun(10, func() {
-			if _, err := DecodeMaterialized(relation.NewDecoder(raw), inst); err != nil {
+			if _, err := DecodeMaterialized(relation.NewDecoder(raw), inst.NV); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -160,7 +160,7 @@ func TestScanFixtureFootprint(t *testing.T) {
 		return r
 	})
 	viewBytes := liveBytes(func() any {
-		m, err := DecodeMaterialized(relation.NewDecoder(view.Bytes()), inst)
+		m, err := DecodeMaterialized(relation.NewDecoder(view.Bytes()), inst.NV)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,9 +39,11 @@ type backend interface {
 
 // backendSpec is one strategy's entry in the backend registry: how to
 // compile the backend from a configured build, and how to decode its
-// snapshot payload against a reconstructed representation shell (view,
-// normalized view, and base indexes already in place). Both hooks fill in
-// the representation's strategy-specific stats.
+// snapshot payload against a reconstructed representation shell (view and
+// normalized view in place, join instance on demand). Both hooks fill in
+// the representation's strategy-specific stats. Every hook whose backend
+// reads the join instance at request time builds it before returning, so
+// no request pays for it; the materialized decoder never builds it.
 type backendSpec struct {
 	build  func(r *Representation, cfg *config) (backend, error)
 	decode func(d *relation.Decoder, r *Representation) (backend, error)
@@ -54,7 +56,11 @@ var backendSpecs = map[Strategy]backendSpec{
 	PrimitiveStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) { return r.buildPrimitive(cfg) },
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			s, err := primitive.Decode(d, r.inst)
+			inst, err := r.sh.instance()
+			if err != nil {
+				return nil, err
+			}
+			s, err := primitive.Decode(d, inst)
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +75,11 @@ var backendSpecs = map[Strategy]backendSpec{
 	DecompositionStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) { return r.buildDecomposition(cfg) },
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			s, err := decomp.Decode(d, r.nv, r.inst)
+			inst, err := r.sh.instance()
+			if err != nil {
+				return nil, err
+			}
+			s, err := decomp.Decode(d, r.sh.nv, inst)
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +93,11 @@ var backendSpecs = map[Strategy]backendSpec{
 	},
 	MaterializedStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) {
-			m, err := baseline.Materialize(r.inst)
+			inst, err := r.sh.instance()
+			if err != nil {
+				return nil, err
+			}
+			m, err := baseline.Materialize(inst)
 			if err != nil {
 				return nil, err
 			}
@@ -93,7 +107,7 @@ var backendSpecs = map[Strategy]backendSpec{
 			return materializedBackend{m: m}, nil
 		},
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			m, err := baseline.DecodeMaterialized(d, r.inst)
+			m, err := baseline.DecodeMaterialized(d, r.sh.nv)
 			if err != nil {
 				return nil, err
 			}
@@ -104,25 +118,23 @@ var backendSpecs = map[Strategy]backendSpec{
 		},
 	},
 	DirectStrategy: {
-		build: func(r *Representation, cfg *config) (backend, error) {
-			return directBackend{d: baseline.NewDirectEval(r.inst)}, nil
-		},
+		build: func(r *Representation, cfg *config) (backend, error) { return newDirectBackend(r.sh) },
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			return directBackend{d: baseline.NewDirectEval(r.inst)}, nil
+			return newDirectBackend(r.sh)
 		},
 	},
 	AllBoundStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) {
-			if r.inst.Mu != 0 {
-				return nil, fmt.Errorf("%w: AllBound requires every variable bound, view has %d free", ErrStrategyMismatch, r.inst.Mu)
+			if mu := len(r.sh.nv.Free); mu != 0 {
+				return nil, fmt.Errorf("%w: AllBound requires every variable bound, view has %d free", ErrStrategyMismatch, mu)
 			}
-			return allBoundBackend{a: baseline.NewAllBound(r.inst)}, nil
+			return newAllBoundBackend(r.sh)
 		},
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			if r.inst.Mu != 0 {
-				return nil, fmt.Errorf("AllBound snapshot over a view with %d free variables", r.inst.Mu)
+			if mu := len(r.sh.nv.Free); mu != 0 {
+				return nil, fmt.Errorf("AllBound snapshot over a view with %d free variables", mu)
 			}
-			return allBoundBackend{a: baseline.NewAllBound(r.inst)}, nil
+			return newAllBoundBackend(r.sh)
 		},
 	},
 }
@@ -158,8 +170,12 @@ func (b primitiveBackend) EnumOrder() []int                 { return nil }
 // invalidating the dictionary 0-entries that net-added outputs falsify
 // (see primitive/delta.go). Net deletions need no dictionary repair.
 func (b primitiveBackend) applyDelta(shell *Representation, d *outputDelta) (backend, bool, error) {
+	inst, err := shell.sh.instance()
+	if err != nil {
+		return nil, false, err
+	}
 	addVb, addFree := deltaChanges(d.adds)
-	s, ok := b.s.DeltaRebase(shell.inst, addVb, addFree)
+	s, ok := b.s.DeltaRebase(inst, addVb, addFree)
 	if !ok {
 		return nil, false, nil
 	}
@@ -199,7 +215,7 @@ func (b materializedBackend) EnumOrder() []int                 { return nil }
 func (b materializedBackend) applyDelta(shell *Representation, d *outputDelta) (backend, bool, error) {
 	delVb, delFree := deltaChanges(d.dels)
 	addVb, addFree := deltaChanges(d.adds)
-	m, err := b.m.ApplyOutputDelta(shell.inst, delVb, delFree, addVb, addFree)
+	m, err := b.m.ApplyOutputDelta(shell.sh.nv, delVb, delFree, addVb, addFree)
 	if err != nil {
 		return nil, false, err
 	}
@@ -215,6 +231,14 @@ func (b materializedBackend) needsOutputs() bool { return true }
 // precomputed state, so its snapshot payload is empty.
 type directBackend struct{ d *baseline.DirectEval }
 
+func newDirectBackend(sh *shell) (backend, error) {
+	inst, err := sh.instance()
+	if err != nil {
+		return nil, err
+	}
+	return directBackend{d: baseline.NewDirectEval(inst)}, nil
+}
+
 func (b directBackend) Query(vb relation.Tuple) Iterator { return b.d.Query(vb) }
 func (b directBackend) Exists(vb relation.Tuple) bool    { return existsByQuery(b, vb) }
 func (b directBackend) EncodeTo(e *relation.Encoder)     {}
@@ -223,6 +247,14 @@ func (b directBackend) EnumOrder() []int                 { return nil }
 // allBoundBackend answers boolean views. Exists is a native constant-probe
 // membership check (Proposition 1) — no iterator is constructed.
 type allBoundBackend struct{ a *baseline.AllBound }
+
+func newAllBoundBackend(sh *shell) (backend, error) {
+	inst, err := sh.instance()
+	if err != nil {
+		return nil, err
+	}
+	return allBoundBackend{a: baseline.NewAllBound(inst)}, nil
+}
 
 func (b allBoundBackend) Query(vb relation.Tuple) Iterator { return b.a.Query(vb) }
 func (b allBoundBackend) Exists(vb relation.Tuple) bool    { return b.a.Contains(vb) }
@@ -233,10 +265,11 @@ func (b allBoundBackend) EnumOrder() []int                 { return nil }
 // beyond them, so the "delta" is a constant-time rebind — no output delta
 // is ever computed (needsOutputs is false).
 func (b allBoundBackend) applyDelta(shell *Representation, _ *outputDelta) (backend, bool, error) {
-	if shell.inst.Mu != 0 {
+	if len(shell.sh.nv.Free) != 0 {
 		return nil, false, nil
 	}
-	return allBoundBackend{a: baseline.NewAllBound(shell.inst)}, true, nil
+	be, err := newAllBoundBackend(shell.sh)
+	return be, err == nil, err
 }
 
 func (b allBoundBackend) needsOutputs() bool { return false }

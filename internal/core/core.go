@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"cqrep/internal/cq"
@@ -176,9 +178,7 @@ type Stats struct {
 type Representation struct {
 	orig *cq.View // the view as given, possibly non-full
 	view *cq.View // the compiled full view
-	nv   *cq.NormalizedView
-	inst *join.Instance
-	db   *relation.Database // the base database the view was compiled over
+	sh   *shell   // normalized view, base database, join instance on demand
 
 	strategy Strategy
 	be       backend // the uniform strategy surface (see backend.go)
@@ -234,24 +234,48 @@ func newBuildConfig(ctx context.Context, opts []Option) (*config, error) {
 	return cfg, nil
 }
 
+// shell is the deterministic front of a representation: the normalized
+// view over the base database the view was compiled over, and the join
+// instance (base indexes and active domains) built from them on first
+// need. Only request-time evaluation reads the instance — the light nodes
+// of Theorem 1, the bags of Theorem 2, direct and all-bound probes — so a
+// materialized output never builds it. Representations share a shell by
+// pointer: copying a Representation's fields never copies the guard.
+type shell struct {
+	nv   *cq.NormalizedView
+	db   *relation.Database
+	once sync.Once
+	inst atomic.Pointer[join.Instance]
+	err  error
+}
+
+// instance returns the join instance, building it on the first call;
+// concurrent first callers block until the one build is in and all get
+// the same pointer. A build failure is sticky and wraps ErrBadView.
+func (s *shell) instance() (*join.Instance, error) {
+	s.once.Do(func() {
+		inst, err := join.NewInstance(s.nv)
+		if err != nil {
+			s.err = fmt.Errorf("%w: %w", ErrBadView, err)
+			return
+		}
+		s.inst.Store(inst)
+	})
+	return s.inst.Load(), s.err
+}
+
 // newShell runs the deterministic front of every build and load: extend
-// the view to full, normalize it against db, and construct the
-// linear-space base indexes and active domains. An index in the rows' own
-// column order, and a column's domain read off the rows or off an index
-// leading with that column, cost one pass each; every other index is a
-// comparison sort, the bulk of the shell. The returned representation has
-// no backend yet.
+// the view to full and normalize it against db. It builds no index: the
+// join instance waits for shell.instance, which builds and every decoder
+// whose queries read it force before they return, so no request pays for
+// it. The returned representation has no backend yet.
 func newShell(view *cq.View, db *relation.Database) (*Representation, error) {
 	full := view.ExtendToFull()
 	nv, err := cq.Normalize(full, db)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadView, err)
 	}
-	inst, err := join.NewInstance(nv)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadView, err)
-	}
-	return &Representation{orig: view, view: full, nv: nv, inst: inst, db: db}, nil
+	return &Representation{orig: view, view: full, sh: &shell{nv: nv, db: db}}, nil
 }
 
 // resolveStrategy applies the Auto policy: AllBound for boolean views, the
@@ -259,12 +283,12 @@ func newShell(view *cq.View, db *relation.Database) (*Representation, error) {
 // constant-delay Theorem-2 structure otherwise. The choice depends only on
 // the view shape and the options, so every shard of a partitioned build
 // resolves to the same strategy.
-func resolveStrategy(cfg *config, inst *join.Instance) Strategy {
+func resolveStrategy(cfg *config, nv *cq.NormalizedView) Strategy {
 	if cfg.strategy != Auto {
 		return cfg.strategy
 	}
 	switch {
-	case inst.Mu == 0:
+	case len(nv.Free) == 0:
 		return AllBoundStrategy
 	case cfg.tau > 0 || cfg.spaceBudget > 0 || cfg.delayBudget > 0 || cfg.cover != nil:
 		return PrimitiveStrategy
@@ -279,8 +303,13 @@ func buildSingle(view *cq.View, db *relation.Database, cfg *config) (*Representa
 	if err != nil {
 		return nil, err
 	}
+	// Every backend's build reads the base indexes. Build them before the
+	// clock starts, so BuildTime stays the structure's compression time.
+	if _, err := r.sh.instance(); err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	strategy := resolveStrategy(cfg, r.inst)
+	strategy := resolveStrategy(cfg, r.sh.nv)
 	r.strategy = strategy
 	r.stats.Strategy = strategy
 	r.stats.Shards = 1
@@ -316,9 +345,9 @@ func validateBudgets(cfg *config) error {
 }
 
 // relationSizes lists per-atom base relation sizes.
-func relationSizes(inst *join.Instance) []int {
-	sizes := make([]int, len(inst.Atoms))
-	for i, a := range inst.Atoms {
+func relationSizes(nv *cq.NormalizedView) []int {
+	sizes := make([]int, len(nv.Atoms))
+	for i, a := range nv.Atoms {
 		sizes[i] = a.Rel.Len()
 	}
 	return sizes
@@ -327,15 +356,19 @@ func relationSizes(inst *join.Instance) []int {
 // buildPrimitive resolves (u, τ) from the options and Section-6 planner and
 // builds the Theorem-1 structure.
 func (r *Representation) buildPrimitive(cfg *config) (backend, error) {
-	if r.inst.Mu == 0 {
+	if len(r.sh.nv.Free) == 0 {
 		return nil, fmt.Errorf("%w: primitive strategy requires at least one free variable", ErrStrategyMismatch)
 	}
-	h := r.nv.Hypergraph()
+	inst, err := r.sh.instance()
+	if err != nil {
+		return nil, err
+	}
+	h := r.sh.nv.Hypergraph()
 	u := cfg.cover
 	tau := cfg.tau
 	switch {
 	case cfg.spaceBudget > 0:
-		pt, err := fractional.MinDelayCover(h, r.nv.Free, relationSizes(r.inst), math.Log(cfg.spaceBudget))
+		pt, err := fractional.MinDelayCover(h, r.sh.nv.Free, relationSizes(r.sh.nv), math.Log(cfg.spaceBudget))
 		if err != nil {
 			return nil, fmt.Errorf("%w: space budget %g: %w", ErrInfeasibleBudget, cfg.spaceBudget, err)
 		}
@@ -346,7 +379,7 @@ func (r *Representation) buildPrimitive(cfg *config) (backend, error) {
 			tau = pt.Tau
 		}
 	case cfg.delayBudget > 0:
-		pt, err := fractional.MinSpaceCover(h, r.nv.Free, relationSizes(r.inst), math.Log(cfg.delayBudget))
+		pt, err := fractional.MinSpaceCover(h, r.sh.nv.Free, relationSizes(r.sh.nv), math.Log(cfg.delayBudget))
 		if err != nil {
 			return nil, fmt.Errorf("%w: delay budget %g: %w", ErrInfeasibleBudget, cfg.delayBudget, err)
 		}
@@ -367,7 +400,7 @@ func (r *Representation) buildPrimitive(cfg *config) (backend, error) {
 	if tau < 1 {
 		tau = 1
 	}
-	s, err := primitive.Build(r.inst, u, tau, primitive.Workers(cfg.workers), primitive.Context(cfg.ctx))
+	s, err := primitive.Build(inst, u, tau, primitive.Workers(cfg.workers), primitive.Context(cfg.ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -382,10 +415,10 @@ func (r *Representation) buildPrimitive(cfg *config) (backend, error) {
 // buildDecomposition resolves the decomposition and delay assignment and
 // builds the Theorem-2 structure.
 func (r *Representation) buildDecomposition(cfg *config) (backend, error) {
-	h := r.nv.Hypergraph()
+	h := r.sh.nv.Hypergraph()
 	d := cfg.dec
 	if d == nil {
-		res, err := decomp.SearchConnex(h, r.nv.Bound)
+		res, err := decomp.SearchConnex(h, r.sh.nv.Bound)
 		if err != nil {
 			return nil, err
 		}
@@ -394,14 +427,14 @@ func (r *Representation) buildDecomposition(cfg *config) (backend, error) {
 	delta := cfg.delta
 	if delta == nil {
 		dbSize := 0
-		for _, s := range relationSizes(r.inst) {
+		for _, s := range relationSizes(r.sh.nv) {
 			dbSize += s
 		}
 		switch {
 		case cfg.spaceBudget > 0:
 			// Section 6: per-bag MinDelayCover under the space budget.
 			var err error
-			delta, err = decomp.OptimizeDelta(r.nv, d, math.Log(cfg.spaceBudget))
+			delta, err = decomp.OptimizeDelta(r.sh.nv, d, math.Log(cfg.spaceBudget))
 			if err != nil {
 				return nil, fmt.Errorf("%w: space budget %g: %w", ErrInfeasibleBudget, cfg.spaceBudget, err)
 			}
@@ -416,7 +449,11 @@ func (r *Representation) buildDecomposition(cfg *config) (backend, error) {
 			delta = make([]float64, len(d.Bags))
 		}
 	}
-	s, err := decomp.Build(r.nv, d, delta, decomp.Workers(cfg.workers), decomp.Context(cfg.ctx))
+	inst, err := r.sh.instance()
+	if err != nil {
+		return nil, err
+	}
+	s, err := decomp.Build(r.sh.nv, d, delta, decomp.Instance(inst), decomp.Workers(cfg.workers), decomp.Context(cfg.ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -533,15 +570,44 @@ func (r *Representation) View() *cq.View { return r.view }
 // Normalized returns the normalized view (variable ids, orders), or nil
 // for an mmap-loaded representation that fails to decode.
 func (r *Representation) Normalized() *cq.NormalizedView {
-	r.ensure()
-	return r.nv
+	if err := r.ensure(); err != nil {
+		return nil
+	}
+	return r.sh.nv
 }
 
-// Instance returns the bound join instance (base indexes), or nil for an
-// mmap-loaded representation that fails to decode.
+// Instance returns the bound join instance (base indexes), building it on
+// the first call when the backend never needed it (a materialized output
+// or the sharded composite's outer view), or nil for an mmap-loaded
+// representation that fails to decode.
 func (r *Representation) Instance() *join.Instance {
-	r.ensure()
-	return r.inst
+	if err := r.ensure(); err != nil {
+		return nil
+	}
+	inst, _ := r.sh.instance()
+	return inst
+}
+
+// InstanceBuilt reports whether the join instance has been built for r
+// or, for the sharded composite, for any of its shards. Serving a
+// materialized output never builds it. Like every accessor it first
+// materializes an mmap-loaded representation, which decodes the payload
+// but builds no instance; one that fails to decode reports false.
+func (r *Representation) InstanceBuilt() bool {
+	if err := r.ensure(); err != nil {
+		return false
+	}
+	if r.sh.inst.Load() != nil {
+		return true
+	}
+	if sb, ok := r.be.(*shardedBackend); ok {
+		for _, sub := range sb.subs {
+			if sub.InstanceBuilt() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Database returns the base-relation database the representation was
@@ -550,8 +616,10 @@ func (r *Representation) Instance() *join.Instance {
 // The database is shared with the representation: callers must treat it
 // as read-only and route changes through Maintained instead.
 func (r *Representation) Database() *relation.Database {
-	r.ensure()
-	return r.db
+	if err := r.ensure(); err != nil {
+		return nil
+	}
+	return r.sh.db
 }
 
 // EnumOrder reports the representation's enumeration order as output
@@ -571,7 +639,7 @@ func (r *Representation) FreeNames() []string {
 	if err := r.ensure(); err != nil {
 		return nil
 	}
-	return r.nv.FreeNames()
+	return r.sh.nv.FreeNames()
 }
 
 // BoundNames returns the expected valuation order for Query.
@@ -579,7 +647,7 @@ func (r *Representation) BoundNames() []string {
 	if err := r.ensure(); err != nil {
 		return nil
 	}
-	return r.nv.BoundNames()
+	return r.sh.nv.BoundNames()
 }
 
 // Drain collects an iterator fully.

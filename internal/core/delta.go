@@ -290,7 +290,7 @@ func (ev *viewEval) extend(asg []relation.Value, set []bool, rest []int, emit fu
 // additions from net-inserted ones over newDB. Outputs reachable through
 // several changed tuples are deduplicated.
 func (r *Representation) outputDeltaFor(newDB *relation.Database, batch []change) (*outputDelta, error) {
-	ins, del, err := netChanges(r.db, batch)
+	ins, del, err := netChanges(r.sh.db, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -301,8 +301,8 @@ func (r *Representation) outputDeltaFor(newDB *relation.Database, batch []change
 			for _, t := range tuples {
 				ev.seeded(rel, t, func(asg []relation.Value) {
 					oc := outputChange{
-						vb:   projectIDs(asg, r.nv.Bound),
-						free: projectIDs(asg, r.nv.Free),
+						vb:   projectIDs(asg, r.sh.nv.Bound),
+						free: projectIDs(asg, r.sh.nv.Free),
 					}
 					key := string(oc.free.AppendEncode(oc.vb.AppendEncode(nil)))
 					if !seen[key] {
@@ -314,14 +314,14 @@ func (r *Representation) outputDeltaFor(newDB *relation.Database, batch []change
 		}
 	}
 	if len(del) > 0 {
-		ev, err := newViewEval(r.view, r.nv, r.db)
+		ev, err := newViewEval(r.view, r.sh.nv, r.sh.db)
 		if err != nil {
 			return nil, err
 		}
 		collect(ev, del, &d.dels)
 	}
 	if len(ins) > 0 {
-		ev, err := newViewEval(r.view, r.nv, newDB)
+		ev, err := newViewEval(r.view, r.sh.nv, newDB)
 		if err != nil {
 			return nil, err
 		}

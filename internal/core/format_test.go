@@ -46,8 +46,8 @@ func TestSnapshotFormatFixture(t *testing.T) {
 		t.Fatalf("fixture holds %d entries, fresh compile %d", got, want)
 	}
 	requests := 0
-	for _, x := range fresh.inst.BoundDomains[0] {
-		for _, z := range fresh.inst.BoundDomains[1] {
+	for _, x := range fresh.Instance().BoundDomains[0] {
+		for _, z := range fresh.Instance().BoundDomains[1] {
 			vb := relation.Tuple{x, z}
 			got, want := Drain(loaded.Query(vb)), Drain(fresh.Query(vb))
 			if len(got) != len(want) {

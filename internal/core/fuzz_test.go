@@ -55,6 +55,8 @@ func FuzzReadRepresentation(f *testing.F) {
 	f.Add(repeatLastDictEntry(f, raw))
 	// A materialized bucket that repeats and reorders its answers.
 	f.Add(disorderedBucket(f))
+	// A sharded snapshot whose first nested shard frame fails its checksum.
+	f.Add(nestedCRCCorrupt(f))
 	// Degenerate non-snapshots.
 	f.Add([]byte{})
 	f.Add([]byte("CQREPS"))

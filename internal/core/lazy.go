@@ -98,7 +98,7 @@ func (l *lazySnapshot) materialize(dst *Representation) error {
 	if dst.orig == nil {
 		dst.orig, dst.view = shell.orig, shell.view
 	}
-	dst.nv, dst.inst, dst.db = shell.nv, shell.inst, shell.db
+	dst.sh = shell.sh
 	dst.strategy = pre.strategy
 	dst.stats = shell.stats
 

@@ -56,7 +56,11 @@ type Maintained struct {
 	compactErr   error
 
 	rebuilding atomic.Bool
-	wg         sync.WaitGroup
+	// stale is staleLocked() as of the last change to pending or db, so
+	// Query reads it without taking mu, which buffer holds across the
+	// update log's append.
+	stale atomic.Bool
+	wg    sync.WaitGroup
 
 	// testHookPreClear, when set (tests only, before any use), runs right
 	// before rebuildBatch clears the rebuilding flag — the window in which
@@ -159,7 +163,7 @@ func (m *Maintained) buffer(rel string, t relation.Tuple, del bool) error {
 	}
 	m.seq = c.seq
 	m.pending = append(m.pending, c)
-	stale := m.staleLocked()
+	stale := m.noteStaleLocked()
 	m.mu.Unlock()
 	if stale {
 		m.triggerRebuild()
@@ -198,6 +202,7 @@ func (m *Maintained) Replay(rel string, t relation.Tuple, del bool) error {
 	}
 	m.seq++
 	m.pending = append(m.pending, change{seq: m.seq, rel: rel, tuple: t.Clone(), delete: del})
+	m.noteStaleLocked()
 	return nil
 }
 
@@ -214,6 +219,15 @@ func (m *Maintained) staleLocked() bool {
 		budget = minChurnBatch
 	}
 	return float64(len(m.pending)) > math.Max(budget, 0)
+}
+
+// noteStaleLocked publishes staleLocked to the lock-free stale flag and
+// returns it. Callers hold m.mu for writing and have just changed pending
+// or db.
+func (m *Maintained) noteStaleLocked() bool {
+	stale := m.staleLocked()
+	m.stale.Store(stale)
+	return stale
 }
 
 // triggerRebuild starts a background rebuild unless one is already in
@@ -264,27 +278,7 @@ func (m *Maintained) rebuildBatch() {
 	}
 
 	clone := db.Clone()
-	noops := 0
-	var applyErr error
-	for _, c := range batch {
-		r, err := clone.Relation(c.rel)
-		if err != nil {
-			applyErr = err
-			break
-		}
-		if c.delete {
-			// Deleting an absent tuple is a set-semantics no-op; count it
-			// (a client deleting blind, or a WAL replay over a snapshot
-			// that already contains the delete) instead of silently
-			// swallowing the report.
-			if !r.Delete(c.tuple) {
-				noops++
-			}
-		} else if err := r.Insert(c.tuple); err != nil {
-			applyErr = err
-			break
-		}
-	}
+	noops, applyErr := applyBatch(clone, batch)
 	// Capable backends absorb the batch through the delta path; sharded
 	// representations recompile only the shards whose partition the batch
 	// touched; everything else is a full recompile (Representation.rebuildFor).
@@ -304,6 +298,7 @@ func (m *Maintained) rebuildBatch() {
 	} else {
 		m.db = clone
 		m.pending = append([]change(nil), m.pending[n:]...)
+		m.noteStaleLocked()
 		m.rebuilds++
 		m.deltaApplies += deltas
 		m.noopDeletes += noops
@@ -329,6 +324,34 @@ func (m *Maintained) rebuildBatch() {
 	}
 	m.rebuilding.Store(false)
 	m.retriggerIfStale()
+}
+
+// applyBatch applies a change batch to db, each relation's changes in
+// batch order and in one pass (relation.Apply). Deleting an absent tuple
+// is a set-semantics no-op; applyBatch counts them (a client deleting
+// blind, or a WAL replay over a snapshot that already contains the
+// delete) instead of silently swallowing the report.
+func applyBatch(db *relation.Database, batch []change) (noops int, err error) {
+	ops := make(map[string][]relation.Op)
+	var rels []*relation.Relation
+	for _, c := range batch {
+		if _, ok := ops[c.rel]; !ok {
+			r, err := db.Relation(c.rel)
+			if err != nil {
+				return 0, err
+			}
+			rels = append(rels, r)
+		}
+		ops[c.rel] = append(ops[c.rel], relation.Op{Tuple: c.tuple, Delete: c.delete})
+	}
+	for _, r := range rels {
+		misses, err := r.Apply(ops[r.Name()])
+		if err != nil {
+			return 0, err
+		}
+		noops += misses
+	}
+	return noops, nil
 }
 
 // retriggerIfStale re-examines staleness after the rebuilding flag has
@@ -374,17 +397,15 @@ func (m *Maintained) Flush() error {
 // trigger (tests use it to observe rebuild effects deterministically).
 func (m *Maintained) Quiesce() { m.wg.Wait() }
 
-// Query answers an access request against the current snapshot. It never
-// blocks on a rebuild: when the snapshot is past its staleness budget a
+// Query answers an access request against the current snapshot. It takes
+// no lock, so it never waits on a writer's buffering or log append, and it
+// never blocks on a rebuild: when the snapshot is past its staleness budget a
 // background rebuild is triggered and the query proceeds against the old
 // (consistent) snapshot. Queries do not fail when maintenance does —
 // after a rebuild failure they keep serving the last good snapshot; the
 // failure is reported by Err and by the next Flush, which retries it.
 func (m *Maintained) Query(vb relation.Tuple) (Iterator, error) {
-	m.mu.RLock()
-	stale := m.staleLocked()
-	m.mu.RUnlock()
-	if stale {
+	if m.stale.Load() {
 		m.triggerRebuild()
 	}
 	return m.rep.Load().Query(vb), nil
@@ -475,10 +496,10 @@ func ResumeMaintained(rep *Representation, fraction float64, opts ...Option) (*M
 	if err := rep.ensure(); err != nil {
 		return nil, err
 	}
-	if rep.db == nil {
+	if rep.sh == nil {
 		return nil, fmt.Errorf("%w: representation carries no base database", ErrBadSnapshot)
 	}
-	m := &Maintained{view: rep.orig, db: rep.db, opts: opts, fraction: fraction}
+	m := &Maintained{view: rep.orig, db: rep.sh.db, opts: opts, fraction: fraction}
 	m.rep.Store(rep)
 	return m, nil
 }

@@ -97,7 +97,7 @@ func TestMmapLoadSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenRepresentationMmap: %v", err)
 	}
-	if m.lazy == nil || m.nv != nil {
+	if m.lazy == nil || m.sh != nil {
 		t.Fatal("open must not materialize the composite")
 	}
 
@@ -113,7 +113,7 @@ func TestMmapLoadSharded(t *testing.T) {
 	}
 	materialized := 0
 	for _, sub := range sb.subs {
-		if sub.nv != nil {
+		if sub.sh != nil {
 			materialized++
 		}
 	}

@@ -27,7 +27,7 @@ func (r *Representation) QueryDistinct(vb relation.Tuple) Iterator {
 		}
 	}
 	inner := r.Query(vb)
-	if k == r.inst.Mu {
+	if k == len(r.sh.nv.Free) {
 		return inner // full view: nothing to project
 	}
 	if r.strategy == DecompositionStrategy {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -466,16 +465,17 @@ func (p *partitioner) shardBatch(batch []change, s int) []change {
 // (a cheap consistency check at decode time) followed by each shard's own
 // complete snapshot frame, length-prefixed, in shard order. Reusing the
 // frame format per shard means a shard's snapshot is self-contained and
-// the existing single-backend codec needs no changes.
+// the existing single-backend codec needs no changes. Each frame streams
+// through e after its counted length.
 func (b *shardedBackend) EncodeTo(e *relation.Encoder) {
 	e.String(b.parts.keyVar)
 	for _, sub := range b.subs {
-		var buf bytes.Buffer
-		if _, err := sub.WriteTo(&buf); err != nil {
+		n, err := sub.frameLen()
+		if err != nil {
 			e.Fail(fmt.Errorf("core: encoding shard frame: %w", err))
 			return
 		}
-		e.Uint(uint64(buf.Len()))
-		e.Raw(buf.Bytes())
+		e.Uint(uint64(n))
+		e.Nested(n, sub)
 	}
 }

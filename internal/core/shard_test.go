@@ -109,12 +109,12 @@ func shardCases(t *testing.T) []struct {
 // sampleBindings draws deterministic valuations, mixing hits and misses.
 func sampleBindings(r *Representation, n int, seed int64) []relation.Tuple {
 	rng := rand.New(rand.NewSource(seed))
-	nb := len(r.nv.Bound)
+	doms := r.Instance().BoundDomains
 	out := make([]relation.Tuple, 0, n)
 	for i := 0; i < n; i++ {
-		vb := make(relation.Tuple, nb)
+		vb := make(relation.Tuple, len(doms))
 		for j := range vb {
-			dom := r.inst.BoundDomains[j]
+			dom := doms[j]
 			if len(dom) == 0 || i%3 == 0 {
 				vb[j] = relation.Value(rng.Intn(1000))
 				continue
@@ -255,7 +255,7 @@ func TestMaintainedDirtyShardRebuild(t *testing.T) {
 		if err := m.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
-		fresh, err := Build(view, m.rep.Load().db, WithStrategy(DecompositionStrategy))
+		fresh, err := Build(view, m.rep.Load().Database(), WithStrategy(DecompositionStrategy))
 		if err != nil {
 			t.Fatalf("fresh build: %v", err)
 		}
@@ -316,7 +316,7 @@ func TestMaintainedDirtyShardRebuild(t *testing.T) {
 	}
 
 	// And the maintained answers match a fresh unsharded compile.
-	fresh, err := Build(star, sm.rep.Load().db, WithStrategy(DecompositionStrategy))
+	fresh, err := Build(star, sm.rep.Load().Database(), WithStrategy(DecompositionStrategy))
 	if err != nil {
 		t.Fatalf("fresh build: %v", err)
 	}

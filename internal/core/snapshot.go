@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -31,7 +32,8 @@ import (
 // representation, one complete nested frame per shard). Derived state —
 // normalized views, sorted base indexes, estimators, bag projections,
 // traversal tables, the shard partitioner — is reconstructed
-// deterministically at load time, so a loaded representation enumerates
+// deterministically at load time (the base indexes only for backends
+// whose queries read them), so a loaded representation enumerates
 // byte-for-byte identically to the freshly compiled one.
 //
 // Version history: version 1 carried a single backend and no shard count;
@@ -49,40 +51,96 @@ const (
 	snapshotHeaderLen = len(snapshotMagic) + 2 + 8
 )
 
+// frameBuffer is the size of the buffer a snapshot frame is written
+// through.
+const frameBuffer = 64 << 10
+
 // WriteTo serializes the representation as one snapshot frame. It
-// implements io.WriterTo; Save is the file-path form.
+// implements io.WriterTo; Save is the file-path form. The payload streams
+// to w through one small buffer: a counting pass puts its length in the
+// header first, so the frame is never held in memory whole.
 func (r *Representation) WriteTo(w io.Writer) (int64, error) {
-	if err := r.ensure(); err != nil { // mmap-loaded: materialize before re-encoding
+	size, err := r.payloadLen()
+	if err != nil {
 		return 0, err
 	}
-	var payload bytes.Buffer
-	e := relation.NewEncoder(&payload)
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriterSize(cw, frameBuffer)
+	var hdr [snapshotHeaderLen]byte
+	copy(hdr[:], snapshotMagic)
+	binary.BigEndian.PutUint16(hdr[len(snapshotMagic):], snapshotVersion)
+	binary.BigEndian.PutUint64(hdr[len(snapshotMagic)+2:], uint64(size))
+	bw.Write(hdr[:])
+	sw := &crcWriter{w: bw}
+	e := relation.NewEncoder(sw)
+	r.encodePayload(e)
+	if err := e.Err(); err != nil {
+		bw.Flush()
+		return cw.n, err
+	}
+	if e.Len() != size {
+		bw.Flush()
+		return cw.n, fmt.Errorf("cqrep: snapshot payload is %d bytes, its counting pass said %d", e.Len(), size)
+	}
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], sw.sum)
+	bw.Write(sum[:])
+	err = bw.Flush()
+	return cw.n, err
+}
+
+// payloadLen is the byte length of the representation's snapshot
+// payload, counted without writing it. An mmap-loaded representation
+// materializes first.
+func (r *Representation) payloadLen() (int64, error) {
+	if err := r.ensure(); err != nil {
+		return 0, err
+	}
+	e := relation.NewCounter()
+	r.encodePayload(e)
+	return e.Len(), e.Err()
+}
+
+// frameLen is the byte length of the representation's snapshot frame.
+func (r *Representation) frameLen() (int64, error) {
+	n, err := r.payloadLen()
+	return int64(snapshotHeaderLen) + n + 4, err
+}
+
+// encodePayload writes the snapshot payload: the view, the base relations
+// it references, the strategy, the build time, the shard count and the
+// backend's structures.
+func (r *Representation) encodePayload(e *relation.Encoder) {
 	encodeView(e, r.orig)
 	e.Database(r.referencedDB())
 	e.Uint(uint64(r.strategy))
 	e.Int(int64(r.stats.BuildTime))
 	e.Uint(uint64(r.stats.Shards))
 	r.be.EncodeTo(e)
-	if err := e.Err(); err != nil {
-		return 0, err
-	}
+}
 
-	var hdr [snapshotHeaderLen]byte
-	copy(hdr[:], snapshotMagic)
-	binary.BigEndian.PutUint16(hdr[len(snapshotMagic):], snapshotVersion)
-	binary.BigEndian.PutUint64(hdr[len(snapshotMagic)+2:], uint64(payload.Len()))
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload.Bytes()))
+// countWriter counts the bytes w accepted.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
 
-	var total int64
-	for _, chunk := range [][]byte{hdr[:], payload.Bytes(), sum[:]} {
-		n, err := w.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// crcWriter keeps the CRC-32 (IEEE) of the bytes it passes on to w.
+type crcWriter struct {
+	w   io.Writer
+	sum uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
+	return n, err
 }
 
 // Save writes the representation's snapshot to path via a temporary file
@@ -138,7 +196,7 @@ func createSibling(path string) (*os.File, string, error) {
 func (r *Representation) referencedDB() *relation.Database {
 	out := relation.NewDatabase()
 	for _, a := range r.view.Body {
-		if rel, err := r.db.Relation(a.Relation); err == nil {
+		if rel, err := r.sh.db.Relation(a.Relation); err == nil {
 			out.Add(rel)
 		}
 	}
@@ -166,18 +224,15 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 		return nil, fmt.Errorf("%w: snapshot has format version %d, this build reads version %d", ErrSnapshotVersion, version, snapshotVersion)
 	}
 	payloadLen := binary.BigEndian.Uint64(hdr[len(snapshotMagic)+2:])
-
-	// Copy rather than pre-allocate payloadLen so a corrupt length field
-	// fails with a truncation error instead of an OOM-sized allocation.
-	var payload bytes.Buffer
-	if n, err := io.CopyN(&payload, rd, int64(payloadLen)); err != nil || uint64(n) != payloadLen {
-		return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, payload.Len(), payloadLen)
+	payload, err := readPayload(rd, payloadLen)
+	if err != nil {
+		return nil, err
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(rd, sum[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing checksum: %w", ErrBadSnapshot, err)
 	}
-	if got := crc32.ChecksumIEEE(payload.Bytes()); got != binary.BigEndian.Uint32(sum[:]) {
+	if got := crc32.ChecksumIEEE(payload); got != binary.BigEndian.Uint32(sum[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 	// A snapshot is exactly one frame, as the mmap path also requires.
@@ -186,11 +241,55 @@ func ReadRepresentation(rd io.Reader) (*Representation, error) {
 		return nil, fmt.Errorf("%w: trailing bytes after snapshot frame", ErrBadSnapshot)
 	}
 
-	r, err := decodeRepresentation(relation.NewDecoder(payload.Bytes()))
+	r, err := decodeRepresentation(relation.NewDecoder(payload))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	return r, nil
+}
+
+// readPayload reads a frame's n payload bytes. When the reader knows how
+// many bytes it has left (a regular file, a bytes.Reader), a length
+// beyond them fails before anything is allocated, and the payload is
+// read into one buffer of exactly n bytes. Any other reader is copied
+// through a growing buffer, so a corrupt length fails with a truncation
+// error instead of an allocation of that size.
+func readPayload(rd io.Reader, n uint64) ([]byte, error) {
+	if left, ok := remainingLen(rd); ok {
+		if n > uint64(left) {
+			return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, left, n)
+		}
+		payload := make([]byte, n)
+		if got, err := io.ReadFull(rd, payload); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, got, n)
+		}
+		return payload, nil
+	}
+	var buf bytes.Buffer
+	if got, err := io.CopyN(&buf, rd, int64(n)); err != nil || uint64(got) != n {
+		return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadSnapshot, buf.Len(), n)
+	}
+	return buf.Bytes(), nil
+}
+
+// remainingLen reports how many bytes rd has left to read, when it can
+// tell without reading them.
+func remainingLen(rd io.Reader) (int64, bool) {
+	switch r := rd.(type) {
+	case *bytes.Reader:
+		return int64(r.Len()), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil || off > fi.Size() {
+			return 0, false
+		}
+		return fi.Size() - off, true
+	}
+	return 0, false
 }
 
 // snapshotPrefix is the cheap leading part of every snapshot payload —
@@ -232,8 +331,8 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*snapshotPrefix, error) {
 	return pre, nil
 }
 
-// shellFromPrefix re-runs the deterministic front of Build (extend,
-// normalize, index; see newShell) over the stored view and relations and
+// shellFromPrefix re-runs the deterministic front of Build (extend and
+// normalize; see newShell) over the stored view and relations and
 // installs the prefix metadata. The returned representation has no backend
 // yet.
 func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
@@ -251,9 +350,10 @@ func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
 // decodeRepresentation rebuilds a representation from a verified payload:
 // it re-runs the deterministic front of Build over the stored view and
 // relations, then installs the decoded expensive structures — dispatched
-// through the backend registry — instead of recompiling them. The front is
-// near-linear but not free: sorting each index whose column order is not
-// the rows' own is most of a materialized snapshot's load (DESIGN.md,
+// through the backend registry — instead of recompiling them. The base
+// indexes and active domains are built only by the decoders whose queries
+// read them; a materialized snapshot, unsharded or sharded, never builds
+// them, so its load is decoding the relations and buckets (DESIGN.md,
 // "Reconstruction and compatibility policy").
 func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
 	pre, err := decodeSnapshotPrefix(d)
@@ -290,8 +390,11 @@ func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
 
 // decodeShardedBackend reads the sharded composite payload written by
 // shardedBackend.EncodeTo: the shard-key variable followed by one complete
-// nested snapshot frame per shard. The partitioner is rederived from the
-// view and shard count; the stored key variable cross-checks it.
+// nested snapshot frame per shard. Each frame is verified and decoded in
+// place, from its subslice of the outer payload, with the checks
+// ReadRepresentation makes of a whole stream. The partitioner is
+// rederived from the view and shard count; the stored key variable
+// cross-checks it.
 func decodeShardedBackend(d *relation.Decoder, r *Representation, strategy Strategy, shards int) error {
 	p := newPartitioner(r.view, shards)
 	keyVar := d.String()
@@ -304,11 +407,11 @@ func decodeShardedBackend(d *relation.Decoder, r *Representation, strategy Strat
 	subs := make([]*Representation, shards)
 	for i := range subs {
 		n := d.Count(1)
-		blob := d.Raw(n)
+		frame := d.Raw(n)
 		if err := d.Err(); err != nil {
 			return err
 		}
-		sub, err := ReadRepresentation(bytes.NewReader(blob))
+		sub, err := decodeFrame(frame)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -321,6 +424,27 @@ func decodeShardedBackend(d *relation.Decoder, r *Representation, strategy Strat
 	finishSharded(r, p, subs)
 	r.stats.BuildTime = buildTime
 	return nil
+}
+
+// decodeFrame decodes one complete snapshot frame held in memory, which
+// must end where the frame does. Nothing is copied: decoders copy what
+// they keep.
+func decodeFrame(frame []byte) (*Representation, error) {
+	payload, sum, err := splitFrame(frame)
+	if err != nil {
+		return nil, err
+	}
+	if extra := len(frame) - snapshotHeaderLen - len(payload) - 4; extra != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot frame", ErrBadSnapshot, extra)
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
+	r, err := decodeRepresentation(relation.NewDecoder(payload))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
+	return r, nil
 }
 
 // encodeView writes an adorned view: name, head, access pattern, and body

@@ -28,7 +28,7 @@ func pathFixture(t *testing.T) (*cq.View, *relation.Database) {
 	return workload.PathView(4), workload.PathDB(7, 4, 120, 16)
 }
 
-// drainAll enumerates every bound valuation in the instance's bound
+// snapEnum enumerates every bound valuation in the instance's bound
 // domains cross product (small fixtures) and concatenates the answers, so
 // two representations can be compared across their whole request space.
 func snapEnum(t *testing.T, r *Representation) []byte {
@@ -43,7 +43,8 @@ func snapEnum(t *testing.T, r *Representation) []byte {
 			}
 			return
 		}
-		for _, v := range r.inst.BoundDomains[i][:min(8, len(r.inst.BoundDomains[i]))] {
+		dom := r.Instance().BoundDomains[i]
+		for _, v := range dom[:min(8, len(dom))] {
 			walk(append(vb, v), i+1)
 		}
 	}

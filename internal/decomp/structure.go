@@ -60,6 +60,7 @@ type BuildOption func(*buildConfig)
 type buildConfig struct {
 	workers int
 	ctx     context.Context
+	inst    *join.Instance
 }
 
 // Workers bounds the number of goroutines used to build decomposition bags
@@ -74,6 +75,10 @@ func Workers(n int) BuildOption { return func(c *buildConfig) { c.workers = n } 
 // Algorithm-4 refinement stops, with Build returning ctx.Err(). A nil ctx
 // means context.Background().
 func Context(ctx context.Context) BuildOption { return func(c *buildConfig) { c.ctx = ctx } }
+
+// Instance hands Build the caller's already-built join instance over the
+// same normalized view, so the whole-view indexes are not built twice.
+func Instance(inst *join.Instance) BuildOption { return func(c *buildConfig) { c.inst = inst } }
 
 // Build constructs the Theorem-2 structure for a normalized view under the
 // given connex decomposition and delay assignment δ (indexed by bag;
@@ -102,9 +107,12 @@ func Build(nv *cq.NormalizedView, dec *Decomposition, delta []float64, opts ...B
 		cfg.ctx = context.Background()
 	}
 	start := time.Now()
-	gInst, err := join.NewInstance(nv)
-	if err != nil {
-		return nil, err
+	gInst := cfg.inst
+	if gInst == nil {
+		var err error
+		if gInst, err = join.NewInstance(nv); err != nil {
+			return nil, err
+		}
 	}
 	widths, err := dec.Widths(h, delta)
 	if err != nil {

@@ -378,6 +378,7 @@ func (s *binaryStream) Err() error                         { return s.dec.Err() 
 // setup. The drain is capped: a truncated or hostile stream must not
 // stall Close.
 func (s *binaryStream) Close() error {
+	s.dec.release()
 	io.Copy(io.Discard, io.LimitReader(s.body, 64*1024))
 	return s.body.Close()
 }

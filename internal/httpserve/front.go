@@ -280,6 +280,7 @@ func (f *Front) stream(ctx context.Context, w http.ResponseWriter, t Target, vb 
 		w = tee
 	}
 	sw := NewStreamWriter(w, format, arity, f.flushBatch)
+	defer sw.release()
 	disp := StreamErrored
 	// Blocks are borrowed from the target and only read.
 	blocks, cleanup, err := t.Open(ctx, vb, req)

@@ -374,16 +374,17 @@ func (h *Handler) Detach(name string) error {
 }
 
 // baseTuples counts the base-relation tuples behind a representation,
-// deduplicating self-join aliases of the same relation. An mmap-loaded
-// representation that fails to decode has no instance and counts zero.
+// deduplicating self-join aliases of the same relation. It reads the
+// normalized view, so counting never builds the join instance. An
+// mmap-loaded representation that fails to decode counts zero.
 func baseTuples(rep *core.Representation) int {
-	inst := rep.Instance()
-	if inst == nil {
+	nv := rep.Normalized()
+	if nv == nil {
 		return 0
 	}
 	seen := map[string]bool{}
 	n := 0
-	for _, a := range inst.Atoms {
+	for _, a := range nv.Atoms {
 		if name := a.Rel.Name(); !seen[name] {
 			seen[name] = true
 			n += a.Rel.Len()

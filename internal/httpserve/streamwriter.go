@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"cqrep/internal/core"
 	"cqrep/internal/relation"
@@ -59,13 +60,29 @@ func NewStreamWriter(w http.ResponseWriter, format Format, arity, flushBatch int
 	sw := &StreamWriter{flusher: flusher, batch: flushBatch, limit: 1}
 	w.Header().Set("Content-Type", format.MediaType())
 	if format == FormatBinary {
-		sw.bw = bufio.NewWriterSize(w, 32*1024)
+		sw.bw = writeBufs.Get().(*bufio.Writer)
+		sw.bw.Reset(w)
 		sw.enc = newBinaryWriter(sw.bw)
 		sw.enc.Header(arity)
 	} else {
 		sw.bw = bufio.NewWriterSize(w, 4096)
 	}
 	return sw
+}
+
+// writeBufs recycles binary streams' write buffers: a server opens one per
+// request, and a stream's buffer is free again once its handler is done.
+var writeBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, streamBufSize) }}
+
+// release gives a binary stream's write buffer back for reuse, dropping
+// whatever it still stages. The writer writes nothing more.
+func (sw *StreamWriter) release() {
+	if sw.enc == nil || sw.bw == nil {
+		return
+	}
+	sw.bw.Reset(nil)
+	writeBufs.Put(sw.bw)
+	sw.bw = nil
 }
 
 // Wrote reports how many tuples have been staged or sent. A caller seeing

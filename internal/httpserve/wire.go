@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cqrep/internal/relation"
 )
@@ -220,25 +221,59 @@ type binaryReader struct {
 	lent  bool // slab holds a NextBlock frame no caller owns, so the next may reuse it
 }
 
+// streamBufSize is the buffer a binary stream is read and written
+// through, on both sides of the wire.
+const streamBufSize = 32 << 10
+
+// readBufs recycles binary streams' read buffers: a client opens one per
+// request, and a stream's buffer is free again once it is closed.
+var readBufs = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, streamBufSize) }}
+
 // newBinaryReader consumes the stream header and returns the frame
-// decoder.
+// decoder, reading through a recycled buffer that release gives back.
 func newBinaryReader(r io.Reader) (*binaryReader, error) {
-	br := bufio.NewReaderSize(r, 32*1024)
+	br := readBufs.Get().(*bufio.Reader)
+	br.Reset(r)
+	d := &binaryReader{br: br}
+	if err := d.header(); err != nil {
+		d.release()
+		return nil, err
+	}
+	return d, nil
+}
+
+func (d *binaryReader) header() error {
 	var magic [len(binaryMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("httpserve: binary stream header: %w", truncated(err))
+	if _, err := io.ReadFull(d.br, magic[:]); err != nil {
+		return fmt.Errorf("httpserve: binary stream header: %w", truncated(err))
 	}
 	if string(magic[:]) != binaryMagic {
-		return nil, fmt.Errorf("httpserve: binary stream has bad magic %q", magic[:])
+		return fmt.Errorf("httpserve: binary stream has bad magic %q", magic[:])
 	}
-	arity, err := binary.ReadUvarint(br)
+	arity, err := binary.ReadUvarint(d.br)
 	if err != nil {
-		return nil, fmt.Errorf("httpserve: binary stream arity: %w", truncated(err))
+		return fmt.Errorf("httpserve: binary stream arity: %w", truncated(err))
 	}
 	if arity > maxWireArity {
-		return nil, fmt.Errorf("httpserve: binary stream arity %d implausible", arity)
+		return fmt.Errorf("httpserve: binary stream arity %d implausible", arity)
 	}
-	return &binaryReader{br: br, arity: int(arity)}, nil
+	d.arity = int(arity)
+	return nil
+}
+
+// release gives the read buffer back for reuse. The reader reads nothing
+// more: a stream not yet at its terminal ends with an error. Tuples it
+// handed out live in its own slabs and stay valid.
+func (d *binaryReader) release() {
+	if d.br == nil {
+		return
+	}
+	d.br.Reset(nil)
+	readBufs.Put(d.br)
+	d.br = nil
+	if d.err == nil && !d.done {
+		d.err = fmt.Errorf("httpserve: binary stream closed before its terminal frame")
+	}
 }
 
 // Arity reports the per-tuple value count declared by the stream header.

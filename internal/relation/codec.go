@@ -24,15 +24,23 @@ import (
 // unbounded memory.
 
 // Encoder writes the snapshot wire format to an io.Writer with a sticky
-// error.
+// error. An encoder with no writer (NewCounter) writes nothing and only
+// counts the bytes it would write.
 type Encoder struct {
-	w   io.Writer
-	n   int64
-	err error
+	w       io.Writer
+	n       int64
+	err     error
+	scratch []byte // Values' chunk buffer, made on first use
 }
 
 // NewEncoder returns an encoder over w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+
+// NewCounter returns an encoder that writes nothing: Len reports how many
+// bytes the same calls would write to NewEncoder's writer. A frame writer
+// runs its payload through one to put the length in front of the bytes
+// without holding them.
+func NewCounter() *Encoder { return &Encoder{} }
 
 // Err returns the first write error, if any.
 func (e *Encoder) Err() error { return e.err }
@@ -51,6 +59,10 @@ func (e *Encoder) Len() int64 { return e.n }
 
 func (e *Encoder) write(p []byte) {
 	if e.err != nil {
+		return
+	}
+	if e.w == nil {
+		e.n += int64(len(p))
 		return
 	}
 	n, err := e.w.Write(p)
@@ -110,6 +122,48 @@ func (e *Encoder) Floats(fs []float64) {
 // layout).
 func (e *Encoder) Value(v Value) { e.be64(uint64(v)) }
 
+// valuesChunk is how many bytes of a slab Values hands to one Write.
+const valuesChunk = 4 << 10
+
+// Values writes each value of vals as Value does, with no count, in
+// chunks of up to valuesChunk bytes, one Write each.
+func (e *Encoder) Values(vals []Value) {
+	if e.w == nil && e.err == nil {
+		e.n += 8 * int64(len(vals))
+		return
+	}
+	for len(vals) > 0 && e.err == nil {
+		k := min(len(vals), valuesChunk/8)
+		if cap(e.scratch) < 8*k {
+			e.scratch = make([]byte, 0, min(8*len(vals), valuesChunk))
+		}
+		buf := e.scratch[:8*k]
+		for i, v := range vals[:k] {
+			binary.BigEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		e.write(buf)
+		vals = vals[k:]
+	}
+}
+
+// Nested writes wt's serialization, which must be exactly n bytes, as
+// raw bytes; a counter adds n without calling wt.
+func (e *Encoder) Nested(n int64, wt io.WriterTo) {
+	if e.err != nil {
+		return
+	}
+	if e.w == nil {
+		e.n += n
+		return
+	}
+	m, err := wt.WriteTo(e.w)
+	e.n += m
+	if err == nil && m != n {
+		err = fmt.Errorf("relation: nested writer wrote %d bytes, announced %d", m, n)
+	}
+	e.err = err
+}
+
 // String writes a uvarint length followed by the bytes.
 func (e *Encoder) String(s string) {
 	e.Uint(uint64(len(s)))
@@ -138,17 +192,15 @@ func (e *Encoder) TupleFixed(t Tuple) {
 }
 
 // Relation writes the relation's name, arity, cardinality, and rows in
-// lexicographic order. Rows are streamed straight off the deduplicated
-// store (Len sorts, Row reads in place), not cloned — base relations
+// lexicographic order. The row slab is streamed straight off the
+// deduplicated store (Len sorts it in place), not cloned — base relations
 // dominate a snapshot's size and must not be copied just to serialize.
 func (e *Encoder) Relation(r *Relation) {
 	e.String(r.Name())
 	e.Uint(uint64(r.Arity()))
 	n := r.Len()
 	e.Uint(uint64(n))
-	for i := 0; i < n; i++ {
-		e.TupleFixed(r.Row(i))
-	}
+	e.Values(r.vals[:n*r.arity])
 }
 
 // Database writes the database's relations sorted by name, so identical

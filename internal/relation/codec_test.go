@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 )
@@ -98,6 +99,115 @@ func TestCodecTuples(t *testing.T) {
 	}
 	if d.Err() != nil {
 		t.Fatal(d.Err())
+	}
+}
+
+// writeRecorder records the size of every Write it is handed.
+type writeRecorder struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestEncoderValuesChunks: Values writes the bytes per-value Value calls
+// write, in as few Writes as its chunk size allows, none larger; a
+// relation's row slab leaves the same way.
+func TestEncoderValuesChunks(t *testing.T) {
+	per := valuesChunk / 8
+	for _, n := range []int{0, 1, 7, per - 1, per, per + 1, 3*per + 5} {
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = Value(int64(i)*0x5DEECE66D - 1<<40)
+		}
+		var want bytes.Buffer
+		we := NewEncoder(&want)
+		for _, v := range vals {
+			we.Value(v)
+		}
+		got := &writeRecorder{}
+		ge := NewEncoder(got)
+		ge.Values(vals)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || ge.Len() != we.Len() {
+			t.Fatalf("n=%d: Values wrote %d bytes unlike per-value Value's %d", n, got.Len(), want.Len())
+		}
+		if wantWrites := (n + per - 1) / per; len(got.sizes) != wantWrites {
+			t.Errorf("n=%d: %d writes, want %d", n, len(got.sizes), wantWrites)
+		}
+		for _, sz := range got.sizes {
+			if sz > valuesChunk {
+				t.Errorf("n=%d: one write of %d bytes exceeds the %d-byte chunk", n, sz, valuesChunk)
+			}
+		}
+	}
+
+	r := NewRelation("R", 3)
+	for i := 0; i < 2*per; i++ {
+		r.MustInsert(Value(i%7), Value(-i), Value(i*i))
+	}
+	var want bytes.Buffer
+	we := NewEncoder(&want)
+	we.String(r.Name())
+	we.Uint(uint64(r.Arity()))
+	we.Uint(uint64(r.Len()))
+	for i := 0; i < r.Len(); i++ {
+		we.TupleFixed(r.Row(i))
+	}
+	got := &writeRecorder{}
+	NewEncoder(got).Relation(r)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("Relation's slab write differs from writing row by row")
+	}
+	if len(got.sizes) > 5+(3*r.Len()+per-1)/per {
+		t.Errorf("Relation used %d writes for %d rows", len(got.sizes), r.Len())
+	}
+}
+
+// rawFrame is an io.WriterTo of fixed bytes.
+type rawFrame []byte
+
+func (f rawFrame) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(f)
+	return int64(n), err
+}
+
+// TestEncoderCounter: a counter reports the length a writing encoder
+// reaches over the same calls, writes nothing, and a nested writer that
+// writes other than its announced length fails the encoder.
+func TestEncoderCounter(t *testing.T) {
+	r := NewRelation("R", 2)
+	for i := 0; i < 1000; i++ {
+		r.MustInsert(Value(i%13), Value(-i))
+	}
+	calls := func(e *Encoder) {
+		e.Uint(300)
+		e.Int(-5)
+		e.String("name")
+		e.Bool(true)
+		e.Float(1.5)
+		e.Values([]Value{1, 2, 3})
+		e.Relation(r)
+		e.Nested(3, rawFrame("abc"))
+		e.Raw([]byte{9, 9})
+	}
+	var buf bytes.Buffer
+	we := NewEncoder(&buf)
+	calls(we)
+	ce := NewCounter()
+	calls(ce)
+	if we.Err() != nil || ce.Err() != nil {
+		t.Fatal(we.Err(), ce.Err())
+	}
+	if ce.Len() != int64(buf.Len()) || we.Len() != int64(buf.Len()) {
+		t.Fatalf("counter says %d bytes, writer %d, buffer holds %d", ce.Len(), we.Len(), buf.Len())
+	}
+	bad := NewEncoder(&bytes.Buffer{})
+	bad.Nested(4, rawFrame("abc"))
+	if bad.Err() == nil {
+		t.Fatal("a nested writer one byte short did not fail the encoder")
 	}
 }
 

@@ -56,22 +56,29 @@ for w in "$W1" "$W2" "$W3"; do
     PIDS="$PIDS $!"
 done
 
-# Readiness: the coordinator reports ready only once every shard of every
-# view has an owner, so one poll loop covers the whole topology.
+# Readiness: the coordinator reports ready once every shard of every view
+# has an owner, but a worker opens its own gate only after its join call
+# returns, which can be later. So one bounded loop polls the coordinator,
+# the single node and every worker until all report ready.
 ready=""
 for _ in $(seq 1 150); do
-    if curl -sf "http://$COORD/readyz" 2>/dev/null | grep -q '"ready":true'; then
-        ready=1
-        break
-    fi
+    ready=1
+    for addr in "$COORD" "$SINGLE" "$W1" "$W2" "$W3"; do
+        curl -sf "http://$addr/readyz" 2>/dev/null | grep -q '"ready":true' || { ready=""; break; }
+    done
+    [ -n "$ready" ] && break
     sleep 0.1
 done
-[ -n "$ready" ] || { echo "coordinator not ready" >&2; curl -s "http://$COORD/readyz" >&2 || true; exit 1; }
-curl -sf "http://$SINGLE/readyz" | grep -q '"ready":true' || { echo "single node not ready" >&2; exit 1; }
+if [ -z "$ready" ]; then
+    for addr in "$COORD" "$SINGLE" "$W1" "$W2" "$W3"; do
+        curl -sf "http://$addr/readyz" 2>/dev/null | grep -q '"ready":true' || {
+            echo "$addr not ready" >&2
+            curl -s "http://$addr/readyz" >&2 || true
+        }
+    done
+    exit 1
+fi
 curl -sf "http://$COORD/healthz" > /dev/null || { echo "coordinator /healthz not 200" >&2; exit 1; }
-for w in "$W1" "$W2" "$W3"; do
-    curl -sf "http://$w/readyz" | grep -q '"ready":true' || { echo "worker $w not ready" >&2; exit 1; }
-done
 
 # verify_identity LABEL: every routed bound-key lookup (including a miss)
 # and the free enumeration must stream byte-identically from both tiers in
