@@ -256,7 +256,11 @@ func BenchmarkDecompPathQuery(b *testing.B) {
 		Bags:   [][]int{{0, 4, 5}, {0, 1, 3, 4}, {1, 2, 3}, {5, 6}},
 		Parent: []int{-1, 0, 1, 0},
 	}
-	s, err := decomp.Build(nv, dec, []float64{0, 1.0 / 3, 1.0 / 6, 0})
+	inst, err := join.NewInstance(nv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := decomp.Build(inst, dec, []float64{0, 1.0 / 3, 1.0 / 6, 0})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -188,6 +188,10 @@ type Representation struct {
 	// lazy defers decoding for mmap-loaded snapshots; nil for eagerly
 	// built or loaded representations. See ensure in lazy.go.
 	lazy *lazySnapshot
+
+	// payloadSize is the snapshot payload's length once payloadLen has
+	// counted it, 0 before.
+	payloadSize atomic.Int64
 }
 
 // Build compiles the adorned view over db. Non-full views (boolean or
@@ -453,7 +457,7 @@ func (r *Representation) buildDecomposition(cfg *config) (backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := decomp.Build(r.sh.nv, d, delta, decomp.Instance(inst), decomp.Workers(cfg.workers), decomp.Context(cfg.ctx))
+	s, err := decomp.Build(inst, d, delta, decomp.Workers(cfg.workers), decomp.Context(cfg.ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -588,21 +592,18 @@ func (r *Representation) Instance() *join.Instance {
 	return inst
 }
 
-// InstanceBuilt reports whether the join instance has been built for r
-// or, for the sharded composite, for any of its shards. Serving a
-// materialized output never builds it. Like every accessor it first
-// materializes an mmap-loaded representation, which decodes the payload
-// but builds no instance; one that fails to decode reports false.
-func (r *Representation) InstanceBuilt() bool {
-	if err := r.ensure(); err != nil {
-		return false
-	}
-	if r.sh.inst.Load() != nil {
+// InstanceBuiltForTest reports whether r, or any shard of the sharded
+// composite, has built its join instance. It is a test hook: serving
+// never calls it. It decodes nothing — an mmap-loaded representation or
+// shard that no request has touched has built none — so callers must be
+// ordered after whatever touched r (a drained request, a closed server).
+func InstanceBuiltForTest(r *Representation) bool {
+	if r.sh != nil && r.sh.inst.Load() != nil {
 		return true
 	}
 	if sb, ok := r.be.(*shardedBackend); ok {
 		for _, sub := range sb.subs {
-			if sub.InstanceBuilt() {
+			if InstanceBuiltForTest(sub) {
 				return true
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"cqrep/internal/cq"
 	"cqrep/internal/decomp"
+	"cqrep/internal/join"
 	"cqrep/internal/relation"
 	"cqrep/internal/workload"
 )
@@ -288,7 +289,11 @@ func TestOptimizeDelta(t *testing.T) {
 		t.Errorf("tight budget height %v < loose %v", dec.DeltaHeight(tight), dec.DeltaHeight(loose))
 	}
 	// The planned assignment must build and answer correctly.
-	s, err := decomp.Build(nv, dec, tight)
+	inst, err := join.NewInstance(nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := decomp.Build(inst, dec, tight)
 	if err != nil {
 		t.Fatal(err)
 	}

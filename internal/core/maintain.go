@@ -56,11 +56,12 @@ type Maintained struct {
 	compactErr   error
 
 	rebuilding atomic.Bool
-	// stale is staleLocked() as of the last change to pending or db, so
-	// Query reads it without taking mu, which buffer holds across the
-	// update log's append.
-	stale atomic.Bool
-	wg    sync.WaitGroup
+	// stale is staleLocked() as of the last change to pending or db, and
+	// failed is err != nil, so Query and triggerRebuild read them without
+	// taking mu, which buffer holds across the update log's append.
+	stale  atomic.Bool
+	failed atomic.Bool
+	wg     sync.WaitGroup
 
 	// testHookPreClear, when set (tests only, before any use), runs right
 	// before rebuildBatch clears the rebuilding flag — the window in which
@@ -230,18 +231,21 @@ func (m *Maintained) noteStaleLocked() bool {
 	return stale
 }
 
+// setErrLocked records the standing rebuild error (nil clears it) and
+// publishes whether there is one to the lock-free failed flag. Callers
+// hold m.mu for writing.
+func (m *Maintained) setErrLocked(err error) {
+	m.err = err
+	m.failed.Store(err != nil)
+}
+
 // triggerRebuild starts a background rebuild unless one is already in
 // flight or a previous rebuild failed (a standing error pauses automatic
 // maintenance — retrying every failing build in a loop would burn CPU
-// without making progress; Flush retries after surfacing the error).
+// without making progress; Flush retries after surfacing the error). It
+// takes no lock.
 func (m *Maintained) triggerRebuild() {
-	m.mu.RLock()
-	failed := m.err != nil
-	m.mu.RUnlock()
-	if failed {
-		return
-	}
-	if !m.rebuilding.CompareAndSwap(false, true) {
+	if m.failed.Load() || !m.rebuilding.CompareAndSwap(false, true) {
 		return
 	}
 	m.wg.Add(1)
@@ -278,7 +282,27 @@ func (m *Maintained) rebuildBatch() {
 	}
 
 	clone := db.Clone()
-	noops, applyErr := applyBatch(clone, batch)
+	noops := 0
+	var applyErr error
+	for _, c := range batch {
+		r, err := clone.Relation(c.rel)
+		if err != nil {
+			applyErr = err
+			break
+		}
+		if c.delete {
+			// Deleting an absent tuple is a set-semantics no-op; count it
+			// (a client deleting blind, or a WAL replay over a snapshot
+			// that already contains the delete) instead of silently
+			// swallowing the report.
+			if !r.Delete(c.tuple) {
+				noops++
+			}
+		} else if err := r.Insert(c.tuple); err != nil {
+			applyErr = err
+			break
+		}
+	}
 	// Capable backends absorb the batch through the delta path; sharded
 	// representations recompile only the shards whose partition the batch
 	// touched; everything else is a full recompile (Representation.rebuildFor).
@@ -294,7 +318,7 @@ func (m *Maintained) rebuildBatch() {
 		// Keep the batch buffered so no update is lost; further automatic
 		// rebuilds are suppressed until Flush observes the error and
 		// retries explicitly (see triggerRebuild).
-		m.err = applyErr
+		m.setErrLocked(applyErr)
 	} else {
 		m.db = clone
 		m.pending = append([]change(nil), m.pending[n:]...)
@@ -326,34 +350,6 @@ func (m *Maintained) rebuildBatch() {
 	m.retriggerIfStale()
 }
 
-// applyBatch applies a change batch to db, each relation's changes in
-// batch order and in one pass (relation.Apply). Deleting an absent tuple
-// is a set-semantics no-op; applyBatch counts them (a client deleting
-// blind, or a WAL replay over a snapshot that already contains the
-// delete) instead of silently swallowing the report.
-func applyBatch(db *relation.Database, batch []change) (noops int, err error) {
-	ops := make(map[string][]relation.Op)
-	var rels []*relation.Relation
-	for _, c := range batch {
-		if _, ok := ops[c.rel]; !ok {
-			r, err := db.Relation(c.rel)
-			if err != nil {
-				return 0, err
-			}
-			rels = append(rels, r)
-		}
-		ops[c.rel] = append(ops[c.rel], relation.Op{Tuple: c.tuple, Delete: c.delete})
-	}
-	for _, r := range rels {
-		misses, err := r.Apply(ops[r.Name()])
-		if err != nil {
-			return 0, err
-		}
-		noops += misses
-	}
-	return noops, nil
-}
-
 // retriggerIfStale re-examines staleness after the rebuilding flag has
 // been cleared and chains another rebuild if churn warrants one. The
 // staleness check MUST happen after Store(false): a triggerRebuild racing
@@ -378,7 +374,7 @@ func (m *Maintained) Flush() error {
 		m.mu.Lock()
 		n := len(m.pending)
 		err := m.err
-		m.err = nil
+		m.setErrLocked(nil)
 		m.mu.Unlock()
 		if err != nil {
 			return err
@@ -398,10 +394,10 @@ func (m *Maintained) Flush() error {
 func (m *Maintained) Quiesce() { m.wg.Wait() }
 
 // Query answers an access request against the current snapshot. It takes
-// no lock, so it never waits on a writer's buffering or log append, and it
-// never blocks on a rebuild: when the snapshot is past its staleness budget a
-// background rebuild is triggered and the query proceeds against the old
-// (consistent) snapshot. Queries do not fail when maintenance does —
+// no lock, fresh or stale, so it never waits on a writer's buffering or
+// log append, and it never blocks on a rebuild: when the snapshot is past
+// its staleness budget a background rebuild is triggered and the query
+// proceeds against the old (consistent) snapshot. Queries do not fail when maintenance does —
 // after a rebuild failure they keep serving the last good snapshot; the
 // failure is reported by Err and by the next Flush, which retries it.
 func (m *Maintained) Query(vb relation.Tuple) (Iterator, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -466,16 +467,16 @@ func (p *partitioner) shardBatch(batch []change, s int) []change {
 // complete snapshot frame, length-prefixed, in shard order. Reusing the
 // frame format per shard means a shard's snapshot is self-contained and
 // the existing single-backend codec needs no changes. Each frame streams
-// through e after its counted length.
+// through e after its length, which the shard counts once and keeps.
 func (b *shardedBackend) EncodeTo(e *relation.Encoder) {
 	e.String(b.parts.keyVar)
 	for _, sub := range b.subs {
-		n, err := sub.frameLen()
+		size, err := sub.payloadLen()
 		if err != nil {
 			e.Fail(fmt.Errorf("core: encoding shard frame: %w", err))
 			return
 		}
-		e.Uint(uint64(n))
-		e.Nested(n, sub)
+		e.Uint(uint64(frameLen(size)))
+		e.Nested(frameLen(size), func(w io.Writer) (int64, error) { return sub.writeFrame(w, size) })
 	}
 }

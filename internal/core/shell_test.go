@@ -91,11 +91,11 @@ func TestMaterializedLoadBuildsNoInstance(t *testing.T) {
 			}
 		}
 		snapshotBytes(t, rep)
-		if rep.InstanceBuilt() {
+		if InstanceBuiltForTest(rep) {
 			t.Errorf("%s: serving a materialized snapshot built the join instance", name)
 		}
 		// The probe is honest: asking for the instance builds it.
-		if rep.Instance() == nil || !rep.InstanceBuilt() {
+		if rep.Instance() == nil || !InstanceBuiltForTest(rep) {
 			t.Errorf("%s: Instance() did not build the join instance", name)
 		}
 	}
@@ -107,7 +107,7 @@ func TestMaterializedLoadBuildsNoInstance(t *testing.T) {
 func TestInstanceBuiltOnceConcurrently(t *testing.T) {
 	_, loads := materializedLoads(t)
 	rep := loads["unsharded/eager"]
-	if rep.InstanceBuilt() {
+	if InstanceBuiltForTest(rep) {
 		t.Fatal("load built the instance")
 	}
 	const callers = 8
@@ -304,30 +304,44 @@ func TestReadRepresentationSizesPayloadOnce(t *testing.T) {
 }
 
 // TestMaintainedQueryTakesNoLock: a reader never waits on the buffer lock,
-// which a writer holds across its update-log append, and a Query on a
-// stale buffer — here filled by Replay, which never triggers a rebuild
-// itself — still starts the rebuild.
+// which a writer holds across its update-log append — not on a fresh
+// snapshot, not on a stale one whose rebuild is in flight, and not after a
+// rebuild failed — and a Query on a stale buffer (here filled by Replay,
+// which never triggers a rebuild itself) still starts the rebuild.
 func TestMaintainedQueryTakesNoLock(t *testing.T) {
 	view, db := smallMaintainedDB()
 	m, err := NewMaintained(view, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	done := make(chan []relation.Tuple)
-	go func() {
-		it, _ := m.Query(relation.Tuple{1})
-		done <- Drain(it)
-	}()
-	select {
-	case got := <-done:
-		if len(got) != 1 {
-			t.Errorf("query under a held buffer lock answered %v", got)
+	taken := make(chan struct{}, 1)
+	release := make(chan struct{})
+	m.testHookBatchTaken = func() {
+		select {
+		case taken <- struct{}{}:
+		default:
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Query waited on the buffer lock")
+		<-release
 	}
-	m.mu.Unlock()
+	queryUnderLock := func(stage string) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		done := make(chan []relation.Tuple)
+		go func() {
+			it, _ := m.Query(relation.Tuple{1})
+			done <- Drain(it)
+		}()
+		select {
+		case got := <-done:
+			if len(got) == 0 {
+				t.Errorf("%s: query under a held buffer lock answered nothing", stage)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Query waited on the buffer lock", stage)
+		}
+	}
+	queryUnderLock("fresh")
 
 	if err := m.Replay("R", relation.Tuple{1, 7}, false); err != nil {
 		t.Fatal(err)
@@ -338,15 +352,42 @@ func TestMaintainedQueryTakesNoLock(t *testing.T) {
 	if _, err := m.Query(relation.Tuple{1}); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-taken:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a stale Query did not start a rebuild")
+	}
+	// The rebuild holds its batch: the buffer stays stale until it ends.
+	queryUnderLock("stale, rebuild in flight")
+	close(release)
 	m.Quiesce()
 	if m.Pending() != 0 || m.Rebuilds() != 1 {
 		t.Fatalf("pending=%d rebuilds=%d: a stale Query did not rebuild", m.Pending(), m.Rebuilds())
 	}
+
+	if err := m.Replay("R", relation.Tuple{1, 8}, false); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	m.setErrLocked(errors.New("injected rebuild failure"))
+	m.mu.Unlock()
+	queryUnderLock("stale, rebuild failed")
+	m.Quiesce()
+	if m.Rebuilds() != 1 {
+		t.Fatalf("rebuilds=%d: a Query rebuilt past a standing failure", m.Rebuilds())
+	}
+	if err := m.Flush(); err == nil {
+		t.Fatal("Flush did not report the standing failure")
+	}
+	if err := m.Flush(); err != nil || m.Pending() != 0 {
+		t.Fatalf("second Flush: %v, pending=%d", err, m.Pending())
+	}
 }
 
 // TestWriteToStreamsFrame: WriteTo never holds a frame in memory whole,
-// and the composite's frame carries each shard's own frame, byte for byte,
-// as WriteShard writes it.
+// each shard keeps the payload length it counted, and the composite's
+// frame carries each shard's own frame, byte for byte, as WriteShard
+// writes it.
 func TestWriteToStreamsFrame(t *testing.T) {
 	s := relation.NewRelation("S", 2)
 	for x := relation.Value(0); x < 64; x++ {
@@ -361,7 +402,7 @@ func TestWriteToStreamsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := snapshotBytes(t, rep)
-	for i := 0; i < rep.ShardCount(); i++ {
+	for i, sub := range rep.be.(*shardedBackend).subs {
 		var shard bytes.Buffer
 		if _, err := rep.WriteShard(i, &shard); err != nil {
 			t.Fatal(err)
@@ -369,9 +410,12 @@ func TestWriteToStreamsFrame(t *testing.T) {
 		if !bytes.Contains(frame, shard.Bytes()) {
 			t.Fatalf("shard %d's frame is not nested verbatim in the composite's", i)
 		}
+		if got := frameLen(sub.payloadSize.Load()); got != int64(shard.Len()) {
+			t.Fatalf("shard %d kept a payload count for a %d-byte frame; its frame is %d bytes", i, got, shard.Len())
+		}
 	}
-	if n, err := rep.frameLen(); err != nil || n != int64(len(frame)) {
-		t.Fatalf("frameLen = %d, %v; WriteTo wrote %d bytes", n, err, len(frame))
+	if got := frameLen(rep.payloadSize.Load()); got != int64(len(frame)) {
+		t.Fatalf("kept a payload count for a %d-byte frame; WriteTo wrote %d bytes", got, len(frame))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -382,5 +426,8 @@ func TestWriteToStreamsFrame(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(frame))/8 {
 		t.Errorf("writing a %d-byte frame allocated %d bytes", len(frame), grew)
+	}
+	if again := snapshotBytes(t, rep); !bytes.Equal(again, frame) {
+		t.Fatal("a second WriteTo wrote different bytes")
 	}
 }

@@ -57,55 +57,73 @@ const frameBuffer = 64 << 10
 
 // WriteTo serializes the representation as one snapshot frame. It
 // implements io.WriterTo; Save is the file-path form. The payload streams
-// to w through one small buffer: a counting pass puts its length in the
-// header first, so the frame is never held in memory whole.
+// to w through one small buffer, its length counted first for the header,
+// so the frame is never held in memory whole: each frame's payload,
+// nested shard frames included, is encoded once to count it and once to
+// write it.
 func (r *Representation) WriteTo(w io.Writer) (int64, error) {
 	size, err := r.payloadLen()
 	if err != nil {
 		return 0, err
 	}
+	return r.writeFrame(w, size)
+}
+
+// writeFrame writes the representation's frame, whose payload payloadLen
+// counted as size bytes, to w and reports the bytes w accepted. The
+// payload reaches w, and its checksum, in frameBuffer-sized writes.
+func (r *Representation) writeFrame(w io.Writer, size int64) (int64, error) {
 	cw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(cw, frameBuffer)
 	var hdr [snapshotHeaderLen]byte
 	copy(hdr[:], snapshotMagic)
 	binary.BigEndian.PutUint16(hdr[len(snapshotMagic):], snapshotVersion)
 	binary.BigEndian.PutUint64(hdr[len(snapshotMagic)+2:], uint64(size))
-	bw.Write(hdr[:])
-	sw := &crcWriter{w: bw}
-	e := relation.NewEncoder(sw)
+	if _, err := cw.Write(hdr[:]); err != nil {
+		return cw.n, err
+	}
+	sw := &crcWriter{w: cw}
+	bw := bufio.NewWriterSize(sw, frameBuffer)
+	e := relation.NewEncoder(bw)
 	r.encodePayload(e)
 	if err := e.Err(); err != nil {
-		bw.Flush()
+		return cw.n, err
+	}
+	if err := bw.Flush(); err != nil {
 		return cw.n, err
 	}
 	if e.Len() != size {
-		bw.Flush()
 		return cw.n, fmt.Errorf("cqrep: snapshot payload is %d bytes, its counting pass said %d", e.Len(), size)
 	}
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], sw.sum)
-	bw.Write(sum[:])
-	err = bw.Flush()
+	_, err := cw.Write(sum[:])
 	return cw.n, err
 }
 
 // payloadLen is the byte length of the representation's snapshot
-// payload, counted without writing it. An mmap-loaded representation
-// materializes first.
+// payload, counted without writing it and kept: a representation never
+// changes once built or decoded, so neither do its snapshot bytes, and a
+// sharded composite's counting and writing passes read each shard's
+// count from here. An mmap-loaded representation materializes first.
 func (r *Representation) payloadLen() (int64, error) {
 	if err := r.ensure(); err != nil {
 		return 0, err
 	}
+	if n := r.payloadSize.Load(); n > 0 {
+		return n, nil
+	}
 	e := relation.NewCounter()
 	r.encodePayload(e)
-	return e.Len(), e.Err()
+	if err := e.Err(); err != nil {
+		return 0, err
+	}
+	r.payloadSize.Store(e.Len())
+	return e.Len(), nil
 }
 
-// frameLen is the byte length of the representation's snapshot frame.
-func (r *Representation) frameLen() (int64, error) {
-	n, err := r.payloadLen()
-	return int64(snapshotHeaderLen) + n + 4, err
-}
+// frameLen is the byte length of a snapshot frame around a payload of
+// the given length.
+func frameLen(payload int64) int64 { return int64(snapshotHeaderLen) + payload + 4 }
 
 // encodePayload writes the snapshot payload: the view, the base relations
 // it references, the strategy, the build time, the shard count and the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"testing"
@@ -262,11 +263,9 @@ func versionSkewFrame(t *testing.T, snap []byte, v uint16) []byte {
 	return bad
 }
 
-// BenchmarkReadRepresentation prices a snapshot load of the scan shape: a
-// 3-shard materialized W[bf](x, y) over 64 keys × 8192 answers. Loading
-// rebuilds the query shell of the whole view and of each shard around the
-// decoded buckets.
-func BenchmarkReadRepresentation(b *testing.B) {
+// scanShape is the benchmark's scan data: S(x, y) over 64 keys × 8192
+// answers.
+func scanShape() *relation.Database {
 	const keys, perKey, stride = 64, 8192, 128
 	rng := rand.New(rand.NewSource(1))
 	s := relation.NewRelation("S", 2)
@@ -277,7 +276,14 @@ func BenchmarkReadRepresentation(b *testing.B) {
 	}
 	db := relation.NewDatabase()
 	db.Add(s)
-	r, err := Build(cq.MustParse("W[bf](x, y) :- S(x, y)"), db, WithStrategy(MaterializedStrategy), WithShards(3))
+	return db
+}
+
+// BenchmarkReadRepresentation prices a snapshot load of the scan shape: a
+// 3-shard materialized W[bf](x, y). Loading normalizes the whole view and
+// each shard around the decoded buckets and builds no join instance.
+func BenchmarkReadRepresentation(b *testing.B) {
+	r, err := Build(cq.MustParse("W[bf](x, y) :- S(x, y)"), scanShape(), WithStrategy(MaterializedStrategy), WithShards(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,5 +298,36 @@ func BenchmarkReadRepresentation(b *testing.B) {
 		if _, err := ReadRepresentation(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWriteTo prices a representation's first snapshot write, its
+// counting pass included (each iteration drops the kept payload counts),
+// for a 3-shard W[bf](x, y) over the scan shape.
+func BenchmarkWriteTo(b *testing.B) {
+	db := scanShape()
+	for _, st := range []Strategy{MaterializedStrategy, PrimitiveStrategy} {
+		b.Run(st.String(), func(b *testing.B) {
+			r, err := Build(cq.MustParse("W[bf](x, y) :- S(x, y)"), db, WithStrategy(st), WithShards(3))
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := r.WriteTo(io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.payloadSize.Store(0)
+				for _, sub := range r.be.(*shardedBackend).subs {
+					sub.payloadSize.Store(0)
+				}
+				if _, err := r.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -257,14 +257,14 @@ func buildInstance(t *testing.T, v *cq.View, db *relation.Database) (*cq.Normali
 // request against the naive join, across delay assignments.
 func TestFigure2StructureEndToEnd(t *testing.T) {
 	db := workload.PathDB(11, 6, 120, 12)
-	nv, inst := buildInstance(t, pathView6(), db)
+	_, inst := buildInstance(t, pathView6(), db)
 	dec := figure2Decomposition()
 	for _, delta := range [][]float64{
 		{0, 0, 0, 0},
 		{0, 1.0 / 3, 1.0 / 6, 0},
 		{0, 0.5, 0.5, 0.5},
 	} {
-		s, err := Build(nv, dec, delta)
+		s, err := Build(inst, dec, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestStructureAgainstNaiveRandom(t *testing.T) {
 		for i := 1; i < len(delta); i++ {
 			delta[i] = deltas[rng.Intn(len(deltas))]
 		}
-		s, err := Build(nv, res.Dec, delta)
+		s, err := Build(inst, res.Dec, delta)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, view, err)
 		}
@@ -343,13 +343,9 @@ func TestAllBoundView(t *testing.T) {
 	r.MustInsert(1, 2)
 	r.MustInsert(2, 3)
 	db.Add(r)
-	v := cq.MustParse("Q[bb](x, y) :- R(x, y)")
-	nv, err := cq.Normalize(v, db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, inst := buildInstance(t, cq.MustParse("Q[bb](x, y) :- R(x, y)"), db)
 	dec := &Decomposition{Bags: [][]int{{0, 1}}, Parent: []int{-1}}
-	s, err := Build(nv, dec, []float64{0})
+	s, err := Build(inst, dec, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,9 +361,9 @@ func TestAllBoundView(t *testing.T) {
 // yields per-bag thresholds of 1 and the δ-width equals fhw(H|V_b).
 func TestProposition4ConstantDelay(t *testing.T) {
 	db := workload.PathDB(5, 6, 80, 10)
-	nv, _ := buildInstance(t, pathView6(), db)
+	_, inst := buildInstance(t, pathView6(), db)
 	dec := figure2Decomposition()
-	s, err := Build(nv, dec, make([]float64, 4))
+	s, err := Build(inst, dec, make([]float64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,16 +385,16 @@ func TestProposition4ConstantDelay(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	db := workload.PathDB(5, 6, 10, 5)
-	nv, _ := buildInstance(t, pathView6(), db)
+	_, inst := buildInstance(t, pathView6(), db)
 	dec := figure2Decomposition()
-	if _, err := Build(nv, dec, []float64{0}); err == nil {
+	if _, err := Build(inst, dec, []float64{0}); err == nil {
 		t.Error("wrong-length delta must fail")
 	}
-	if _, err := Build(nv, dec, []float64{0, -1, 0, 0}); err == nil {
+	if _, err := Build(inst, dec, []float64{0, -1, 0, 0}); err == nil {
 		t.Error("negative delta must fail")
 	}
 	bad := &Decomposition{Bags: [][]int{{0}}, Parent: []int{-1}}
-	if _, err := Build(nv, bad, []float64{0}); err == nil {
+	if _, err := Build(inst, bad, []float64{0}); err == nil {
 		t.Error("invalid decomposition must fail")
 	}
 }
@@ -406,10 +402,10 @@ func TestBuildValidation(t *testing.T) {
 // TestStatsAndAccessors smoke-tests the reporting surface.
 func TestStatsAndAccessors(t *testing.T) {
 	db := workload.PathDB(5, 6, 60, 8)
-	nv, _ := buildInstance(t, pathView6(), db)
+	_, inst := buildInstance(t, pathView6(), db)
 	dec := figure2Decomposition()
 	delta := []float64{0, 1.0 / 3, 1.0 / 6, 0}
-	s, err := Build(nv, dec, delta)
+	s, err := Build(inst, dec, delta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // multiple of |D|^h — the measurable form of the Theorem-2 delay claim.
 func TestTheorem2DelayEnvelope(t *testing.T) {
 	db := workload.PathDB(21, 6, 200, 14)
-	nv, _ := buildInstance(t, pathView6(), db)
+	_, inst := buildInstance(t, pathView6(), db)
 	dec := figure2Decomposition()
 	n := float64(db.Size())
 	rng := rand.New(rand.NewSource(9))
@@ -23,7 +23,7 @@ func TestTheorem2DelayEnvelope(t *testing.T) {
 		{0, 0, 0, 0},
 		{0, 1.0 / 3, 1.0 / 6, 0},
 	} {
-		s, err := Build(nv, dec, delta)
+		s, err := Build(inst, dec, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

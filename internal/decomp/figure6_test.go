@@ -75,7 +75,7 @@ func TestFigure6BranchingEndToEnd(t *testing.T) {
 		make([]float64, 6),
 		{0, 0.2, 0.1, 0.3, 0.1, 0.2},
 	} {
-		s, err := Build(nv, dec, delta)
+		s, err := Build(inst, dec, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,6 @@ type BuildOption func(*buildConfig)
 type buildConfig struct {
 	workers int
 	ctx     context.Context
-	inst    *join.Instance
 }
 
 // Workers bounds the number of goroutines used to build decomposition bags
@@ -76,14 +75,13 @@ func Workers(n int) BuildOption { return func(c *buildConfig) { c.workers = n } 
 // means context.Background().
 func Context(ctx context.Context) BuildOption { return func(c *buildConfig) { c.ctx = ctx } }
 
-// Instance hands Build the caller's already-built join instance over the
-// same normalized view, so the whole-view indexes are not built twice.
-func Instance(inst *join.Instance) BuildOption { return func(c *buildConfig) { c.inst = inst } }
-
-// Build constructs the Theorem-2 structure for a normalized view under the
-// given connex decomposition and delay assignment δ (indexed by bag;
-// δ[0] is ignored and treated as 0). Bag thresholds are τ_t = |D|^{δ(t)}.
-func Build(nv *cq.NormalizedView, dec *Decomposition, delta []float64, opts ...BuildOption) (*Structure, error) {
+// Build constructs the Theorem-2 structure for a join instance's normalized
+// view under the given connex decomposition and delay assignment δ (indexed
+// by bag; δ[0] is ignored and treated as 0). Bag thresholds are
+// τ_t = |D|^{δ(t)}. The structure keeps gInst: its queries read the
+// whole-view indexes.
+func Build(gInst *join.Instance, dec *Decomposition, delta []float64, opts ...BuildOption) (*Structure, error) {
+	nv := gInst.NV
 	h := nv.Hypergraph()
 	if err := dec.Validate(h, nv.Bound); err != nil {
 		return nil, err
@@ -107,13 +105,6 @@ func Build(nv *cq.NormalizedView, dec *Decomposition, delta []float64, opts ...B
 		cfg.ctx = context.Background()
 	}
 	start := time.Now()
-	gInst := cfg.inst
-	if gInst == nil {
-		var err error
-		if gInst, err = join.NewInstance(nv); err != nil {
-			return nil, err
-		}
-	}
 	widths, err := dec.Widths(h, delta)
 	if err != nil {
 		return nil, err

@@ -40,11 +40,11 @@ func TestRedundantBagWithoutFreeVars(t *testing.T) {
 	if got := dec.FreeOf(2); len(got) != 0 {
 		t.Fatalf("bag 2 must have no free variables, got %v", got)
 	}
-	st, err := Build(nv, dec, make([]float64, 4))
+	inst, err := join.NewInstance(nv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := join.NewInstance(nv)
+	st, err := Build(inst, dec, make([]float64, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,11 @@ func TestBagTausMatchDelta(t *testing.T) {
 		Parent: []int{-1, 0, 1, 0},
 	}
 	delta := []float64{0, 0.5, 0.25, 0}
-	s, err := Build(nv, dec, delta)
+	inst, err := join.NewInstance(nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(inst, dec, delta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func E15DeltaShapes(sizePer, queries int, seed int64) []*bench.Table {
 	db := workload.PathDB(seed, 6, sizePer, intSqrt(sizePer*3))
 	view := cq.MustParse("Q[bfffbbf](v1, v2, v3, v4, v5, v6, v7) :- " +
 		"R1(v1, v2), R2(v2, v3), R3(v3, v4), R4(v4, v5), R5(v5, v6), R6(v6, v7)")
-	nv, inst := mustInstance(view, db)
+	_, inst := mustInstance(view, db)
 	dec := &decomp.Decomposition{
 		Bags:   [][]int{{0, 4, 5}, {0, 1, 3, 4}, {1, 2, 3}, {5, 6}},
 		Parent: []int{-1, 0, 1, 0},
@@ -140,7 +140,7 @@ func E15DeltaShapes(sizePer, queries int, seed int64) []*bench.Table {
 	t := bench.NewTable("E15 Delay-assignment shapes (Figure 2 decomposition, equal height 0.5)",
 		"shape", "height", "width", "entries", "bytes", "max delay ops")
 	for _, sh := range shapes {
-		s, err := decomp.Build(nv, dec, sh.delta)
+		s, err := decomp.Build(inst, dec, sh.delta)
 		if err != nil {
 			panic(err)
 		}

@@ -103,12 +103,12 @@ func E3DRep(sizes []int, seed int64) []*bench.Table {
 	for _, n := range sizes {
 		db := workload.PathDB(seed, 4, n/4, intSqrt(n))
 		view := cq.MustParse("P(x1, x2, x3, x4, x5) :- R1(x1, x2), R2(x2, x3), R3(x3, x4), R4(x4, x5)")
-		nv, _ := mustInstance(view, db)
+		nv, inst := mustInstance(view, db)
 		res, err := decomp.SearchConnex(nv.Hypergraph(), nv.Bound)
 		if err != nil {
 			panic(err)
 		}
-		s, err := decomp.Build(nv, res.Dec, make([]float64, len(res.Dec.Bags)))
+		s, err := decomp.Build(inst, res.Dec, make([]float64, len(res.Dec.Bags)))
 		if err != nil {
 			panic(err)
 		}
@@ -191,7 +191,7 @@ func E6PathDecomp(sizePer, queries int, seed int64) []*bench.Table {
 	n := 4
 	db := workload.PathDB(seed, n, sizePer, intSqrt(sizePer*2))
 	view := workload.PathView(n)
-	nv, inst := mustInstance(view, db)
+	_, inst := mustInstance(view, db)
 	total := db.Size()
 	rng := rand.New(rand.NewSource(seed + 5))
 	vbs := sampleVbs(rng, inst, queries)
@@ -219,7 +219,7 @@ func E6PathDecomp(sizePer, queries int, seed int64) []*bench.Table {
 	for _, tau := range tauSweep(total)[1:] {
 		x := decomp.LogBase(total, tau)
 		delta := decomp.UniformDelta(dec, x)
-		s, err := decomp.Build(nv, dec, delta)
+		s, err := decomp.Build(inst, dec, delta)
 		if err != nil {
 			panic(err)
 		}

@@ -31,6 +31,9 @@ type Encoder struct {
 	n       int64
 	err     error
 	scratch []byte // Values' chunk buffer, made on first use
+	// word holds one scalar's bytes on their way to w: a local array
+	// handed to an interface Write escapes, one allocation per value.
+	word [binary.MaxVarintLen64]byte
 }
 
 // NewEncoder returns an encoder over w.
@@ -71,22 +74,18 @@ func (e *Encoder) write(p []byte) {
 }
 
 // Byte writes one raw byte.
-func (e *Encoder) Byte(b byte) { e.write([]byte{b}) }
+func (e *Encoder) Byte(b byte) {
+	e.word[0] = b
+	e.write(e.word[:1])
+}
 
 // Raw writes p verbatim (the caller's decoder must know the length).
 func (e *Encoder) Raw(p []byte) { e.write(p) }
 
 // Uint writes v as a LEB128 uvarint.
 func (e *Encoder) Uint(v uint64) {
-	var buf [10]byte
-	i := 0
-	for v >= 0x80 {
-		buf[i] = byte(v) | 0x80
-		v >>= 7
-		i++
-	}
-	buf[i] = byte(v)
-	e.write(buf[:i+1])
+	n := binary.PutUvarint(e.word[:], v)
+	e.write(e.word[:n])
 }
 
 // Int writes v zigzag-encoded as a uvarint.
@@ -105,9 +104,8 @@ func (e *Encoder) Bool(b bool) {
 func (e *Encoder) Float(f float64) { e.be64(math.Float64bits(f)) }
 
 func (e *Encoder) be64(u uint64) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], u)
-	e.write(buf[:])
+	binary.BigEndian.PutUint64(e.word[:8], u)
+	e.write(e.word[:8])
 }
 
 // Floats writes a uvarint count followed by each float.
@@ -146,9 +144,10 @@ func (e *Encoder) Values(vals []Value) {
 	}
 }
 
-// Nested writes wt's serialization, which must be exactly n bytes, as
-// raw bytes; a counter adds n without calling wt.
-func (e *Encoder) Nested(n int64, wt io.WriterTo) {
+// Nested writes n raw bytes by handing the encoder's writer to write,
+// which reports how many it wrote; a count other than n fails the
+// encoder. A counter adds n without calling write.
+func (e *Encoder) Nested(n int64, write func(io.Writer) (int64, error)) {
 	if e.err != nil {
 		return
 	}
@@ -156,7 +155,7 @@ func (e *Encoder) Nested(n int64, wt io.WriterTo) {
 		e.n += n
 		return
 	}
-	m, err := wt.WriteTo(e.w)
+	m, err := write(e.w)
 	e.n += m
 	if err == nil && m != n {
 		err = fmt.Errorf("relation: nested writer wrote %d bytes, announced %d", m, n)

@@ -166,12 +166,12 @@ func TestEncoderValuesChunks(t *testing.T) {
 	}
 }
 
-// rawFrame is an io.WriterTo of fixed bytes.
-type rawFrame []byte
-
-func (f rawFrame) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(f)
-	return int64(n), err
+// rawFrame is a Nested writer of fixed bytes.
+func rawFrame(s string) func(io.Writer) (int64, error) {
+	return func(w io.Writer) (int64, error) {
+		n, err := w.Write([]byte(s))
+		return int64(n), err
+	}
 }
 
 // TestEncoderCounter: a counter reports the length a writing encoder

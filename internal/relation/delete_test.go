@@ -2,7 +2,6 @@ package relation
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -69,77 +68,5 @@ func TestInsertDeleteChurn(t *testing.T) {
 		if !r.Contains(Tuple{k[0], k[1]}) {
 			t.Fatalf("missing %v", k)
 		}
-	}
-}
-
-// TestApplyMatchesInsertDelete: Apply leaves the same rows and reports
-// the same missed deletes as calling Insert and Delete op by op, across
-// arities 0-3, repeated and cancelling ops and deletes of absent tuples;
-// rows handed out before stay intact, and a clone sharing the slab does
-// not move.
-func TestApplyMatchesInsertDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 300; trial++ {
-		arity := trial % 4
-		base := NewRelation("R", arity)
-		for i := rng.Intn(40); i > 0; i-- {
-			tu := make(Tuple, arity)
-			for c := range tu {
-				tu[c] = Value(rng.Intn(5) - 2)
-			}
-			base.MustInsert(tu...)
-		}
-		ops := make([]Op, rng.Intn(30))
-		for i := range ops {
-			tu := make(Tuple, arity)
-			for c := range tu {
-				tu[c] = Value(rng.Intn(5) - 2)
-			}
-			ops[i] = Op{Tuple: tu, Delete: rng.Intn(2) == 0}
-		}
-		before := base.Tuples()
-		var held Tuple
-		if base.Len() > 0 {
-			held = base.Row(0)
-		}
-		heldVals := slices.Clone(held)
-
-		want := base.Clone()
-		wantMisses := 0
-		for _, op := range ops {
-			if op.Delete {
-				if !want.Delete(op.Tuple) {
-					wantMisses++
-				}
-			} else if err := want.Insert(op.Tuple); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := base.Clone()
-		misses, err := got.Apply(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if misses != wantMisses {
-			t.Fatalf("trial %d: %d missed deletes, op by op %d", trial, misses, wantMisses)
-		}
-		if g, w := got.Tuples(), want.Tuples(); !slices.EqualFunc(g, w, Tuple.Equal) {
-			t.Fatalf("trial %d: Apply left %v, op by op %v", trial, g, w)
-		}
-		if !slices.EqualFunc(base.Tuples(), before, Tuple.Equal) {
-			t.Fatalf("trial %d: Apply on a clone moved the original", trial)
-		}
-		if !held.Equal(heldVals) {
-			t.Fatalf("trial %d: a row handed out before Apply changed", trial)
-		}
-	}
-
-	r := NewRelation("R", 2)
-	r.MustInsert(1, 2)
-	if _, err := r.Apply([]Op{{Tuple: Tuple{3, 4}}, {Tuple: Tuple{1, PosInf}}}); err == nil {
-		t.Fatal("Apply accepted a reserved sentinel value")
-	}
-	if r.Len() != 1 || !r.Contains(Tuple{1, 2}) {
-		t.Fatalf("a failed Apply changed the relation: %v", r.Tuples())
 	}
 }

@@ -95,8 +95,13 @@ func compareRows(slab []Value, arity, i, j int) int {
 // the tuple contains a reserved sentinel value. Inserting after indexes have
 // been built invalidates them (they are rebuilt lazily).
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.insertable(t); err != nil {
-		return err
+	if len(t) != r.arity {
+		return fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
+	}
+	for _, v := range t {
+		if v == NegInf || v == PosInf {
+			return fmt.Errorf("relation %s: tuple %v contains reserved sentinel value", r.name, t)
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -106,102 +111,6 @@ func (r *Relation) Insert(t Tuple) error {
 	// Any previously built index is now stale.
 	r.indexes = make(map[string]*Index)
 	return nil
-}
-
-// insertable reports why t cannot be inserted: a wrong arity or a
-// reserved sentinel value.
-func (r *Relation) insertable(t Tuple) error {
-	if len(t) != r.arity {
-		return fmt.Errorf("relation %s: inserting arity-%d tuple into arity-%d relation", r.name, len(t), r.arity)
-	}
-	for _, v := range t {
-		if v == NegInf || v == PosInf {
-			return fmt.Errorf("relation %s: tuple %v contains reserved sentinel value", r.name, t)
-		}
-	}
-	return nil
-}
-
-// Op is one change of an ordered batch: an insert, or a delete.
-type Op struct {
-	Tuple  Tuple
-	Delete bool
-}
-
-// Apply makes the changes of ops, in order, with the effect of calling
-// Insert and Delete once per op, and returns how many deletes found no
-// tuple (Delete's false). It builds one fresh slab — the kept rows merged
-// with the net insertions — where the calls would rebuild the slab per
-// delete and re-sort the relation after every insert. An op Insert would
-// reject fails the batch and leaves r unchanged.
-func (r *Relation) Apply(ops []Op) (misses int, err error) {
-	for _, op := range ops {
-		if !op.Delete {
-			if err := r.insertable(op.Tuple); err != nil {
-				return 0, err
-			}
-		}
-	}
-	r.dedupe()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Each touched tuple's presence before and after the ops.
-	type presence struct {
-		t        Tuple
-		was, now bool
-	}
-	touched := make(map[string]*presence)
-	for _, op := range ops {
-		if len(op.Tuple) != r.arity {
-			misses++ // only a delete gets here; it matches nothing
-			continue
-		}
-		k := string(op.Tuple.AppendEncode(nil))
-		p := touched[k]
-		if p == nil {
-			_, found := r.search(op.Tuple)
-			p = &presence{t: op.Tuple, was: found, now: found}
-			touched[k] = p
-		}
-		if op.Delete && !p.now {
-			misses++
-		}
-		p.now = !op.Delete
-	}
-	var adds, dels []Tuple
-	for _, p := range touched {
-		switch {
-		case p.now && !p.was:
-			adds = append(adds, p.t)
-		case p.was && !p.now:
-			dels = append(dels, p.t)
-		}
-	}
-	if len(adds)+len(dels) == 0 {
-		return misses, nil
-	}
-	slices.SortFunc(adds, Tuple.Compare)
-	slices.SortFunc(dels, Tuple.Compare)
-	n := r.n - len(dels) + len(adds)
-	vals := make([]Value, 0, n*r.arity)
-	for i := 0; i < r.n; i++ {
-		row := r.Row(i)
-		for len(adds) > 0 && adds[0].Less(row) {
-			vals = append(vals, adds[0]...)
-			adds = adds[1:]
-		}
-		if len(dels) > 0 && dels[0].Equal(row) {
-			dels = dels[1:]
-			continue
-		}
-		vals = append(vals, row...)
-	}
-	for _, t := range adds {
-		vals = append(vals, t...)
-	}
-	r.vals, r.n = vals, n
-	r.indexes = make(map[string]*Index)
-	return misses, nil
 }
 
 // Delete removes a tuple if present, reporting whether it was found.
