@@ -89,8 +89,9 @@ difftest:
 
 # Fuzz smoke: a short budget per native fuzz target — the snapshot
 # decoder (corrupt input must fail typed, never panic or over-allocate),
-# the HTTP binding parser, the binary stream frame reader, and the
-# relation slab's aliasing invariants against a set oracle. Mirrors
+# the HTTP binding parser, the binary stream frame reader, the
+# relation slab's aliasing invariants against a set oracle, and the
+# galloping index seeks against the binary ones. Mirrors
 # the CI fuzz job; run with a longer -fuzztime locally when touching any
 # of the codecs. -fuzzminimizetime=50x caps the minimization of each new
 # coverage-expanding input, whose 60 s default would otherwise eat the
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzBindingsJSON -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/httpserve
 	$(GO) test -fuzz=FuzzBinaryStream -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/httpserve
 	$(GO) test -fuzz=FuzzRelationSlab -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/relation
+	$(GO) test -fuzz=FuzzIndexSeek -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x -run '^$$' ./internal/relation
 
 # Contract lint gate (DESIGN.md §7): build the cqlint multichecker, run
 # its analysistest suites, and sweep the whole tree through

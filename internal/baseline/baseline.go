@@ -51,7 +51,17 @@ func (b bucket) search(mu int, t relation.Tuple) (int, bool) {
 }
 
 // Materialize evaluates the full view with the worst-case-optimal join and
-// indexes the result by bound valuation.
+// indexes the result by bound valuation. One Enum fills every bucket, box
+// by box, and an empty bucket is dropped.
+//
+// The bound valuations it tries come from one atom that holds every bound
+// variable, when the view has one (coveringAtom): its BoundFirst index
+// lists them in runs, so walking the distinct runs offers each valuation
+// of that atom once, at most |R_F| in all and a superset of the non-empty
+// ones. A view with no such atom (a path with bound endpoints in
+// different atoms) takes the output-bounded candidates of
+// join.BoundCandidates instead, since the cross product of the per-atom
+// valuations could be far larger.
 func Materialize(inst *join.Instance) (*MaterializedView, error) {
 	start := time.Now()
 	m := &MaterializedView{mu: inst.Mu, bound: len(inst.NV.Bound), buckets: make(map[string]bucket)}
@@ -81,18 +91,40 @@ func Materialize(inst *join.Instance) (*MaterializedView, error) {
 			m.tuples += b.n
 		}
 	}
-	if len(inst.NV.Bound) == 0 {
-		fill(relation.Tuple{})
+	// fill's Enum checks the all-bound atoms with the others.
+	if cover := coveringAtom(inst); cover != nil {
+		ix, vb := cover.BoundFirst, make(relation.Tuple, len(inst.NV.Bound))
+		for lo, n := 0, ix.Len(); lo < n; {
+			hi := n
+			for i := range vb {
+				vb[i] = ix.ValueAt(lo, i)
+				hi = ix.GallopGT(lo, hi, i, vb[i])
+			}
+			fill(vb)
+			lo = hi
+		}
 	} else {
 		join.BoundCandidates(inst, interval.Box{}, func(vb relation.Tuple) bool {
-			if inst.CheckAllBoundAtoms(vb) {
-				fill(vb)
-			}
+			fill(vb)
 			return true
 		})
 	}
 	m.elapsed = time.Since(start)
 	return m, nil
+}
+
+// coveringAtom returns the smallest atom holding every bound variable, or
+// nil. Its BoundFirst index orders rows by the bound columns in the view's
+// global bound order, so a bound-prefix run is one bound valuation; with
+// no bound variable every atom covers, in one run.
+func coveringAtom(inst *join.Instance) *join.AtomInfo {
+	var best *join.AtomInfo
+	for _, a := range inst.Atoms {
+		if len(a.BoundPos) == len(inst.NV.Bound) && (best == nil || a.BoundFirst.Len() < best.BoundFirst.Len()) {
+			best = a
+		}
+	}
+	return best
 }
 
 // Query returns an iterator over the access request's free tuples in

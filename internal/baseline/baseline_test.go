@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"cqrep/internal/workload"
 )
 
-func instanceFor(t *testing.T, v *cq.View, db *relation.Database) *join.Instance {
+func instanceFor(t testing.TB, v *cq.View, db *relation.Database) *join.Instance {
 	t.Helper()
 	nv, err := cq.Normalize(v, db)
 	if err != nil {
@@ -25,32 +26,109 @@ func instanceFor(t *testing.T, v *cq.View, db *relation.Database) *join.Instance
 	return inst
 }
 
+// checkMaterialized probes every bound valuation over the active domains
+// and compares the materialized bucket with direct evaluation. The view
+// must hold exactly one bucket per non-empty valuation, and its tuple
+// count must be their sum.
+func checkMaterialized(t *testing.T, name string, inst *join.Instance) {
+	t.Helper()
+	m, err := Materialize(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDirectEval(inst)
+	vb := make(relation.Tuple, len(inst.NV.Bound))
+	nonEmpty, tuples := 0, 0
+	var probe func(i int)
+	probe = func(i int) {
+		if i < len(vb) {
+			for _, v := range inst.BoundDomains[i] {
+				vb[i] = v
+				probe(i + 1)
+			}
+			return
+		}
+		got := m.Query(vb).Drain()
+		want := d.Query(vb).Drain()
+		if len(got) != len(want) {
+			t.Fatalf("%s vb=%v: materialized %d vs direct %d", name, vb, len(got), len(want))
+		}
+		for j := range got {
+			if !got[j].Equal(want[j]) {
+				t.Fatalf("%s vb=%v tuple %d: %v vs %v", name, vb, j, got[j], want[j])
+			}
+		}
+		if m.Contains(vb) != (len(want) > 0) {
+			t.Fatalf("%s vb=%v: Contains = %v with %d answers", name, vb, m.Contains(vb), len(want))
+		}
+		if len(want) > 0 {
+			nonEmpty++
+			tuples += len(want)
+		}
+	}
+	probe(0)
+	if len(m.buckets) != nonEmpty || m.tuples != tuples {
+		t.Fatalf("%s: %d buckets holding %d tuples, want %d non-empty valuations holding %d",
+			name, len(m.buckets), m.tuples, nonEmpty, tuples)
+	}
+}
+
 func TestMaterializedMatchesDirectRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
 		view, db := workload.RandomFullView(rng, 2+rng.Intn(3), 1+rng.Intn(3), 4, 2+rng.Intn(12))
-		inst := instanceFor(t, view, db)
-		m, err := Materialize(inst)
-		if err != nil {
-			t.Fatal(err)
+		checkMaterialized(t, fmt.Sprintf("trial %d %s", trial, view), instanceFor(t, view, db))
+	}
+}
+
+// TestMaterializeBoundSources pins the fixed shapes of Materialize's
+// bound-valuation source: the fallback to join.BoundCandidates when no
+// atom holds every bound variable, a covering atom other than atom 0, and
+// all-bound atoms, as the cover and as a filter beside it. Where several
+// atoms cover, the smallest is walked.
+func TestMaterializeBoundSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	rel := func(name string, arity, rows int) *relation.Relation {
+		r := relation.NewRelation(name, arity)
+		for i := 0; i < rows; i++ {
+			tup := make(relation.Tuple, arity)
+			for j := range tup {
+				tup[j] = relation.Value(rng.Intn(6))
+			}
+			if err := r.Insert(tup); err != nil {
+				t.Fatal(err)
+			}
 		}
-		d := NewDirectEval(inst)
-		for probe := 0; probe < 8; probe++ {
-			vb := make(relation.Tuple, len(inst.NV.Bound))
-			for i := range vb {
-				vb[i] = relation.Value(rng.Intn(4))
-			}
-			got := m.Query(vb).Drain()
-			want := d.Query(vb).Drain()
-			if len(got) != len(want) {
-				t.Fatalf("trial %d vb=%v: materialized %d vs direct %d", trial, vb, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("trial %d vb=%v tuple %d: %v vs %v", trial, vb, i, got[i], want[i])
-				}
-			}
+		return r
+	}
+	db := relation.NewDatabase()
+	db.Add(rel("R", 2, 24))
+	db.Add(rel("S", 2, 10)) // fewer rows than R, so S covers where both do
+	db.Add(rel("E", 1, 3))
+	db.Add(rel("T", 3, 60))
+	cases := []struct {
+		view  string
+		cover int // index of the atom coveringAtom must pick, -1 for none
+	}{
+		{"P[bbf](x, z, y) :- R(x, y), S(y, z)", -1},
+		{"V[bff](x, y, z) :- R(y, z), S(x, y)", 1},
+		{"V[bbf](x, y, z) :- R(y, z), S(x, y)", 1},
+		{"V[bbf](x, y, z) :- T(x, y, z), S(x, y)", 1},
+		{"V[bff](x, y, z) :- T(x, y, z), E(x)", 1},
+		{"V[bbf](x, y, z) :- T(x, y, z), E(x)", 0},
+		{"V[bb](x, y) :- R(x, y), S(y, x)", 1},
+		{"V[bbf](x, z, y) :- R(x, y), S(y, z), E(x)", -1},
+	}
+	for _, c := range cases {
+		inst := instanceFor(t, cq.MustParse(c.view), db)
+		want := (*join.AtomInfo)(nil)
+		if c.cover >= 0 {
+			want = inst.Atoms[c.cover]
 		}
+		if got := coveringAtom(inst); got != want {
+			t.Fatalf("%s: covering atom %v, want atom %d", c.view, got, c.cover)
+		}
+		checkMaterialized(t, c.view, inst)
 	}
 }
 
@@ -200,5 +278,45 @@ func TestAllBoundLendsEmptyTuple(t *testing.T) {
 	}
 	if tup, ok := NewAllBound(inst).Query(all[0]).Next(); !ok || tup == nil || len(tup) != 0 {
 		t.Fatalf("Next = %#v, %v, want the empty non-nil tuple", tup, ok)
+	}
+}
+
+// BenchmarkMaterialize prices a materialized build on a prebuilt instance:
+// the scan fixture's W[bf](x, y) :- S(x, y) over 64 keys × 8192 answers,
+// and the churn fixture's W[bf](x, y) :- S(x, p), T(p, y) — 256 keys each
+// joining a quarter of 256 p values, each p fanning out to 32 y — which
+// compiles to the full W[bff](x, y, p).
+func BenchmarkMaterialize(b *testing.B) {
+	scan, _ := scanInstance(b, 64, 8192)
+	const domain, fan = 256, 32
+	rng := rand.New(rand.NewSource(1))
+	s := relation.NewRelation("S", 2)
+	for x := 0; x < domain; x++ {
+		for _, p := range rng.Perm(domain)[:domain/4] {
+			s.MustInsert(relation.Value(x), relation.Value(p))
+		}
+	}
+	tr := relation.NewRelation("T", 2)
+	for p := 0; p < domain; p++ {
+		for y := 0; y < fan; y++ {
+			tr.MustInsert(relation.Value(p), relation.Value(y))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	db.Add(tr)
+	churn := instanceFor(b, cq.MustParse("W[bf](x, y) :- S(x, p), T(p, y)").ExtendToFull(), db)
+	for _, c := range []struct {
+		name string
+		inst *join.Instance
+	}{{"scan", scan}, {"churn", churn}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Materialize(c.inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

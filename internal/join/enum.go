@@ -14,6 +14,14 @@ import (
 // Reset restarts it on another box without allocating, and the per-atom
 // position ranges of the bound valuation are sought once, on first use,
 // and kept across resets.
+//
+// Seeks resume where the previous one ended. Once depth d is fixed to v,
+// every later seek at depth d under the same prefix asks for a value
+// above v, so it starts at the end of v's run in each atom and gallops
+// forward from there (relation.Index.GallopGE); only the first seek at a
+// depth after the prefix above it changed binary-searches the whole
+// range. The positions found, and so the enumeration and Ops, are the
+// same as a search from the range's start.
 type Enum struct {
 	inst *Instance
 	vb   relation.Tuple
@@ -22,8 +30,13 @@ type Enum struct {
 	assignment relation.Tuple
 	// ranges[ai][d] is the position range of atom ai in its BoundFirst
 	// index after fixing the bound valuation and the free positions < d.
-	// ranges[ai][0] depends on the bound valuation alone.
+	// ranges[ai][0] depends on the bound valuation alone; ranges[ai][d+1]
+	// is the run of assignment[d] within ranges[ai][d] (the whole of it
+	// when atom ai does not hold free position d). Only ranges[·][0..fixed]
+	// describe the current assignment; deeper ones are left over from an
+	// earlier prefix.
 	ranges   [][]rng
+	fixed    int  // ranges[·][d+1] is assignment[d]'s run for every d < fixed
 	baseDone bool // ranges[·][0] hold the bound valuation's ranges
 	baseOK   bool // every atom's bound range is non-empty
 	started  bool
@@ -51,6 +64,7 @@ func NewEnum(inst *Instance, vb relation.Tuple, box interval.Box) *Enum {
 // Ops keeps counting across resets.
 func (e *Enum) Reset(box interval.Box) {
 	e.box = box
+	e.fixed = 0
 	e.started = false
 	e.done = false
 }
@@ -176,6 +190,20 @@ func (e *Enum) constraint(d int) (lo relation.Value, loInc bool, hi relation.Val
 	return relation.NegInf, true, relation.PosInf, true, false, 0
 }
 
+// seekGE returns the first position of atom ai's range at free position d
+// whose value there is ≥ v. While depth d is fixed (d < fixed) v is above
+// assignment[d], so the answer lies past the end of assignment[d]'s run:
+// the seek gallops from there instead of searching the whole range.
+func (e *Enum) seekGE(ai, d int, v relation.Value) int {
+	a := e.inst.Atoms[ai]
+	depth := len(a.BoundCols) + a.freeDepth[d]
+	r := e.ranges[ai][d]
+	if d < e.fixed {
+		return a.BoundFirst.GallopGE(e.ranges[ai][d+1].hi, r.hi, depth, v)
+	}
+	return a.BoundFirst.SeekGE(r.lo, r.hi, depth, v)
+}
+
 // seekCandidate finds the smallest value ≥ from at free position d that is
 // present in every atom containing d and satisfies the box constraint.
 func (e *Enum) seekCandidate(d int, from relation.Value) (relation.Value, bool) {
@@ -214,14 +242,12 @@ func (e *Enum) seekCandidate(d int, from relation.Value) (relation.Value, bool) 
 		advanced := false
 		for _, ai := range atoms {
 			a := e.inst.Atoms[ai]
-			depth := len(a.BoundCols) + a.freeDepth[d]
-			r := e.ranges[ai][d]
 			e.ops++
-			pos := a.BoundFirst.SeekGE(r.lo, r.hi, depth, v)
-			if pos >= r.hi {
+			pos := e.seekGE(ai, d, v)
+			if pos >= e.ranges[ai][d].hi {
 				return 0, false
 			}
-			if val := a.BoundFirst.ValueAt(pos, depth); val > v {
+			if val := a.BoundFirst.ValueAt(pos, len(a.BoundCols)+a.freeDepth[d]); val > v {
 				v = val
 				advanced = true
 				break
@@ -282,21 +308,22 @@ func searchValues(dom []relation.Value, v relation.Value) int {
 // atomsAt returns the atom indexes containing free position d.
 func (e *Enum) atomsAt(d int) []int { return e.inst.freeAtoms[d] }
 
-// fix records assignment[d] = v and narrows every atom range.
+// fix records assignment[d] = v and narrows every atom range to v's run,
+// whose end it gallops to from the run's start. The deeper ranges no
+// longer describe the assignment.
 func (e *Enum) fix(d int, v relation.Value) {
-	e.assignment[d] = v
 	for ai, a := range e.inst.Atoms {
 		if !a.ContainsFree(d) {
 			e.ranges[ai][d+1] = e.ranges[ai][d]
 			continue
 		}
-		depth := len(a.BoundCols) + a.freeDepth[d]
-		r := e.ranges[ai][d]
 		e.ops++
-		lo := a.BoundFirst.SeekGE(r.lo, r.hi, depth, v)
-		hi := a.BoundFirst.SeekGT(lo, r.hi, depth, v)
+		lo := e.seekGE(ai, d, v)
+		hi := a.BoundFirst.GallopGT(lo, e.ranges[ai][d].hi, len(a.BoundCols)+a.freeDepth[d], v)
 		e.ranges[ai][d+1] = rng{lo, hi}
 	}
+	e.assignment[d] = v
+	e.fixed = d + 1
 }
 
 // descendFrom searches depth-first for the first solution whose value at

@@ -180,6 +180,53 @@ func (ix *Index) SeekGT(lo, hi, depth int, v Value) int {
 	return lo
 }
 
+// GallopGE returns SeekGE(lo, hi, depth, v), found by exponential search
+// forward from lo: it probes lo, lo+1, lo+3, lo+7, … until a value >= v or
+// hi, then binary-searches the last stride. An answer k positions past lo
+// costs O(log k) probes, so a seek that resumes where the previous one
+// ended pays for the distance it moves, not for the range.
+func (ix *Index) GallopGE(lo, hi, depth int, v Value) int {
+	vals, perm, a, c := ix.vals, ix.perm, ix.arity, ix.cols[depth]
+	if lo >= hi || vals[int(perm[lo])*a+c] >= v {
+		return lo
+	}
+	// vals at lo is below v; double the stride until a probe is not.
+	for step := 1; ; step <<= 1 {
+		probe := lo + step
+		if probe >= hi {
+			break
+		}
+		if vals[int(perm[probe])*a+c] >= v {
+			hi = probe
+			break
+		}
+		lo = probe
+	}
+	return ix.SeekGE(lo+1, hi, depth, v)
+}
+
+// GallopGT returns SeekGT(lo, hi, depth, v) by the exponential search of
+// GallopGE: O(log k) probes for an answer k positions past lo, which is
+// the length of v's run when lo is its first position.
+func (ix *Index) GallopGT(lo, hi, depth int, v Value) int {
+	vals, perm, a, c := ix.vals, ix.perm, ix.arity, ix.cols[depth]
+	if lo >= hi || vals[int(perm[lo])*a+c] > v {
+		return lo
+	}
+	for step := 1; ; step <<= 1 {
+		probe := lo + step
+		if probe >= hi {
+			break
+		}
+		if vals[int(perm[probe])*a+c] > v {
+			hi = probe
+			break
+		}
+		lo = probe
+	}
+	return ix.SeekGT(lo+1, hi, depth, v)
+}
+
 // IntervalRange narrows [lo, hi) — constant on the first depth order columns
 // — to the rows whose order column depth lies in the interval between a and
 // b with the given inclusiveness. The sentinels NegInf/PosInf denote
