@@ -45,6 +45,7 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/cqbench -run E1 -n 2000
+	$(GO) run ./cmd/cqbench -run E14 -n 2000
 	$(GO) run ./cmd/cqbench -run E16 -n 1000 -queries 10
 	$(GO) run ./cmd/cqbench -run E18 -shards 1,2 -n 800 -queries 5
 

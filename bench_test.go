@@ -169,6 +169,25 @@ func BenchmarkBuildTriangleTau1(b *testing.B)      { benchBuildTriangle(b, 1) }
 func BenchmarkBuildTriangleTauSqrtN(b *testing.B)  { benchBuildTriangle(b, math.Sqrt(4000)) }
 func BenchmarkBuildTriangleTauLinear(b *testing.B) { benchBuildTriangle(b, 4000) }
 
+// BenchmarkBuildPoint builds the point-ndjson workload's Theorem-1
+// structure: the mutual-friend view over SkewedTriangleDB(42, 2000, 20000),
+// the all-ones cover, τ = 8. Its dictionary comes from one walk of the
+// candidate join, so allocations per build stay far below one per entry.
+func BenchmarkBuildPoint(b *testing.B) {
+	inst, _ := triangleInstance(b, workload.SkewedTriangleDB(42, 2000, 20000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := primitive.Build(inst, fractional.Cover{1, 1, 1}, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(s.Stats().DictEntries), "entries")
+		}
+	}
+}
+
 // ---- Micro-benchmarks: per-request query cost ----
 
 func benchQueryTriangle(b *testing.B, inst *join.Instance, vbs []relation.Tuple, u fractional.Cover, tau float64) {

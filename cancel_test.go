@@ -7,6 +7,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,9 +50,10 @@ func cancelDuringCompile(t *testing.T, view *cqrep.View, db *cqrep.Database, opt
 		t.Fatalf("Compile = (%v, %v), want (nil, context.Canceled); elapsed %v", rep, err, elapsed)
 	}
 	// "Prompt" allows generous slack for race-instrumented CI machines —
-	// workers only poll between candidates, so they finish their in-flight
-	// per-candidate join work first — but stays far below the uncancelled
-	// build (~8s plain, ~43s under -race for the star workload).
+	// workers only poll between witnesses, candidates or chunks, so they
+	// finish their in-flight join work first — but stays below the
+	// uncancelled build (~1.4s plain, ~11s under -race for the star
+	// workload on 2 cores).
 	if elapsed > 10*time.Second {
 		t.Fatalf("Compile returned %v after cancellation, not promptly", elapsed)
 	}
@@ -58,7 +61,7 @@ func cancelDuringCompile(t *testing.T, view *cqrep.View, db *cqrep.Database, opt
 }
 
 // TestCompileCancelPrimitive cancels a parallel Theorem-1 build (star
-// join, τ = 1 — several seconds of heavy-pair dictionary work across 4
+// join, τ = 1 — over a second of heavy-pair dictionary work across 4
 // workers) mid-flight.
 func TestCompileCancelPrimitive(t *testing.T) {
 	if testing.Short() {
@@ -79,6 +82,57 @@ func TestCompileCancelDecomposition(t *testing.T) {
 	db := workload.PathDB(11, 4, 1000, 60)
 	cancelDuringCompile(t, workload.PathView(4), db,
 		cqrep.WithStrategy(cqrep.DecompositionStrategy), cqrep.WithWorkers(4))
+}
+
+// walkCtx is never cancelled until it is polled from inside the
+// Theorem-1 dictionary's join walk; from then on it reports
+// context.Canceled: a cancel that lands during the walk.
+type walkCtx struct {
+	context.Context
+	hit atomic.Bool
+}
+
+func (c *walkCtx) Err() error {
+	if c.hit.Load() {
+		return context.Canceled
+	}
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, ".walkWitnesses.") {
+			c.hit.Store(true)
+			return context.Canceled
+		}
+		if !more {
+			return nil
+		}
+	}
+}
+
+// TestCompileCancelDuringWalk cancels a Theorem-1 build while its walk
+// goroutines enumerate the candidate join and requires the prompt
+// ctx.Err() contract.
+func TestCompileCancelDuringWalk(t *testing.T) {
+	db := workload.SkewedTriangleDB(7, 300, 3000)
+	view := cqrep.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		ctx := &walkCtx{Context: context.Background()}
+		start := time.Now()
+		rep, err := cqrep.Compile(ctx, view, db, cqrep.WithStrategy(cqrep.PrimitiveStrategy),
+			cqrep.WithTau(8), cqrep.WithWorkers(workers))
+		if rep != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: Compile = (%v, %v), want (nil, context.Canceled)", workers, rep, err)
+		}
+		if !ctx.hit.Load() {
+			t.Fatalf("workers %d: the build never polled ctx from its walk", workers)
+		}
+		if el := time.Since(start); el > 10*time.Second {
+			t.Fatalf("workers %d: Compile returned %v after cancellation, not promptly", workers, el)
+		}
+		waitNoLeak(t, base)
+	}
 }
 
 // TestAllCancelMidEnumeration cancels the context inside an All2 range loop

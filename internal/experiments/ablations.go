@@ -27,30 +27,10 @@ func E13DictionaryAblation(edges, queries int, seed int64) []*bench.Table {
 	// one 0-bit; without the dictionary the structure must intersect the
 	// neighbor lists from scratch.
 	rng := rand.New(rand.NewSource(seed + 13))
+	r := workload.HubPairGraph(rng, "R", edges)
 	db := relation.NewDatabase()
-	r := relation.NewRelation("R", 2)
-	const hub1, hub2 = 1, 2
-	deg := edges / 4
-	for i := 0; i < deg; i++ {
-		a := relation.Value(10 + 2*i) // even satellites of hub1
-		b := relation.Value(11 + 2*i) // odd satellites of hub2
-		r.MustInsert(hub1, a)
-		r.MustInsert(a, hub1)
-		r.MustInsert(hub2, b)
-		r.MustInsert(b, hub2)
-	}
-	r.MustInsert(hub1, hub2) // the bound pair itself must be an edge
-	r.MustInsert(hub2, hub1)
-	base := 10 + 2*deg + 2
-	for i := 0; i < edges/2; i++ {
-		a := relation.Value(base + rng.Intn(edges/6))
-		b := relation.Value(base + rng.Intn(edges/6))
-		if a != b {
-			r.MustInsert(a, b)
-			r.MustInsert(b, a)
-		}
-	}
 	db.Add(r)
+	const hub1, hub2 = 1, 2
 	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
 	_, inst := mustInstance(view, db)
 	n := r.Len()
@@ -91,24 +71,32 @@ func E13DictionaryAblation(edges, queries int, seed int64) []*bench.Table {
 
 // E14BuildScaling measures compression time T_C against data size and τ,
 // validating the Theorem-1 bound T_C = O~(|D| + Π|R_F|^{u_F}) — in
-// particular, that build time is governed by the AGM term, not by τ.
+// particular, that build time is governed by the AGM term, not by τ. The
+// last row builds the point-ndjson benchmark workload's structure at its
+// fixed size: the hub-heavy SkewedTriangleDB(42, 2000, 20000) under the
+// all-ones cover at τ = 8.
 func E14BuildScaling(sizes []int, seed int64) []*bench.Table {
 	t := bench.NewTable("E14 Compression time scaling (Theorem 1, triangle V^bfb)",
-		"N", "tau", "build time", "dict entries", "ns per N^1.5")
-	for _, edges := range sizes {
-		db := workload.TriangleDB(seed, edges/12, edges/2)
-		view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+		"graph", "N", "tau", "build time", "dict entries", "ns per N^1.5")
+	t.Note = "uniform rows: cover (1/2, 1/2, 1/2); skewed row: cover (1, 1, 1); N^1.5 is the triangle join's AGM bound"
+	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+	row := func(graph string, db *relation.Database, u fractional.Cover, tau float64) {
 		_, inst := mustInstance(view, db)
 		r, _ := db.Relation("R")
 		n := float64(r.Len())
-		for _, tau := range []float64{1, math.Sqrt(n)} {
-			start := time.Now()
-			s := buildPrimitive(inst, fractional.Cover{0.5, 0.5, 0.5}, tau)
-			el := time.Since(start)
-			t.Add(r.Len(), fmtExp(r.Len(), tau), el, s.Stats().DictEntries,
-				float64(el.Nanoseconds())/math.Pow(n, 1.5))
+		start := time.Now()
+		s := buildPrimitive(inst, u, tau)
+		el := time.Since(start)
+		t.Add(graph, r.Len(), fmtExp(r.Len(), tau), el, s.Stats().DictEntries, float64(el.Nanoseconds())/math.Pow(n, 1.5))
+	}
+	for _, edges := range sizes {
+		db := workload.TriangleDB(seed, edges/12, edges/2)
+		r, _ := db.Relation("R")
+		for _, tau := range []float64{1, math.Sqrt(float64(r.Len()))} {
+			row("uniform", db, fractional.Cover{0.5, 0.5, 0.5}, tau)
 		}
 	}
+	row("skewed (point-ndjson)", workload.SkewedTriangleDB(42, 2000, 20000), fractional.Cover{1, 1, 1}, 8)
 	return []*bench.Table{t}
 }
 

@@ -10,7 +10,8 @@ import (
 // E_Vb is the set of atoms touching at least one bound variable. Every
 // τ-heavy valuation of the box's interval appears in this stream (the
 // paper's L_I construction, Appendix A); exact heaviness is re-checked by
-// the caller with Estimator.TIntervalBound.
+// the caller with Estimator.TIntervalBound. The Theorem-1 build calls it
+// per tree node only where BoundWitnesses does not apply.
 //
 // The enumeration is a worst-case-optimal backtracking join over the E_Vb
 // atoms with the *free* variables ordered first — free variables are the
@@ -31,14 +32,7 @@ func BoundCandidates(inst *Instance, box interval.Box, emit func(vb relation.Tup
 		emit(relation.Tuple{})
 		return
 	}
-	// Participating atoms: those with at least one bound column (E_{V_b}).
-	var atoms []int
-	for ai, a := range inst.Atoms {
-		if len(a.BoundCols) > 0 {
-			atoms = append(atoms, ai)
-		}
-	}
-	components := connectedComponents(inst, atoms)
+	components := connectedComponents(inst, boundAtoms(inst))
 
 	// Enumerate each component's distinct bound-part projections.
 	type componentResult struct {
@@ -47,50 +41,26 @@ func BoundCandidates(inst *Instance, box interval.Box, emit func(vb relation.Tup
 	}
 	results := make([]componentResult, 0, len(components))
 	for _, comp := range components {
-		c := &candidateEnum{inst: inst, box: box, seen: make(map[string]bool)}
-		c.atoms = comp
-		inComp := func(containsFn func(*AtomInfo) bool) bool {
-			for _, ai := range comp {
-				if containsFn(inst.Atoms[ai]) {
-					return true
-				}
+		c := newCandidateEnum(inst, box, comp)
+		seen := make(map[string]bool)
+		var (
+			parts []relation.Tuple
+			key   []byte
+		)
+		c.emit = func(a relation.Tuple) bool {
+			part := a[c.boundStart:]
+			key = part.AppendEncode(key[:0])
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				parts = append(parts, part.Clone())
 			}
-			return false
-		}
-		for d := 0; d < inst.Mu; d++ {
-			d := d
-			if inComp(func(a *AtomInfo) bool { return a.ContainsFree(d) }) {
-				c.dims = append(c.dims, dim{pos: d, free: true})
-			}
-		}
-		c.boundStart = len(c.dims)
-		var boundPos []int
-		for i := 0; i < nb; i++ {
-			i := i
-			if inComp(func(a *AtomInfo) bool { return a.ContainsBound(i) }) {
-				c.dims = append(c.dims, dim{pos: i})
-				boundPos = append(boundPos, i)
-			}
-		}
-		c.assignment = make(relation.Tuple, len(c.dims))
-		c.vb = make(relation.Tuple, len(boundPos))
-		c.ranges = make(map[int][]rng, len(comp))
-		for _, ai := range comp {
-			r := make([]rng, len(c.dims)+1)
-			r[0] = rng{0, inst.Atoms[ai].FreeFirst.Len()}
-			c.ranges[ai] = r
-		}
-		var parts []relation.Tuple
-		c.emit = func(part relation.Tuple) bool {
-			parts = append(parts, part)
 			return true
 		}
-		c.boundPosOf = boundPos
 		c.run(0)
 		if len(parts) == 0 {
 			return // one empty component empties the whole product
 		}
-		results = append(results, componentResult{boundPos: boundPos, parts: parts})
+		results = append(results, componentResult{boundPos: c.boundPos, parts: parts})
 	}
 
 	// Cross product of component parts, assembled into full valuations.
@@ -111,6 +81,44 @@ func BoundCandidates(inst *Instance, box interval.Box, emit func(vb relation.Tup
 		return true
 	}
 	rec(0)
+}
+
+// Witnessed reports whether BoundWitnesses applies to the instance: the
+// bound-touching atoms form one connected component that holds every free
+// and every bound variable. Then a node's Proposition-13 candidates are
+// the bound valuations of the witnesses whose free tuple lies in the
+// node's interval.
+func Witnessed(inst *Instance) bool {
+	atoms := boundAtoms(inst)
+	if len(atoms) == 0 || len(connectedComponents(inst, atoms)) != 1 {
+		return false
+	}
+	c := newCandidateEnum(inst, interval.Box{}, atoms)
+	return c.boundStart == inst.Mu && len(c.boundPos) == len(inst.NV.Bound)
+}
+
+// BoundWitnesses streams the E_Vb join within box: every pair of a free
+// tuple ft and a bound valuation vb whose values satisfy every
+// bound-touching atom, ordered by ft then vb, with no deduplication. It is
+// BoundCandidates' enumeration before the projection, and needs
+// Witnessed(inst). ft and vb are reused between calls; emit returning
+// false aborts.
+func BoundWitnesses(inst *Instance, box interval.Box, emit func(ft, vb relation.Tuple) bool) {
+	c := newCandidateEnum(inst, box, boundAtoms(inst))
+	mu := c.boundStart
+	c.emit = func(a relation.Tuple) bool { return emit(a[:mu:mu], a[mu:]) }
+	c.run(0)
+}
+
+// boundAtoms lists the atoms with at least one bound column: E_Vb.
+func boundAtoms(inst *Instance) []int {
+	var atoms []int
+	for ai, a := range inst.Atoms {
+		if len(a.BoundCols) > 0 {
+			atoms = append(atoms, ai)
+		}
+	}
+	return atoms
 }
 
 // BoundCandidatesExhaustive streams the superset of Proposition 13 needed
@@ -281,32 +289,72 @@ type dim struct {
 	free bool
 }
 
+// candidateEnum is the backtracking join over one connected set of E_Vb
+// atoms: the free positions they hold in f-order, then the bound positions
+// they hold in bound order. emit receives each full assignment.
 type candidateEnum struct {
-	inst       *Instance
-	box        interval.Box
-	emit       func(relation.Tuple) bool
-	seen       map[string]bool
-	atoms      []int
-	dims       []dim
+	inst  *Instance
+	box   interval.Box
+	emit  func(assignment relation.Tuple) bool
+	atoms []int
+	dims  []dim
+	// boundStart is the first bound dimension; boundPos[i] is the global
+	// bound position of dims[boundStart+i].
 	boundStart int
-	// boundPosOf maps the component-local bound index (dims[boundStart+i])
-	// to the global bound position.
-	boundPosOf []int
+	boundPos   []int
+	// depth[j][d] is dimension d's column in atoms[j]'s FreeFirst index,
+	// or -1 when the atom does not hold it; ranges[j][d] is atoms[j]'s row
+	// range after fixing dimensions < d.
+	depth      [][]int
+	ranges     [][]rng
 	assignment relation.Tuple
-	vb         relation.Tuple
-	ranges     map[int][]rng
 	stopped    bool
+}
+
+// newCandidateEnum prepares the join of the given atoms within box.
+func newCandidateEnum(inst *Instance, box interval.Box, atoms []int) *candidateEnum {
+	c := &candidateEnum{inst: inst, box: box, atoms: atoms}
+	held := func(has func(*AtomInfo) bool) bool {
+		for _, ai := range atoms {
+			if has(inst.Atoms[ai]) {
+				return true
+			}
+		}
+		return false
+	}
+	for d := 0; d < inst.Mu; d++ {
+		if held(func(a *AtomInfo) bool { return a.ContainsFree(d) }) {
+			c.dims = append(c.dims, dim{pos: d, free: true})
+		}
+	}
+	c.boundStart = len(c.dims)
+	for i := range inst.NV.Bound {
+		if held(func(a *AtomInfo) bool { return a.ContainsBound(i) }) {
+			c.dims = append(c.dims, dim{pos: i})
+			c.boundPos = append(c.boundPos, i)
+		}
+	}
+	c.assignment = make(relation.Tuple, len(c.dims))
+	c.depth = make([][]int, len(atoms))
+	c.ranges = make([][]rng, len(atoms))
+	for j, ai := range atoms {
+		a := inst.Atoms[ai]
+		c.depth[j] = make([]int, len(c.dims))
+		for d, dm := range c.dims {
+			c.depth[j][d] = depthInAtom(a, dm)
+		}
+		c.ranges[j] = make([]rng, len(c.dims)+1)
+		c.ranges[j][0] = rng{0, a.FreeFirst.Len()}
+	}
+	return c
 }
 
 // depthInAtom returns the FreeFirst index depth of dimension dm within atom
 // a, or -1 when the atom does not contain that variable. FreeFirst orders
 // free columns (in f-order) before bound columns (in bound order).
-func (c *candidateEnum) depthInAtom(a *AtomInfo, dm dim) int {
+func depthInAtom(a *AtomInfo, dm dim) int {
 	if dm.free {
-		if k := a.freeDepth[dm.pos]; k >= 0 {
-			return k
-		}
-		return -1
+		return a.freeDepth[dm.pos]
 	}
 	if k := a.boundDepth[dm.pos]; k >= 0 {
 		return len(a.FreeCols) + k
@@ -330,22 +378,14 @@ func (c *candidateEnum) constraint(dm dim) (lo relation.Value, loInc bool, hi re
 	return relation.NegInf, true, relation.PosInf, true, false, 0
 }
 
-// run performs the backtracking search over dimensions; at a full
-// assignment the bound projection is emitted once.
+// run performs the backtracking search over dimensions, handing every full
+// assignment to emit.
 func (c *candidateEnum) run(d int) {
 	if c.stopped {
 		return
 	}
 	if d == len(c.dims) {
-		for i := c.boundStart; i < d; i++ {
-			c.vb[i-c.boundStart] = c.assignment[i]
-		}
-		key := string(c.vb.AppendEncode(nil))
-		if c.seen[key] {
-			return
-		}
-		c.seen[key] = true
-		if !c.emit(c.vb.Clone()) {
+		if !c.emit(c.assignment) {
 			c.stopped = true
 		}
 		return
@@ -393,14 +433,14 @@ func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) 
 		}
 		advanced := false
 		participating := false
-		for _, ai := range c.atoms {
-			a := c.inst.Atoms[ai]
-			k := c.depthInAtom(a, dm)
+		for j, ai := range c.atoms {
+			k := c.depth[j][d]
 			if k < 0 {
 				continue
 			}
 			participating = true
-			r := c.ranges[ai][d]
+			a := c.inst.Atoms[ai]
+			r := c.ranges[j][d]
 			pos := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
 			if pos >= r.hi {
 				return 0, false
@@ -440,14 +480,13 @@ func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) 
 
 // allHave checks a pinned value across participating atoms containing d.
 func (c *candidateEnum) allHave(d int, v relation.Value) bool {
-	dm := c.dims[d]
-	for _, ai := range c.atoms {
-		a := c.inst.Atoms[ai]
-		k := c.depthInAtom(a, dm)
+	for j, ai := range c.atoms {
+		k := c.depth[j][d]
 		if k < 0 {
 			continue
 		}
-		r := c.ranges[ai][d]
+		a := c.inst.Atoms[ai]
+		r := c.ranges[j][d]
 		pos := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
 		if pos >= r.hi || a.FreeFirst.ValueAt(pos, k) != v {
 			return false
@@ -459,17 +498,16 @@ func (c *candidateEnum) allHave(d int, v relation.Value) bool {
 // fix narrows each participating atom's range to assignment[d] = v.
 func (c *candidateEnum) fix(d int, v relation.Value) {
 	c.assignment[d] = v
-	dm := c.dims[d]
-	for _, ai := range c.atoms {
-		a := c.inst.Atoms[ai]
-		r := c.ranges[ai][d]
-		k := c.depthInAtom(a, dm)
+	for j, ai := range c.atoms {
+		r := c.ranges[j][d]
+		k := c.depth[j][d]
 		if k < 0 {
-			c.ranges[ai][d+1] = r
+			c.ranges[j][d+1] = r
 			continue
 		}
+		a := c.inst.Atoms[ai]
 		lo := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
 		hi := a.FreeFirst.SeekGT(lo, r.hi, k, v)
-		c.ranges[ai][d+1] = rng{lo, hi}
+		c.ranges[j][d+1] = rng{lo, hi}
 	}
 }

@@ -76,6 +76,42 @@ func (e *Estimator) TBoxBound(vb relation.Tuple, b interval.Box) float64 {
 	return t
 }
 
+// Rows is one bound valuation's rows in every atom: per atom, the range of
+// its BoundFirst index whose bound columns equal the valuation. A caller
+// that prices one valuation against many boxes seeks it once (Rows) and
+// then counts each box within those ranges (TBoxRows).
+type Rows []rng
+
+// Rows returns vb's rows, reusing dst's storage.
+func (e *Estimator) Rows(dst Rows, vb relation.Tuple) Rows {
+	dst = dst[:0]
+	for _, a := range e.inst.Atoms {
+		lo, hi := a.boundRange(vb)
+		dst = append(dst, rng{lo, hi})
+	}
+	return dst
+}
+
+// TBoxRows returns T(v_b, B) for the valuation whose rows are rows: the
+// same value as TBoxBound(v_b, B), without seeking the valuation again.
+func (e *Estimator) TBoxRows(rows Rows, b interval.Box) float64 {
+	t := 1.0
+	for ai, a := range e.inst.Atoms {
+		c := 0
+		if r := rows[ai]; r.lo < r.hi {
+			lo, hi := a.boxRange(a.BoundFirst, r.lo, r.hi, len(a.BoundPos), b)
+			c = hi - lo
+		}
+		if c == 0 {
+			return 0
+		}
+		if e.UHat[ai] != 0 {
+			t *= math.Pow(float64(c), e.UHat[ai])
+		}
+	}
+	return t
+}
+
 // TInterval returns T(I) = Σ_{B ∈ B(I)} T(B).
 func (e *Estimator) TInterval(iv interval.Interval) float64 {
 	t := 0.0

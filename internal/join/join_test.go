@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -93,6 +94,11 @@ func TestExample13Counts(t *testing.T) {
 	wantV := math.Sqrt2 + 2 + 1
 	if math.Abs(gotV-wantV) > 1e-9 {
 		t.Errorf("T(vb, I(r)) = %v, want %v (≈4.414)", gotV, wantV)
+	}
+	// The same sum from the valuation's rows, sought once.
+	rows := est.Rows(nil, vb)
+	if gotR := est.TBoxRows(rows, bl3) + est.TBoxRows(rows, bl2) + est.TBoxRows(rows, br2) + est.TBoxRows(rows, br3); gotR != gotV {
+		t.Errorf("T(vb, I(r)) from rows = %v, from TBoxBound %v", gotR, gotV)
 	}
 }
 
@@ -466,9 +472,11 @@ func naiveBoundCandidates(inst *Instance, box interval.Box) map[string]bool {
 
 // TestBoundCandidatesMatchesProposition13 checks that BoundCandidates
 // yields exactly π_{V_b}((⋈_{F∈E_Vb} R_F) ⋉ B) — and in particular a
-// superset of the valuations with non-empty full joins.
+// superset of the valuations with non-empty full joins — and that, where
+// Witnessed holds, BoundWitnesses' valuations project onto the same set.
 func TestBoundCandidatesMatchesProposition13(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	witnessed := 0
 	for trial := 0; trial < 80; trial++ {
 		inst, err := randomInstance(rng, 2+rng.Intn(3), 1+rng.Intn(3), 3, 1+rng.Intn(8))
 		if err != nil {
@@ -505,7 +513,28 @@ func TestBoundCandidatesMatchesProposition13(t *testing.T) {
 					t.Fatalf("trial %d box %v: missing candidate", trial, box)
 				}
 			}
+			if !Witnessed(inst) {
+				continue
+			}
+			// The witnesses project onto the same candidates, each free
+			// tuple inside the box.
+			projected := make(map[string]bool)
+			BoundWitnesses(inst, box, func(ft, vb relation.Tuple) bool {
+				if !box.Contains(ft) {
+					t.Fatalf("trial %d box %v: witness %v outside the box", trial, box, ft)
+				}
+				projected[string(vb.AppendEncode(nil))] = true
+				return true
+			})
+			if !reflect.DeepEqual(projected, want) {
+				t.Fatalf("trial %d %s box %v: witnesses project onto %d candidates, want %d",
+					trial, inst.NV.Source, box, len(projected), len(want))
+			}
+			witnessed++
 		}
+	}
+	if witnessed == 0 {
+		t.Fatal("no trial satisfied Witnessed; BoundWitnesses went unchecked")
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 // DeltaRebase therefore rebases the tree and dictionary onto the updated
 // instance wholesale and repairs exactly the dangerous direction: for
 // every net-added output it walks the root-to-leaf containment chain of
-// the output's free tuple and invalidates any 0-entry for the output's
+// the output's free tuple, comparing it with each split point β as the
+// dictionary build does (node.child), and invalidates any 0-entry for the output's
 // bound valuation along it (⊥ re-evaluates, which is correct): the entry
 // is marked absent in a copy of the bit array, while the valuations, the
 // id lists and the slot index stay shared with the receiver. Deletions
@@ -65,21 +66,10 @@ func (s *Structure) DeltaRebase(inst *join.Instance, addVb, addFree []relation.T
 			if bit, heavy, cur = s.dict.at(cur, end, n.id); heavy && bit == 0 {
 				stale = append(stale, cur-1)
 			}
-			if n.beta == nil {
-				break
-			}
-			left, _, right := n.iv.SplitAt(n.beta)
-			switch {
-			case !left.Empty() && left.Contains(ft):
-				n = n.left
-			case !right.Empty() && right.Contains(ft):
-				n = n.right
-			default:
-				// ft is the split point β itself; β is re-checked against
-				// the live instance on every enumeration, so descent (and
-				// repair) stops here.
-				n = nil
-			}
+			// child is nil at a leaf and where ft is the split point β
+			// itself; β is re-checked against the live instance on every
+			// enumeration, so descent (and repair) stops there.
+			n = n.child(ft)
 		}
 	}
 	if len(stale) > 0 {

@@ -193,6 +193,32 @@ func TestDictTableInvariants(t *testing.T) {
 	}
 }
 
+// TestDeltaRebaseAllocs pins DeltaRebase's descent to zero allocations per
+// level: rebasing every answer of the fixture (whose entries are all 1, so
+// nothing turns stale) allocates the new Structure and nothing else, however
+// many outputs it walks down the tree.
+func TestDeltaRebaseAllocs(t *testing.T) {
+	s, vbs := skewedTriangle(t, false)
+	var addVb, addFree []relation.Tuple
+	for _, vb := range vbs {
+		it := s.Query(vb)
+		for ft, ok := it.Next(); ok; ft, ok = it.Next() {
+			addVb, addFree = append(addVb, vb), append(addFree, ft)
+		}
+	}
+	if len(addFree) < 100 || s.maxLevel < 3 {
+		t.Fatalf("%d outputs over %d levels; the fixture must walk deep chains", len(addFree), s.maxLevel)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, ok := s.DeltaRebase(s.inst, addVb, addFree); !ok {
+			t.Fatal("DeltaRebase refused an output of the view")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("DeltaRebase of %d outputs allocates %.0f times, want 1", len(addFree), allocs)
+	}
+}
+
 // TestDictFootprint pins the dictionary's size per live entry: at most
 // 2.5 bytes encoded and 8 bytes of arrays in memory. A table keyed by
 // (node, valuation) pays the valuation's words on every entry and cannot

@@ -1,8 +1,8 @@
 package primitive
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -12,8 +12,10 @@ import (
 )
 
 // TestParallelDictionaryDeterministic compares the structure built with one
-// worker against eight workers at the lowest level of observability: the
-// exact node list and the exact heavy-pair dictionary contents.
+// worker against two and eight workers at the lowest level of
+// observability: the exact node list and the exact heavy-pair dictionary
+// contents, for the standard build (which walks the candidate join once),
+// the per-node build it replaces, and the exhaustive build.
 func TestParallelDictionaryDeterministic(t *testing.T) {
 	db := workload.SkewedTriangleDB(7, 120, 900)
 	view := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)")
@@ -29,34 +31,31 @@ func TestParallelDictionaryDeterministic(t *testing.T) {
 	tau := math.Sqrt(900) / 6
 
 	for _, build := range []struct {
-		name string
-		fn   func(workers int) (*Structure, error)
+		name   string
+		walked bool
+		fn     func(workers int) (*Structure, error)
 	}{
-		{"standard", func(w int) (*Structure, error) { return Build(inst, u, tau, Workers(w)) }},
-		{"exhaustive", func(w int) (*Structure, error) { return BuildExhaustive(inst, u, tau, Workers(w)) }},
+		{"standard", true, func(w int) (*Structure, error) { return Build(inst, u, tau, Workers(w)) }},
+		{"per-node", false, func(w int) (*Structure, error) { return Build(inst, u, tau, Workers(w), perNodeBuild) }},
+		{"exhaustive", false, func(w int) (*Structure, error) { return BuildExhaustive(inst, u, tau, Workers(w)) }},
 	} {
 		t.Run(build.name, func(t *testing.T) {
 			seq, err := build.fn(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := build.fn(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq.Nodes(), par.Nodes()) {
-				t.Fatal("tree nodes diverge across worker counts")
-			}
-			// The slot index is seeded per table; the valuations, their
-			// ranges and their entries are the dictionary.
-			a, b := &seq.dict, &par.dict
-			if !reflect.DeepEqual(a.vals, b.vals) || !reflect.DeepEqual(a.off, b.off) ||
-				!reflect.DeepEqual(a.ids, b.ids) || !reflect.DeepEqual(a.bits, b.bits) || len(a.slots) != len(b.slots) {
-				t.Fatalf("dictionaries diverge: %d entries sequential vs %d parallel",
-					seq.dict.live, par.dict.live)
+			if seq.walked != build.walked {
+				t.Fatalf("walked = %v, want %v", seq.walked, build.walked)
 			}
 			if seq.dict.live == 0 {
 				t.Fatal("fixture produced an empty dictionary; the test is vacuous — raise τ-pressure")
+			}
+			for _, w := range []int{2, 8} {
+				par, err := build.fn(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDictionary(t, fmt.Sprintf("1 vs %d workers", w), seq, par)
 			}
 		})
 	}

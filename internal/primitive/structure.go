@@ -43,6 +43,7 @@ type Structure struct {
 	maxLevel   int
 	dict       dict
 	exhaustive bool
+	walked     bool // the dictionary came from walkDictionary
 
 	buildTime time.Time
 	elapsed   time.Duration
@@ -56,13 +57,15 @@ type BuildOption func(*buildConfig)
 type buildConfig struct {
 	workers int
 	ctx     context.Context
+	perNode bool // test hook: every node enumerates its own candidates
 }
 
 // Workers bounds the number of goroutines used to build the heavy-pair
 // dictionary. n <= 0 means runtime.GOMAXPROCS(0). The output is
-// deterministic regardless of the worker count: each tree node's entries
-// are computed on their own, so the per-node results join into the same
-// table no matter which worker computed them.
+// deterministic regardless of the worker count: each piece of the work (a
+// piece of the join walk, a chunk of valuations, or a tree node) lands in
+// its own slot, and the slots join into the same table no matter which
+// worker filled them.
 func Workers(n int) BuildOption { return func(c *buildConfig) { c.workers = n } }
 
 // Context arms Build with a cancellation context: tree construction and
@@ -118,7 +121,7 @@ func build(inst *join.Instance, u fractional.Cover, tau float64, exhaustive bool
 		if s.root, err = s.buildTree(cfg.ctx, root, 0); err != nil {
 			return nil, err
 		}
-		if err := s.buildDictionary(cfg.ctx, cfg.workers); err != nil {
+		if err := s.buildDictionary(cfg.ctx, cfg.workers, cfg.perNode); err != nil {
 			return nil, err
 		}
 	}
@@ -188,71 +191,76 @@ func (s *Structure) buildTree(ctx context.Context, iv interval.Interval, level i
 // T(v_b, I(w)) > τ_ℓ, it stores one bit recording whether the join
 // restricted to I(w) under v_b is non-empty.
 //
-// Nodes are independent — each owns the dictionary entries that carry its
-// id — so they are processed by up to workers goroutines pulling node
-// indices from a shared counter (nodes near the root carry most of the
-// candidate work, so static striping would balance poorly). Each node's
-// entries land in its own slot and the slots are joined in id order, so
-// the table is identical for every worker count. Workers poll ctx between
-// nodes and every 64 candidates within a node, so cancellation aborts the
-// pull loop promptly and buildDictionary returns ctx.Err().
-func (s *Structure) buildDictionary(ctx context.Context, workers int) error {
-	results := make([]nodeEntries, len(s.nodes))
-	if workers > len(s.nodes) {
-		workers = len(s.nodes)
+// Where join.Witnessed holds and the build is not exhaustive, the
+// candidates come from one walk of the E_Vb join over the root interval
+// (walkDictionary). Otherwise each node enumerates its own candidates
+// (nodeDictionary): nodes are independent — each owns the dictionary
+// entries that carry its id — so they are processed by up to workers
+// goroutines pulling node indices from a shared counter (nodes near the
+// root carry most of the candidate work, so static striping would balance
+// poorly). Each node's entries land in its own slot and the slots are
+// joined in id order, so the table is identical for every worker count.
+// Workers poll ctx between nodes and every 64 candidates within a node, so
+// cancellation aborts the build promptly and buildDictionary returns
+// ctx.Err().
+func (s *Structure) buildDictionary(ctx context.Context, workers int, perNode bool) error {
+	if !perNode && !s.exhaustive && join.Witnessed(s.inst) {
+		s.walked = true
+		return s.walkDictionary(ctx, workers)
 	}
-	if workers <= 1 {
-		for i, n := range s.nodes {
-			var err error
-			if results[i], err = s.nodeDictionary(ctx, n); err != nil {
-				return err
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(s.nodes) || ctx.Err() != nil {
-						return
-					}
-					ne, err := s.nodeDictionary(ctx, s.nodes[i])
-					if err != nil {
-						return
-					}
-					results[i] = ne
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	results := make([]nodeEntries, len(s.nodes))
+	err := parallel(ctx, workers, len(s.nodes), func() func(i int) {
+		return func(i int) { results[i] = s.nodeDictionary(ctx, s.nodes[i]) }
+	})
+	if err != nil {
+		return err
 	}
 	s.dict = joinDict(len(s.inst.NV.Bound), results)
 	return nil
 }
 
-// nodeDictionary computes one node's heavy-pair entries. The candidate
+// parallel calls job(i) for every i in [0, n) on up to workers goroutines
+// that pull indices from a shared counter. Each goroutine makes its own job
+// with newJob, so per-goroutine state needs no lock. Once ctx is done no
+// index is handed out; parallel waits for the goroutines and returns
+// ctx.Err().
+func parallel(ctx context.Context, workers, n int, newJob func() func(i int)) error {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job := newJob()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// nodeDictionary computes one node's heavy-pair entries from its own
+// enumeration of the candidate join: the build's path for an exhaustive
+// dictionary and for views where join.Witnessed fails (E_Vb in several
+// components, or a free variable in no bound-touching atom). The candidate
 // stream of a node near the root can dominate the whole build, so ctx is
-// polled every 64 candidates, not just per node.
-//
-// T(v_b, I(w)) is summed over the node's own boxes in decomposition order,
-// exactly as Estimator.TIntervalBound would, without decomposing I(w)
-// again per candidate; one Enum serves every emptiness check.
-func (s *Structure) nodeDictionary(ctx context.Context, n *node) (nodeEntries, error) {
+// polled every 64 candidates, not just per node; once it is done the
+// entries are cut short, and the build returns ctx.Err().
+func (s *Structure) nodeDictionary(ctx context.Context, n *node) nodeEntries {
 	candidates := join.BoundCandidates
 	if s.exhaustive {
 		candidates = join.BoundCandidatesExhaustive
 	}
-	tauL := s.levelThreshold(n.level)
+	h := s.newHeavyTest()
 	boxes := interval.Decompose(n.iv)
+	tauL := s.levelThreshold(n.level)
 	seen := make(map[string]bool)
-	en := join.NewEnum(s.inst, nil, interval.Box{})
 	var (
 		out   nodeEntries
 		key   []byte
@@ -268,33 +276,60 @@ func (s *Structure) nodeDictionary(ctx context.Context, n *node) (nodeEntries, e
 				return true
 			}
 			seen[string(key)] = true
-			t := 0.0
-			for _, eb := range boxes {
-				t += s.est.TBoxBound(vb, eb)
+			h.bind(vb)
+			if bit, heavy := h.entry(boxes, tauL, false); heavy {
+				out.add(vb, bit)
 			}
-			if t <= tauL {
-				return true
-			}
-			bit := byte(0)
-			for i, eb := range boxes {
-				if i == 0 {
-					en.Rebind(vb, eb)
-				} else {
-					en.Reset(eb)
-				}
-				if en.Exists() {
-					bit = 1
-					break
-				}
-			}
-			out.add(vb, bit)
 			return true
 		})
-		if err := ctx.Err(); err != nil {
-			return nodeEntries{}, err
+	}
+	return out
+}
+
+// heavyTest is Appendix A's test of one bound valuation at tree nodes, for
+// one goroutine: T(v_b, I(w)) is summed over the node's boxes in
+// decomposition order, exactly as Estimator.TIntervalBound would, with
+// the valuation's rows sought once for all boxes and nodes (join.Rows),
+// and one Enum serves every emptiness check.
+type heavyTest struct {
+	est  *join.Estimator
+	rows join.Rows
+	en   *join.Enum
+}
+
+func (s *Structure) newHeavyTest() *heavyTest {
+	return &heavyTest{est: s.est, en: join.NewEnum(s.inst, nil, interval.Box{})}
+}
+
+// bind makes vb the valuation that entry tests; it must not change until
+// the next bind.
+func (h *heavyTest) bind(vb relation.Tuple) {
+	h.rows = h.est.Rows(h.rows, vb)
+	h.en.Rebind(vb, interval.Box{})
+}
+
+// entry reports whether the bound valuation is heavy at a node with the
+// given boxes and threshold τ_ℓ, and the node's bit: whether the join has
+// an answer in the node's interval. nonEmpty says it is known to have one,
+// so the bit is 1 without a check.
+func (h *heavyTest) entry(boxes []interval.Box, tauL float64, nonEmpty bool) (bit byte, heavy bool) {
+	t := 0.0
+	for _, eb := range boxes {
+		t += h.est.TBoxRows(h.rows, eb)
+	}
+	if t <= tauL {
+		return 0, false
+	}
+	if nonEmpty {
+		return 1, true
+	}
+	for _, eb := range boxes {
+		h.en.Reset(eb)
+		if h.en.Exists() {
+			return 1, true
 		}
 	}
-	return out, nil
+	return 0, true
 }
 
 // Instance returns the underlying join instance.

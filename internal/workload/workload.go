@@ -84,6 +84,38 @@ func TriangleDB(seed int64, nodes, edges int) *relation.Database {
 	return db
 }
 
+// HubPairGraph is the symmetric graph of the adversarial triangle
+// request: two hubs, vertices 1 and 2, joined by an edge, each with
+// edges/4 satellites, the hubs' neighborhoods disjoint, over a random
+// background graph of up to edges/2 edges. The request (1, 2) to the
+// mutual-friend view V^bfb(x,y,z) = R(x,y),R(y,z),R(z,x) is heavy but has
+// no answer.
+func HubPairGraph(rng *rand.Rand, name string, edges int) *relation.Relation {
+	r := relation.NewRelation(name, 2)
+	const hub1, hub2 = 1, 2
+	deg := edges / 4
+	for i := 0; i < deg; i++ {
+		a := relation.Value(10 + 2*i) // even satellites of hub1
+		b := relation.Value(11 + 2*i) // odd satellites of hub2
+		r.MustInsert(hub1, a)
+		r.MustInsert(a, hub1)
+		r.MustInsert(hub2, b)
+		r.MustInsert(b, hub2)
+	}
+	r.MustInsert(hub1, hub2) // the bound pair itself must be an edge
+	r.MustInsert(hub2, hub1)
+	base := 10 + 2*deg + 2
+	for i := 0; i < edges/2; i++ {
+		a := relation.Value(base + rng.Intn(edges/6))
+		b := relation.Value(base + rng.Intn(edges/6))
+		if a != b {
+			r.MustInsert(a, b)
+			r.MustInsert(b, a)
+		}
+	}
+	return r
+}
+
 // StarDB returns relations R1..Rn of the star join S_n(x1..xn, z) =
 // R1(x1,z), ..., Rn(xn,z) with sizePer tuples each. Skew concentrates a
 // fraction of tuples on few z values so that slack-aware compression has
