@@ -252,7 +252,7 @@ func BenchmarkQueryTriangleMaterialized(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := m.Query(vbs[i%len(vbs)])
+		it := core.Tuples(m.Query(vbs[i%len(vbs)]))
 		for {
 			if _, ok := it.Next(); !ok {
 				break

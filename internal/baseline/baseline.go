@@ -127,8 +127,8 @@ func coveringAtom(inst *join.Instance) *join.AtomInfo {
 	return best
 }
 
-// Query returns an iterator over the access request's free tuples in
-// lexicographic order with O(1) delay.
+// Query returns the access request's free tuples in lexicographic order
+// with O(1) delay, lent block by block from the bucket's slab.
 func (m *MaterializedView) Query(vb relation.Tuple) *SliceIter {
 	b := m.buckets[string(vb.AppendEncode(nil))]
 	return &SliceIter{vals: b.vals, arity: m.mu, n: b.n}
@@ -160,13 +160,15 @@ func (m *MaterializedView) Stats() Stats {
 	}
 }
 
-// lendBatch is how many rows a SliceIter's scratch holds at least (the
+// LendBatch is how many rows a SliceIter's scratch holds at least (the
 // serving loop's default frame), so a stream that asks for one row and
-// then for frames allocates its scratch once.
-const lendBatch = 128
+// then for frames allocates its scratch once. It is also the largest
+// block core's per-tuple view asks for.
+const LendBatch = 128
 
-// SliceIter iterates a stored run of rows: a bucket's slab, or the one
-// empty tuple of a true all-bound request.
+// SliceIter lends a stored run of rows block by block: a bucket's slab, or
+// the one empty tuple of a true all-bound request. It has no per-tuple
+// face of its own; core's tuple view copies its blocks out for Next.
 type SliceIter struct {
 	vals    []relation.Value
 	arity   int
@@ -174,15 +176,14 @@ type SliceIter struct {
 	scratch []relation.Tuple // NextBlock's lent headers
 }
 
-// Next returns the next tuple or false at the end. The tuple is the
-// caller's: it is cloned out of the stored slab.
-func (it *SliceIter) Next() (relation.Tuple, bool) {
-	if it.pos >= it.n {
-		return nil, false
-	}
-	t := relation.RowAt(it.vals, it.arity, it.pos)
-	it.pos++
-	return t.Clone(), true
+// NextRows lends the next up-to-want rows as one run of the stored slab,
+// stride arity, n rows (0 at the end): no copy and no allocation, so the
+// tuple view copies a block out with one copy. The run is read-only.
+func (it *SliceIter) NextRows(want int) (vals []relation.Value, arity, n int) {
+	n = min(want, it.n-it.pos)
+	vals = it.vals[it.pos*it.arity : (it.pos+n)*it.arity]
+	it.pos += n
+	return vals, it.arity, n
 }
 
 // NextBlock returns the next up-to-want tuples, or an empty block at the
@@ -192,32 +193,19 @@ func (it *SliceIter) Next() (relation.Tuple, bool) {
 // are never written (ApplyOutputDelta is copy-on-write), so a lent tuple
 // stays intact under concurrent maintenance.
 func (it *SliceIter) NextBlock(want int) []relation.Tuple {
-	k := min(want, it.n-it.pos)
-	if cap(it.scratch) < k {
-		it.scratch = make([]relation.Tuple, min(it.n-it.pos, max(k, lendBatch)))
+	if k := min(want, it.n-it.pos); cap(it.scratch) < k {
+		it.scratch = make([]relation.Tuple, min(it.n-it.pos, max(k, LendBatch)))
 	}
-	blk := it.scratch[:k]
+	vals, arity, n := it.NextRows(want)
+	blk := it.scratch[:n]
 	for i := range blk {
-		blk[i] = relation.RowAt(it.vals, it.arity, it.pos+i)
+		blk[i] = relation.RowAt(vals, arity, i)
 	}
-	it.pos += k
 	return blk
 }
 
 // Ready reports that NextBlock never waits: every answer is already stored.
 func (it *SliceIter) Ready() bool { return true }
-
-// Drain collects the remaining tuples.
-func (it *SliceIter) Drain() []relation.Tuple {
-	var out []relation.Tuple
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-	}
-}
 
 // DirectEval answers every request by running the worst-case-optimal join
 // over the base indexes — the "evaluate on the input database" extreme.
@@ -307,8 +295,8 @@ type AllBound struct {
 // NewAllBound wraps an instance of an all-bound view.
 func NewAllBound(inst *join.Instance) *AllBound { return &AllBound{inst: inst} }
 
-// Query returns a one-tuple iterator holding the empty tuple when the
-// valuation is in the view, an empty iterator otherwise.
+// Query lends one block holding the empty tuple when the valuation is in
+// the view, and nothing otherwise.
 func (a *AllBound) Query(vb relation.Tuple) *SliceIter {
 	if a.Contains(vb) {
 		return &SliceIter{n: 1}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"cqrep/internal/baseline"
@@ -35,6 +36,13 @@ type backend interface {
 	// order. Composite backends compare heads through it when merging
 	// independent enumerations.
 	EnumOrder() []int
+}
+
+// blockBackend is the capability of a backend that lends its answers as
+// blocks natively: QueryBlocks serves its stream as is, and its Query is
+// the tuple view over the same stream (Tuples).
+type blockBackend interface {
+	queryBlocks(ctx context.Context, vb relation.Tuple) BlockIterator
 }
 
 // backendSpec is one strategy's entry in the backend registry: how to
@@ -204,10 +212,13 @@ func (b decompBackend) EnumOrder() []int { return b.s.EnumOrder() }
 // a native bucket lookup — no iterator is constructed.
 type materializedBackend struct{ m *baseline.MaterializedView }
 
-func (b materializedBackend) Query(vb relation.Tuple) Iterator { return b.m.Query(vb) }
+func (b materializedBackend) Query(vb relation.Tuple) Iterator { return Tuples(b.m.Query(vb)) }
 func (b materializedBackend) Exists(vb relation.Tuple) bool    { return b.m.Contains(vb) }
 func (b materializedBackend) EncodeTo(e *relation.Encoder)     { b.m.EncodeTo(e) }
 func (b materializedBackend) EnumOrder() []int                 { return nil }
+func (b materializedBackend) queryBlocks(_ context.Context, vb relation.Tuple) BlockIterator {
+	return b.m.Query(vb)
+}
 
 // applyDelta edits the output buckets tuple-by-tuple on a copy-on-write
 // clone — exactly the incremental-view-maintenance case the full-view
@@ -256,10 +267,13 @@ func newAllBoundBackend(sh *shell) (backend, error) {
 	return allBoundBackend{a: baseline.NewAllBound(inst)}, nil
 }
 
-func (b allBoundBackend) Query(vb relation.Tuple) Iterator { return b.a.Query(vb) }
+func (b allBoundBackend) Query(vb relation.Tuple) Iterator { return Tuples(b.a.Query(vb)) }
 func (b allBoundBackend) Exists(vb relation.Tuple) bool    { return b.a.Contains(vb) }
 func (b allBoundBackend) EncodeTo(e *relation.Encoder)     {}
 func (b allBoundBackend) EnumOrder() []int                 { return nil }
+func (b allBoundBackend) queryBlocks(_ context.Context, vb relation.Tuple) BlockIterator {
+	return b.a.Query(vb)
+}
 
 // applyDelta rewraps the new shell's base indexes: AllBound stores nothing
 // beyond them, so the "delta" is a constant-time rebind — no output delta

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
+	"cqrep/internal/baseline"
 	"cqrep/internal/relation"
 )
 
@@ -30,23 +32,72 @@ func Ready(b BlockIterator) bool {
 }
 
 // QueryBlocks answers an access request block by block — the serving
-// path's form of Query. Backends that store their answers contiguously
+// path's form of Query. A backend that stores its answers contiguously
 // (materialized buckets, directly, behind a routed shard key, or merged
-// across shards) lend views of the stored rows, no copy, in a block the
-// iterator allocates once, and ctx is the caller's to observe between
-// blocks. Every
-// other backend goes through one adapter that fills a reused buffer from
-// Next and polls ctx per tuple, so a cancelled request abandons a slow
-// enumeration within one answer's delay; its IterErr is then ctx's error.
-// Query's contract is unchanged: tuples from Next are the caller's to keep.
+// across shards) hands over its own stream: views of the stored rows, no
+// copy, in a block the iterator allocates once, and ctx is the caller's to
+// observe between blocks. Every other backend goes through one adapter
+// that fills a reused buffer from Next and polls ctx per tuple, so a
+// cancelled request abandons a slow enumeration within one answer's delay;
+// its IterErr is then ctx's error. Query's contract is unchanged: tuples
+// from Next are the caller's to keep.
 func (r *Representation) QueryBlocks(ctx context.Context, vb relation.Tuple) BlockIterator {
 	if r.ensure() == nil {
-		if sb, ok := r.be.(*shardedBackend); ok {
-			return sb.queryBlocks(ctx, vb)
+		if bb, ok := r.be.(blockBackend); ok {
+			return bb.queryBlocks(ctx, vb)
 		}
 	}
 	return AsBlocks(ctx, r.Query(vb))
 }
+
+// Tuples is the per-tuple face of a block stream: Query on every backend
+// that lends blocks natively. It asks for blocks of 1, 2, 4, … up to
+// baseline.LendBatch rows (so the first answer waits for one row's copy),
+// copies each into one new slab and hands out capped views of its rows,
+// Tuple{} at arity 0. A tuple is the caller's, and holding one keeps at
+// most LendBatch rows alive. A blockAdapter's tuples are owned already:
+// its Iterator is returned as is.
+func Tuples(b BlockIterator) Iterator {
+	if a, ok := b.(*blockAdapter); ok {
+		return a.it
+	}
+	return &tupleView{b: b, want: 1}
+}
+
+// tupleView is Tuples' iterator: the current block's slab and the next
+// row to hand out of it.
+type tupleView struct {
+	b           BlockIterator
+	vals        []relation.Value
+	arity, n, i int
+	want        int // the next block's size
+}
+
+func (v *tupleView) Next() (relation.Tuple, bool) {
+	if v.i == v.n {
+		v.i, v.n = 0, 0
+		if s, ok := v.b.(*baseline.SliceIter); ok {
+			// Stored rows are one run of a slab: copy it whole.
+			vals, arity, n := s.NextRows(v.want)
+			v.vals, v.arity, v.n = slices.Clone(vals), arity, n
+		} else if blk := v.b.NextBlock(v.want); len(blk) > 0 {
+			v.arity, v.n = len(blk[0]), len(blk)
+			v.vals = make([]relation.Value, 0, v.n*v.arity)
+			for _, t := range blk {
+				v.vals = append(v.vals, t...)
+			}
+		}
+		if v.n == 0 {
+			return nil, false
+		}
+		v.want = min(2*v.want, baseline.LendBatch)
+	}
+	v.i++
+	return relation.RowAt(v.vals, v.arity, v.i-1), true
+}
+
+// Err forwards the block stream's terminal error (see IterErr).
+func (v *tupleView) Err() error { return IterErr(v.b) }
 
 // AsBlocks serves an Iterator block by block: natively when it has
 // NextBlock, otherwise through the per-tuple adapter QueryBlocks uses.

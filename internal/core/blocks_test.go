@@ -282,17 +282,10 @@ func TestMergeBlocksLendsRuns(t *testing.T) {
 }
 
 // TestShardedFreeKeyQueryAllocs pins per-tuple Query on a sharded free key
-// at no more allocations than the per-tuple merge it replaced: one clone per
-// answer, which the caller owns, plus 4 + shards per request.
+// at a few allocations per merged block, not one per answer: the tuple view
+// copies each lent run into one slab the caller owns.
 func TestShardedFreeKeyQueryAllocs(t *testing.T) {
-	db := relation.NewDatabase()
-	s := relation.NewRelation("S", 2)
-	for x := 0; x < 64; x++ {
-		for y := 0; y < 64; y++ {
-			s.MustInsert(relation.Value(x), relation.Value(y))
-		}
-	}
-	db.Add(s)
+	db := gridDB(64, 64)
 	const answers = 64 * 64
 	for _, shards := range []int{2, 3, 4} {
 		r, err := Build(cq.MustParse("F[ff](x, y) :- S(x, y)"), db, WithStrategy(MaterializedStrategy), WithShards(shards))
@@ -309,7 +302,7 @@ func TestShardedFreeKeyQueryAllocs(t *testing.T) {
 				t.Fatalf("drained %d answers, err %v", n, err)
 			}
 		})
-		if limit := float64(answers + 4 + shards); allocs > limit {
+		if limit := float64(answers/32 + 16); allocs > limit {
 			t.Fatalf("%d shards: %.0f allocations per %d-answer Query, want at most %.0f", shards, allocs, answers, limit)
 		}
 	}

@@ -20,6 +20,9 @@ import (
 // decomposition strategy, whose order is decomposition-induced, a hash set
 // of emitted projections is used instead (O(output) memory).
 func (r *Representation) QueryDistinct(vb relation.Tuple) Iterator {
+	if err := r.ensure(); err != nil {
+		return errIterator{err}
+	}
 	k := 0
 	for _, a := range r.orig.Pattern {
 		if a == cq.Free {
@@ -30,94 +33,68 @@ func (r *Representation) QueryDistinct(vb relation.Tuple) Iterator {
 	if k == len(r.sh.nv.Free) {
 		return inner // full view: nothing to project
 	}
+	it := &distinctIter{inner: inner, k: k}
 	if r.strategy == DecompositionStrategy {
-		return &hashDistinctIter{inner: inner, k: k, seen: make(map[string]bool)}
+		it.seen = make(map[string]bool)
 	}
-	return &prefixDistinctIter{inner: inner, k: k}
+	return it
 }
 
-// prefixDistinctIter deduplicates adjacent equal prefixes — correct when
-// the inner stream is lexicographically ordered.
-type prefixDistinctIter struct {
+// distinctIter yields each distinct k-prefix of the inner stream once. On
+// a lexicographically ordered stream it compares each prefix with the last
+// one; on any other order (seen is set) it keeps a seen-set.
+type distinctIter struct {
 	inner Iterator
 	k     int
 	last  relation.Tuple
-}
-
-// Next yields the next distinct k-prefix.
-func (it *prefixDistinctIter) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := it.inner.Next()
-		if !ok {
-			return nil, false
-		}
-		p := t[:it.k]
-		if it.last != nil && p.Equal(it.last) {
-			continue
-		}
-		it.last = p.Clone()
-		return it.last.Clone(), true
-	}
-}
-
-// hashDistinctIter deduplicates with a seen-set — correct for any inner
-// order.
-type hashDistinctIter struct {
-	inner Iterator
-	k     int
 	seen  map[string]bool
 }
 
-// Next yields the next previously-unseen k-prefix.
-func (it *hashDistinctIter) Next() (relation.Tuple, bool) {
+// Next yields the next distinct k-prefix.
+func (it *distinctIter) Next() (relation.Tuple, bool) {
 	for {
 		t, ok := it.inner.Next()
 		if !ok {
 			return nil, false
 		}
 		p := t[:it.k]
-		key := string(p.AppendEncode(nil))
-		if it.seen[key] {
+		if it.seen != nil {
+			key := string(p.AppendEncode(nil))
+			if it.seen[key] {
+				continue
+			}
+			it.seen[key] = true
+		} else if it.last != nil && p.Equal(it.last) {
 			continue
 		}
-		it.seen[key] = true
+		it.last = p // t is ours (Next's contract) and not handed on
 		return p.Clone(), true
 	}
 }
 
+// Err forwards the inner stream's terminal error (see IterErr).
+func (it *distinctIter) Err() error { return IterErr(it.inner) }
+
 // Count drains the access request and reports the number of answers — the
 // COUNT aggregate over the full view under the given binding.
-func (r *Representation) Count(vb relation.Tuple) int {
-	n := 0
-	it := r.Query(vb)
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	// In-memory enumeration is infallible; a terminal error here means a
-	// reporting backend was plugged in without extending Count's
-	// signature, which is a programming error.
-	if err := IterErr(it); err != nil {
-		panic("core: Count enumeration failed: " + err.Error())
-	}
-	return n
-}
+func (r *Representation) Count(vb relation.Tuple) int { return count(r.Query(vb), "Count") }
 
 // CountDistinct reports the number of distinct projected answers of the
 // original view under the binding.
 func (r *Representation) CountDistinct(vb relation.Tuple) int {
+	return count(r.QueryDistinct(vb), "CountDistinct")
+}
+
+// count drains it. In-memory enumeration is infallible; a terminal error
+// here means a reporting backend was plugged in without extending the
+// caller's signature, which is a programming error.
+func count(it Iterator, caller string) int {
 	n := 0
-	it := r.QueryDistinct(vb)
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
 		n++
 	}
 	if err := IterErr(it); err != nil {
-		panic("core: CountDistinct enumeration failed: " + err.Error())
+		panic("core: " + caller + " enumeration failed: " + err.Error())
 	}
 	return n
 }

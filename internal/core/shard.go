@@ -217,27 +217,18 @@ func (b *shardedBackend) owner(vb relation.Tuple) *Representation {
 	return b.subs[relation.ShardOf(vb[b.parts.keyIdx], len(b.subs))]
 }
 
-// Query routes to the owning shard when the shard key is bound; otherwise
-// it merges all shards (MergeBlocks) in the backend's global enumeration
-// order, which the disjoint hash partition makes byte-for-byte identical
-// to the unsharded enumeration. A Query caller keeps every tuple, so this
-// merge runs over each shard's own Next, one fresh tuple at a time.
+// Query is the tuple view over queryBlocks: a primitive, decomposition or
+// direct shard's own tuples when the key is bound (Tuples unwraps its
+// adapter), else one slab per lent block or merged run.
 func (b *shardedBackend) Query(vb relation.Tuple) Iterator {
-	if sub := b.owner(vb); sub != nil {
-		return sub.Query(vb)
-	}
-	m := &mergedTuples{blockMerge{order: b.EnumOrder(), in: make([]mergeInput, len(b.subs))}}
-	ones := make([]oneTuple, len(b.subs))
-	for i, sub := range b.subs {
-		ones[i].it = sub.Query(vb)
-		m.in[i].it = &ones[i]
-	}
-	return m
+	return Tuples(b.queryBlocks(context.Background(), vb))
 }
 
 // queryBlocks is QueryBlocks on the composite: the owning shard's blocks
-// when the key is bound, else the merge of every shard's — native, so a
-// materialized composite lends runs of its buckets.
+// when the key is bound, else the merge (MergeBlocks) of every shard's in
+// the backend's global enumeration order, which the disjoint hash
+// partition makes byte-for-byte identical to the unsharded enumeration —
+// native, so a materialized composite lends runs of its buckets.
 func (b *shardedBackend) queryBlocks(ctx context.Context, vb relation.Tuple) BlockIterator {
 	if sub := b.owner(vb); sub != nil {
 		return sub.QueryBlocks(ctx, vb)
@@ -248,34 +239,6 @@ func (b *shardedBackend) queryBlocks(ctx context.Context, vb relation.Tuple) Blo
 	}
 	return MergeBlocks(b.EnumOrder(), its)
 }
-
-// mergedTuples is the per-tuple face of a merge over owned tuples.
-type mergedTuples struct{ blockMerge }
-
-func (m *mergedTuples) Next() (relation.Tuple, bool) {
-	if blk := m.NextBlock(1); len(blk) > 0 {
-		return blk[0], true
-	}
-	return nil, false
-}
-
-// oneTuple lends a per-tuple Iterator's tuples one at a time, so what the
-// merge hands on stays the caller's.
-type oneTuple struct {
-	it  Iterator
-	one [1]relation.Tuple
-}
-
-func (o *oneTuple) NextBlock(int) []relation.Tuple {
-	t, ok := o.it.Next()
-	if !ok {
-		return nil
-	}
-	o.one[0] = t
-	return o.one[:]
-}
-
-func (o *oneTuple) Err() error { return IterErr(o.it) }
 
 // EnumOrder reports the shared sub-backend order (every shard compiles
 // the same structure shape over its partition, so the orders agree). It

@@ -7,6 +7,7 @@ import (
 
 	"cqrep/internal/baseline"
 	"cqrep/internal/bench"
+	"cqrep/internal/core"
 	"cqrep/internal/cq"
 	"cqrep/internal/decomp"
 	"cqrep/internal/fractional"
@@ -53,7 +54,7 @@ func E1Triangle(edges, queries int, seed int64) []*bench.Table {
 		panic(err)
 	}
 	ms := mat.Stats()
-	aggM := measureRequests(vbs, func(vb relation.Tuple) bench.Iterator { return mat.Query(vb) })
+	aggM := measureRequests(vbs, func(vb relation.Tuple) bench.Iterator { return core.Tuples(mat.Query(vb)) })
 	bt.Add("materialized", ms.Tuples, ms.Bytes, aggM.MaxOps, aggM.MaxDelay)
 	dir := baseline.NewDirectEval(inst)
 	aggD := measureRequests(vbs, func(vb relation.Tuple) bench.Iterator { return dir.Query(vb) })
@@ -81,7 +82,7 @@ func E2AllBound(edges, queries int, seed int64) []*bench.Table {
 		}
 		vbs = append(vbs, tu)
 	}
-	agg := measureRequests(vbs, func(vb relation.Tuple) bench.Iterator { return ab.Query(vb) })
+	agg := measureRequests(vbs, func(vb relation.Tuple) bench.Iterator { return core.Tuples(ab.Query(vb)) })
 	t := bench.NewTable("E2 All-bound view (Proposition 1)",
 		"requests", "extra space", "max delay", "hits")
 	hits := 0
