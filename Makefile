@@ -75,7 +75,7 @@ examples:
 # Mirrors the CI snapshot job.
 snapshot-check:
 	$(GO) test -run 'TestSnapshot|TestMmapLoadIdentity' ./...
-	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v[12]$$' ./internal/core
+	$(GO) test -v -run 'Test(Snapshot|Mmap)RejectsCorruption/version_skew/v[123]$$' ./internal/core
 
 # Differential gate: the whole internal/difftest package. Every strategy
 # (and the sharded composites) must enumerate byte-for-byte what the

@@ -1,7 +1,8 @@
 // Command cqcoord is the scatter-gather front of the distributed serving
-// tier (DESIGN.md §6): it decodes each sharded snapshot once, exports one
-// self-contained snapshot file per shard, keeps only a route card per view
-// (the adorned view and its shard key), and serves the same client API
+// tier (DESIGN.md §6): it reads each sharded snapshot's route card without
+// decoding the snapshot, copies each shard's frame out as a self-contained
+// snapshot file, keeps only the route card per view (the adorned view, its
+// shard key, order and sizes), and serves the same client API
 // as a single cqserve node — routing bound-key queries to the worker that
 // owns the key's shard and merging free enumerations across all workers
 // in the view's declared EnumOrder, byte-identically to single-node

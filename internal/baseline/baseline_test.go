@@ -57,7 +57,7 @@ func checkMaterialized(t *testing.T, name string, inst *join.Instance) {
 	var probe func(i int)
 	probe = func(i int) {
 		if i < len(vb) {
-			for _, v := range inst.BoundDomains[i] {
+			for _, v := range inst.BoundDomain(i) {
 				vb[i] = v
 				probe(i + 1)
 			}

@@ -12,10 +12,14 @@
 // enumerates in the composite's order, and the merge is the in-process
 // sharded backend's own (core.MergeBlocks).
 //
-// Workers join by snapshot: the coordinator decodes each sharded snapshot
-// once, exports every shard as a self-contained snapshot file
-// (core.WriteShard), and serves the files on GET /v1/shardfile/{view}/{i}.
-// It keeps no decoded copy, only a route card per view (viewMeta).
+// Workers join by snapshot: the coordinator decodes no snapshot. It reads
+// each one's route card (core.ReadRouteCard: view, shard plan,
+// enumeration order and entry counts, every checksum verified), copies
+// every shard's nested frame verbatim into a self-contained snapshot file
+// — the bytes core.WriteShard would write — and serves the files on
+// GET /v1/shardfile/{view}/{i}. It keeps only the route card per view
+// (viewMeta); a frame that passes its checksum but does not decode fails
+// the joining worker's attach.
 // A joining worker POSTs /v1/join; the coordinator pushes /v1/attach calls
 // that tell the worker which shard files to fetch and serve (scoped names
 // "V@i"), then swaps the shard map atomically. The swap uses the same
@@ -86,7 +90,7 @@ type viewMeta struct {
 	view   *cq.View           // the full adorned view: names only, no data
 	keyIdx int                // position of the shard key in a bound valuation; -1 = scatter
 	files  []string           // exported per-shard snapshot files, one per shard
-	info   httpserve.ViewInfo // the /v1/views row, taken from the decode at load
+	info   httpserve.ViewInfo // the /v1/views row, taken from the snapshot's route card
 }
 
 // shardMap is one immutable generation of the ownership table. Queries
@@ -135,8 +139,8 @@ type Coordinator struct {
 	workers   map[string]*workerStats
 }
 
-// New loads every snapshot, exports its shards into the spool directory,
-// and returns a coordinator with an empty membership: every shard is
+// New reads every snapshot's route card, copies its shard frames into the
+// spool directory, and returns a coordinator with an empty membership: every shard is
 // unassigned (queries 503) until workers join.
 func New(paths []string, opts Options) (*Coordinator, error) {
 	if len(paths) == 0 {
@@ -193,43 +197,46 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// loadView decodes one snapshot eagerly, verifying every shard frame it
-// ships, exports its shards to spool files, and returns the route card.
+// loadView reads one snapshot's route card (core.ReadRouteCard), which
+// checks the outer checksum and every shard frame's but decodes neither
+// relations nor backends, copies each shard's frame verbatim into its
+// spool file, and returns the route card. A frame whose checksum holds but
+// whose contents do not decode fails the attach of the worker it is
+// assigned to, before that worker serves it.
 func (c *Coordinator) loadView(path string) (*viewMeta, error) {
-	rep, err := httpserve.LoadSnapshot(path, false)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("coord: %w", err)
+	}
+	card, err := core.ReadRouteCard(raw)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s: %w", path, err)
 	}
-	st, name := rep.Stats(), rep.View().Name
+	name, entries := card.View.Name, 0
+	for _, n := range card.Entries {
+		entries += n
+	}
 	vm := &viewMeta{
-		view:   rep.View(),
-		keyIdx: rep.ShardKeyIndex(),
+		view:   card.View,
+		keyIdx: card.KeyIndex,
 		info: httpserve.ViewInfo{
 			Name:  name,
-			Bound: rep.BoundNames(),
-			Free:  rep.FreeNames(),
+			Bound: card.Bound,
+			Free:  card.Free,
 			// Theorem 2's order depends on the stored decomposition, so it
-			// comes from the decode, not from the view.
-			EnumOrder:  rep.EnumOrder(),
-			Strategy:   st.Strategy.String(),
-			Shards:     rep.ShardCount(),
-			Entries:    st.Entries,
+			// comes from the snapshot's card, not from the view.
+			EnumOrder:  card.EnumOrder,
+			Strategy:   card.Strategy.String(),
+			Shards:     card.Shards,
+			Entries:    entries,
 			BaseTuples: 0, // base data lives on the workers
 			Snapshot:   path,
 			LoadedAt:   time.Now().UTC().Format(time.RFC3339),
 		},
 	}
-	for i := 0; i < vm.info.Shards; i++ {
+	for i, fr := range card.Frames {
 		fp := filepath.Join(c.opts.SpoolDir, fmt.Sprintf("%s@%d.snap", httpserve.FileStem(name), i))
-		f, err := os.Create(fp)
-		if err != nil {
-			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
-		}
-		if _, err := rep.WriteShard(i, f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(fp, raw[fr.Off:fr.Off+fr.Len], 0o666); err != nil {
 			return nil, fmt.Errorf("coord: exporting shard %d of %s: %w", i, name, err)
 		}
 		vm.files = append(vm.files, fp)

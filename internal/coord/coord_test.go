@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -755,37 +756,207 @@ func TestViewsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestNewRejectsCorruptShardFrame damages one nested shard frame and
-// re-seals the outer checksum, so only the shard's own checksum can tell:
-// the coordinator must refuse the snapshot at New, before any worker
-// fetches the damaged frame.
+// reframe wraps payload in a snapshot frame of the current version with
+// valid length and checksum, so only checks inside the payload can tell.
+func reframe(raw, payload []byte) []byte {
+	const magicLen, headerLen = 6, 16
+	out := append([]byte(nil), raw[:magicLen+2]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// cardSpan locates the shard card of a sharded snapshot: the card's bytes
+// are raw[start:end], the first shard frame's length follows. The card is
+// read from its own encoding — the enumeration order nil-aware (0, or its
+// length plus one, then the positions), then the counted entry list —
+// which must sit right before that length.
+func cardSpan(t *testing.T, raw []byte) (start, end int, card *core.RouteCard) {
+	t.Helper()
+	card, err := core.ReadRouteCard(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc []byte
+	if card.EnumOrder == nil {
+		enc = binary.AppendUvarint(enc, 0)
+	} else {
+		enc = binary.AppendUvarint(enc, uint64(len(card.EnumOrder))+1)
+		for _, p := range card.EnumOrder {
+			enc = binary.AppendUvarint(enc, uint64(p))
+		}
+	}
+	enc = binary.AppendUvarint(enc, uint64(len(card.Entries)))
+	for _, n := range card.Entries {
+		enc = binary.AppendUvarint(enc, uint64(n))
+	}
+	end = card.Frames[0].Off - len(binary.AppendUvarint(nil, uint64(card.Frames[0].Len)))
+	start = end - len(enc)
+	if start < 0 || !bytes.Equal(raw[start:end], enc) {
+		t.Fatal("the shard card does not sit before the first shard frame")
+	}
+	return start, end, card
+}
+
+// TestNewRejectsCorruptShardFrame damages one nested shard frame, or the
+// shard card ahead of the frames, and re-seals the outer checksum, so only
+// the shard's own checksum or the card's checks can tell: the coordinator
+// must refuse the snapshot at New, before any worker fetches a frame.
 func TestNewRejectsCorruptShardFrame(t *testing.T) {
+	paths := identitySnapshots(t, t.TempDir())
+	read := func(i int) []byte {
+		raw, err := os.ReadFile(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	const headerLen = 16
+	routed, decomposed := read(0), read(1)
+	rs, re, _ := cardSpan(t, routed)
+	ds, _, dcard := cardSpan(t, decomposed)
+	if dcard.EnumOrder == nil {
+		t.Fatal("the decomposition view must declare a non-head EnumOrder")
+	}
+	for _, c := range []struct {
+		name   string
+		raw    []byte
+		inErrs string
+	}{
+		{"nested checksum", func() []byte {
+			raw := slices.Clone(routed)
+			fr := routeFrames(t, raw)[0]
+			raw[fr.Off+fr.Len-5] ^= 0x01 // the shard's last payload byte
+			return reframe(raw, raw[headerLen:len(raw)-4])
+		}(), "shard 0"},
+		{"truncated card", reframe(routed, routed[headerLen:(rs+re)/2]), ""},
+		{"entry list short", func() []byte {
+			// The entry count sits right after the one-byte nil order.
+			payload := slices.Clone(routed[headerLen : len(routed)-4])
+			payload[rs-headerLen+1]--
+			return reframe(routed, payload)
+		}(), "entry counts"},
+		{"order not a permutation", func() []byte {
+			// The order's first two positions follow its length byte.
+			payload := slices.Clone(decomposed[headerLen : len(decomposed)-4])
+			payload[ds-headerLen+2] = payload[ds-headerLen+1]
+			return reframe(decomposed, payload)
+		}(), "permutation"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.snap")
+			if err := os.WriteFile(path, c.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := New([]string{path}, Options{SpoolDir: t.TempDir()})
+			if !errors.Is(err, core.ErrBadSnapshot) {
+				t.Fatalf("New = %v, want ErrBadSnapshot", err)
+			}
+			if !strings.Contains(err.Error(), c.inErrs) {
+				t.Fatalf("New = %v, want it to name %q", err, c.inErrs)
+			}
+		})
+	}
+}
+
+// routeFrames is the byte range of each shard frame in a sharded
+// snapshot.
+func routeFrames(t *testing.T, raw []byte) []core.FrameRange {
+	t.Helper()
+	card, err := core.ReadRouteCard(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return card.Frames
+}
+
+// TestUndecodableFrameFailsJoin: a shard frame whose checksum holds but
+// whose payload does not decode passes New, which decodes nothing, and
+// fails at the worker: the attach is refused, Join returns the error, and
+// no shard is owned, so the coordinator does not report ready.
+func TestUndecodableFrameFailsJoin(t *testing.T) {
 	path := identitySnapshots(t, t.TempDir())[0]
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame layout: 6-byte magic, 2-byte version, 8-byte payload length,
-	// payload, 4-byte CRC-32 of the payload. Shard 0's frame is the second
-	// occurrence of the magic.
-	const magicLen, headerLen = 6, 16
-	at := bytes.Index(raw[magicLen:], raw[:magicLen])
-	if at < 0 {
-		t.Fatal("no nested shard frame found")
+	const headerLen = 16
+	fr := routeFrames(t, raw)[1]
+	payload := raw[fr.Off+headerLen : fr.Off+fr.Len-4]
+	for i := range payload {
+		payload[i] = 0xff // no uvarint ends: the view name cannot decode
 	}
-	at += magicLen
-	nested := binary.BigEndian.Uint64(raw[at+magicLen+2:])
-	raw[at+headerLen+int(nested)-1] ^= 0x01 // the shard's last payload byte
-	binary.BigEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[headerLen:len(raw)-4]))
+	binary.BigEndian.PutUint32(raw[fr.Off+fr.Len-4:], crc32.ChecksumIEEE(payload))
+	raw = reframe(raw, raw[headerLen:len(raw)-4])
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = New([]string{path}, Options{SpoolDir: t.TempDir()})
-	if !errors.Is(err, core.ErrBadSnapshot) {
-		t.Fatalf("New = %v, want ErrBadSnapshot", err)
+	cts := httptest.NewServer(nil)
+	defer cts.Close()
+	c, err := New([]string{path}, Options{SelfURL: cts.URL, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New must take a frame whose checksum holds: %v", err)
 	}
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("New = %v, want the failure pinned on shard 0 (the outer checksum was re-sealed)", err)
+	defer c.Close()
+	cts.Config.Handler = c
+	wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wh.Close()
+	wts := httptest.NewServer(wh)
+	defer wts.Close()
+
+	err = c.Join(context.Background(), wts.URL)
+	if err == nil || !strings.Contains(err.Error(), "V@1") {
+		t.Fatalf("Join = %v, want the attach of V@1 refused", err)
+	}
+	for view, owners := range c.currentOwners() {
+		for i, o := range owners {
+			if o != "" {
+				t.Errorf("%s@%d is owned by %s after the failed join", view, i, o)
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d after the failed join, want 503", rec.Code)
+	}
+}
+
+// TestSpoolFilesEqualWriteShard: the coordinator copies each shard frame
+// out of the snapshot without decoding it; each spool file must be, byte
+// for byte, what WriteShard writes for the decoded representation.
+func TestSpoolFilesEqualWriteShard(t *testing.T) {
+	paths := identitySnapshots(t, t.TempDir())
+	c, err := New(paths, Options{SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, path := range paths {
+		rep, err := httpserve.LoadSnapshot(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm := c.views[rep.View().Name]
+		if len(vm.files) != rep.ShardCount() {
+			t.Fatalf("%s: %d spool files for %d shards", path, len(vm.files), rep.ShardCount())
+		}
+		for i, fp := range vm.files {
+			var want bytes.Buffer
+			if _, err := rep.WriteShard(i, &want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s: spool file of shard %d differs from WriteShard", rep.View().Name, i)
+			}
+		}
 	}
 }

@@ -50,8 +50,10 @@ type blockBackend interface {
 // snapshot payload against a reconstructed representation shell (view and
 // normalized view in place, join instance on demand). Both hooks fill in
 // the representation's strategy-specific stats. Every hook whose backend
-// reads the join instance at request time builds it before returning, so
-// no request pays for it; the materialized decoder never builds it.
+// reads the join instance at request time builds it, complete, before
+// returning (shell.completeInstance), so no request pays for it; the
+// materialized decoder never builds it, and the materialized build reads
+// only the BoundFirst indexes NewInstance builds.
 type backendSpec struct {
 	build  func(r *Representation, cfg *config) (backend, error)
 	decode func(d *relation.Decoder, r *Representation) (backend, error)
@@ -64,7 +66,7 @@ var backendSpecs = map[Strategy]backendSpec{
 	PrimitiveStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) { return r.buildPrimitive(cfg) },
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			inst, err := r.sh.instance()
+			inst, err := r.sh.completeInstance()
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +85,7 @@ var backendSpecs = map[Strategy]backendSpec{
 	DecompositionStrategy: {
 		build: func(r *Representation, cfg *config) (backend, error) { return r.buildDecomposition(cfg) },
 		decode: func(d *relation.Decoder, r *Representation) (backend, error) {
-			inst, err := r.sh.instance()
+			inst, err := r.sh.completeInstance()
 			if err != nil {
 				return nil, err
 			}
@@ -178,7 +180,7 @@ func (b primitiveBackend) EnumOrder() []int                 { return nil }
 // invalidating the dictionary 0-entries that net-added outputs falsify
 // (see primitive/delta.go). Net deletions need no dictionary repair.
 func (b primitiveBackend) applyDelta(shell *Representation, d *outputDelta) (backend, bool, error) {
-	inst, err := shell.sh.instance()
+	inst, err := shell.sh.completeInstance()
 	if err != nil {
 		return nil, false, err
 	}
@@ -243,7 +245,7 @@ func (b materializedBackend) needsOutputs() bool { return true }
 type directBackend struct{ d *baseline.DirectEval }
 
 func newDirectBackend(sh *shell) (backend, error) {
-	inst, err := sh.instance()
+	inst, err := sh.completeInstance()
 	if err != nil {
 		return nil, err
 	}

@@ -268,6 +268,17 @@ func (s *shell) instance() (*join.Instance, error) {
 	return s.inst.Load(), s.err
 }
 
+// completeInstance is instance with every lazily built index and domain
+// in place (join.Instance.Complete): the form a backend whose requests
+// read the instance takes, so no request pays for a sort.
+func (s *shell) completeInstance() (*join.Instance, error) {
+	inst, err := s.instance()
+	if err == nil {
+		inst.Complete()
+	}
+	return inst, err
+}
+
 // newShell runs the deterministic front of every build and load: extend
 // the view to full and normalize it against db. It builds no index: the
 // join instance waits for shell.instance, which builds and every decoder
@@ -307,8 +318,9 @@ func buildSingle(view *cq.View, db *relation.Database, cfg *config) (*Representa
 	if err != nil {
 		return nil, err
 	}
-	// Every backend's build reads the base indexes. Build them before the
-	// clock starts, so BuildTime stays the structure's compression time.
+	// Every backend's build reads the BoundFirst indexes. Build them before
+	// the clock starts; the FreeFirst indexes and active domains, which
+	// only some backends read, count toward the build that reads them.
 	if _, err := r.sh.instance(); err != nil {
 		return nil, err
 	}
@@ -363,7 +375,7 @@ func (r *Representation) buildPrimitive(cfg *config) (backend, error) {
 	if len(r.sh.nv.Free) == 0 {
 		return nil, fmt.Errorf("%w: primitive strategy requires at least one free variable", ErrStrategyMismatch)
 	}
-	inst, err := r.sh.instance()
+	inst, err := r.sh.completeInstance()
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -52,8 +56,8 @@ func TestQueryDistinctProjection(t *testing.T) {
 					t.Fatalf("strategy %v: unexpected co-author %v", rep.Stats().Strategy, g[0])
 				}
 			}
-			if rep.CountDistinct(vb) != len(want) {
-				t.Fatalf("CountDistinct mismatch")
+			if n, err := rep.CountDistinct(vb); err != nil || n != len(want) {
+				t.Fatalf("CountDistinct = %d, %v, want %d", n, err, len(want))
 			}
 		}
 	}
@@ -87,9 +91,45 @@ func TestCount(t *testing.T) {
 	for i := 0; i < 10 && i < r.Len(); i++ {
 		row := r.Row(i)
 		vb := relation.Tuple{row[0], row[1]}
-		if got, want := rep.Count(vb), len(Drain(rep.Query(vb))); got != want {
-			t.Errorf("Count(%v) = %d, want %d", vb, got, want)
+		if got, err := rep.Count(vb); err != nil || got != len(Drain(rep.Query(vb))) {
+			t.Errorf("Count(%v) = %d, %v, want %d", vb, got, err, len(Drain(rep.Query(vb))))
 		}
+	}
+}
+
+// TestCountOnDamagedSnapshot: a bit-flipped snapshot fails typed on
+// every load path and no count panics — the eager load refuses it, and on
+// an mmap load, whose payload is checked on first touch, Count and
+// CountDistinct report ErrBadSnapshot.
+func TestCountOnDamagedSnapshot(t *testing.T) {
+	view, db := triangleFixture(t)
+	rep, err := Build(view, db, WithStrategy(MaterializedStrategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rep.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[snapshotHeaderLen+len(raw)/2] ^= 0x01
+	if _, err := ReadRepresentation(bytes.NewReader(raw)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("eager load: err = %v, want ErrBadSnapshot", err)
+	}
+	path := filepath.Join(t.TempDir(), "v.cqs")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenRepresentationMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb := relation.Tuple{1, 2}
+	if n, err := mapped.Count(vb); n != 0 || !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Count = %d, %v, want 0, ErrBadSnapshot", n, err)
+	}
+	if n, err := mapped.CountDistinct(vb); n != 0 || !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("CountDistinct = %d, %v, want 0, ErrBadSnapshot", n, err)
 	}
 }
 
@@ -387,5 +427,51 @@ func TestDeltaForHeight(t *testing.T) {
 	}
 	if d0 := decomp.DeltaForHeight(dec, 0); dec.DeltaHeight(d0) != 0 {
 		t.Error("zero height must give zero assignment")
+	}
+}
+
+// TestMaintainedExistsProbes: Maintained.Exists answers through the
+// snapshot's own membership check, at most the 2 allocations of
+// Representation.Exists on a 2048-answer materialized bucket (an
+// enumeration cost 5), and still triggers the rebuild a stale view is
+// due, as Query does.
+func TestMaintainedExistsProbes(t *testing.T) {
+	s := relation.NewRelation("S", 2)
+	for y := relation.Value(0); y < 2048; y++ {
+		s.MustInsert(1, y)
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	m, err := NewMaintained(cq.MustParse("W[bf](x, y) :- S(x, y)"), db, 0, WithStrategy(MaterializedStrategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, miss := relation.Tuple{1}, relation.Tuple{2}
+	for _, c := range []struct {
+		vb   relation.Tuple
+		want bool
+	}{{hit, true}, {miss, false}} {
+		if got, err := m.Exists(c.vb); err != nil || got != c.want {
+			t.Fatalf("Exists(%v) = %v, %v, want %v", c.vb, got, err, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Exists(hit) }); allocs > 2 {
+		t.Fatalf("Exists allocates %.0f times per probe, want at most 2", allocs)
+	}
+
+	// A zero staleness budget makes the view stale at the first change,
+	// and Replay buffers one without triggering the rebuild: the Exists
+	// that finds the view stale must set it going, and the new row shows
+	// once it is in.
+	if err := m.Replay("S", relation.Tuple{2, 7}, false); err != nil {
+		t.Fatal(err)
+	}
+	m.Exists(miss)
+	m.Quiesce()
+	if m.Rebuilds() != 1 {
+		t.Fatalf("Exists on a stale view left %d rebuilds, want 1", m.Rebuilds())
+	}
+	if got, err := m.Exists(miss); err != nil || !got {
+		t.Fatalf("Exists(%v) after the triggered rebuild = %v, %v, want true", miss, got, err)
 	}
 }

@@ -12,18 +12,20 @@ import (
 	"cqrep/internal/workload"
 )
 
-// TestSnapshotFormatFixture loads testdata/triangle_v3.cqs, a Theorem-1
+// TestSnapshotFormatFixture loads testdata/triangle_v4.cqs, a Theorem-1
 // snapshot of the mutual-friend view over workload.SkewedTriangleDB(11, 20,
 // 90) at τ = 2 with the valuation-major heavy-pair dictionary. It must
-// read (format version 3), write back byte for byte, and answer every
-// request exactly like a fresh compile of the same inputs.
+// read (format version 4), write back byte for byte, and answer every
+// request exactly like a fresh compile of the same inputs. Version 4
+// changed only the sharded payload, so this unsharded fixture's payload
+// is triangle_v3.cqs's.
 func TestSnapshotFormatFixture(t *testing.T) {
-	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
+	raw, err := os.ReadFile("testdata/triangle_v4.cqs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); v != 3 || snapshotVersion != 3 {
-		t.Fatalf("fixture is version %d, this build writes %d; both must stay 3", v, snapshotVersion)
+	if v := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); v != 4 || snapshotVersion != 4 {
+		t.Fatalf("fixture is version %d, this build writes %d; both must stay 4", v, snapshotVersion)
 	}
 	loaded, err := ReadRepresentation(bytes.NewReader(raw))
 	if err != nil {
@@ -46,8 +48,8 @@ func TestSnapshotFormatFixture(t *testing.T) {
 		t.Fatalf("fixture holds %d entries, fresh compile %d", got, want)
 	}
 	requests := 0
-	for _, x := range fresh.Instance().BoundDomains[0] {
-		for _, z := range fresh.Instance().BoundDomains[1] {
+	for _, x := range fresh.Instance().BoundDomain(0) {
+		for _, z := range fresh.Instance().BoundDomain(1) {
 			vb := relation.Tuple{x, z}
 			got, want := Drain(loaded.Query(vb)), Drain(fresh.Query(vb))
 			if len(got) != len(want) {
@@ -70,7 +72,7 @@ func TestSnapshotFormatFixture(t *testing.T) {
 // dictionary entry repeats the one before it is corrupt, not a dictionary
 // in which the later entry wins.
 func TestSnapshotRejectsRepeatedDictionaryKey(t *testing.T) {
-	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
+	raw, err := os.ReadFile("testdata/triangle_v4.cqs")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"slices"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -45,9 +46,9 @@ func FuzzReadRepresentation(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// The committed v3 fixture, and a copy whose dictionary repeats an
+	// The committed v4 fixture, and a copy whose dictionary repeats an
 	// entry: decoding must reject that rather than let the later entry win.
-	raw, err := os.ReadFile("testdata/triangle_v3.cqs")
+	raw, err := os.ReadFile("testdata/triangle_v4.cqs")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -55,8 +56,14 @@ func FuzzReadRepresentation(f *testing.F) {
 	f.Add(repeatLastDictEntry(f, raw))
 	// A materialized bucket that repeats and reorders its answers.
 	f.Add(disorderedBucket(f))
-	// A sharded snapshot whose first nested shard frame fails its checksum.
+	// A sharded snapshot whose first nested shard frame fails its checksum,
+	// and sharded snapshots whose shard card is cut short, lists too few
+	// entry counts, or orders the output positions other than by a
+	// permutation.
 	f.Add(nestedCRCCorrupt(f))
+	for _, raw := range corruptCards(f) {
+		f.Add(raw)
+	}
 	// Degenerate non-snapshots.
 	f.Add([]byte{})
 	f.Add([]byte("CQREPS"))
@@ -71,14 +78,14 @@ func FuzzReadRepresentation(f *testing.F) {
 			return
 		}
 		// Decoding angles per input: the bytes as a whole frame, and the
-		// bytes as a *payload* wrapped in a correctly-checksummed v1, v2
-		// and current-version frame. The current-version wrap matters
+		// bytes as a *payload* wrapped in a correctly-checksummed v1, v2,
+		// v3 and current-version frame. The current-version wrap matters
 		// most: without it the CRC-32 gate rejects nearly every mutation
 		// before the payload decoders (view, database, per-strategy
-		// structures) see a byte. The v1 and v2 wraps must always fail
-		// typed: this build reads neither.
+		// structures) see a byte. The older wraps must always fail typed:
+		// this build reads none of them.
 		tryDecode(t, dir, data)
-		for _, v := range []uint16{1, 2} {
+		for _, v := range []uint16{1, 2, 3} {
 			if _, err := ReadRepresentation(bytes.NewReader(framePayload(v, stripFrame(data)))); !errors.Is(err, ErrSnapshotVersion) {
 				t.Fatalf("v%d frame: err = %v, want ErrSnapshotVersion", v, err)
 			}
@@ -118,14 +125,27 @@ func framePayload(version uint16, payload []byte) []byte {
 // tryDecode runs one decode attempt on each load path — eager, and mmap
 // with the composite and every shard materialized — requires both to
 // agree on accepting or rejecting the bytes and, on claimed success,
-// proves the representation is actually servable and re-encodable.
+// proves the representation is actually servable and re-encodable. The
+// route card reader checks less than a decode, so it must accept what
+// the decoders accept, and agree with them on it.
 func tryDecode(t *testing.T, dir string, data []byte) {
 	rep, err := ReadRepresentation(bytes.NewReader(data))
 	if merr := mmapDecode(t, dir, data); (err == nil) != (merr == nil) {
 		t.Fatalf("load paths disagree: eager err = %v, mmap err = %v", err, merr)
 	}
+	card, cerr := ReadRouteCard(data)
 	if err != nil {
 		return
+	}
+	if cerr != nil {
+		t.Fatalf("ReadRouteCard rejects a snapshot that decodes: %v", cerr)
+	}
+	entries := 0
+	for _, n := range card.Entries {
+		entries += n
+	}
+	if card.Shards != rep.ShardCount() || entries != rep.Stats().Entries || !slices.Equal(card.EnumOrder, rep.EnumOrder()) {
+		t.Fatalf("route card %+v disagrees with the decode", card)
 	}
 	vb := make(relation.Tuple, len(rep.BoundNames()))
 	it := rep.Query(vb)

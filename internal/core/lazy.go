@@ -38,17 +38,16 @@ type mmapRef struct {
 // OpenRepresentationMmap: the undecoded payload (a subslice of the
 // mapping), its expected checksum, and the one-shot decode guard.
 // Field order packs the sub-word fields (sum rides in once's alignment
-// tail), keeping the struct at 80 bytes with no padding waste.
+// tail), keeping the struct at 72 bytes with no padding waste.
 type lazySnapshot struct {
 	once    sync.Once
 	sum     uint32
 	err     error
 	payload []byte
 	ref     *mmapRef // keeps the mapping alive until materialized
-	// wantStrategy cross-checks a shard frame against the composite's
-	// declared strategy; checkStrategy gates it (outer frames skip it).
-	wantStrategy  Strategy
-	checkStrategy bool
+	// claim is what the composite says of a shard frame, checked once it
+	// decodes; nil for outer frames.
+	claim *shardClaim
 }
 
 // ensure materializes a lazily-loaded representation, decoding the mapped
@@ -81,12 +80,9 @@ func (l *lazySnapshot) materialize(dst *Representation) error {
 		return fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 	d := relation.NewDecoder(l.payload)
-	pre, err := decodeSnapshotPrefix(d)
+	pre, err := decodeSnapshotPrefix(d, true)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	if l.checkStrategy && pre.strategy != l.wantStrategy {
-		return fmt.Errorf("%w: shard has strategy %v, composite claims %v", ErrBadSnapshot, pre.strategy, l.wantStrategy)
 	}
 	shell, err := shellFromPrefix(pre)
 	if err != nil {
@@ -123,30 +119,27 @@ func (l *lazySnapshot) materialize(dst *Representation) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after structure payload", ErrBadSnapshot, d.Remaining())
 	}
+	if l.claim != nil {
+		if err := l.claim.check(dst); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
+	}
 	return nil
 }
 
 // decodeLazySharded installs the sharded composite backend with one lazy
-// sub-representation per nested frame: routing metadata (partitioner and
-// shard-key check) materializes now, the frames themselves — zero-copy
-// subslices of the mapping — decode independently on first touch.
+// sub-representation per nested frame: routing metadata (partitioner,
+// shard-key check and card) materializes now, the frames themselves —
+// zero-copy subslices of the mapping — decode independently on first
+// touch, each checked then against the card's claim.
 func decodeLazySharded(d *relation.Decoder, r *Representation, pre *snapshotPrefix, ref *mmapRef) error {
-	p := newPartitioner(r.view, pre.shards)
-	keyVar := d.String()
-	if err := d.Err(); err != nil {
+	p, card, frames, err := readShardedPayload(d, r.view, pre.shards)
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	if keyVar != p.keyVar {
-		return fmt.Errorf("%w: sharded snapshot keyed by %q, view shards by %q", ErrBadSnapshot, keyVar, p.keyVar)
-	}
 	subs := make([]*Representation, pre.shards)
-	for i := range subs {
-		n := d.Count(1)
-		frame := d.Raw(n)
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("%w: shard %d: %w", ErrBadSnapshot, i, err)
-		}
-		sub, err := newLazyFromFrame(frame, ref, pre.strategy)
+	for i, frame := range frames {
+		sub, err := newLazyFromFrame(frame, ref, card.claim(pre.strategy, i))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -164,7 +157,7 @@ func decodeLazySharded(d *relation.Decoder, r *Representation, pre *snapshotPref
 // checksum — a subslice of the mapping) as an undecoded representation.
 // Only the frame header is validated now; payload checksum and content
 // wait for first touch.
-func newLazyFromFrame(frame []byte, ref *mmapRef, want Strategy) (*Representation, error) {
+func newLazyFromFrame(frame []byte, ref *mmapRef, claim *shardClaim) (*Representation, error) {
 	payload, sum, err := splitFrame(frame)
 	if err != nil {
 		return nil, err
@@ -172,10 +165,7 @@ func newLazyFromFrame(frame []byte, ref *mmapRef, want Strategy) (*Representatio
 	if len(frame) != snapshotHeaderLen+len(payload)+4 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after frame", ErrBadSnapshot, len(frame)-snapshotHeaderLen-len(payload)-4)
 	}
-	return &Representation{lazy: &lazySnapshot{
-		payload: payload, sum: sum, ref: ref,
-		wantStrategy: want, checkStrategy: true,
-	}}, nil
+	return &Representation{lazy: &lazySnapshot{payload: payload, sum: sum, ref: ref, claim: claim}}, nil
 }
 
 // splitFrame validates a snapshot frame header in place and returns the

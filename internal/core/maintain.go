@@ -401,10 +401,16 @@ func (m *Maintained) Quiesce() { m.wg.Wait() }
 // after a rebuild failure they keep serving the last good snapshot; the
 // failure is reported by Err and by the next Flush, which retries it.
 func (m *Maintained) Query(vb relation.Tuple) (Iterator, error) {
+	return m.current().Query(vb), nil
+}
+
+// current is the snapshot a read answers from, after triggering the
+// rebuild a stale view is due.
+func (m *Maintained) current() *Representation {
 	if m.stale.Load() {
 		m.triggerRebuild()
 	}
-	return m.rep.Load().Query(vb), nil
+	return m.rep.Load()
 }
 
 // Err returns the error of the most recent failed rebuild, if any, without
@@ -417,17 +423,15 @@ func (m *Maintained) Err() error {
 }
 
 // Exists reports whether the access request has any answer in the current
-// snapshot.
+// snapshot, through the backend's own membership check (a bucket or index
+// probe where it has one) rather than an enumeration. The error is a
+// snapshot's that failed to decode.
 func (m *Maintained) Exists(vb relation.Tuple) (bool, error) {
-	it, err := m.Query(vb)
-	if err != nil {
+	r := m.current()
+	if err := r.ensure(); err != nil {
 		return false, err
 	}
-	_, ok := it.Next()
-	if err := IterErr(it); err != nil {
-		return false, err
-	}
-	return ok, nil
+	return r.Exists(vb), nil
 }
 
 // Pending returns the number of buffered, not-yet-applied changes.

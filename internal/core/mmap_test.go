@@ -161,7 +161,7 @@ func TestMmapRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		for _, v := range []uint16{1, 2, 43} { // 43: a version from the future
+		for _, v := range []uint16{1, 2, 3, 43} { // 43: a version from the future
 			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 				bad := versionSkewFrame(t, snap, v)
 				if _, err := OpenRepresentationMmap(write(t, bad)); !errors.Is(err, ErrSnapshotVersion) {

@@ -76,25 +76,22 @@ func (it *distinctIter) Next() (relation.Tuple, bool) {
 func (it *distinctIter) Err() error { return IterErr(it.inner) }
 
 // Count drains the access request and reports the number of answers — the
-// COUNT aggregate over the full view under the given binding.
-func (r *Representation) Count(vb relation.Tuple) int { return count(r.Query(vb), "Count") }
+// COUNT aggregate over the full view under the given binding. The error
+// is the stream's terminal one (IterErr): an mmap-loaded snapshot whose
+// payload fails to decode reports ErrBadSnapshot here.
+func (r *Representation) Count(vb relation.Tuple) (int, error) { return count(r.Query(vb)) }
 
 // CountDistinct reports the number of distinct projected answers of the
-// original view under the binding.
-func (r *Representation) CountDistinct(vb relation.Tuple) int {
-	return count(r.QueryDistinct(vb), "CountDistinct")
+// original view under the binding, with Count's error.
+func (r *Representation) CountDistinct(vb relation.Tuple) (int, error) {
+	return count(r.QueryDistinct(vb))
 }
 
-// count drains it. In-memory enumeration is infallible; a terminal error
-// here means a reporting backend was plugged in without extending the
-// caller's signature, which is a programming error.
-func count(it Iterator, caller string) int {
+// count drains it and reports its terminal error.
+func count(it Iterator) (int, error) {
 	n := 0
 	for _, ok := it.Next(); ok; _, ok = it.Next() {
 		n++
 	}
-	if err := IterErr(it); err != nil {
-		panic("core: " + caller + " enumeration failed: " + err.Error())
-	}
-	return n
+	return n, IterErr(it)
 }

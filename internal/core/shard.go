@@ -426,13 +426,19 @@ func (p *partitioner) shardBatch(batch []change, s int) []change {
 }
 
 // EncodeTo writes the composite's snapshot payload: the shard-key variable
-// (a cheap consistency check at decode time) followed by each shard's own
-// complete snapshot frame, length-prefixed, in shard order. Reusing the
-// frame format per shard means a shard's snapshot is self-contained and
-// the existing single-backend codec needs no changes. Each frame streams
-// through e after its length, which the shard counts once and keeps.
+// (a cheap consistency check at decode time), the shard card, then each
+// shard's own complete snapshot frame, length-prefixed, in shard order.
+// Reusing the frame format per shard means a shard's snapshot is
+// self-contained and the existing single-backend codec needs no changes.
+// Each frame streams through e after its length, which the shard counts
+// once and keeps.
 func (b *shardedBackend) EncodeTo(e *relation.Encoder) {
 	e.String(b.parts.keyVar)
+	card := shardCard{enumOrder: b.EnumOrder(), entries: make([]int, len(b.subs))}
+	for i, sub := range b.subs {
+		card.entries[i] = sub.Stats().Entries
+	}
+	card.encodeTo(e)
 	for _, sub := range b.subs {
 		size, err := sub.payloadLen()
 		if err != nil {

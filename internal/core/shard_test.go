@@ -109,12 +109,12 @@ func shardCases(t *testing.T) []struct {
 // sampleBindings draws deterministic valuations, mixing hits and misses.
 func sampleBindings(r *Representation, n int, seed int64) []relation.Tuple {
 	rng := rand.New(rand.NewSource(seed))
-	doms := r.Instance().BoundDomains
+	inst := r.Instance()
 	out := make([]relation.Tuple, 0, n)
 	for i := 0; i < n; i++ {
-		vb := make(relation.Tuple, len(doms))
+		vb := make(relation.Tuple, len(inst.NV.Bound))
 		for j := range vb {
-			dom := doms[j]
+			dom := inst.BoundDomain(j)
 			if len(dom) == 0 || i%3 == 0 {
 				vb[j] = relation.Value(rng.Intn(1000))
 				continue

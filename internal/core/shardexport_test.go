@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -242,6 +245,215 @@ func TestShardExportMmapAndEnsure(t *testing.T) {
 	for _, vb := range sampleBindings(rep, 20, 11) {
 		if !bytes.Equal(enumBytes(a, vb), enumBytes(b, vb)) {
 			t.Fatalf("mmap-exported shard differs from direct export for %v", vb)
+		}
+	}
+}
+
+// routeCardShapes are the snapshots the route card tests read: sharded
+// materialized (routed and scattered), Theorem-1 and Theorem-2 — the last
+// with a non-head EnumOrder — and an unsharded one.
+func routeCardShapes(t testing.TB) map[string][]byte {
+	t.Helper()
+	tri, triDB := cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), workload.TriangleDB(7, 40, 420)
+	path, pathDB := cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"), workload.PathDB(11, 2, 300, 20)
+	scatter := cq.MustParse("F[fff](x, y, z) :- R(x, y), R(y, z), R(z, x)")
+	out := map[string][]byte{}
+	for name, c := range map[string]struct {
+		view *cq.View
+		db   *relation.Database
+		opts []Option
+	}{
+		"materialized/3":  {tri, triDB, []Option{WithStrategy(MaterializedStrategy), WithShards(3)}},
+		"scatter/3":       {scatter, triDB, []Option{WithStrategy(MaterializedStrategy), WithShards(3)}},
+		"primitive/2":     {tri, triDB, []Option{WithStrategy(PrimitiveStrategy), WithTau(2), WithShards(2)}},
+		"decomposition/4": {path, pathDB, []Option{WithStrategy(DecompositionStrategy), WithShards(4)}},
+		"unsharded":       {tri, triDB, []Option{WithStrategy(MaterializedStrategy)}},
+	} {
+		rep, err := Build(c.view, c.db, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := rep.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestReadRouteCardMatchesDecode: the route card read from a snapshot's
+// bytes says what a full decode of it says — names, strategy, shard plan,
+// enumeration order, entries — and each frame range holds, byte for byte,
+// what WriteShard writes for that shard of the decoded representation.
+func TestReadRouteCardMatchesDecode(t *testing.T) {
+	for name, raw := range routeCardShapes(t) {
+		t.Run(name, func(t *testing.T) {
+			card, err := ReadRouteCard(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ReadRepresentation(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := 0
+			for _, n := range card.Entries {
+				entries += n
+			}
+			order := rep.EnumOrder()
+			if card.View.String() != rep.View().String() || !slices.Equal(card.Bound, rep.BoundNames()) ||
+				!slices.Equal(card.Free, rep.FreeNames()) || card.Strategy != rep.Stats().Strategy ||
+				card.Shards != rep.ShardCount() || card.KeyIndex != rep.ShardKeyIndex() ||
+				(card.EnumOrder == nil) != (order == nil) || !slices.Equal(card.EnumOrder, order) ||
+				entries != rep.Stats().Entries || len(card.Entries) != card.Shards || len(card.Frames) != card.Shards {
+				t.Fatalf("card %+v disagrees with the decode (order %v, entries %d)", card, order, rep.Stats().Entries)
+			}
+			if name == "decomposition/4" && order == nil {
+				t.Fatal("the decomposition must enumerate in a non-head order")
+			}
+			// JSON renders a nil list as null: names must be lists, as a
+			// node's are.
+			if card.Bound == nil || card.Free == nil {
+				t.Fatal("card name lists must not be nil")
+			}
+			for i, fr := range card.Frames {
+				var want bytes.Buffer
+				if _, err := rep.WriteShard(i, &want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw[fr.Off:fr.Off+fr.Len], want.Bytes()) {
+					t.Fatalf("frame %d differs from WriteShard(%d)", i, i)
+				}
+			}
+		})
+	}
+}
+
+// cardSpan locates the shard card in a sharded snapshot's payload:
+// payload[start:end] is the card, decoded as c.
+func cardSpan(t testing.TB, payload []byte) (start, end int, c shardCard) {
+	t.Helper()
+	d := relation.NewDecoder(payload)
+	pre, err := decodeSnapshotPrefix(d, false)
+	if err != nil || pre.shards < 2 {
+		t.Fatalf("not a sharded payload: %v", err)
+	}
+	_ = d.String() // the shard-key variable
+	start = len(payload) - d.Remaining()
+	c, err = decodeShardCard(d, pre.shards, len(pre.view.ExtendToFull().FreeVars()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return start, len(payload) - d.Remaining(), c
+}
+
+// recard re-frames a sharded snapshot with its card's bytes replaced by
+// edit's, under valid outer length and checksum: only the card can tell.
+func recard(t testing.TB, frame []byte, edit func(card []byte, c shardCard) []byte) []byte {
+	t.Helper()
+	payload := stripFrame(frame)
+	start, end, c := cardSpan(t, payload)
+	out := append([]byte(nil), payload[:start]...)
+	out = append(out, edit(payload[start:end:end], c)...)
+	return framePayload(snapshotVersion, append(out, payload[end:]...))
+}
+
+// encodeCard is c's encoding.
+func encodeCard(c shardCard) []byte {
+	var buf bytes.Buffer
+	e := relation.NewEncoder(&buf)
+	c.encodeTo(e)
+	return buf.Bytes()
+}
+
+// corruptCards are sharded snapshots whose card is damaged in a way any
+// reader of the card — full decode, mmap, route card — must reject: a
+// payload cut inside the card, an entry list one short, and enumeration
+// orders that are not a permutation of the output positions.
+func corruptCards(t testing.TB) map[string][]byte {
+	t.Helper()
+	shapes := routeCardShapes(t)
+	routed, decomposed := shapes["materialized/3"], shapes["decomposition/4"]
+	payload := stripFrame(routed)
+	start, end, _ := cardSpan(t, payload)
+	return map[string][]byte{
+		"truncated card": framePayload(snapshotVersion, payload[:(start+end)/2]),
+		"entry list short": recard(t, routed, func(_ []byte, c shardCard) []byte {
+			c.entries = c.entries[1:]
+			return encodeCard(c)
+		}),
+		"order repeats a position": recard(t, decomposed, func(_ []byte, c shardCard) []byte {
+			c.enumOrder = slices.Clone(c.enumOrder)
+			c.enumOrder[1] = c.enumOrder[0]
+			return encodeCard(c)
+		}),
+		"order too long": recard(t, routed, func(_ []byte, c shardCard) []byte {
+			c.enumOrder = []int{0, 1}
+			return encodeCard(c)
+		}),
+	}
+}
+
+// TestCorruptShardCardRejected: every card corruption fails typed on the
+// eager and mmap load paths and in ReadRouteCard, the coordinator's
+// reader. A card that is well formed but lies — another valid order,
+// another entry count — is caught by each load path when the shard
+// decodes.
+func TestCorruptShardCardRejected(t *testing.T) {
+	dir := t.TempDir()
+	bad := corruptCards(t)
+	routed := routeCardShapes(t)["materialized/3"]
+	bad["lie: entries"] = recard(t, routed, func(_ []byte, c shardCard) []byte {
+		c.entries = slices.Clone(c.entries)
+		c.entries[2]++
+		return encodeCard(c)
+	})
+	bad["lie: order"] = recard(t, routed, func(_ []byte, c shardCard) []byte {
+		c.enumOrder = []int{0}
+		return encodeCard(c)
+	})
+	for name, raw := range bad {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadRepresentation(bytes.NewReader(raw)); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("eager load: err = %v, want ErrBadSnapshot", err)
+			}
+			if err := mmapDecode(t, dir, raw); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("mmap load: err = %v, want ErrBadSnapshot", err)
+			}
+			_, err := ReadRouteCard(raw)
+			if strings.HasPrefix(name, "lie: ") {
+				if err != nil {
+					t.Errorf("ReadRouteCard of a well-formed card: %v", err)
+				}
+			} else if !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("ReadRouteCard: err = %v, want ErrBadSnapshot", err)
+			}
+		})
+	}
+}
+
+// TestReadRouteCardRejectsDamage: a bad nested checksum, a bad outer one,
+// a version skew, and bytes past the last frame all fail ReadRouteCard
+// typed.
+func TestReadRouteCardRejectsDamage(t *testing.T) {
+	routed := routeCardShapes(t)["materialized/3"]
+	flipped := append([]byte(nil), routed...)
+	flipped[len(flipped)/2] ^= 1
+	skew := append([]byte(nil), routed...)
+	skew[len(snapshotMagic)+1] = 3
+	for name, c := range map[string]struct {
+		raw  []byte
+		want error
+	}{
+		"nested checksum": {nestedCRCCorrupt(t), ErrBadSnapshot},
+		"outer checksum":  {flipped, ErrBadSnapshot},
+		"version 3":       {skew, ErrSnapshotVersion},
+		"trailing bytes":  {framePayload(snapshotVersion, append(slices.Clone(stripFrame(routed)), 0)), ErrBadSnapshot},
+		"empty":           {nil, ErrBadSnapshot},
+	} {
+		if _, err := ReadRouteCard(c.raw); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
 		}
 	}
 }

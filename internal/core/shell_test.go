@@ -61,10 +61,10 @@ func materializedLoads(t *testing.T) (ref *Representation, loads map[string]*Rep
 // block, membership, projection, metadata, re-encoding and shard export.
 func TestMaterializedLoadBuildsNoInstance(t *testing.T) {
 	ref, loads := materializedLoads(t)
-	doms := ref.Instance().BoundDomains
+	inst := ref.Instance()
 	var vbs []relation.Tuple
-	for _, x := range doms[0] {
-		for _, z := range doms[1] {
+	for _, x := range inst.BoundDomain(0) {
+		for _, z := range inst.BoundDomain(1) {
 			vbs = append(vbs, relation.Tuple{x, z})
 		}
 	}
@@ -133,7 +133,8 @@ func TestInstanceBuiltOnceConcurrently(t *testing.T) {
 
 // TestInstanceBuiltWhereServingReadsIt: every build, and every load whose
 // queries read the join instance — primitive, decomposition, direct,
-// all-bound — has it built when it returns, so no request pays for it.
+// all-bound — has it built when it returns, so no request pays for it;
+// those whose queries read FreeFirst or a domain have those built too.
 // A materialized load and the sharded composite's outer shell never
 // build it.
 func TestInstanceBuiltWhereServingReadsIt(t *testing.T) {
@@ -145,14 +146,17 @@ func TestInstanceBuiltWhereServingReadsIt(t *testing.T) {
 		opts    []Option
 		onLoad  bool // the loaded representation builds the instance
 		sharded bool
+		// complete: requests read FreeFirst or the domains, so every
+		// build and load has them built.
+		complete bool
 	}{
-		{"primitive", view, []Option{WithStrategy(PrimitiveStrategy), WithTau(2)}, true, false},
-		{"decomposition", view, []Option{WithStrategy(DecompositionStrategy)}, true, false},
-		{"direct", view, []Option{WithStrategy(DirectStrategy)}, true, false},
-		{"allbound", boolean, []Option{WithStrategy(AllBoundStrategy)}, true, false},
-		{"materialized", view, []Option{WithStrategy(MaterializedStrategy)}, false, false},
-		{"primitive/sharded", view, []Option{WithStrategy(PrimitiveStrategy), WithTau(2), WithShards(2)}, true, true},
-		{"materialized/sharded", view, []Option{WithStrategy(MaterializedStrategy), WithShards(2)}, false, true},
+		{"primitive", view, []Option{WithStrategy(PrimitiveStrategy), WithTau(2)}, true, false, true},
+		{"decomposition", view, []Option{WithStrategy(DecompositionStrategy)}, true, false, false},
+		{"direct", view, []Option{WithStrategy(DirectStrategy)}, true, false, true},
+		{"allbound", boolean, []Option{WithStrategy(AllBoundStrategy)}, true, false, false},
+		{"materialized", view, []Option{WithStrategy(MaterializedStrategy)}, false, false, false},
+		{"primitive/sharded", view, []Option{WithStrategy(PrimitiveStrategy), WithTau(2), WithShards(2)}, true, true, true},
+		{"materialized/sharded", view, []Option{WithStrategy(MaterializedStrategy), WithShards(2)}, false, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			built, err := Build(tc.view, db, tc.opts...)
@@ -182,12 +186,58 @@ func TestInstanceBuiltWhereServingReadsIt(t *testing.T) {
 					t.Fatalf("%s: backend is %T, want the sharded composite", c.name, c.rep.be)
 				}
 				for i, leaf := range leaves {
-					if got := leaf.sh.inst.Load() != nil; got != c.want {
+					inst := leaf.sh.inst.Load()
+					if got := inst != nil; got != c.want {
 						t.Errorf("%s: shard %d has instance built = %v, want %v", c.name, i, got, c.want)
+					}
+					if tc.complete && (inst == nil || !join.LazyBuiltForTest(inst)) {
+						t.Errorf("%s: shard %d serves from an instance whose FreeFirst and domains wait for a request", c.name, i)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestCoveringMaterializedBuildSortsNoFreeFirst: a materialized build
+// over a covering atom walks its BoundFirst runs and enumerates through
+// BoundFirst, so neither it nor any shard of a sharded one builds a
+// FreeFirst index or an active domain.
+func TestCoveringMaterializedBuildSortsNoFreeFirst(t *testing.T) {
+	view, db := triangleFixture(t)
+	r, err := db.Relation("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanDB := relation.NewDatabase()
+	scanDB.Add(r.Renamed("S"))
+	for _, tc := range []struct {
+		view *cq.View
+		db   *relation.Database
+	}{
+		{cq.MustParse("W[bf](x, y) :- S(x, y)"), scanDB},
+		{cq.MustParse("F[ff](x, y) :- S(x, y)"), scanDB},
+		{view, db},
+	} {
+		for _, shards := range []int{1, 3} {
+			rep, err := Build(tc.view, tc.db, WithStrategy(MaterializedStrategy), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves := []*Representation{rep}
+			if sb, ok := rep.be.(*shardedBackend); ok {
+				leaves = sb.subs
+			}
+			for i, leaf := range leaves {
+				inst := leaf.sh.inst.Load()
+				if inst == nil {
+					t.Fatalf("%s, %d shards: shard %d built no instance", tc.view, shards, i)
+				}
+				if join.LazyBuiltForTest(inst) {
+					t.Errorf("%s, %d shards: shard %d built a FreeFirst index or a domain", tc.view, shards, i)
+				}
+			}
+		}
 	}
 }
 

@@ -41,12 +41,15 @@ import (
 // version 3 stores the Theorem-1 heavy-pair dictionary valuation-major
 // (front-coded valuations, per valuation its node ids as deltas, and one
 // packed bitmap of the bits) where version 2 wrote one fixed-width
-// (node, valuation) key per entry. This build reads version 3 only: a
-// version-1 or version-2 frame fails with ErrSnapshotVersion.
+// (node, valuation) key per entry; version 4 puts a shard card (the
+// composite's enumeration order and each shard's entry count) ahead of
+// the nested frames of a sharded payload, so a router reads a sharded
+// snapshot without decoding it (ReadRouteCard). This build reads version
+// 4 only: a frame of an earlier version fails with ErrSnapshotVersion.
 
 const (
 	snapshotMagic   = "CQREPS"
-	snapshotVersion = 3
+	snapshotVersion = 4
 	// snapshotHeaderLen is magic + version + payload length.
 	snapshotHeaderLen = len(snapshotMagic) + 2 + 8
 )
@@ -321,14 +324,21 @@ type snapshotPrefix struct {
 }
 
 // decodeSnapshotPrefix reads the payload prefix shared by the eager and
-// mmap load paths: view, base relations, strategy, build time, and the
-// shard count.
-func decodeSnapshotPrefix(d *relation.Decoder) (*snapshotPrefix, error) {
+// mmap load paths and the route card reader: view, base relations,
+// strategy, build time, and the shard count. With decodeDB false the base
+// relations are stepped over unread (relation.Decoder.SkipDatabase) and
+// the prefix holds no database.
+func decodeSnapshotPrefix(d *relation.Decoder, decodeDB bool) (*snapshotPrefix, error) {
 	view, err := decodeView(d)
 	if err != nil {
 		return nil, err
 	}
-	db, err := d.Database()
+	var db *relation.Database
+	if decodeDB {
+		db, err = d.Database()
+	} else {
+		err = d.SkipDatabase()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +384,7 @@ func shellFromPrefix(pre *snapshotPrefix) (*Representation, error) {
 // them, so its load is decoding the relations and buckets (DESIGN.md,
 // "Reconstruction and compatibility policy").
 func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
-	pre, err := decodeSnapshotPrefix(d)
+	pre, err := decodeSnapshotPrefix(d, true)
 	if err != nil {
 		return nil, err
 	}
@@ -407,34 +417,23 @@ func decodeRepresentation(d *relation.Decoder) (*Representation, error) {
 }
 
 // decodeShardedBackend reads the sharded composite payload written by
-// shardedBackend.EncodeTo: the shard-key variable followed by one complete
-// nested snapshot frame per shard. Each frame is verified and decoded in
-// place, from its subslice of the outer payload, with the checks
-// ReadRepresentation makes of a whole stream. The partitioner is
-// rederived from the view and shard count; the stored key variable
-// cross-checks it.
+// shardedBackend.EncodeTo (readShardedPayload) and decodes each nested
+// frame in place, from its subslice of the outer payload, with the checks
+// ReadRepresentation makes of a whole stream; each shard must then be
+// what the composite claims of it (shardClaim).
 func decodeShardedBackend(d *relation.Decoder, r *Representation, strategy Strategy, shards int) error {
-	p := newPartitioner(r.view, shards)
-	keyVar := d.String()
-	if err := d.Err(); err != nil {
+	p, card, frames, err := readShardedPayload(d, r.view, shards)
+	if err != nil {
 		return err
 	}
-	if keyVar != p.keyVar {
-		return fmt.Errorf("sharded snapshot keyed by %q, view shards by %q", keyVar, p.keyVar)
-	}
 	subs := make([]*Representation, shards)
-	for i := range subs {
-		n := d.Count(1)
-		frame := d.Raw(n)
-		if err := d.Err(); err != nil {
-			return err
-		}
+	for i, frame := range frames {
 		sub, err := decodeFrame(frame)
+		if err == nil {
+			err = card.claim(strategy, i).check(sub)
+		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if sub.strategy != strategy {
-			return fmt.Errorf("shard %d has strategy %v, composite claims %v", i, sub.strategy, strategy)
 		}
 		subs[i] = sub
 	}
@@ -444,10 +443,10 @@ func decodeShardedBackend(d *relation.Decoder, r *Representation, strategy Strat
 	return nil
 }
 
-// decodeFrame decodes one complete snapshot frame held in memory, which
-// must end where the frame does. Nothing is copied: decoders copy what
-// they keep.
-func decodeFrame(frame []byte) (*Representation, error) {
+// verifyFrame checks one complete snapshot frame held in memory — header,
+// a payload that ends where the frame does, checksum — and returns its
+// payload, a subslice of frame.
+func verifyFrame(frame []byte) ([]byte, error) {
 	payload, sum, err := splitFrame(frame)
 	if err != nil {
 		return nil, err
@@ -457,6 +456,17 @@ func decodeFrame(frame []byte) (*Representation, error) {
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
+	return payload, nil
+}
+
+// decodeFrame decodes one complete snapshot frame held in memory, which
+// must end where the frame does. Nothing is copied: decoders copy what
+// they keep.
+func decodeFrame(frame []byte) (*Representation, error) {
+	payload, err := verifyFrame(frame)
+	if err != nil {
+		return nil, err
 	}
 	r, err := decodeRepresentation(relation.NewDecoder(payload))
 	if err != nil {

@@ -44,7 +44,7 @@ func snapEnum(t *testing.T, r *Representation) []byte {
 			}
 			return
 		}
-		dom := r.Instance().BoundDomains[i]
+		dom := r.Instance().BoundDomain(i)
 		for _, v := range dom[:min(8, len(dom))] {
 			walk(append(vb, v), i+1)
 		}
@@ -187,11 +187,11 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadSnapshot", err)
 		}
 	})
-	// Version 1 (the pre-sharding format) and version 2 (the key-per-entry
-	// dictionary) are no longer read: their frames fail typed, like any
-	// version this build does not understand.
+	// Version 1 (the pre-sharding format), version 2 (the key-per-entry
+	// dictionary) and version 3 (no shard card) are no longer read: their
+	// frames fail typed, like any version this build does not understand.
 	t.Run("version skew", func(t *testing.T) {
-		for _, v := range []uint16{1, 2, 43} { // 43: a version from the future
+		for _, v := range []uint16{1, 2, 3, 43} { // 43: a version from the future
 			t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 				bad := versionSkewFrame(t, snap, v)
 				_, err := ReadRepresentation(bytes.NewReader(bad))
@@ -243,18 +243,20 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	})
 }
 
-// versionSkewFrame returns a frame of format version v: for version 2 the
-// committed testdata/triangle_v2.cqs, a real file the version-2 encoder
-// wrote; for any other version snap with its version field rewritten.
+// versionSkewFrame returns a frame of format version v: for versions 2
+// and 3 the committed testdata/triangle_v2.cqs and triangle_v3.cqs, real
+// files those encoders wrote; for any other version snap with its version
+// field rewritten.
 func versionSkewFrame(t *testing.T, snap []byte, v uint16) []byte {
 	t.Helper()
-	if v == 2 {
-		raw, err := os.ReadFile("testdata/triangle_v2.cqs")
+	if v == 2 || v == 3 {
+		name := fmt.Sprintf("testdata/triangle_v%d.cqs", v)
+		raw, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); got != 2 {
-			t.Fatalf("triangle_v2.cqs is version %d", got)
+		if got := binary.BigEndian.Uint16(raw[len(snapshotMagic):]); got != v {
+			t.Fatalf("%s is version %d", name, got)
 		}
 		return raw
 	}

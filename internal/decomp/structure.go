@@ -287,6 +287,8 @@ func (s *Structure) assembleBag(t int, h cq.Hypergraph) (*bag, fractional.Cover,
 	if err != nil {
 		return nil, nil, err
 	}
+	// Bag requests walk the bag instance, so none may pay for its sorts.
+	b.inst.Complete()
 	return b, localU, nil
 }
 

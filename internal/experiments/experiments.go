@@ -39,7 +39,7 @@ func sampleVbs(rng *rand.Rand, inst *join.Instance, k int) []relation.Tuple {
 	for i := 0; i < k; i++ {
 		vb := make(relation.Tuple, len(inst.NV.Bound))
 		for j := range vb {
-			dom := inst.BoundDomains[j]
+			dom := inst.BoundDomain(j)
 			if len(dom) == 0 {
 				vb[j] = 0
 				continue

@@ -69,7 +69,7 @@ func sampleBindings(rep *core.Representation, k int, seed int64) []relation.Tupl
 	for i := 0; i < k; i++ {
 		vb := make(relation.Tuple, len(inst.NV.Bound))
 		for j := range vb {
-			dom := inst.BoundDomains[j]
+			dom := inst.BoundDomain(j)
 			if len(dom) == 0 {
 				vb[j] = 0
 				continue
@@ -560,7 +560,7 @@ func TestMaterializedServingBuildsNoInstance(t *testing.T) {
 	p1, ref := compileAndSave(t, dir, "v.cqs", view, db, core.WithStrategy(core.MaterializedStrategy))
 	p2, _ := compileAndSave(t, dir, "w.cqs", cq.MustParse("W[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), db,
 		core.WithStrategy(core.MaterializedStrategy), core.WithShards(3))
-	doms := ref.Instance().BoundDomains
+	inst := ref.Instance()
 	for _, mmap := range []bool{false, true} {
 		h, err := New([]string{p1, p2}, Options{Mmap: mmap})
 		if err != nil {
@@ -569,8 +569,8 @@ func TestMaterializedServingBuildsNoInstance(t *testing.T) {
 		ts := httptest.NewServer(h)
 		cl := &Client{Base: ts.URL}
 		for _, name := range []string{"V", "W"} {
-			for _, x := range doms[0] {
-				for _, z := range doms[1] {
+			for _, x := range inst.BoundDomain(0) {
+				for _, z := range inst.BoundDomain(1) {
 					vb := relation.Tuple{x, z}
 					got, err := cl.Query(context.Background(), name, bindByName(ref, vb), 0)
 					if err != nil {

@@ -214,7 +214,7 @@ func (e *exhaustiveEnum) seek(d int, from relation.Value) (relation.Value, bool)
 			}
 		}
 		if !participating {
-			dom := e.inst.BoundDomains[d]
+			dom := e.inst.BoundDomain(d)
 			i := searchValues(dom, v)
 			if i >= len(dom) {
 				return 0, false
@@ -302,9 +302,10 @@ type candidateEnum struct {
 	// bound position of dims[boundStart+i].
 	boundStart int
 	boundPos   []int
-	// depth[j][d] is dimension d's column in atoms[j]'s FreeFirst index,
-	// or -1 when the atom does not hold it; ranges[j][d] is atoms[j]'s row
-	// range after fixing dimensions < d.
+	// ix[j] is atoms[j]'s FreeFirst index; depth[j][d] is dimension d's
+	// column in it, or -1 when the atom does not hold it; ranges[j][d] is
+	// atoms[j]'s row range after fixing dimensions < d.
+	ix         []*relation.Index
 	depth      [][]int
 	ranges     [][]rng
 	assignment relation.Tuple
@@ -335,16 +336,18 @@ func newCandidateEnum(inst *Instance, box interval.Box, atoms []int) *candidateE
 		}
 	}
 	c.assignment = make(relation.Tuple, len(c.dims))
+	c.ix = make([]*relation.Index, len(atoms))
 	c.depth = make([][]int, len(atoms))
 	c.ranges = make([][]rng, len(atoms))
 	for j, ai := range atoms {
 		a := inst.Atoms[ai]
+		c.ix[j] = a.FreeFirst()
 		c.depth[j] = make([]int, len(c.dims))
 		for d, dm := range c.dims {
 			c.depth[j][d] = depthInAtom(a, dm)
 		}
 		c.ranges[j] = make([]rng, len(c.dims)+1)
-		c.ranges[j][0] = rng{0, a.FreeFirst.Len()}
+		c.ranges[j][0] = rng{0, c.ix[j].Len()}
 	}
 	return c
 }
@@ -433,19 +436,18 @@ func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) 
 		}
 		advanced := false
 		participating := false
-		for j, ai := range c.atoms {
+		for j := range c.atoms {
 			k := c.depth[j][d]
 			if k < 0 {
 				continue
 			}
 			participating = true
-			a := c.inst.Atoms[ai]
-			r := c.ranges[j][d]
-			pos := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
+			ix, r := c.ix[j], c.ranges[j][d]
+			pos := ix.SeekGE(r.lo, r.hi, k, v)
 			if pos >= r.hi {
 				return 0, false
 			}
-			if val := a.FreeFirst.ValueAt(pos, k); val > v {
+			if val := ix.ValueAt(pos, k); val > v {
 				v = val
 				advanced = true
 				break
@@ -458,9 +460,9 @@ func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) 
 			// active domain defensively.
 			var dom []relation.Value
 			if dm.free {
-				dom = c.inst.FreeDomains[dm.pos]
+				dom = c.inst.FreeDomain(dm.pos)
 			} else {
-				dom = c.inst.BoundDomains[dm.pos]
+				dom = c.inst.BoundDomain(dm.pos)
 			}
 			i := searchValues(dom, v)
 			if i >= len(dom) {
@@ -480,15 +482,14 @@ func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) 
 
 // allHave checks a pinned value across participating atoms containing d.
 func (c *candidateEnum) allHave(d int, v relation.Value) bool {
-	for j, ai := range c.atoms {
+	for j := range c.atoms {
 		k := c.depth[j][d]
 		if k < 0 {
 			continue
 		}
-		a := c.inst.Atoms[ai]
-		r := c.ranges[j][d]
-		pos := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
-		if pos >= r.hi || a.FreeFirst.ValueAt(pos, k) != v {
+		ix, r := c.ix[j], c.ranges[j][d]
+		pos := ix.SeekGE(r.lo, r.hi, k, v)
+		if pos >= r.hi || ix.ValueAt(pos, k) != v {
 			return false
 		}
 	}
@@ -498,16 +499,16 @@ func (c *candidateEnum) allHave(d int, v relation.Value) bool {
 // fix narrows each participating atom's range to assignment[d] = v.
 func (c *candidateEnum) fix(d int, v relation.Value) {
 	c.assignment[d] = v
-	for j, ai := range c.atoms {
+	for j := range c.atoms {
 		r := c.ranges[j][d]
 		k := c.depth[j][d]
 		if k < 0 {
 			c.ranges[j][d+1] = r
 			continue
 		}
-		a := c.inst.Atoms[ai]
-		lo := a.FreeFirst.SeekGE(r.lo, r.hi, k, v)
-		hi := a.FreeFirst.SeekGT(lo, r.hi, k, v)
+		ix := c.ix[j]
+		lo := ix.SeekGE(r.lo, r.hi, k, v)
+		hi := ix.SeekGT(lo, r.hi, k, v)
 		c.ranges[j][d+1] = rng{lo, hi}
 	}
 }

@@ -280,7 +280,7 @@ func (e *Enum) allHave(d int, v relation.Value) bool {
 
 // domainSeek iterates the active domain for unconstrained dimensions.
 func (e *Enum) domainSeek(d int, v relation.Value, hi relation.Value, hiInc bool) (relation.Value, bool) {
-	dom := e.inst.FreeDomains[d]
+	dom := e.inst.FreeDomain(d)
 	i := searchValues(dom, v)
 	if i >= len(dom) {
 		return 0, false

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"cqrep/internal/cq"
 	"cqrep/internal/interval"
@@ -39,10 +40,13 @@ type AtomInfo struct {
 	FreePos  []int
 
 	// BoundFirst orders rows by bound columns then free columns; FreeFirst
-	// orders by free columns then bound columns. Prefix counting against a
-	// canonical box therefore reduces to binary searches on either index.
+	// (built on first read) orders by free columns then bound columns.
+	// Prefix counting against a canonical box therefore reduces to binary
+	// searches on either index.
 	BoundFirst *relation.Index
-	FreeFirst  *relation.Index
+
+	freeOnce  sync.Once
+	freeFirst *relation.Index
 
 	// freeDepth[d] is the position of global free position d within
 	// FreePos, or -1 when the atom does not contain that variable.
@@ -50,6 +54,17 @@ type AtomInfo struct {
 	// boundDepth[i] is the position of global bound position i within
 	// BoundPos, or -1.
 	boundDepth []int
+}
+
+// FreeFirst returns the atom's index ordered by its free columns (in
+// f-order) then its bound columns, sorting it on the first call; later and
+// concurrent callers get the same index. A build that reads only
+// BoundFirst — a materialized output over a covering atom — never sorts it.
+func (a *AtomInfo) FreeFirst() *relation.Index {
+	a.freeOnce.Do(func() {
+		a.freeFirst = a.Rel.Index(append(append([]int(nil), a.FreeCols...), a.BoundCols...)...)
+	})
+	return a.freeFirst
 }
 
 // ContainsFree reports whether the atom contains the free variable at
@@ -61,26 +76,39 @@ func (a *AtomInfo) ContainsFree(d int) bool { return a.freeDepth[d] >= 0 }
 func (a *AtomInfo) ContainsBound(i int) bool { return a.boundDepth[i] >= 0 }
 
 // Instance binds a normalized view to a database: per-atom index structures
-// and per-variable active domains. Instances are immutable and safe for
-// concurrent readers.
+// and per-variable active domains. NewInstance builds each atom's
+// BoundFirst index; every FreeFirst index and the active domains are
+// completed lazily, on first read, once each, so an instance is safe for
+// concurrent readers and a build pays only for what it reads (Leapfrog
+// Triejoin likewise keeps an index per variable order a join walks).
+// Complete builds the rest at once.
+//
+// A lazily built index reads its relation when it is built, so the
+// relations an instance holds must not be mutated after NewInstance: a
+// Maintained view clones its database before it applies a batch, and
+// Relation.Clone shares no slab that is then written in place.
 type Instance struct {
 	NV *cq.NormalizedView
 	// Mu is the number of free variables.
 	Mu    int
 	Atoms []*AtomInfo
-	// FreeDomains[d] is the sorted active domain of the free variable at
-	// global free position d (union over atoms containing it).
-	FreeDomains [][]relation.Value
-	// BoundDomains[i] is the sorted active domain of the bound variable at
-	// global bound position i.
-	BoundDomains [][]relation.Value
 
 	// freeAtoms[d] lists the indexes of the atoms containing the free
 	// variable at global free position d.
 	freeAtoms [][]int
+
+	domOnce sync.Once
+	// freeDomains[d] is the sorted active domain of the free variable at
+	// global free position d (union over atoms containing it);
+	// boundDomains[i] that of the bound variable at global bound position
+	// i. Both are built together on the first read of either.
+	freeDomains  [][]relation.Value
+	boundDomains [][]relation.Value
 }
 
-// NewInstance prepares indexes and active domains for the normalized view.
+// NewInstance binds the normalized view's atoms to their relations and
+// builds each atom's BoundFirst index; FreeFirst and the active domains
+// wait for their first read.
 func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 	inst := &Instance{NV: nv, Mu: len(nv.Free)}
 
@@ -132,7 +160,6 @@ func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 			a.freeDepth[p.pos] = k
 		}
 		a.BoundFirst = na.Rel.Index(append(append([]int(nil), a.BoundCols...), a.FreeCols...)...)
-		a.FreeFirst = na.Rel.Index(append(append([]int(nil), a.FreeCols...), a.BoundCols...)...)
 		inst.Atoms = append(inst.Atoms, a)
 	}
 
@@ -142,15 +169,55 @@ func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 			inst.freeAtoms[d] = append(inst.freeAtoms[d], ai)
 		}
 	}
-	inst.FreeDomains = make([][]relation.Value, inst.Mu)
-	for d := range inst.FreeDomains {
-		inst.FreeDomains[d] = inst.domainOf(freePosSelector(d))
-	}
-	inst.BoundDomains = make([][]relation.Value, len(nv.Bound))
-	for i := range inst.BoundDomains {
-		inst.BoundDomains[i] = inst.domainOf(boundPosSelector(i))
-	}
 	return inst, nil
+}
+
+// FreeDomain returns the sorted active domain of the free variable at
+// global free position d, building every domain on the first call.
+func (inst *Instance) FreeDomain(d int) []relation.Value {
+	inst.domOnce.Do(inst.buildDomains)
+	return inst.freeDomains[d]
+}
+
+// BoundDomain returns the sorted active domain of the bound variable at
+// global bound position i, building every domain on the first call.
+func (inst *Instance) BoundDomain(i int) []relation.Value {
+	inst.domOnce.Do(inst.buildDomains)
+	return inst.boundDomains[i]
+}
+
+// Complete builds every lazily built part of the instance now: each atom's
+// FreeFirst index and the active domains. Backends whose requests read
+// the instance call it before they serve, so no request pays for a sort.
+func (inst *Instance) Complete() {
+	for _, a := range inst.Atoms {
+		a.FreeFirst()
+	}
+	inst.domOnce.Do(inst.buildDomains)
+}
+
+// LazyBuiltForTest reports whether any FreeFirst index or the active
+// domains of inst have been built. It is a test hook: serving never calls
+// it, and its answer is only stable once every reader of inst is done.
+func LazyBuiltForTest(inst *Instance) bool {
+	for _, a := range inst.Atoms {
+		if a.freeFirst != nil {
+			return true
+		}
+	}
+	return inst.freeDomains != nil
+}
+
+func (inst *Instance) buildDomains() {
+	free := make([][]relation.Value, inst.Mu)
+	for d := range free {
+		free[d] = inst.domainOf(freePosSelector(d))
+	}
+	bound := make([][]relation.Value, len(inst.NV.Bound))
+	for i := range bound {
+		bound[i] = inst.domainOf(boundPosSelector(i))
+	}
+	inst.freeDomains, inst.boundDomains = free, bound
 }
 
 // selector returns, for an atom, the column holding the wanted variable or
@@ -202,8 +269,9 @@ func (a *AtomInfo) columnDomain(col int) []relation.Value {
 	case 0:
 	case a.BoundFirst.Columns()[0]:
 		at = func(i int) relation.Value { return a.BoundFirst.ValueAt(i, 0) }
-	case a.FreeFirst.Columns()[0]:
-		at = func(i int) relation.Value { return a.FreeFirst.ValueAt(i, 0) }
+	case a.freeLead():
+		ff := a.FreeFirst()
+		at = func(i int) relation.Value { return ff.ValueAt(i, 0) }
 	default:
 		vals := make([]relation.Value, n)
 		for i := range vals {
@@ -224,6 +292,15 @@ func (a *AtomInfo) columnDomain(col int) []relation.Value {
 		}
 	}
 	return out
+}
+
+// freeLead is the leading column of the FreeFirst order, known without
+// building the index.
+func (a *AtomInfo) freeLead() int {
+	if len(a.FreeCols) > 0 {
+		return a.FreeCols[0]
+	}
+	return a.BoundCols[0]
 }
 
 // sortedDistinct sorts vals in place and returns its distinct values in an
@@ -270,7 +347,8 @@ func (a *AtomInfo) boxRange(ix *relation.Index, lo, hi, depth int, b interval.Bo
 // whose free columns are compatible with the canonical box.
 func (inst *Instance) CountBox(ai int, b interval.Box) int {
 	a := inst.Atoms[ai]
-	lo, hi := a.boxRange(a.FreeFirst, 0, a.FreeFirst.Len(), 0, b)
+	ff := a.FreeFirst()
+	lo, hi := a.boxRange(ff, 0, ff.Len(), 0, b)
 	return hi - lo
 }
 

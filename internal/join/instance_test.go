@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"cqrep/internal/cq"
 	"cqrep/internal/relation"
@@ -129,10 +131,10 @@ func TestDomainsMatchReference(t *testing.T) {
 			}
 		}
 		for d, id := range nv.Free {
-			check("free", d, id, inst.FreeDomains[d])
+			check("free", d, id, inst.FreeDomain(d))
 		}
 		for i, id := range nv.Bound {
-			check("bound", i, id, inst.BoundDomains[i])
+			check("bound", i, id, inst.BoundDomain(i))
 		}
 	}
 	if holders[1] == 0 || holders[2] == 0 || holders[3] == 0 || selfJoins == 0 || empties == 0 || negatives == 0 {
@@ -141,12 +143,89 @@ func TestDomainsMatchReference(t *testing.T) {
 	}
 }
 
+// TestInstanceCompletesLazily: NewInstance builds each atom's BoundFirst
+// index and nothing else; FreeFirst is sorted on its first read, and the
+// first read of any domain builds them all.
+func TestInstanceCompletesLazily(t *testing.T) {
+	inst := scanInstance(t, "W[bf](x, y) :- S(x, y)")
+	if LazyBuiltForTest(inst) {
+		t.Fatal("NewInstance built a FreeFirst index or a domain")
+	}
+	a := inst.Atoms[0]
+	if got := a.BoundFirst.Columns(); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("BoundFirst orders by %v, want [0 1]", got)
+	}
+	inst.BoundDomain(0)
+	if inst.freeDomains == nil || a.freeFirst == nil {
+		t.Fatal("the first domain read must build every domain, FreeFirst's leading column's through FreeFirst")
+	}
+	if got := a.FreeFirst().Columns(); !slices.Equal(got, []int{1, 0}) {
+		t.Fatalf("FreeFirst orders by %v, want [1 0]", got)
+	}
+}
+
+// TestInstanceFirstReadsRace has eight goroutines make the first read of
+// FreeFirst and of a domain on one instance at once (run it under -race):
+// each part is built once and every reader gets the same one.
+func TestInstanceFirstReadsRace(t *testing.T) {
+	inst := scanInstance(t, "W[bf](x, y) :- S(x, y)")
+	const readers = 8
+	ixs := make([]*relation.Index, readers)
+	doms := make([]*relation.Value, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				doms[g] = unsafe.SliceData(inst.FreeDomain(0))
+				ixs[g] = inst.Atoms[0].FreeFirst()
+			} else {
+				ixs[g] = inst.Atoms[0].FreeFirst()
+				doms[g] = unsafe.SliceData(inst.FreeDomain(0))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		if ixs[g] != ixs[0] || doms[g] != doms[0] {
+			t.Fatalf("reader %d got its own FreeFirst or domain", g)
+		}
+	}
+	if want := referenceDomain(inst.NV, inst.NV.Free[0]); !slices.Equal(inst.FreeDomain(0), want) {
+		t.Fatalf("free domain = %v, want %v", inst.FreeDomain(0), want)
+	}
+}
+
+// scanInstance is the instance of view over a small two-column S.
+func scanInstance(t *testing.T, view string) *Instance {
+	t.Helper()
+	s := relation.NewRelation("S", 2)
+	for k := 0; k < 16; k++ {
+		for j := 0; j < 32; j++ {
+			s.MustInsert(relation.Value(k), relation.Value((j*7+k)%41))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	nv, err := cq.Normalize(cq.MustParse(view), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewInstance(nv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 // BenchmarkNewInstance prices the shell every compile and every snapshot
-// load builds: the indexes and active domains of the scan fixture's views
-// over a 64×8192 binary relation, where each variable sits in one atom,
-// and of the triangle over a skewed 2000-vertex graph, where each sits in
-// two. Each iteration starts from fresh copies of the relations, so no
-// index is cached.
+// load builds: the BoundFirst indexes of the scan fixture's views over a
+// 64×8192 binary relation, where each variable sits in one atom, and of
+// the triangle over a skewed 2000-vertex graph, where each sits in two.
+// FreeFirst and the domains wait for a first read, so they are not in it.
+// Each iteration starts from fresh copies of the relations, so no index
+// is cached.
 func BenchmarkNewInstance(b *testing.B) {
 	const keys, perKey, stride = 64, 8192, 128
 	rng := rand.New(rand.NewSource(1))

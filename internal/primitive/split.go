@@ -99,7 +99,7 @@ func SplitInterval(inst *join.Instance, est *join.Estimator, iv interval.Interva
 func searchSplitValue(inst *join.Instance, est *join.Estimator, prefix relation.Tuple, j int,
 	lo relation.Value, loInc bool, hi relation.Value, hiInc bool, target float64) (relation.Value, bool) {
 
-	dom := inst.FreeDomains[j]
+	dom := inst.FreeDomain(j)
 	// Restrict the domain slice to the interval.
 	start := 0
 	if loInc {

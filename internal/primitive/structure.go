@@ -137,7 +137,7 @@ func (s *Structure) rootInterval() (interval.Interval, bool) {
 	lo := make(relation.Tuple, mu)
 	hi := make(relation.Tuple, mu)
 	for d := 0; d < mu; d++ {
-		dom := s.inst.FreeDomains[d]
+		dom := s.inst.FreeDomain(d)
 		if len(dom) == 0 {
 			return interval.Interval{}, false
 		}

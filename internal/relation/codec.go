@@ -401,16 +401,7 @@ func (d *Decoder) Values(n int) []Value {
 // Encoder.Relation writes them, stay in place. Rows containing the
 // reserved sentinel values are rejected, mirroring Insert.
 func (d *Decoder) Relation() (*Relation, error) {
-	name := d.String()
-	arity := int(d.Uint())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if arity < 0 || arity > 1<<20 {
-		d.fail("relation %s: implausible arity %d", name, arity)
-		return nil, d.err
-	}
-	n := d.Count(8 * arity)
+	name, arity, n := d.relationHeader()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -428,6 +419,43 @@ func (d *Decoder) Relation() (*Relation, error) {
 	r.vals, r.n = vals, n
 	r.dedupe()
 	return r, nil
+}
+
+// relationHeader reads a relation's name, arity and row count, checking
+// that the arity is plausible and that the rows fit in the bytes
+// remaining.
+func (d *Decoder) relationHeader() (name string, arity, n int) {
+	name = d.String()
+	a := d.Uint()
+	if d.err != nil {
+		return name, 0, 0
+	}
+	if a > 1<<20 {
+		d.fail("relation %s: implausible arity %d", name, a)
+		return name, 0, 0
+	}
+	arity = int(a)
+	return name, arity, d.Count(8 * arity)
+}
+
+// SkipDatabase steps over one database (see Encoder.Database) without
+// decoding a row: each relation's header is checked as Relation checks it
+// (plausible arity, rows within the bytes remaining, no name twice) and
+// its row slab is skipped unread, so the values are not checked for the
+// reserved sentinels. A reader that needs only what follows the base
+// relations pays for their headers, not their rows.
+func (d *Decoder) SkipDatabase() error {
+	n := d.Count(2)
+	seen := make(map[string]bool, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		name, arity, rows := d.relationHeader()
+		d.take(8 * arity * rows)
+		if d.err == nil && seen[name] {
+			d.fail("duplicate relation %s", name)
+		}
+		seen[name] = true
+	}
+	return d.err
 }
 
 // Database reads one database (see Encoder.Database).

@@ -322,6 +322,69 @@ func TestDecoderHardening(t *testing.T) {
 	})
 }
 
+// TestSkipDatabase: stepping over an encoded database leaves the decoder
+// where decoding it does, without allocating a row; headers that Database
+// rejects — a duplicate name, rows past the payload, an implausible arity
+// — fail the skip too.
+func TestSkipDatabase(t *testing.T) {
+	db := NewDatabase()
+	r := NewRelation("R", 2)
+	for i := Value(0); i < 1000; i++ {
+		r.MustInsert(i, i+1)
+	}
+	db.Add(r)
+	db.Add(NewRelation("E", 0))
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.Database(db)
+	e.String("after")
+	d := NewDecoder(buf.Bytes())
+	if allocs := testing.AllocsPerRun(1, func() {
+		d = NewDecoder(buf.Bytes())
+		if err := d.SkipDatabase(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("SkipDatabase allocates %.0f times, want at most 2", allocs)
+	}
+	if got := d.String(); got != "after" || d.Err() != nil {
+		t.Fatalf("after the skip the decoder reads %q, %v", got, d.Err())
+	}
+
+	for name, enc := range map[string]func(e *Encoder){
+		"duplicate name": func(e *Encoder) {
+			e.Uint(2)
+			for i := 0; i < 2; i++ {
+				e.String("R")
+				e.Uint(1)
+				e.Uint(0)
+			}
+		},
+		"rows past the payload": func(e *Encoder) {
+			e.Uint(1)
+			e.String("R")
+			e.Uint(2)
+			e.Uint(3)
+			e.Value(1)
+		},
+		"implausible arity": func(e *Encoder) {
+			e.Uint(1)
+			e.String("R")
+			e.Uint(1<<20 + 1)
+			e.Uint(0)
+		},
+	} {
+		var buf bytes.Buffer
+		enc(NewEncoder(&buf))
+		if _, err := NewDecoder(buf.Bytes()).Database(); err == nil {
+			t.Fatalf("%s: Database accepts it", name)
+		}
+		if err := NewDecoder(buf.Bytes()).SkipDatabase(); err == nil {
+			t.Errorf("%s: SkipDatabase accepts it", name)
+		}
+	}
+}
+
 // TestDecodeRelationAllocsFlat: decoding a relation allocates one slab
 // however many rows it holds, so the count is the same at 1k and at 16k
 // rows (rows written in order are kept in place, not re-sorted).
