@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -391,8 +392,21 @@ func rowInBox(a *AtomInfo, row relation.Tuple, b interval.Box) bool {
 // naiveBoundCandidates computes π_{V_b} of the join of the bound-touching
 // atoms restricted to the box, by brute force — the Proposition 13 L_I set.
 func naiveBoundCandidates(inst *Instance, box interval.Box) map[string]bool {
-	nv := inst.NV
 	out := make(map[string]bool)
+	for _, a := range naiveBoundJoin(inst, box) {
+		vb := a[len(a)-len(inst.NV.Bound):]
+		out[string(vb.AppendEncode(nil))] = true
+	}
+	return out
+}
+
+// naiveBoundJoin computes the join of the bound-touching atoms restricted
+// to the box, by brute force: each distinct answer once, as the values of
+// the free variables those atoms hold (in free order) followed by the
+// bound valuation, sorted.
+func naiveBoundJoin(inst *Instance, box interval.Box) []relation.Tuple {
+	nv := inst.NV
+	seen := make(map[string]relation.Tuple)
 	total := len(nv.Vars)
 	assigned := make([]bool, total)
 	vals := make(relation.Tuple, total)
@@ -427,14 +441,19 @@ func naiveBoundCandidates(inst *Instance, box interval.Box) map[string]bool {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(participating) {
-			vb := make(relation.Tuple, len(nv.Bound))
-			for i, id := range nv.Bound {
+			var a relation.Tuple
+			for _, id := range nv.Free {
+				if assigned[id] {
+					a = append(a, vals[id])
+				}
+			}
+			for _, id := range nv.Bound {
 				if !assigned[id] {
 					return // bound var not constrained by E_Vb: impossible
 				}
-				vb[i] = vals[id]
+				a = append(a, vals[id])
 			}
-			out[string(vb.AppendEncode(nil))] = true
+			seen[string(a.AppendEncode(nil))] = a
 			return
 		}
 		atom := nv.Atoms[participating[k]]
@@ -467,6 +486,11 @@ func naiveBoundCandidates(inst *Instance, box interval.Box) map[string]bool {
 		}
 	}
 	rec(0)
+	out := make([]relation.Tuple, 0, len(seen))
+	for _, a := range seen {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -535,19 +559,6 @@ func TestBoundCandidatesMatchesProposition13(t *testing.T) {
 	}
 	if witnessed == 0 {
 		t.Fatal("no trial satisfied Witnessed; BoundWitnesses went unchecked")
-	}
-}
-
-// TestBoundCandidatesEarlyStop verifies the emit-false abort path.
-func TestBoundCandidatesEarlyStop(t *testing.T) {
-	inst := runningExampleInstance(t)
-	count := 0
-	BoundCandidates(inst, interval.Box{}, func(vb relation.Tuple) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("enumeration did not stop after emit returned false: %d", count)
 	}
 }
 
