@@ -80,7 +80,7 @@ snapshot-check:
 # Differential gate: the whole internal/difftest package. Every strategy
 # (and the sharded composites) must enumerate byte-for-byte what the
 # independent naive join produces, over 120 seeded random acyclic
-# CQ/database instances; the cached composites must answer cache-on
+# CQ/database instances and 40 cyclic ones; the cached composites must answer cache-on
 # byte-identically to cache-off across reload/move churn; the distributed
 # and wire-format composites must match a single node in both encodings;
 # and the churn suites must survive maintenance and crash recovery.

@@ -1,6 +1,7 @@
 // Package difftest is the differential property harness of the
-// reproduction: it generates random acyclic conjunctive queries with
-// random small databases (seeded, deterministic) and checks that every
+// reproduction: it generates random acyclic (Generate) and cyclic
+// (GenerateCyclic) conjunctive queries with random small databases
+// (seeded, deterministic) and checks that every
 // representation strategy — primitive, decomposition, materialized,
 // direct, and their sharded composites — enumerates exactly what an
 // independent naive join produces, across bound/free binding patterns.
@@ -15,6 +16,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cqrep/internal/cq"
@@ -40,16 +42,20 @@ type Case struct {
 // Theorem-1 structure requires it) and, with some probability, atoms
 // reuse an earlier relation so self-join aliasing is exercised too.
 func Generate(rng *rand.Rand) *Case {
-	nVars := 2 + rng.Intn(5) // 2..6 variables
-	names := make([]string, nVars)
-	for i := range names {
-		names[i] = fmt.Sprintf("v%d", i)
-	}
+	nVars, atoms := acyclicShape(rng)
+	return realize(rng, nVars, atoms)
+}
 
-	type atomShape struct {
-		vars []int
-		rel  string
-	}
+// atomShape is one generated atom: its variables and, once assigned, its
+// relation's name.
+type atomShape struct {
+	vars []int
+	rel  string
+}
+
+// acyclicShape draws Generate's join-tree shape over 2..6 variables.
+func acyclicShape(rng *rand.Rand) (int, []atomShape) {
+	nVars := 2 + rng.Intn(5) // 2..6 variables
 	var atoms []atomShape
 	covered := map[int]bool{}
 	pick := func(from []int, k int) []int {
@@ -97,6 +103,51 @@ func Generate(rng *rand.Rand) *Case {
 		if len(atoms) >= 6 {
 			break
 		}
+	}
+	return nVars, atoms
+}
+
+// GenerateCyclic builds a random cyclic full conjunctive query and a
+// database realizing it, in the shapes Generate never makes: a triangle, a
+// 4-cycle, or a Generate shape closed by one more atom over two variables
+// that share no atom. Relations alias earlier ones and the head is adorned
+// as in Generate.
+func GenerateCyclic(rng *rand.Rand) *Case {
+	if n := 3 + rng.Intn(3); n < 5 { // a triangle or a 4-cycle
+		atoms := make([]atomShape, n)
+		for i := range atoms {
+			atoms[i].vars = []int{i, (i + 1) % n}
+			if rng.Intn(2) == 0 {
+				atoms[i].vars[0], atoms[i].vars[1] = atoms[i].vars[1], atoms[i].vars[0]
+			}
+		}
+		return realize(rng, n, atoms)
+	}
+	for {
+		nVars, atoms := acyclicShape(rng)
+		var open [][]int
+		for u := 0; u < nVars; u++ {
+			for v := u + 1; v < nVars; v++ {
+				if !slices.ContainsFunc(atoms, func(a atomShape) bool {
+					return slices.Contains(a.vars, u) && slices.Contains(a.vars, v)
+				}) {
+					open = append(open, []int{u, v})
+				}
+			}
+		}
+		if len(open) > 0 {
+			atoms = append(atoms, atomShape{vars: open[rng.Intn(len(open))]})
+			return realize(rng, nVars, atoms)
+		}
+	}
+}
+
+// realize draws the relations and the adornment of a query shape over
+// nVars variables.
+func realize(rng *rand.Rand, nVars int, atoms []atomShape) *Case {
+	names := make([]string, nVars)
+	for i := range names {
+		names[i] = fmt.Sprintf("v%d", i)
 	}
 
 	// Assign relations: usually a fresh one per atom, sometimes reusing an

@@ -68,68 +68,94 @@ func TestDifferentialAllStrategies(t *testing.T) {
 	const instances = 120
 	checkedBindings, freeKeyMerges := 0, 0
 	for seed := 0; seed < instances; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		c := Generate(rng)
-		answers := c.NaiveAnswers()
-		vbs := Valuations(answers, len(c.Bound))
-
-		for _, sc := range strategyCases {
-			rep, err := core.Build(c.View, c.DB, sc.opts...)
-			if err != nil {
-				t.Fatalf("seed %d: %s: build: %v\nview: %v", seed, sc.name, err, c.View)
-			}
-			if fmt.Sprint(rep.BoundNames()) != fmt.Sprint(c.Bound) || fmt.Sprint(rep.FreeNames()) != fmt.Sprint(c.Free) {
-				t.Fatalf("seed %d: %s: name order mismatch: rep bound %v free %v, case bound %v free %v",
-					seed, sc.name, rep.BoundNames(), rep.FreeNames(), c.Bound, c.Free)
-			}
-			order := rep.EnumOrder()
-			for _, vb := range vbs {
-				want := Expected(answers, vb, order)
-				got := core.Drain(rep.Query(vb))
-				if !bytes.Equal(encodeSeq(got), encodeSeq(want)) {
-					t.Fatalf("seed %d: %s: binding %v: stream diverges from naive join\n got (%d): %v\nwant (%d): %v\nview: %v\norder: %v",
-						seed, sc.name, vb, len(got), got, len(want), want, c.View, order)
-				}
-				for _, max := range []int{1, 3, 128} {
-					blk, err := encodeBlocks(rep, vb, max)
-					if err != nil || !bytes.Equal(blk, encodeSeq(got)) {
-						t.Fatalf("seed %d: %s: binding %v: block enumeration (max %d) diverges from per-tuple: %d vs %d bytes, err %v",
-							seed, sc.name, vb, max, len(blk), len(encodeSeq(got)), err)
-					}
-				}
-				if rep.ShardCount() > 1 && rep.ShardKeyIndex() < 0 {
-					freeKeyMerges++
-				}
-				if rep.Exists(vb) != (len(want) > 0) {
-					t.Fatalf("seed %d: %s: binding %v: Exists = %v, naive answer count %d",
-						seed, sc.name, vb, rep.Exists(vb), len(want))
-				}
-				checkedBindings++
-			}
-		}
-
-		// The sharded composite must match its unsharded sibling exactly —
-		// stream for stream — not just the naive baseline.
-		unsharded, err := core.Build(c.View, c.DB, core.WithStrategy(core.PrimitiveStrategy))
-		if err != nil {
-			t.Fatalf("seed %d: unsharded: %v", seed, err)
-		}
-		sharded, err := core.Build(c.View, c.DB, core.WithStrategy(core.PrimitiveStrategy), core.WithShards(3))
-		if err != nil {
-			t.Fatalf("seed %d: sharded: %v", seed, err)
-		}
-		for _, vb := range vbs {
-			a := core.Drain(unsharded.Query(vb))
-			b := core.Drain(sharded.Query(vb))
-			if !bytes.Equal(encodeSeq(a), encodeSeq(b)) {
-				t.Fatalf("seed %d: binding %v: sharded stream differs from unsharded", seed, vb)
-			}
-		}
+		checked, merges := checkStrategies(t, seed, Generate(rand.New(rand.NewSource(int64(seed)))))
+		checkedBindings += checked
+		freeKeyMerges += merges
 	}
 	if checkedBindings < instances*len(strategyCases) || freeKeyMerges == 0 {
 		t.Fatalf("only %d bindings checked, %d through a free-key merge; generator degenerated", checkedBindings, freeKeyMerges)
 	}
 	t.Logf("differential: %d instances, %d strategy menu entries, %d binding checks (%d free-key merges)", instances, len(strategyCases), checkedBindings, freeKeyMerges)
+}
+
+// TestDifferentialCyclic runs the same checks on 40 seeded cyclic
+// instances (GenerateCyclic): triangles, 4-cycles and join trees closed
+// by one more atom, with self-join aliases.
+func TestDifferentialCyclic(t *testing.T) {
+	const instances = 40
+	checkedBindings := 0
+	for seed := 0; seed < instances; seed++ {
+		checked, _ := checkStrategies(t, seed, GenerateCyclic(rand.New(rand.NewSource(int64(seed)))))
+		checkedBindings += checked
+	}
+	if checkedBindings < instances*len(strategyCases) {
+		t.Fatalf("only %d bindings checked; generator degenerated", checkedBindings)
+	}
+	t.Logf("cyclic differential: %d instances, %d binding checks", instances, checkedBindings)
+}
+
+// checkStrategies builds case c under every strategy of strategyCases and
+// checks each stream against the naive join, and the sharded primitive
+// composite against its unsharded sibling. It returns the number of
+// bindings checked and how many of them went through a free-key merge.
+func checkStrategies(t *testing.T, seed int, c *Case) (checkedBindings, freeKeyMerges int) {
+	t.Helper()
+	answers := c.NaiveAnswers()
+	vbs := Valuations(answers, len(c.Bound))
+
+	for _, sc := range strategyCases {
+		rep, err := core.Build(c.View, c.DB, sc.opts...)
+		if err != nil {
+			t.Fatalf("seed %d: %s: build: %v\nview: %v", seed, sc.name, err, c.View)
+		}
+		if fmt.Sprint(rep.BoundNames()) != fmt.Sprint(c.Bound) || fmt.Sprint(rep.FreeNames()) != fmt.Sprint(c.Free) {
+			t.Fatalf("seed %d: %s: name order mismatch: rep bound %v free %v, case bound %v free %v",
+				seed, sc.name, rep.BoundNames(), rep.FreeNames(), c.Bound, c.Free)
+		}
+		order := rep.EnumOrder()
+		for _, vb := range vbs {
+			want := Expected(answers, vb, order)
+			got := core.Drain(rep.Query(vb))
+			if !bytes.Equal(encodeSeq(got), encodeSeq(want)) {
+				t.Fatalf("seed %d: %s: binding %v: stream diverges from naive join\n got (%d): %v\nwant (%d): %v\nview: %v\norder: %v",
+					seed, sc.name, vb, len(got), got, len(want), want, c.View, order)
+			}
+			for _, max := range []int{1, 3, 128} {
+				blk, err := encodeBlocks(rep, vb, max)
+				if err != nil || !bytes.Equal(blk, encodeSeq(got)) {
+					t.Fatalf("seed %d: %s: binding %v: block enumeration (max %d) diverges from per-tuple: %d vs %d bytes, err %v",
+						seed, sc.name, vb, max, len(blk), len(encodeSeq(got)), err)
+				}
+			}
+			if rep.ShardCount() > 1 && rep.ShardKeyIndex() < 0 {
+				freeKeyMerges++
+			}
+			if rep.Exists(vb) != (len(want) > 0) {
+				t.Fatalf("seed %d: %s: binding %v: Exists = %v, naive answer count %d",
+					seed, sc.name, vb, rep.Exists(vb), len(want))
+			}
+			checkedBindings++
+		}
+	}
+
+	// The sharded composite must match its unsharded sibling exactly —
+	// stream for stream — not just the naive baseline.
+	unsharded, err := core.Build(c.View, c.DB, core.WithStrategy(core.PrimitiveStrategy))
+	if err != nil {
+		t.Fatalf("seed %d: unsharded: %v", seed, err)
+	}
+	sharded, err := core.Build(c.View, c.DB, core.WithStrategy(core.PrimitiveStrategy), core.WithShards(3))
+	if err != nil {
+		t.Fatalf("seed %d: sharded: %v", seed, err)
+	}
+	for _, vb := range vbs {
+		a := core.Drain(unsharded.Query(vb))
+		b := core.Drain(sharded.Query(vb))
+		if !bytes.Equal(encodeSeq(a), encodeSeq(b)) {
+			t.Fatalf("seed %d: binding %v: sharded stream differs from unsharded", seed, vb)
+		}
+	}
+	return checkedBindings, freeKeyMerges
 }
 
 // TestGeneratorDeterminism pins the harness's reproducibility: the same

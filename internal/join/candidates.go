@@ -13,12 +13,12 @@ import (
 // the caller with Estimator.TIntervalBound. The Theorem-1 build calls it
 // per tree node only where BoundWitnesses does not apply.
 //
-// The enumeration is a worst-case-optimal backtracking join over the E_Vb
-// atoms with the *free* variables ordered first — free variables are the
-// connective ones (e.g. the shared z of a star query), so ordering them
-// first keeps the search output-bounded instead of exploding into the
-// cross product of the per-atom bound domains. Duplicate projections are
-// suppressed with a per-call seen set. emit returning false aborts.
+// The enumeration is Enum over the E_Vb atoms with the *free* variables
+// ordered first — free variables are the connective ones (e.g. the shared
+// z of a star query), so ordering them first keeps the search
+// output-bounded instead of exploding into the cross product of the
+// per-atom bound domains. Duplicate projections are suppressed with a
+// per-call seen set. emit returning false aborts.
 // When E_Vb splits into several connected components (atoms sharing no
 // variables), the projection factors into the cross product of per-
 // component projections; enumerating each component separately and
@@ -32,49 +32,40 @@ func BoundCandidates(inst *Instance, box interval.Box, emit func(vb relation.Tup
 		emit(relation.Tuple{})
 		return
 	}
-	components := connectedComponents(inst, boundAtoms(inst))
+	components, _ := inst.candidateOrders()
 
 	// Enumerate each component's distinct bound-part projections.
-	type componentResult struct {
-		boundPos []int
-		parts    []relation.Tuple
-	}
-	results := make([]componentResult, 0, len(components))
-	for _, comp := range components {
-		c := newCandidateEnum(inst, box, comp)
+	parts := make([][]relation.Tuple, len(components))
+	for c, o := range components {
+		e := newEnum(o, nil, box)
 		seen := make(map[string]bool)
-		var (
-			parts []relation.Tuple
-			key   []byte
-		)
-		c.emit = func(a relation.Tuple) bool {
-			part := a[c.boundStart:]
+		var key []byte
+		for e.step() {
+			part := e.assignment[o.free:]
 			key = part.AppendEncode(key[:0])
 			if !seen[string(key)] {
 				seen[string(key)] = true
-				parts = append(parts, part.Clone())
+				parts[c] = append(parts[c], part.Clone())
 			}
-			return true
 		}
-		c.run(0)
-		if len(parts) == 0 {
+		if len(parts[c]) == 0 {
 			return // one empty component empties the whole product
 		}
-		results = append(results, componentResult{boundPos: c.boundPos, parts: parts})
 	}
 
 	// Cross product of component parts, assembled into full valuations.
 	full := make(relation.Tuple, nb)
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(results) {
+	var rec func(c int) bool
+	rec = func(c int) bool {
+		if c == len(components) {
 			return emit(full.Clone())
 		}
-		for _, part := range results[k].parts {
-			for i, pos := range results[k].boundPos {
-				full[pos] = part[i]
+		o := components[c]
+		for _, part := range parts[c] {
+			for i, p := range o.dims[o.free:] {
+				full[p-inst.Mu] = part[i]
 			}
-			if !rec(k + 1) {
+			if !rec(c + 1) {
 				return false
 			}
 		}
@@ -89,12 +80,8 @@ func BoundCandidates(inst *Instance, box interval.Box, emit func(vb relation.Tup
 // the bound valuations of the witnesses whose free tuple lies in the
 // node's interval.
 func Witnessed(inst *Instance) bool {
-	atoms := boundAtoms(inst)
-	if len(atoms) == 0 || len(connectedComponents(inst, atoms)) != 1 {
-		return false
-	}
-	c := newCandidateEnum(inst, interval.Box{}, atoms)
-	return c.boundStart == inst.Mu && len(c.boundPos) == len(inst.NV.Bound)
+	components, _ := inst.candidateOrders()
+	return len(components) == 1 && len(components[0].dims) == inst.Mu+len(inst.NV.Bound)
 }
 
 // BoundWitnesses streams the E_Vb join within box: every pair of a free
@@ -104,21 +91,11 @@ func Witnessed(inst *Instance) bool {
 // Witnessed(inst). ft and vb are reused between calls; emit returning
 // false aborts.
 func BoundWitnesses(inst *Instance, box interval.Box, emit func(ft, vb relation.Tuple) bool) {
-	c := newCandidateEnum(inst, box, boundAtoms(inst))
-	mu := c.boundStart
-	c.emit = func(a relation.Tuple) bool { return emit(a[:mu:mu], a[mu:]) }
-	c.run(0)
-}
-
-// boundAtoms lists the atoms with at least one bound column: E_Vb.
-func boundAtoms(inst *Instance) []int {
-	var atoms []int
-	for ai, a := range inst.Atoms {
-		if len(a.BoundCols) > 0 {
-			atoms = append(atoms, ai)
-		}
+	components, _ := inst.candidateOrders()
+	e := newEnum(components[0], nil, box)
+	a, mu := e.assignment, inst.Mu
+	for e.step() && emit(a[:mu:mu], a[mu:]) {
 	}
-	return atoms
 }
 
 // BoundCandidatesExhaustive streams the superset of Proposition 13 needed
@@ -130,117 +107,49 @@ func boundAtoms(inst *Instance) []int {
 // Algorithm 2 skip them in O(1). The price is that the stream can be as
 // large as the cross product of the per-component bound projections, which
 // is the paper's own (T(I)/τ)^α heavy-valuation bound (Proposition 7).
+//
+// It is Enum over E_Vb's bound positions alone, joining the atoms on
+// shared bound variables; each valuation is then checked against the box
+// atom by atom (CountBoxBound), not jointly.
 func BoundCandidatesExhaustive(inst *Instance, box interval.Box, emit func(vb relation.Tuple) bool) {
-	nb := len(inst.NV.Bound)
-	if nb == 0 {
+	if len(inst.NV.Bound) == 0 {
 		emit(relation.Tuple{})
 		return
 	}
-	e := &exhaustiveEnum{inst: inst, box: box, emit: emit, assignment: make(relation.Tuple, nb)}
-	for ai, a := range inst.Atoms {
-		if len(a.BoundCols) > 0 {
-			e.atoms = append(e.atoms, ai)
-		}
-	}
-	e.ranges = make(map[int][]rng, len(e.atoms))
-	for _, ai := range e.atoms {
-		r := make([]rng, nb+1)
-		r[0] = rng{0, inst.Atoms[ai].BoundFirst.Len()}
-		e.ranges[ai] = r
-	}
-	e.run(0)
-}
-
-// exhaustiveEnum backtracks over bound positions joining atoms on shared
-// bound variables only; free-variable compatibility is checked per atom at
-// the leaves (counting against the box), not jointly.
-type exhaustiveEnum struct {
-	inst       *Instance
-	box        interval.Box
-	emit       func(relation.Tuple) bool
-	atoms      []int
-	assignment relation.Tuple
-	ranges     map[int][]rng
-	stopped    bool
-}
-
-func (e *exhaustiveEnum) run(d int) {
-	if e.stopped {
-		return
-	}
-	if d == len(e.assignment) {
-		for _, ai := range e.atoms {
-			if e.inst.CountBoxBound(ai, e.assignment, e.box) == 0 {
-				return
+	_, exhaustive := inst.candidateOrders()
+	e := newEnum(exhaustive, nil, interval.Box{})
+next:
+	for e.step() {
+		for ai, a := range inst.Atoms {
+			if len(a.BoundCols) > 0 && inst.CountBoxBound(ai, e.assignment, box) == 0 {
+				continue next
 			}
 		}
-		if !e.emit(e.assignment.Clone()) {
-			e.stopped = true
-		}
-		return
-	}
-	v, ok := e.seek(d, relation.NegInf)
-	for ok && !e.stopped {
-		e.fix(d, v)
-		e.run(d + 1)
-		if v == relation.PosInf {
+		if !emit(e.assignment.Clone()) {
 			return
 		}
-		v, ok = e.seek(d, v+1)
 	}
 }
 
-func (e *exhaustiveEnum) seek(d int, from relation.Value) (relation.Value, bool) {
-	v := from
-	for {
-		advanced := false
-		participating := false
-		for _, ai := range e.atoms {
-			a := e.inst.Atoms[ai]
-			k := a.boundDepth[d]
-			if k < 0 {
-				continue
-			}
-			participating = true
-			r := e.ranges[ai][d]
-			pos := a.BoundFirst.SeekGE(r.lo, r.hi, k, v)
-			if pos >= r.hi {
-				return 0, false
-			}
-			if val := a.BoundFirst.ValueAt(pos, k); val > v {
-				v = val
-				advanced = true
-				break
+// candidateOrders returns the candidate order of each connected component
+// of E_Vb (the component's free positions, then its bound positions, over
+// FreeFirst) and the exhaustive order (E_Vb's bound positions over
+// BoundFirst). The first call builds them, once per instance.
+func (inst *Instance) candidateOrders() (components []*order, exhaustive *order) {
+	inst.ordersOnce.Do(func() {
+		var atoms []int
+		for ai, a := range inst.Atoms {
+			if len(a.BoundCols) > 0 {
+				atoms = append(atoms, ai)
 			}
 		}
-		if !participating {
-			dom := e.inst.BoundDomain(d)
-			i := searchValues(dom, v)
-			if i >= len(dom) {
-				return 0, false
-			}
-			return dom[i], true
+		heads := inst.Mu + len(inst.NV.Bound)
+		for _, comp := range connectedComponents(inst, atoms) {
+			inst.components = append(inst.components, newOrder(inst, comp, 0, heads, (*AtomInfo).FreeFirst, false))
 		}
-		if !advanced {
-			return v, true
-		}
-	}
-}
-
-func (e *exhaustiveEnum) fix(d int, v relation.Value) {
-	e.assignment[d] = v
-	for _, ai := range e.atoms {
-		a := e.inst.Atoms[ai]
-		k := a.boundDepth[d]
-		r := e.ranges[ai][d]
-		if k < 0 {
-			e.ranges[ai][d+1] = r
-			continue
-		}
-		lo := a.BoundFirst.SeekGE(r.lo, r.hi, k, v)
-		hi := a.BoundFirst.SeekGT(lo, r.hi, k, v)
-		e.ranges[ai][d+1] = rng{lo, hi}
-	}
+		inst.exhaustive = newOrder(inst, atoms, inst.Mu, heads, boundFirst, false)
+	})
+	return inst.components, inst.exhaustive
 }
 
 // connectedComponents groups the given atom indexes by shared variables.
@@ -280,235 +189,4 @@ func connectedComponents(inst *Instance, atoms []int) [][]int {
 		}
 	}
 	return out
-}
-
-// dim is one enumeration dimension: a free position (with box constraints)
-// or a bound position.
-type dim struct {
-	pos  int
-	free bool
-}
-
-// candidateEnum is the backtracking join over one connected set of E_Vb
-// atoms: the free positions they hold in f-order, then the bound positions
-// they hold in bound order. emit receives each full assignment.
-type candidateEnum struct {
-	inst  *Instance
-	box   interval.Box
-	emit  func(assignment relation.Tuple) bool
-	atoms []int
-	dims  []dim
-	// boundStart is the first bound dimension; boundPos[i] is the global
-	// bound position of dims[boundStart+i].
-	boundStart int
-	boundPos   []int
-	// ix[j] is atoms[j]'s FreeFirst index; depth[j][d] is dimension d's
-	// column in it, or -1 when the atom does not hold it; ranges[j][d] is
-	// atoms[j]'s row range after fixing dimensions < d.
-	ix         []*relation.Index
-	depth      [][]int
-	ranges     [][]rng
-	assignment relation.Tuple
-	stopped    bool
-}
-
-// newCandidateEnum prepares the join of the given atoms within box.
-func newCandidateEnum(inst *Instance, box interval.Box, atoms []int) *candidateEnum {
-	c := &candidateEnum{inst: inst, box: box, atoms: atoms}
-	held := func(has func(*AtomInfo) bool) bool {
-		for _, ai := range atoms {
-			if has(inst.Atoms[ai]) {
-				return true
-			}
-		}
-		return false
-	}
-	for d := 0; d < inst.Mu; d++ {
-		if held(func(a *AtomInfo) bool { return a.ContainsFree(d) }) {
-			c.dims = append(c.dims, dim{pos: d, free: true})
-		}
-	}
-	c.boundStart = len(c.dims)
-	for i := range inst.NV.Bound {
-		if held(func(a *AtomInfo) bool { return a.ContainsBound(i) }) {
-			c.dims = append(c.dims, dim{pos: i})
-			c.boundPos = append(c.boundPos, i)
-		}
-	}
-	c.assignment = make(relation.Tuple, len(c.dims))
-	c.ix = make([]*relation.Index, len(atoms))
-	c.depth = make([][]int, len(atoms))
-	c.ranges = make([][]rng, len(atoms))
-	for j, ai := range atoms {
-		a := inst.Atoms[ai]
-		c.ix[j] = a.FreeFirst()
-		c.depth[j] = make([]int, len(c.dims))
-		for d, dm := range c.dims {
-			c.depth[j][d] = depthInAtom(a, dm)
-		}
-		c.ranges[j] = make([]rng, len(c.dims)+1)
-		c.ranges[j][0] = rng{0, c.ix[j].Len()}
-	}
-	return c
-}
-
-// depthInAtom returns the FreeFirst index depth of dimension dm within atom
-// a, or -1 when the atom does not contain that variable. FreeFirst orders
-// free columns (in f-order) before bound columns (in bound order).
-func depthInAtom(a *AtomInfo, dm dim) int {
-	if dm.free {
-		return a.freeDepth[dm.pos]
-	}
-	if k := a.boundDepth[dm.pos]; k >= 0 {
-		return len(a.FreeCols) + k
-	}
-	return -1
-}
-
-// constraint mirrors Enum.constraint for free dimensions; bound dimensions
-// are unconstrained.
-func (c *candidateEnum) constraint(dm dim) (lo relation.Value, loInc bool, hi relation.Value, hiInc bool, pinned bool, pin relation.Value) {
-	if !dm.free {
-		return relation.NegInf, true, relation.PosInf, true, false, 0
-	}
-	d := dm.pos
-	if d < len(c.box.Prefix) {
-		return 0, false, 0, false, true, c.box.Prefix[d]
-	}
-	if c.box.HasRange && d == len(c.box.Prefix) {
-		return c.box.Lo, c.box.LoInc, c.box.Hi, c.box.HiInc, false, 0
-	}
-	return relation.NegInf, true, relation.PosInf, true, false, 0
-}
-
-// run performs the backtracking search over dimensions, handing every full
-// assignment to emit.
-func (c *candidateEnum) run(d int) {
-	if c.stopped {
-		return
-	}
-	if d == len(c.dims) {
-		if !c.emit(c.assignment) {
-			c.stopped = true
-		}
-		return
-	}
-	v, ok := c.seek(d, relation.NegInf)
-	for ok && !c.stopped {
-		c.fix(d, v)
-		c.run(d + 1)
-		if v == relation.PosInf {
-			return
-		}
-		v, ok = c.seek(d, v+1)
-	}
-}
-
-// seek finds the smallest common value ≥ from at dimension d across
-// participating atoms containing it, honoring the box constraint.
-func (c *candidateEnum) seek(d int, from relation.Value) (relation.Value, bool) {
-	dm := c.dims[d]
-	lo, loInc, hi, hiInc, pinned, pin := c.constraint(dm)
-	v := from
-	if pinned {
-		if pin < from {
-			return 0, false
-		}
-		v = pin
-		if !c.allHave(d, v) {
-			return 0, false
-		}
-		return v, true
-	}
-	if loInc {
-		if lo > v {
-			v = lo
-		}
-	} else if lo >= v {
-		if lo == relation.PosInf {
-			return 0, false
-		}
-		v = lo + 1
-	}
-	for {
-		if hiInc && v > hi || !hiInc && v >= hi {
-			return 0, false
-		}
-		advanced := false
-		participating := false
-		for j := range c.atoms {
-			k := c.depth[j][d]
-			if k < 0 {
-				continue
-			}
-			participating = true
-			ix, r := c.ix[j], c.ranges[j][d]
-			pos := ix.SeekGE(r.lo, r.hi, k, v)
-			if pos >= r.hi {
-				return 0, false
-			}
-			if val := ix.ValueAt(pos, k); val > v {
-				v = val
-				advanced = true
-				break
-			}
-		}
-		if !participating {
-			// Cannot happen for well-formed instances: every dimension was
-			// chosen because some participating atom contains it (free) or
-			// is a bound head variable (always in some atom). Walk the
-			// active domain defensively.
-			var dom []relation.Value
-			if dm.free {
-				dom = c.inst.FreeDomain(dm.pos)
-			} else {
-				dom = c.inst.BoundDomain(dm.pos)
-			}
-			i := searchValues(dom, v)
-			if i >= len(dom) {
-				return 0, false
-			}
-			got := dom[i]
-			if hiInc && got > hi || !hiInc && got >= hi {
-				return 0, false
-			}
-			return got, true
-		}
-		if !advanced {
-			return v, true
-		}
-	}
-}
-
-// allHave checks a pinned value across participating atoms containing d.
-func (c *candidateEnum) allHave(d int, v relation.Value) bool {
-	for j := range c.atoms {
-		k := c.depth[j][d]
-		if k < 0 {
-			continue
-		}
-		ix, r := c.ix[j], c.ranges[j][d]
-		pos := ix.SeekGE(r.lo, r.hi, k, v)
-		if pos >= r.hi || ix.ValueAt(pos, k) != v {
-			return false
-		}
-	}
-	return true
-}
-
-// fix narrows each participating atom's range to assignment[d] = v.
-func (c *candidateEnum) fix(d int, v relation.Value) {
-	c.assignment[d] = v
-	for j := range c.atoms {
-		r := c.ranges[j][d]
-		k := c.depth[j][d]
-		if k < 0 {
-			c.ranges[j][d+1] = r
-			continue
-		}
-		ix := c.ix[j]
-		lo := ix.SeekGE(r.lo, r.hi, k, v)
-		hi := ix.SeekGT(lo, r.hi, k, v)
-		c.ranges[j][d+1] = rng{lo, hi}
-	}
 }

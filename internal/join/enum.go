@@ -1,6 +1,8 @@
 package join
 
 import (
+	"slices"
+
 	"cqrep/internal/interval"
 	"cqrep/internal/relation"
 )
@@ -9,6 +11,12 @@ import (
 // the join ⋈_F R_F(v_b) restricted to a canonical f-box. It is a pull-based
 // iterator with O(µ · |atoms|) state, implementing a leapfrog-style
 // worst-case-optimal backtracking search over sorted indexes.
+//
+// It is the package's one backtracking join. What it fixes, in what order
+// and through which indexes is its variable order (order): a request
+// pins the bound valuation and walks the free positions; the candidate
+// streams walk an E_Vb component's free then bound positions, or the
+// bound positions alone.
 //
 // One Enum serves any number of boxes under the same bound valuation:
 // Reset restarts it on another box without allocating, and the per-atom
@@ -23,22 +31,22 @@ import (
 // range. The positions found, and so the enumeration and Ops, are the
 // same as a search from the range's start.
 type Enum struct {
-	inst *Instance
-	vb   relation.Tuple
-	box  interval.Box
+	o   *order
+	vb  relation.Tuple
+	box interval.Box
 
+	// assignment[d] is the value fixed at dimension d of the order.
 	assignment relation.Tuple
-	// ranges[ai][d] is the position range of atom ai in its BoundFirst
-	// index after fixing the bound valuation and the free positions < d.
-	// ranges[ai][0] depends on the bound valuation alone; ranges[ai][d+1]
-	// is the run of assignment[d] within ranges[ai][d] (the whole of it
-	// when atom ai does not hold free position d). Only ranges[·][0..fixed]
-	// describe the current assignment; deeper ones are left over from an
-	// earlier prefix.
+	// ranges[j][d] is the position range of walk j's index after fixing
+	// the dimensions < d (and, under a pinning order, the bound
+	// valuation). ranges[j][d+1] is the run of assignment[d] within
+	// ranges[j][d] (the whole of it when walk j's atom does not hold
+	// dimension d). Only ranges[·][0..fixed] describe the current
+	// assignment; deeper ones are left over from an earlier prefix.
 	ranges   [][]rng
 	fixed    int  // ranges[·][d+1] is assignment[d]'s run for every d < fixed
-	baseDone bool // ranges[·][0] hold the bound valuation's ranges
-	baseOK   bool // every atom's bound range is non-empty
+	baseDone bool // ranges[·][0] hold the walks' starting ranges
+	baseOK   bool // every walk's starting range is non-empty
 	started  bool
 	done     bool
 	ops      uint64
@@ -46,14 +54,74 @@ type Enum struct {
 
 type rng struct{ lo, hi int }
 
+// order is a variable order of the join: the head positions an Enum fixes
+// in turn, each a free position d < µ or a bound position µ+i, and the
+// atoms it walks, each through one of its indexes.
+type order struct {
+	dims  []int
+	free  int  // dims[:free] are free positions, dims[free:] bound ones
+	pin   bool // the bound valuation is fixed first, on a BoundFirst prefix
+	walks []walk
+	// holders[d] lists the walks whose atom holds dims[d].
+	holders [][]int
+}
+
+// walk is one atom of an order: its index, and depth[d], the index column
+// holding dims[d], or -1 when the atom does not hold it.
+type walk struct {
+	atom  *AtomInfo
+	ix    *relation.Index
+	depth []int
+}
+
+// newOrder makes the order over the given atoms whose dimensions are the
+// head positions in [from, to) that one of them holds, in turn, walking
+// each atom through the index ix returns for it.
+func newOrder(inst *Instance, atoms []int, from, to int, ix func(*AtomInfo) *relation.Index, pin bool) *order {
+	o := &order{pin: pin, walks: make([]walk, len(atoms))}
+	for j, ai := range atoms {
+		o.walks[j] = walk{atom: inst.Atoms[ai], ix: ix(inst.Atoms[ai])}
+	}
+	for p := from; p < to; p++ {
+		id := inst.varAt(p)
+		if !slices.ContainsFunc(o.walks, func(w walk) bool { return slices.Contains(w.atom.Vars, id) }) {
+			continue
+		}
+		var holders []int
+		for j := range o.walks {
+			w := &o.walks[j]
+			// A column of -1 (the atom lacks the variable) is in no index.
+			w.depth = append(w.depth, slices.Index(w.ix.Columns(), slices.Index(w.atom.Vars, id)))
+			if w.depth[len(o.dims)] >= 0 {
+				holders = append(holders, j)
+			}
+		}
+		if p < inst.Mu {
+			o.free++
+		}
+		o.dims = append(o.dims, p)
+		o.holders = append(o.holders, holders)
+	}
+	return o
+}
+
+// boundFirst returns the atom's BoundFirst index, for newOrder.
+func boundFirst(a *AtomInfo) *relation.Index { return a.BoundFirst }
+
 // NewEnum prepares an enumerator for the box-restricted access request
 // Q^η[v_b] ⋉ B. The bound valuation must have one value per bound variable
 // of the instance's view.
 func NewEnum(inst *Instance, vb relation.Tuple, box interval.Box) *Enum {
-	e := &Enum{inst: inst, vb: vb, box: box, assignment: make(relation.Tuple, inst.Mu)}
-	stride := inst.Mu + 1
-	flat := make([]rng, len(inst.Atoms)*stride)
-	e.ranges = make([][]rng, len(inst.Atoms))
+	return newEnum(inst.request, vb, box)
+}
+
+// newEnum prepares an enumerator of the join in order o within box; vb is
+// read only when o pins the bound valuation.
+func newEnum(o *order, vb relation.Tuple, box interval.Box) *Enum {
+	e := &Enum{o: o, vb: vb, box: box, assignment: make(relation.Tuple, len(o.dims))}
+	stride := len(o.dims) + 1
+	flat := make([]rng, len(o.walks)*stride)
+	e.ranges = make([][]rng, len(o.walks))
 	for i := range e.ranges {
 		e.ranges[i] = flat[i*stride : (i+1)*stride : (i+1)*stride]
 	}
@@ -87,7 +155,7 @@ func (e *Enum) Next() (relation.Tuple, bool) {
 	if !e.step() {
 		return nil, false
 	}
-	if e.inst.Mu == 0 {
+	if len(e.assignment) == 0 {
 		return relation.Tuple{}, true
 	}
 	return e.assignment.Clone(), true
@@ -108,18 +176,21 @@ func (e *Enum) AppendNext(dst []relation.Value) ([]relation.Value, bool) {
 func (e *Enum) Exists() bool { return e.step() }
 
 // step advances the assignment to the next solution, reporting false once
-// the enumeration is complete.
+// the enumeration is complete. A request's empty box ends it before any
+// seek; a candidate order leaves the box to its seeks, since it ignores
+// the box at a free position it does not hold.
 func (e *Enum) step() bool {
 	if e.done {
 		return false
 	}
+	last := len(e.o.dims) - 1
 	if !e.started {
 		e.started = true
-		if e.box.EmptyRange() || !e.initBase() {
+		if e.o.pin && e.box.EmptyRange() || !e.initBase() {
 			e.done = true
 			return false
 		}
-		if e.inst.Mu == 0 {
+		if last < 0 {
 			e.done = true
 			return true
 		}
@@ -129,7 +200,7 @@ func (e *Enum) step() bool {
 		e.done = true
 		return false
 	}
-	if e.advance(e.inst.Mu - 1) {
+	if e.advance(last) {
 		return true
 	}
 	e.done = true
@@ -142,14 +213,15 @@ func (e *Enum) step() bool {
 // each atom's bound-valuation range (sought once, shared with the
 // enumeration) by the free columns, a constant number of index probes,
 // and allocates nothing. Every column of an atom holds a bound or a free
-// variable, so a non-empty range means the row is present.
+// variable, so a non-empty range means the row is present. It needs a
+// request's enumerator (NewEnum), which walks every atom's BoundFirst.
 func (e *Enum) Contains(ft relation.Tuple) bool {
 	if !e.initBase() {
 		return false
 	}
-	for ai, a := range e.inst.Atoms {
-		r, nb := e.ranges[ai][0], len(a.BoundPos)
-		lo, hi := r.lo, r.hi
+	for j := range e.o.walks {
+		a, r := e.o.walks[j].atom, e.ranges[j][0]
+		lo, hi, nb := r.lo, r.hi, len(a.BoundPos)
 		for k, pos := range a.FreePos {
 			if lo, hi = a.BoundFirst.ValueRange(lo, hi, nb+k, ft[pos]); lo >= hi {
 				return false
@@ -159,60 +231,66 @@ func (e *Enum) Contains(ft relation.Tuple) bool {
 	return true
 }
 
-// initBase fixes the bound valuation in every atom and verifies the
-// all-bound atoms. The seeks run once per bound valuation; a reset reuses
-// their result.
+// initBase starts every walk's range: its atom's run of the bound
+// valuation under a pinning order, which also verifies the all-bound
+// atoms, or the whole index. The seeks run once per bound valuation; a
+// reset reuses their result.
 func (e *Enum) initBase() bool {
 	if e.baseDone {
 		return e.baseOK
 	}
 	e.baseDone, e.baseOK = true, false
-	for ai, a := range e.inst.Atoms {
+	for j, w := range e.o.walks {
 		e.ops++
-		lo, hi := a.boundRange(e.vb)
+		lo, hi := 0, w.ix.Len()
+		if e.o.pin {
+			lo, hi = w.atom.boundRange(e.vb)
+		}
 		if lo >= hi {
 			return false
 		}
-		e.ranges[ai][0] = rng{lo, hi}
+		e.ranges[j][0] = rng{lo, hi}
 	}
 	e.baseOK = true
 	return true
 }
 
-// constraint returns the box's restriction at free position d.
+// constraint returns the box's restriction at dimension d; a bound
+// dimension is unconstrained.
 func (e *Enum) constraint(d int) (lo relation.Value, loInc bool, hi relation.Value, hiInc bool, pinned bool, pin relation.Value) {
-	if d < len(e.box.Prefix) {
-		return 0, false, 0, false, true, e.box.Prefix[d]
-	}
-	if e.box.HasRange && d == len(e.box.Prefix) {
-		return e.box.Lo, e.box.LoInc, e.box.Hi, e.box.HiInc, false, 0
+	if d < e.o.free {
+		p := e.o.dims[d]
+		if p < len(e.box.Prefix) {
+			return 0, false, 0, false, true, e.box.Prefix[p]
+		}
+		if e.box.HasRange && p == len(e.box.Prefix) {
+			return e.box.Lo, e.box.LoInc, e.box.Hi, e.box.HiInc, false, 0
+		}
 	}
 	return relation.NegInf, true, relation.PosInf, true, false, 0
 }
 
-// seekGE returns the first position of atom ai's range at free position d
-// whose value there is ≥ v. While depth d is fixed (d < fixed) v is above
-// assignment[d], so the answer lies past the end of assignment[d]'s run:
-// the seek gallops from there instead of searching the whole range.
-func (e *Enum) seekGE(ai, d int, v relation.Value) int {
-	a := e.inst.Atoms[ai]
-	depth := len(a.BoundCols) + a.freeDepth[d]
-	r := e.ranges[ai][d]
+// seekGE returns the first position of walk w's range rs[d] at
+// dimension d whose value there is ≥ v. While depth d is fixed (d <
+// fixed) v is above assignment[d], so the answer lies past the end of
+// assignment[d]'s run: the seek gallops from there instead of searching
+// the whole range.
+func (e *Enum) seekGE(w *walk, rs []rng, d int, v relation.Value) int {
 	if d < e.fixed {
-		return a.BoundFirst.GallopGE(e.ranges[ai][d+1].hi, r.hi, depth, v)
+		return w.ix.GallopGE(rs[d+1].hi, rs[d].hi, w.depth[d], v)
 	}
-	return a.BoundFirst.SeekGE(r.lo, r.hi, depth, v)
+	return w.ix.SeekGE(rs[d].lo, rs[d].hi, w.depth[d], v)
 }
 
-// seekCandidate finds the smallest value ≥ from at free position d that is
-// present in every atom containing d and satisfies the box constraint.
+// seekCandidate finds the smallest value ≥ from at dimension d that is
+// present in every atom holding it and satisfies the box constraint.
 func (e *Enum) seekCandidate(d int, from relation.Value) (relation.Value, bool) {
 	lo, loInc, hi, hiInc, pinned, pin := e.constraint(d)
 	if pinned {
 		if pin < from {
 			return 0, false
 		}
-		// Verify every atom containing d has the pinned value available.
+		// Verify every atom holding d has the pinned value available.
 		if !e.allHave(d, pin) {
 			return 0, false
 		}
@@ -229,25 +307,19 @@ func (e *Enum) seekCandidate(d int, from relation.Value) (relation.Value, bool) 
 		}
 		v = lo + 1
 	}
-	atoms := e.atomsAt(d)
-	if len(atoms) == 0 {
-		// Defensive: no atom constrains this variable; walk its active
-		// domain instead.
-		return e.domainSeek(d, v, hi, hiInc)
-	}
 	for {
 		if hiInc && v > hi || !hiInc && v >= hi {
 			return 0, false
 		}
 		advanced := false
-		for _, ai := range atoms {
-			a := e.inst.Atoms[ai]
+		for _, j := range e.o.holders[d] {
+			w, rs := &e.o.walks[j], e.ranges[j]
 			e.ops++
-			pos := e.seekGE(ai, d, v)
-			if pos >= e.ranges[ai][d].hi {
+			pos := e.seekGE(w, rs, d, v)
+			if pos >= rs[d].hi {
 				return 0, false
 			}
-			if val := a.BoundFirst.ValueAt(pos, len(a.BoundCols)+a.freeDepth[d]); val > v {
+			if val := w.ix.ValueAt(pos, w.depth[d]); val > v {
 				v = val
 				advanced = true
 				break
@@ -262,65 +334,33 @@ func (e *Enum) seekCandidate(d int, from relation.Value) (relation.Value, bool) 
 	}
 }
 
-// allHave reports whether every atom containing d has value v available in
-// its current range.
+// allHave reports whether every atom holding dimension d has value v
+// available in its current range.
 func (e *Enum) allHave(d int, v relation.Value) bool {
-	for _, ai := range e.atomsAt(d) {
-		a := e.inst.Atoms[ai]
-		depth := len(a.BoundCols) + a.freeDepth[d]
-		r := e.ranges[ai][d]
+	for _, j := range e.o.holders[d] {
+		w, r := &e.o.walks[j], e.ranges[j][d]
 		e.ops++
-		pos := a.BoundFirst.SeekGE(r.lo, r.hi, depth, v)
-		if pos >= r.hi || a.BoundFirst.ValueAt(pos, depth) != v {
+		pos := w.ix.SeekGE(r.lo, r.hi, w.depth[d], v)
+		if pos >= r.hi || w.ix.ValueAt(pos, w.depth[d]) != v {
 			return false
 		}
 	}
 	return true
 }
 
-// domainSeek iterates the active domain for unconstrained dimensions.
-func (e *Enum) domainSeek(d int, v relation.Value, hi relation.Value, hiInc bool) (relation.Value, bool) {
-	dom := e.inst.FreeDomain(d)
-	i := searchValues(dom, v)
-	if i >= len(dom) {
-		return 0, false
-	}
-	got := dom[i]
-	if hiInc && got > hi || !hiInc && got >= hi {
-		return 0, false
-	}
-	return got, true
-}
-
-func searchValues(dom []relation.Value, v relation.Value) int {
-	lo, hi := 0, len(dom)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if dom[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// atomsAt returns the atom indexes containing free position d.
-func (e *Enum) atomsAt(d int) []int { return e.inst.freeAtoms[d] }
-
-// fix records assignment[d] = v and narrows every atom range to v's run,
-// whose end it gallops to from the run's start. The deeper ranges no
+// fix records assignment[d] = v and narrows every walk's range to v's
+// run, whose end it gallops to from the run's start. The deeper ranges no
 // longer describe the assignment.
 func (e *Enum) fix(d int, v relation.Value) {
-	for ai, a := range e.inst.Atoms {
-		if !a.ContainsFree(d) {
-			e.ranges[ai][d+1] = e.ranges[ai][d]
+	for j, rs := range e.ranges {
+		w := &e.o.walks[j]
+		if w.depth[d] < 0 {
+			rs[d+1] = rs[d]
 			continue
 		}
 		e.ops++
-		lo := e.seekGE(ai, d, v)
-		hi := a.BoundFirst.GallopGT(lo, e.ranges[ai][d].hi, len(a.BoundCols)+a.freeDepth[d], v)
-		e.ranges[ai][d+1] = rng{lo, hi}
+		lo := e.seekGE(w, rs, d, v)
+		rs[d+1] = rng{lo, w.ix.GallopGT(lo, rs[d].hi, w.depth[d], v)}
 	}
 	e.assignment[d] = v
 	e.fixed = d + 1
@@ -332,7 +372,7 @@ func (e *Enum) descendFrom(d int, from relation.Value) bool {
 	v, ok := e.seekCandidate(d, from)
 	for ok {
 		e.fix(d, v)
-		if d == e.inst.Mu-1 {
+		if d == len(e.o.dims)-1 {
 			return true
 		}
 		if e.descendFrom(d+1, relation.NegInf) {
@@ -361,7 +401,7 @@ func (e *Enum) advance(d int) bool {
 			continue
 		}
 		e.fix(d, v)
-		if d == e.inst.Mu-1 {
+		if d == len(e.o.dims)-1 {
 			return true
 		}
 		if e.descendFrom(d+1, relation.NegInf) {

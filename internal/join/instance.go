@@ -47,13 +47,6 @@ type AtomInfo struct {
 
 	freeOnce  sync.Once
 	freeFirst *relation.Index
-
-	// freeDepth[d] is the position of global free position d within
-	// FreePos, or -1 when the atom does not contain that variable.
-	freeDepth []int
-	// boundDepth[i] is the position of global bound position i within
-	// BoundPos, or -1.
-	boundDepth []int
 }
 
 // FreeFirst returns the atom's index ordered by its free columns (in
@@ -66,14 +59,6 @@ func (a *AtomInfo) FreeFirst() *relation.Index {
 	})
 	return a.freeFirst
 }
-
-// ContainsFree reports whether the atom contains the free variable at
-// global free position d.
-func (a *AtomInfo) ContainsFree(d int) bool { return a.freeDepth[d] >= 0 }
-
-// ContainsBound reports whether the atom contains the bound variable at
-// global bound position i.
-func (a *AtomInfo) ContainsBound(i int) bool { return a.boundDepth[i] >= 0 }
 
 // Instance binds a normalized view to a database: per-atom index structures
 // and per-variable active domains. NewInstance builds each atom's
@@ -93,9 +78,16 @@ type Instance struct {
 	Mu    int
 	Atoms []*AtomInfo
 
-	// freeAtoms[d] lists the indexes of the atoms containing the free
-	// variable at global free position d.
-	freeAtoms [][]int
+	// request is the variable order of an access request: the bound
+	// valuation pinned, then the free positions, over BoundFirst.
+	request *order
+
+	ordersOnce sync.Once
+	// components holds the candidate order of each connected component
+	// of E_Vb, and exhaustive the exhaustive stream's order; both are
+	// built on the first candidate stream (candidates.go).
+	components []*order
+	exhaustive *order
 
 	domOnce sync.Once
 	// freeDomains[d] is the sorted active domain of the free variable at
@@ -122,18 +114,7 @@ func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 	}
 
 	for _, na := range nv.Atoms {
-		a := &AtomInfo{
-			Rel:        na.Rel,
-			Vars:       na.Vars,
-			freeDepth:  make([]int, len(nv.Free)),
-			boundDepth: make([]int, len(nv.Bound)),
-		}
-		for i := range a.freeDepth {
-			a.freeDepth[i] = -1
-		}
-		for i := range a.boundDepth {
-			a.boundDepth[i] = -1
-		}
+		a := &AtomInfo{Rel: na.Rel, Vars: na.Vars}
 		// Collect (global position, column) pairs, then sort by global
 		// position so index prefixes line up with the enumeration order.
 		type pc struct{ pos, col int }
@@ -149,27 +130,41 @@ func NewInstance(nv *cq.NormalizedView) (*Instance, error) {
 		}
 		sort.Slice(bound, func(i, j int) bool { return bound[i].pos < bound[j].pos })
 		sort.Slice(free, func(i, j int) bool { return free[i].pos < free[j].pos })
-		for k, p := range bound {
+		for _, p := range bound {
 			a.BoundCols = append(a.BoundCols, p.col)
 			a.BoundPos = append(a.BoundPos, p.pos)
-			a.boundDepth[p.pos] = k
 		}
-		for k, p := range free {
+		for _, p := range free {
 			a.FreeCols = append(a.FreeCols, p.col)
 			a.FreePos = append(a.FreePos, p.pos)
-			a.freeDepth[p.pos] = k
 		}
 		a.BoundFirst = na.Rel.Index(append(append([]int(nil), a.BoundCols...), a.FreeCols...)...)
 		inst.Atoms = append(inst.Atoms, a)
 	}
 
-	inst.freeAtoms = make([][]int, inst.Mu)
-	for ai, a := range inst.Atoms {
-		for _, d := range a.FreePos {
-			inst.freeAtoms[d] = append(inst.freeAtoms[d], ai)
+	// Every head variable needs an atom to walk it. cq.View.Validate
+	// rejects a view without one, but a view built by hand skips it.
+	for p := 0; p < inst.Mu+len(nv.Bound); p++ {
+		id := inst.varAt(p)
+		if !slices.ContainsFunc(inst.Atoms, func(a *AtomInfo) bool { return slices.Contains(a.Vars, id) }) {
+			return nil, fmt.Errorf("join: head variable id %d appears in no atom", id)
 		}
 	}
+	all := make([]int, len(inst.Atoms))
+	for ai := range all {
+		all[ai] = ai
+	}
+	inst.request = newOrder(inst, all, 0, inst.Mu, boundFirst, true)
 	return inst, nil
+}
+
+// varAt returns the variable id at head position p: the free positions
+// 0..µ-1 in f-order, then the bound positions µ+i in bound order.
+func (inst *Instance) varAt(p int) int {
+	if p < inst.Mu {
+		return inst.NV.Free[p]
+	}
+	return inst.NV.Bound[p-inst.Mu]
 }
 
 // FreeDomain returns the sorted active domain of the free variable at
@@ -211,43 +206,22 @@ func LazyBuiltForTest(inst *Instance) bool {
 func (inst *Instance) buildDomains() {
 	free := make([][]relation.Value, inst.Mu)
 	for d := range free {
-		free[d] = inst.domainOf(freePosSelector(d))
+		free[d] = inst.domainOf(d)
 	}
 	bound := make([][]relation.Value, len(inst.NV.Bound))
 	for i := range bound {
-		bound[i] = inst.domainOf(boundPosSelector(i))
+		bound[i] = inst.domainOf(inst.Mu + i)
 	}
 	inst.freeDomains, inst.boundDomains = free, bound
 }
 
-// selector returns, for an atom, the column holding the wanted variable or
-// -1.
-type selector func(a *AtomInfo) int
-
-func freePosSelector(d int) selector {
-	return func(a *AtomInfo) int {
-		if k := a.freeDepth[d]; k >= 0 {
-			return a.FreeCols[k]
-		}
-		return -1
-	}
-}
-
-func boundPosSelector(i int) selector {
-	return func(a *AtomInfo) int {
-		if k := a.boundDepth[i]; k >= 0 {
-			return a.BoundCols[k]
-		}
-		return -1
-	}
-}
-
-// domainOf computes the sorted distinct values of a variable across all
-// atoms containing it: the union of each holder's column domain.
-func (inst *Instance) domainOf(sel selector) []relation.Value {
+// domainOf computes the sorted distinct values of the variable at head
+// position p across all atoms containing it: the union of each holder's
+// column domain.
+func (inst *Instance) domainOf(p int) []relation.Value {
 	var doms [][]relation.Value
 	for _, a := range inst.Atoms {
-		if col := sel(a); col >= 0 {
+		if col := slices.Index(a.Vars, inst.varAt(p)); col >= 0 {
 			doms = append(doms, a.columnDomain(col))
 		}
 	}

@@ -197,6 +197,33 @@ func TestInstanceFirstReadsRace(t *testing.T) {
 	}
 }
 
+// TestNewInstanceRejectsUnheldHead: a normalized view built by hand skips
+// cq.View.Validate, so NewInstance itself rejects a head variable that no
+// atom holds, free or bound — the join would have no index to walk it in.
+func TestNewInstanceRejectsUnheldHead(t *testing.T) {
+	r := relation.NewRelation("R", 2)
+	r.MustInsert(1, 2)
+	for _, c := range []struct {
+		name        string
+		free, bound []int
+		ok          bool
+	}{
+		{"held", []int{0}, []int{1}, true},
+		{"free", []int{0, 2}, []int{1}, false},
+		{"bound", []int{0}, []int{1, 2}, false},
+	} {
+		nv := &cq.NormalizedView{
+			Vars:  []string{"x", "y", "z"},
+			Free:  c.free,
+			Bound: c.bound,
+			Atoms: []cq.NAtom{{Rel: r, Vars: []int{0, 1}}},
+		}
+		if _, err := NewInstance(nv); (err == nil) != c.ok {
+			t.Errorf("%s: NewInstance error %v, want one: %v", c.name, err, !c.ok)
+		}
+	}
+}
+
 // scanInstance is the instance of view over a small two-column S.
 func scanInstance(t *testing.T, view string) *Instance {
 	t.Helper()
