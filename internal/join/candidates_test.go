@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -178,6 +179,37 @@ func TestBoundCandidatesEarlyStop(t *testing.T) {
 				t.Errorf("enumeration did not stop after emit returned false: %d", count)
 			}
 		})
+	}
+}
+
+// TestCandidateStreamsFirstReadsRace has eight goroutines start the three
+// candidate streams on one fresh instance at once (run it under -race):
+// the instance builds its candidate orders once, and every goroutine of a
+// stream reads the same number of answers.
+func TestCandidateStreamsFirstReadsRace(t *testing.T) {
+	inst := runningExampleInstance(t)
+	const readers = 8
+	counts := make([]int, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 3 {
+			case 0:
+				BoundWitnesses(inst, interval.Box{}, func(_, _ relation.Tuple) bool { counts[g]++; return true })
+			case 1:
+				BoundCandidates(inst, interval.Box{}, func(relation.Tuple) bool { counts[g]++; return true })
+			default:
+				BoundCandidatesExhaustive(inst, interval.Box{}, func(relation.Tuple) bool { counts[g]++; return true })
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 3; g < readers; g++ {
+		if counts[g] != counts[g%3] {
+			t.Errorf("reader %d read %d answers, reader %d of the same stream %d", g, counts[g], g%3, counts[g%3])
+		}
 	}
 }
 
