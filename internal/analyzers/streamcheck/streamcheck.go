@@ -4,8 +4,9 @@
 // "did you finish?" — a server that died mid-enumeration produced a
 // short, plausible-looking result. The contract has three surfaces:
 //
-//   - core.Iterator values (Representation.Query*, Maintained.Query)
-//     and core.BlockIterator values (Representation.QueryBlocks): after
+//   - core.Iterator values (Representation.Query*, Maintained.Query),
+//     core.BlockIterator values (Representation.QueryBlocks) and
+//     core.RowIterator values (core.MergeRows): after
 //     draining, IterErr (or the value's own Err method) distinguishes
 //     completion from failure. A function that creates an iterator must consult it or hand the iterator to
 //     someone who can (return it, pass it on, store it). Draining
@@ -33,7 +34,7 @@ import (
 // Analyzer flags result streams whose terminal error is never consulted.
 var Analyzer = &analyzers.Analyzer{
 	Name: "streamcheck",
-	Doc: "flag result streams (core.Iterator, core.BlockIterator, httpserve.Stream, All2 sequences) " +
+	Doc: "flag result streams (core.Iterator, core.BlockIterator, core.RowIterator, httpserve.Stream, All2 sequences) " +
 		"drained without consulting their terminal error (IterErr / Err / the error element)",
 	Run: run,
 }
@@ -101,11 +102,12 @@ func analyzeFunc(pass *analyzers.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// --- core.Iterator / core.BlockIterator / httpserve.Stream ----------------
+// --- core.Iterator / core.BlockIterator / core.RowIterator / httpserve.Stream
 
 func isStreamType(t types.Type) bool {
 	return analyzers.IsNamed(t, analyzers.ModulePath+"/internal/core", "Iterator") ||
 		analyzers.IsNamed(t, analyzers.ModulePath+"/internal/core", "BlockIterator") ||
+		analyzers.IsNamed(t, analyzers.ModulePath+"/internal/core", "RowIterator") ||
 		analyzers.IsNamed(t, analyzers.ModulePath+"/internal/httpserve", "Stream")
 }
 
@@ -219,7 +221,7 @@ func scanUses(pass *analyzers.Pass, fd *ast.FuncDecl, parents parentMap, obj typ
 					if gp, ok := parents.parent(p).(*ast.CallExpr); ok && ast.Unparen(gp.Fun) == ast.Expr(p) {
 						consulted = true
 					}
-				case "Next", "NextBlock", "Close":
+				case "Next", "NextBlock", "NextRows", "Close":
 					// draining / releasing: neutral
 				default:
 					escaped = true

@@ -1,6 +1,7 @@
 // Package stream is streamcheck's testdata: each function is one flag or
 // no-flag case for the consult-or-escape rule over core.Iterator,
-// core.BlockIterator, httpserve.Stream and the All2 sequence form.
+// core.BlockIterator, core.RowIterator, httpserve.Stream and the All2
+// sequence form.
 package stream
 
 import (
@@ -14,6 +15,7 @@ import (
 func openIter() core.Iterator               { return nil }
 func openStream() (httpserve.Stream, error) { return nil, nil }
 func openBlocks() core.BlockIterator        { return nil }
+func openRows() core.RowIterator            { return nil }
 
 func drain(it core.Iterator) {
 	for {
@@ -147,6 +149,26 @@ func blocksConsulted() (int, error) {
 		n += len(blk)
 	}
 	return n, core.IterErr(blocks)
+}
+
+// --- core.RowIterator: same rule, encoded runs ---------------------------
+
+func rowsNeverConsulted() int {
+	n := 0
+	rows := openRows() // want `never consulted for its terminal error`
+	for run := rows.NextRows(128); run.N > 0; run = rows.NextRows(128) {
+		n += run.N
+	}
+	return n
+}
+
+func rowsConsulted() (int, error) {
+	n := 0
+	rows := openRows()
+	for run := rows.NextRows(128); run.N > 0; run = rows.NextRows(128) {
+		n += run.N
+	}
+	return n, core.IterErr(rows)
 }
 
 // --- All2-shaped sequences (the error element must be consumed) -----------

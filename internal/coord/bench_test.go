@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"cqrep/internal/core"
@@ -49,5 +50,34 @@ func BenchmarkCoordNew(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.Close()
+	}
+}
+
+// BenchmarkCoordRelay prices the coordinator's data path per request, in
+// the binary framing, with the three workers reached over loopback HTTP:
+// a routed request for one key's 8192 answers, and an all-free scatter of
+// 4 keys × 8192 answers merged from 3 shards. The client side is the
+// coordinator's handler writing into a discarding response.
+func BenchmarkCoordRelay(b *testing.B) {
+	const keys, answers = 4, 8192
+	paths := relaySnapshots(b, keys, answers)
+	cl := startCluster(b, paths, 3, 0)
+	for _, c := range []struct {
+		name, view, body string
+		tuples           int
+	}{
+		{"routed", "W", `{"bindings":{"x":1}}`, answers},
+		{"scatter", "F", `{}`, keys * answers},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := &discardResponse{header: make(http.Header)}
+			body := []byte(c.body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				relayOnce(b, cl.coord, w, c.view, body, c.tuples*8)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.tuples), "ns/tuple")
+		})
 	}
 }

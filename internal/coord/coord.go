@@ -10,7 +10,7 @@
 // coordinator's (query.go). The result is byte-identical to single-node
 // serving: hash partitioning makes the shards disjoint, each shard
 // enumerates in the composite's order, and the merge is the in-process
-// sharded backend's own (core.MergeBlocks).
+// sharded backend's own, over encoded rows (core.MergeRows).
 //
 // Workers join by snapshot: the coordinator decodes no snapshot. It reads
 // each one's route card (core.ReadRouteCard: view, shard plan,
@@ -19,7 +19,9 @@
 // — the bytes core.WriteShard would write — and serves the files on
 // GET /v1/shardfile/{view}/{i}. It keeps only the route card per view
 // (viewMeta); a frame that passes its checksum but does not decode fails
-// the joining worker's attach.
+// the joining worker's attach, and so does a shard whose decoded strategy,
+// enumeration order or entry count — reported in the attach reply —
+// disagrees with the card.
 // A joining worker POSTs /v1/join; the coordinator pushes /v1/attach calls
 // that tell the worker which shard files to fetch and serve (scoped names
 // "V@i"), then swaps the shard map atomically. The swap uses the same
@@ -32,10 +34,11 @@
 // of what the client negotiated: its explicit end/error terminals are what
 // let the coordinator distinguish a worker that finished from a worker
 // that died mid-stream (surfaced to the client as the IterErr-style
-// terminal, never silent truncation), and its fixed-width frames decode
-// into one reused slab per worker link. The coordinator re-encodes into the
-// client's Accept-negotiated format through the same front, delivery loop
-// and encoder the workers themselves use.
+// terminal, never silent truncation), and its fixed-width frames are the
+// rows the coordinator relays: each link lends them still encoded, the
+// merge compares the values they decode to, and the same front, delivery
+// loop and encoder the workers use copy them into a binary client's frames
+// as they are, or decode them into an NDJSON client's lines.
 package coord
 
 import (
@@ -46,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,10 +91,28 @@ type Options struct {
 // viewMeta is the coordinator's per-view route card, immutable after New.
 // It holds no compiled structure: the workers answer, the card routes.
 type viewMeta struct {
-	view   *cq.View           // the full adorned view: names only, no data
-	keyIdx int                // position of the shard key in a bound valuation; -1 = scatter
-	files  []string           // exported per-shard snapshot files, one per shard
-	info   httpserve.ViewInfo // the /v1/views row, taken from the snapshot's route card
+	view    *cq.View           // the full adorned view: names only, no data
+	keyIdx  int                // position of the shard key in a bound valuation; -1 = scatter
+	files   []string           // exported per-shard snapshot files, one per shard
+	entries []int              // each shard's entry count, from the route card
+	info    httpserve.ViewInfo // the /v1/views row, taken from the snapshot's route card
+}
+
+// checkAttached holds a worker's decoded shard to the route card: a card
+// that is well formed but lies — another strategy, order or entry count —
+// would have the merge run in the wrong order, so the attach fails and the
+// shard stays unowned.
+func (vm *viewMeta) checkAttached(shard int, got httpserve.AttachReply) error {
+	want := vm.info.EnumOrder
+	switch {
+	case got.Strategy != vm.info.Strategy:
+		return fmt.Errorf("worker decoded strategy %s, the route card says %s", got.Strategy, vm.info.Strategy)
+	case (got.EnumOrder == nil) != (want == nil) || !slices.Equal(got.EnumOrder, want):
+		return fmt.Errorf("worker's shard enumerates in %s, the route card says %s", orderName(got.EnumOrder), orderName(want))
+	case got.Entries != vm.entries[shard]:
+		return fmt.Errorf("worker's shard holds %d entries, the route card says %d", got.Entries, vm.entries[shard])
+	}
+	return nil
 }
 
 // shardMap is one immutable generation of the ownership table. Queries
@@ -217,8 +239,9 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 		entries += n
 	}
 	vm := &viewMeta{
-		view:   card.View,
-		keyIdx: card.KeyIndex,
+		view:    card.View,
+		keyIdx:  card.KeyIndex,
+		entries: card.Entries,
 		info: httpserve.ViewInfo{
 			Name:  name,
 			Bound: card.Bound,
@@ -242,6 +265,14 @@ func (c *Coordinator) loadView(path string) (*viewMeta, error) {
 		vm.files = append(vm.files, fp)
 	}
 	return vm, nil
+}
+
+// orderName names an enumeration order for an error message.
+func orderName(order []int) string {
+	if order == nil {
+		return "head order"
+	}
+	return fmt.Sprintf("order %v", order)
 }
 
 // emptyMap is generation 1 with every shard unassigned.
@@ -401,7 +432,10 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 	for _, mv := range moves {
 		name := scopedName(mv.view, mv.shard)
 		c.placeMu.Lock()
-		err := c.workerClient(mv.to).Attach(ctx, name, fmt.Sprintf("%s/v1/shardfile/%s/%d", base, mv.view, mv.shard))
+		got, err := c.workerClient(mv.to).Attach(ctx, name, fmt.Sprintf("%s/v1/shardfile/%s/%d", base, mv.view, mv.shard))
+		if err == nil {
+			err = c.views[mv.view].checkAttached(mv.shard, got)
+		}
 		if err == nil {
 			c.attachedAt[placement{name, mv.to}] = next.gen
 		}

@@ -35,7 +35,7 @@ import (
 // and worker death.
 
 // buildSnapshot compiles a view and writes its snapshot, returning the path.
-func buildSnapshot(t *testing.T, dir, name string, view *cq.View, db *relation.Database, opts ...core.Option) string {
+func buildSnapshot(t testing.TB, dir, name string, view *cq.View, db *relation.Database, opts ...core.Option) string {
 	t.Helper()
 	rep, err := core.Build(view, db, opts...)
 	if err != nil {
@@ -65,14 +65,14 @@ type cluster struct {
 
 // startCluster brings up a coordinator over the snapshot paths and joins
 // nWorkers empty admin-mode workers through the real /v1/join endpoint.
-func startCluster(t *testing.T, paths []string, nWorkers, flushBatch int) *cluster {
+func startCluster(t testing.TB, paths []string, nWorkers, flushBatch int) *cluster {
 	t.Helper()
 	return startClusterCached(t, paths, nWorkers, flushBatch, 0)
 }
 
 // startClusterCached is startCluster with a merged-result cache budget on
 // the coordinator (0 = caching off).
-func startClusterCached(t *testing.T, paths []string, nWorkers, flushBatch int, cacheBytes int64) *cluster {
+func startClusterCached(t testing.TB, paths []string, nWorkers, flushBatch int, cacheBytes int64) *cluster {
 	t.Helper()
 	cl := &cluster{}
 	// The coordinator needs its own public URL (workers fetch shard files
@@ -158,17 +158,24 @@ func rawResponse(t *testing.T, base, view, body string, format httpserve.Format)
 // scattered merged enumerations, limits, misses, malformed requests —
 // equals the single-node response byte for byte, with the same status and
 // the same Content-Type, X-Cqrep-View and X-Cqrep-Free headers, in both
-// encodings, and keeps doing so after a shard moves between workers.
+// encodings, and keeps doing so after a shard moves between workers. N
+// merges negative values with positive ones — the relay compares encoded
+// rows, whose bytes do not sort like their values — and B streams the
+// arity-0 answers of an all-bound view.
 func TestDistributedByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	const flushBatch = 3 // tiny batches force frame boundaries inside results
 	triDB := workload.TriangleDB(7, 40, 420)
 	pathDB := workload.PathDB(11, 2, 300, 20)
+	negDB := negativeDB()
 	paths := []string{
 		buildSnapshot(t, dir, "v", cq.MustParse("V[bfb](x, y, z) :- R(x, y), R(y, z), R(z, x)"), triDB,
 			core.WithStrategy(core.MaterializedStrategy), core.WithShards(3)),
 		buildSnapshot(t, dir, "p", cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"), pathDB,
 			core.WithStrategy(core.DecompositionStrategy), core.WithShards(4)),
+		buildSnapshot(t, dir, "n", cq.MustParse("N[ff](x, y) :- S(x, y)"), negDB,
+			core.WithStrategy(core.MaterializedStrategy), core.WithShards(3)),
+		buildSnapshot(t, dir, "b", cq.MustParse("B[bb](x, y) :- S(x, y)"), negDB, core.WithShards(3)),
 	}
 	single, err := httpserve.New(paths, httpserve.Options{FlushBatch: flushBatch})
 	if err != nil {
@@ -192,6 +199,11 @@ func TestDistributedByteIdentity(t *testing.T) {
 		{"V", `{"bindings":{"x":3,"z":3}}`, http.StatusOK},
 		{"V", `{"bindings":{"x":1099511627776,"z":1}}`, http.StatusOK}, // guaranteed miss
 		{"V", `{"bindings":{"x":2,"z":5},"limit":1}`, http.StatusOK},
+		{"N", `{}`, http.StatusOK}, // negative values merged with positive ones
+		{"N", `{"limit": 11}`, http.StatusOK},
+		{"B", `{"bindings":{"x":-9223372036854775807,"y":9223372036854775806}}`, http.StatusOK}, // true: one empty tuple
+		{"B", `{"bindings":{"x":-2,"y":-7}}`, http.StatusOK},                                    // true
+		{"B", `{"bindings":{"x":-2,"y":3}}`, http.StatusOK},                                     // false: no tuple
 		// Error rows: the body is parsed before the view is resolved.
 		{"Nope", `{not json`, http.StatusBadRequest},
 		{"V", `{not json`, http.StatusBadRequest},
@@ -233,6 +245,15 @@ func TestDistributedByteIdentity(t *testing.T) {
 		}
 	}
 	verify("initial")
+	for body, want := range map[string]string{
+		`{"bindings":{"x":-9223372036854775807,"y":9223372036854775806}}`: "[]\n",
+		`{"bindings":{"x":-2,"y":-7}}`:                                    "[]\n",
+		`{"bindings":{"x":-2,"y":3}}`:                                     "",
+	} {
+		if _, got := rawQuery(t, cl.coordTS.URL, "B", body, httpserve.FormatNDJSON); string(got) != want {
+			t.Fatalf("B %s answered %q, want %q", body, got, want)
+		}
+	}
 
 	// Rebalance: move V's shard 0 and P's shard 2 onto different workers
 	// and require the exact same bytes again.
@@ -270,6 +291,22 @@ func TestDistributedByteIdentity(t *testing.T) {
 	if stats.StreamsComplete == 0 {
 		t.Fatalf("no complete streams recorded")
 	}
+}
+
+// negativeDB is S over negative and non-negative values side by side,
+// the sentinels' nearest neighbours included: S(x, -x), S(x, 3x-1) for
+// -20 <= x < 20, and S(⊥+1, ⊤-1), S(⊤-1, ⊥+1).
+func negativeDB() *relation.Database {
+	s := relation.NewRelation("S", 2)
+	for x := relation.Value(-20); x < 20; x++ {
+		s.MustInsert(x, -x)
+		s.MustInsert(x, 3*x-1)
+	}
+	s.MustInsert(relation.NegInf+1, relation.PosInf-1)
+	s.MustInsert(relation.PosInf-1, relation.NegInf+1)
+	db := relation.NewDatabase()
+	db.Add(s)
+	return db
 }
 
 // TestStatsBlockBothTiers decodes both tiers' /v1/stats into the shared
@@ -388,15 +425,21 @@ func TestReadinessLifecycle(t *testing.T) {
 // never a truncated stream that parses as complete.
 func TestWorkerDeathMidStream(t *testing.T) {
 	dir := t.TempDir()
-	// A big free enumeration so the stream is still flowing when the worker
-	// dies: the ~1M-tuple result is far beyond anything socket buffers can
-	// swallow, so the kill always lands mid-stream.
+	// A free enumeration of 171963 tuples, about 1.4 MB of binary frames
+	// per worker: loopback socket buffers can swallow that whole, so a
+	// worker left alone may finish its stream before the client has read
+	// five tuples. Worker 1 therefore holds each stream after its first
+	// 64 KiB until the kill, which always lands mid-stream.
 	pathDB := workload.PathDB(13, 2, 8000, 60)
 	paths := []string{buildSnapshot(t, dir, "p", cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"), pathDB,
 		core.WithStrategy(core.DecompositionStrategy), core.WithShards(3))}
 	cl := startCluster(t, paths, 3, 4)
+	stall := &stallingWorker{Handler: cl.workers[1], after: 64 << 10}
+	cl.workerTS[1].Config.Handler = stall
 
 	for _, format := range []httpserve.Format{httpserve.FormatNDJSON, httpserve.FormatBinary} {
+		release := stall.arm()
+		defer release() // a failed check must not leave the worker's handler stalled
 		client := &httpserve.Client{Base: cl.coordTS.URL}
 		st, err := client.Open(context.Background(), "P", httpserve.QueryOptions{Format: format})
 		if err != nil {
@@ -414,6 +457,7 @@ func TestWorkerDeathMidStream(t *testing.T) {
 				killed = true
 				// Sever every connection into worker 1 — the mid-stream death.
 				cl.workerTS[1].CloseClientConnections()
+				release()
 			}
 		}
 		err = st.Err()
@@ -422,6 +466,65 @@ func TestWorkerDeathMidStream(t *testing.T) {
 			t.Fatalf("%s: stream ended cleanly after worker death (%d tuples); silent truncation", format, n)
 		}
 		t.Logf("%s: %d tuples then terminal error: %v", format, n, err)
+	}
+}
+
+// stallingWorker serves a worker's API, but holds every query stream once
+// it has written after bytes, until the latest arm's release runs; the
+// stream then fails.
+type stallingWorker struct {
+	http.Handler
+	after   int
+	mu      sync.Mutex
+	release chan struct{}
+}
+
+// arm makes the streams stalled from now on wait for the returned
+// release, which may run more than once.
+func (s *stallingWorker) arm() (release func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ch := make(chan struct{})
+	s.release = ch
+	return sync.OnceFunc(func() { close(ch) })
+}
+
+func (s *stallingWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasPrefix(r.URL.Path, "/v1/query/") {
+		s.Handler.ServeHTTP(w, r)
+		return
+	}
+	s.mu.Lock()
+	release := s.release
+	s.mu.Unlock()
+	s.Handler.ServeHTTP(&stallingWriter{ResponseWriter: w, left: s.after, release: release}, r)
+}
+
+// stallingWriter passes left bytes through, then waits for release.
+type stallingWriter struct {
+	http.ResponseWriter
+	left    int
+	release chan struct{}
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.left {
+		w.left -= len(p)
+		return w.ResponseWriter.Write(p)
+	}
+	n, err := w.ResponseWriter.Write(p[:w.left])
+	w.left = 0
+	if err != nil {
+		return n, err
+	}
+	w.Flush()
+	<-w.release
+	return n, errors.New("stream stalled until its worker died")
+}
+
+func (w *stallingWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }
 
@@ -657,39 +760,67 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// relaySnapshots writes the relay pins' snapshots: S holds keys × answers
+// rows (x, 3y) — one key's answers are a routed request's — served as
+// W[bf] and as the all-free F[ff], each materialized in 3 shards.
+func relaySnapshots(t testing.TB, keys, answers int) []string {
+	s := relation.NewRelation("S", 2)
+	for x := 0; x < keys; x++ {
+		for y := 0; y < answers; y++ {
+			s.MustInsert(relation.Value(x), relation.Value(3*y))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	dir := t.TempDir()
+	return []string{
+		buildSnapshot(t, dir, "w", cq.MustParse("W[bf](x, y) :- S(x, y)"), db, core.WithStrategy(core.MaterializedStrategy), core.WithShards(3)),
+		buildSnapshot(t, dir, "f", cq.MustParse("F[ff](x, y) :- S(x, y)"), db, core.WithStrategy(core.MaterializedStrategy), core.WithShards(3)),
+	}
+}
+
+// relayOnce sends one binary request through the coordinator's handler
+// and checks that at least minBytes of a 200 answer came back.
+func relayOnce(t testing.TB, c *Coordinator, w *discardResponse, view string, body []byte, minBytes int) {
+	req := httptest.NewRequest(http.MethodPost, "/v1/query/"+view, bytes.NewReader(body))
+	req.Header.Set("Accept", httpserve.BinaryMediaType)
+	w.status, w.bytes = 0, 0
+	c.ServeHTTP(w, req)
+	if w.status != http.StatusOK || w.bytes < minBytes {
+		t.Fatalf("%s: status %d after %d bytes", view, w.status, w.bytes)
+	}
+}
+
 // TestRoutedRelayAllocsPerTuple pins the coordinator's relay the way the
 // node's serving pins pin the node: one routed 8192-answer request, whose
-// worker frames decode into the link's reused slab and pass the merge
-// straight through into reused encode buffers, allocates per request, not
-// per tuple. AllocsPerRun counts every goroutine, so the worker's handler
-// and both HTTP hops are inside the budget.
+// worker frames are lent from the link's read buffer and pass the merge
+// straight through into a reused encode buffer, allocates per request,
+// not per tuple. AllocsPerRun counts every goroutine, so the worker's
+// handler and both HTTP hops are inside the budget.
 func TestRoutedRelayAllocsPerTuple(t *testing.T) {
 	const answers = 8192
-	db := relation.NewDatabase()
-	s := relation.NewRelation("S", 2)
-	for y := 0; y < answers; y++ {
-		s.MustInsert(1, relation.Value(3*y))
-	}
-	db.Add(s)
-	paths := []string{buildSnapshot(t, t.TempDir(), "w", cq.MustParse("W[bf](x, y) :- S(x, y)"), db,
-		core.WithStrategy(core.MaterializedStrategy), core.WithShards(3))}
-	cl := startCluster(t, paths, 3, 0)
-
-	body := []byte(`{"bindings":{"x":1}}`)
+	cl := startCluster(t, relaySnapshots(t, 1, answers)[:1], 3, 0)
+	body := []byte(`{"bindings":{"x":0}}`)
 	w := &discardResponse{header: make(http.Header)}
-	allocs := testing.AllocsPerRun(20, func() {
-		req := httptest.NewRequest(http.MethodPost, "/v1/query/W", bytes.NewReader(body))
-		req.Header.Set("Accept", httpserve.BinaryMediaType)
-		w.status, w.bytes = 0, 0
-		cl.coord.ServeHTTP(w, req)
-		if w.status != http.StatusOK || w.bytes < answers*8 {
-			t.Fatalf("status %d after %d bytes", w.status, w.bytes)
-		}
-	})
+	allocs := testing.AllocsPerRun(20, func() { relayOnce(t, cl.coord, w, "W", body, answers*8) })
 	if perTuple := allocs / answers; perTuple >= 0.05 {
 		t.Fatalf("relaying %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", answers, allocs, perTuple)
 	}
 	t.Logf("routed relay: %.0f allocations per %d-answer request", allocs, answers)
+}
+
+// TestScatterRelayAllocsPerRequest is the scatter twin: one all-free
+// enumeration of 3 × 8192 answers merged from 3 worker streams allocates
+// per request — three links, the merge — not per tuple or per run.
+func TestScatterRelayAllocsPerRequest(t *testing.T) {
+	const keys, answers = 3, 8192
+	cl := startCluster(t, relaySnapshots(t, keys, answers)[1:], 3, 0)
+	w := &discardResponse{header: make(http.Header)}
+	allocs := testing.AllocsPerRun(20, func() { relayOnce(t, cl.coord, w, "F", []byte(`{}`), keys*answers*16) })
+	if perTuple := allocs / (keys * answers); perTuple >= 0.05 {
+		t.Fatalf("merging %d answers allocated %.0f times: %.3f allocs/tuple, want < 0.05", keys*answers, allocs, perTuple)
+	}
+	t.Logf("scatter relay: %.0f allocations per %d-answer request", allocs, keys*answers)
 }
 
 // identitySnapshots writes TestDistributedByteIdentity's two sharded
@@ -777,6 +908,17 @@ func cardSpan(t *testing.T, raw []byte) (start, end int, card *core.RouteCard) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	enc := encodeCard(card)
+	end = card.Frames[0].Off - len(binary.AppendUvarint(nil, uint64(card.Frames[0].Len)))
+	start = end - len(enc)
+	if start < 0 || !bytes.Equal(raw[start:end], enc) {
+		t.Fatal("the shard card does not sit before the first shard frame")
+	}
+	return start, end, card
+}
+
+// encodeCard is the shard card's encoding of card's order and entries.
+func encodeCard(card *core.RouteCard) []byte {
 	var enc []byte
 	if card.EnumOrder == nil {
 		enc = binary.AppendUvarint(enc, 0)
@@ -790,12 +932,7 @@ func cardSpan(t *testing.T, raw []byte) (start, end int, card *core.RouteCard) {
 	for _, n := range card.Entries {
 		enc = binary.AppendUvarint(enc, uint64(n))
 	}
-	end = card.Frames[0].Off - len(binary.AppendUvarint(nil, uint64(card.Frames[0].Len)))
-	start = end - len(enc)
-	if start < 0 || !bytes.Equal(raw[start:end], enc) {
-		t.Fatal("the shard card does not sit before the first shard frame")
-	}
-	return start, end, card
+	return enc
 }
 
 // TestNewRejectsCorruptShardFrame damages one nested shard frame, or the
@@ -892,11 +1029,20 @@ func TestUndecodableFrameFailsJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	joinRefused(t, path, "V@1")
+}
+
+// joinRefused starts a coordinator over the snapshot at path, which New
+// must accept, and joins one worker: the attach of shard must be refused,
+// Join must return the error, no shard may be owned, and the coordinator
+// must not report ready.
+func joinRefused(t *testing.T, path, shard string) {
+	t.Helper()
 	cts := httptest.NewServer(nil)
 	defer cts.Close()
 	c, err := New([]string{path}, Options{SelfURL: cts.URL, SpoolDir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("New must take a frame whose checksum holds: %v", err)
+		t.Fatalf("New must take a snapshot whose checksums and card hold: %v", err)
 	}
 	defer c.Close()
 	cts.Config.Handler = c
@@ -909,9 +1055,10 @@ func TestUndecodableFrameFailsJoin(t *testing.T) {
 	defer wts.Close()
 
 	err = c.Join(context.Background(), wts.URL)
-	if err == nil || !strings.Contains(err.Error(), "V@1") {
-		t.Fatalf("Join = %v, want the attach of V@1 refused", err)
+	if err == nil || !strings.Contains(err.Error(), shard) {
+		t.Fatalf("Join = %v, want the attach of %s refused", err, shard)
 	}
+	t.Logf("Join = %v", err)
 	for view, owners := range c.currentOwners() {
 		for i, o := range owners {
 			if o != "" {
@@ -923,6 +1070,38 @@ func TestUndecodableFrameFailsJoin(t *testing.T) {
 	c.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz = %d after the failed join, want 503", rec.Code)
+	}
+}
+
+// TestLyingRouteCardFailsJoin: a shard card that is well formed but wrong —
+// another valid enumeration order, another entry count — under a re-sealed
+// outer checksum passes New, which decodes no shard; the worker's attach
+// reply reports what the shard decoded to, and the coordinator refuses the
+// shard whose reply disagrees with its card rather than merge in the
+// card's order.
+func TestLyingRouteCardFailsJoin(t *testing.T) {
+	const headerLen = 16
+	for _, c := range []struct {
+		name, shard string
+		lie         func(*core.RouteCard)
+	}{
+		{"lie: order", "V@0", func(card *core.RouteCard) { card.EnumOrder = []int{0} }},
+		{"lie: entries", "V@2", func(card *core.RouteCard) { card.Entries[2]++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := identitySnapshots(t, t.TempDir())[0]
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, end, card := cardSpan(t, raw)
+			c.lie(card)
+			raw = reframe(raw, slices.Concat(raw[headerLen:start], encodeCard(card), raw[end:len(raw)-4]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			joinRefused(t, path, c.shard)
+		})
 	}
 }
 

@@ -20,13 +20,16 @@ import (
 // blocks come from worker streams. A bound-key request opens exactly one
 // worker stream (the shard relation.ShardOf names — the partitioner's own
 // hash, so routing can never disagree with placement); a free enumeration
-// opens one stream per shard. Each worker link is a block cursor that
-// decodes a frame into one reused slab, and core.MergeBlocks — the
-// in-process sharded backend's own merge — lends runs of those blocks in
-// the view's EnumOrder: a routed request passes blocks straight through,
-// and a scatter whose shard key leads EnumOrder moves whole frames. Hash
-// partitioning makes the shards disjoint, so the merged stream is
-// byte-identical to a single node's.
+// opens one stream per shard. Each worker link lends its frames' rows as
+// they arrived, still in the binary encoding (relation.Rows), and
+// core.MergeRows — the in-process sharded backend's own merge, comparing
+// the values the rows decode to — lends runs of them in the view's
+// EnumOrder: a routed request passes frames straight through, and a
+// scatter whose shard key leads EnumOrder moves whole frames. Delivery
+// copies a binary client's rows into its frames as they are and decodes
+// them only into an NDJSON client's lines, so a binary relay neither
+// decodes nor re-encodes a value. Hash partitioning makes the shards
+// disjoint, so the merged stream is byte-identical to a single node's.
 //
 // The failure discipline mirrors core.IterErr: the first worker-stream
 // error stops the merge immediately — merging past a dead shard would
@@ -71,9 +74,9 @@ func (s *scatter) Release()                            { s.sm.Release() }
 
 // Open routes a bound key to the shard that owns it, or scatters a free
 // enumeration to every shard, and opens one worker stream per shard. The
-// blocks are the streams' merge in the view's EnumOrder; cleanup closes
-// the streams.
-func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.QueryRequest) (core.BlockIterator, func(), error) {
+// source is the streams' rows merged in the view's EnumOrder; cleanup
+// closes the streams.
+func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.QueryRequest) (httpserve.Source, func(), error) {
 	vm := s.vm
 	shards := make([]int, 0, vm.info.Shards)
 	if vm.keyIdx >= 0 {
@@ -86,7 +89,7 @@ func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.Que
 	owners := s.sm.owners[vm.info.Name]
 	for _, sh := range shards {
 		if owners[sh] == "" {
-			return nil, nil, httpserve.StatusErrorf(http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.info.Name, sh))
+			return httpserve.Source{}, nil, httpserve.StatusErrorf(http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.info.Name, sh))
 		}
 	}
 
@@ -110,7 +113,16 @@ func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.Que
 				wc.fail(err)
 				return
 			}
-			wc.st, wc.blocks = st, core.AsBlocks(ctx, st)
+			// The link asks for the binary framing, whose stream lends
+			// its rows; an answer in another encoding is the worker's
+			// fault.
+			rows, ok := st.(core.RowIterator)
+			if !ok {
+				st.Close()
+				wc.fail(fmt.Errorf("answered without the binary framing"))
+				return
+			}
+			wc.st, wc.rows = st, rows
 		}()
 	}
 	wg.Wait()
@@ -122,22 +134,22 @@ func (s *scatter) Open(ctx context.Context, vb relation.Tuple, req httpserve.Que
 		}
 		cancel()
 	}
-	its := make([]core.BlockIterator, len(cursors))
+	its := make([]core.RowIterator, len(cursors))
 	for i, wc := range cursors {
 		if wc.st == nil {
 			cleanup()
-			return nil, nil, wc.err
+			return httpserve.Source{}, nil, wc.err
 		}
 		its[i] = wc
 	}
-	return core.MergeBlocks(vm.info.EnumOrder, its), cleanup, nil
+	return httpserve.Source{Rows: core.MergeRows(vm.info.EnumOrder, its)}, cleanup, nil
 }
 
-// workerCursor is one worker stream as a merge input: its blocks, the
+// workerCursor is one worker stream as a merge input: its rows, the
 // per-worker first-tuple delay and error count recorded as they happen,
 // and a terminal error that names the worker and shard.
 type workerCursor struct {
-	blocks core.BlockIterator
+	rows   core.RowIterator
 	st     httpserve.Stream
 	ws     *workerStats
 	start  time.Time
@@ -147,23 +159,23 @@ type workerCursor struct {
 	seen   bool
 }
 
-func (wc *workerCursor) NextBlock(max int) []relation.Tuple {
-	blk := wc.blocks.NextBlock(max)
+func (wc *workerCursor) NextRows(max int) relation.Rows {
+	rows := wc.rows.NextRows(max)
 	switch {
-	case len(blk) > 0 && !wc.seen:
+	case rows.N > 0 && !wc.seen:
 		wc.seen = true
 		wc.ws.delay.Add(time.Since(wc.start))
-	case len(blk) == 0 && wc.err == nil:
+	case rows.N == 0 && wc.err == nil:
 		// nil = complete; anything else is a worker error or a mid-stream
 		// death, which the binary framing shows as truncation.
-		if err := core.IterErr(wc.blocks); err != nil {
+		if err := core.IterErr(wc.rows); err != nil {
 			wc.fail(err)
 		}
 	}
-	return blk
+	return rows
 }
 
-func (wc *workerCursor) Ready() bool { return core.Ready(wc.blocks) }
+func (wc *workerCursor) Ready() bool { return core.Ready(wc.rows) }
 func (wc *workerCursor) Err() error  { return wc.err }
 
 func (wc *workerCursor) fail(err error) {

@@ -20,13 +20,25 @@ type BlockIterator interface {
 	NextBlock(max int) []relation.Tuple
 }
 
-// Ready reports whether b's next NextBlock returns without waiting, on a
-// computation or on the network. A stream says so through a Ready() bool
-// method — a stored bucket always, a wire reader when it already holds the
-// next frame; one without the method may wait. The serving loop pushes what
-// it has encoded to the socket only before a block that may wait, so a slow
-// source's answers still leave one frame at a time.
-func Ready(b BlockIterator) bool {
+// RowIterator is the encoded form of a block stream: NextRows yields up to
+// max (>= 1) answers as rows of the binary wire encoding (relation.Rows),
+// in the declared enumeration order, and no rows once the stream has
+// ended. The rows are borrowed — valid only until the next NextRows call —
+// and IterErr then tells a complete stream from a failed one, as for a
+// BlockIterator. The coordinator's worker links and their merge are row
+// streams: answers arrive encoded and leave encoded.
+type RowIterator interface {
+	NextRows(max int) relation.Rows
+}
+
+// Ready reports whether the next block of b — a BlockIterator or a
+// RowIterator — comes without waiting, on a computation or on the network.
+// A stream says so through a Ready() bool method — a stored bucket always,
+// a wire reader when it already holds the next frame; one without the
+// method may wait. The serving loop pushes what it has encoded to the
+// socket only before a block that may wait, so a slow source's answers
+// still leave one frame at a time.
+func Ready(b any) bool {
 	r, ok := b.(interface{ Ready() bool })
 	return ok && r.Ready()
 }
@@ -169,100 +181,165 @@ func (a *blockAdapter) Err() error {
 
 // MergeBlocks merges streams that each enumerate a disjoint part of one
 // result in enumOrder into that result, in that order: the sharded
-// composite's free-key enumeration in process, and the coordinator's over
-// its worker streams. Heads compare in full EnumOrder — the declared
-// positions first, then every position in index order — so distinct
-// tuples never tie; equal heads, impossible across a hash partition, go to
-// the lowest input. Each NextBlock lends the longest run of the leading
-// input's current block that sorts below every other head, found by binary
-// search: one input passes its blocks straight through, and inputs whose
-// key leads enumOrder pass whole blocks. A run is borrowed from its input
-// and valid until the next call. The first input that ends in an error
-// ends the merge with that error (IterErr), since merging past a dead input
-// would emit a gapped result that looks complete.
+// composite's free-key enumeration in process, and (as MergeRows) the
+// coordinator's over its worker streams. Heads compare in full EnumOrder —
+// the declared positions first, then every position in index order — so
+// distinct tuples never tie; equal heads, impossible across a hash
+// partition, go to the lowest input. Each NextBlock lends the longest run
+// of the leading input's current block that sorts below every other head,
+// found by binary search: one input passes its blocks straight through,
+// and inputs whose key leads enumOrder pass whole blocks. A run is
+// borrowed from its input and valid until the next call. The first input
+// that ends in an error ends the merge with that error (IterErr), since
+// merging past a dead input would emit a gapped result that looks
+// complete.
 func MergeBlocks(enumOrder []int, its []BlockIterator) BlockIterator {
 	if len(its) == 1 {
 		return its[0]
 	}
-	m := &blockMerge{order: enumOrder, in: make([]mergeInput, len(its))}
+	return &blockMerge{newMerge[BlockIterator, []relation.Tuple, tupleRuns](enumOrder, its)}
+}
+
+// MergeRows is MergeBlocks over encoded rows, with the same order, run
+// lending and first-error rules: the coordinator merges its worker links
+// through it and relays the runs without decoding them. Rows compare by
+// the values they decode to (relation.Rows.Value), never bytewise, which
+// would put negative values last.
+func MergeRows(enumOrder []int, its []RowIterator) RowIterator {
+	if len(its) == 1 {
+		return its[0]
+	}
+	return &rowMerge{newMerge[RowIterator, relation.Rows, rowRuns](enumOrder, its)}
+}
+
+// blockMerge and rowMerge name the merge's one method for its stream kind.
+type blockMerge struct {
+	merge[BlockIterator, []relation.Tuple, tupleRuns]
+}
+
+func (m *blockMerge) NextBlock(want int) []relation.Tuple { return m.next(want) }
+
+type rowMerge struct {
+	merge[RowIterator, relation.Rows, rowRuns]
+}
+
+func (m *rowMerge) NextRows(want int) relation.Rows { return m.next(want) }
+
+// runs is what the merge reads of one kind of stream S with runs R: the
+// next run of up to max rows from an input, a run's length and sub-runs,
+// and one value of one of its rows.
+type runs[S, R any] interface {
+	pull(it S, max int) R
+	size(r R) int
+	slice(r R, i, j int) R
+	value(r R, row, pos int) relation.Value
+	width(r R) int // values per row
+}
+
+// tupleRuns reads tuple blocks.
+type tupleRuns struct{}
+
+func (tupleRuns) pull(it BlockIterator, max int) []relation.Tuple       { return it.NextBlock(max) }
+func (tupleRuns) size(b []relation.Tuple) int                           { return len(b) }
+func (tupleRuns) slice(b []relation.Tuple, i, j int) []relation.Tuple   { return b[i:j] }
+func (tupleRuns) value(b []relation.Tuple, row, pos int) relation.Value { return b[row][pos] }
+func (tupleRuns) width(b []relation.Tuple) int                          { return len(b[0]) }
+
+// rowRuns reads encoded rows.
+type rowRuns struct{}
+
+func (rowRuns) pull(it RowIterator, max int) relation.Rows         { return it.NextRows(max) }
+func (rowRuns) size(r relation.Rows) int                           { return r.N }
+func (rowRuns) slice(r relation.Rows, i, j int) relation.Rows      { return r.Slice(i, j) }
+func (rowRuns) value(r relation.Rows, row, pos int) relation.Value { return r.Value(row, pos) }
+func (rowRuns) width(r relation.Rows) int                          { return r.Arity }
+
+// merge is the one k-way merge, over inputs S whose runs O reads as R.
+type merge[S, R any, O runs[S, R]] struct {
+	order []int
+	in    []mergeInput[S, R] // nil once an input failed
+	err   error
+}
+
+// mergeInput is one merged stream and the undelivered rest of its run.
+type mergeInput[S, R any] struct {
+	it   S
+	run  R
+	done bool
+}
+
+func newMerge[S, R any, O runs[S, R]](order []int, its []S) merge[S, R, O] {
+	m := merge[S, R, O]{order: order, in: make([]mergeInput[S, R], len(its))}
 	for i, it := range its {
 		m.in[i].it = it
 	}
 	return m
 }
 
-// blockMerge is MergeBlocks' iterator.
-type blockMerge struct {
-	order []int
-	in    []mergeInput // nil once an input failed
-	err   error
-}
-
-// mergeInput is one merged stream and the undelivered rest of its block.
-type mergeInput struct {
-	it   BlockIterator
-	blk  []relation.Tuple
-	done bool
-}
-
-func (m *blockMerge) NextBlock(want int) []relation.Tuple {
+func (m *merge[S, R, O]) next(want int) R {
+	var o O
+	var none R
 	lead, next := -1, -1
 	for i := range m.in {
 		in := &m.in[i]
-		if len(in.blk) == 0 {
+		if o.size(in.run) == 0 {
 			if in.done {
 				continue
 			}
-			if in.blk = in.it.NextBlock(want); len(in.blk) == 0 {
+			if in.run = o.pull(in.it, want); o.size(in.run) == 0 {
 				in.done = true
 				if m.err = IterErr(in.it); m.err != nil {
 					m.in = nil
-					return nil
+					return none
 				}
 				continue
 			}
 		}
 		switch {
-		case lead < 0 || m.less(in.blk[0], m.in[lead].blk[0]):
+		case lead < 0 || m.less(in.run, 0, m.in[lead].run):
 			lead, next = i, lead
-		case next < 0 || m.less(in.blk[0], m.in[next].blk[0]):
+		case next < 0 || m.less(in.run, 0, m.in[next].run):
 			next = i
 		}
 	}
 	if lead < 0 {
-		return nil
+		return none
 	}
-	blk := m.in[lead].blk
-	n := min(want, len(blk))
+	run := m.in[lead].run
+	size := o.size(run)
+	n := min(want, size)
 	if next >= 0 {
-		bar := m.in[next].blk[0]
-		n = max(1, sort.Search(n, func(j int) bool { return !m.less(blk[j], bar) }))
+		bar := m.in[next].run
+		n = max(1, sort.Search(n, func(j int) bool { return !m.less(run, j, bar) }))
 	}
-	m.in[lead].blk = blk[n:]
-	return blk[:n]
+	m.in[lead].run = o.slice(run, n, size)
+	return o.slice(run, 0, n)
 }
 
-// less orders heads in full EnumOrder. The index-order pass re-reads the
-// declared positions, which are equal by then, so it settles exactly the
-// remaining ones without building a permutation.
-func (m *blockMerge) less(a, b relation.Tuple) bool {
-	for _, i := range m.order {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// less reports whether row i of a sorts before the head of b in full
+// EnumOrder. The index-order pass re-reads the declared positions, which
+// are equal by then, so it settles exactly the remaining ones without
+// building a permutation.
+func (m *merge[S, R, O]) less(a R, i int, b R) bool {
+	var o O
+	for _, p := range m.order {
+		if x, y := o.value(a, i, p), o.value(b, 0, p); x != y {
+			return x < y
 		}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	for p := range o.width(a) {
+		if x, y := o.value(a, i, p), o.value(b, 0, p); x != y {
+			return x < y
 		}
 	}
 	return false
 }
 
 // Ready holds when every input the next call must refill is Ready.
-func (m *blockMerge) Ready() bool {
+func (m *merge[S, R, O]) Ready() bool {
+	var o O
 	for i := range m.in {
-		if in := &m.in[i]; len(in.blk) == 0 && !in.done && !Ready(in.it) {
+		if in := &m.in[i]; o.size(in.run) == 0 && !in.done && !Ready(in.it) {
 			return false
 		}
 	}
@@ -270,4 +347,4 @@ func (m *blockMerge) Ready() bool {
 }
 
 // Err is the first input's terminal error, once the merge has ended.
-func (m *blockMerge) Err() error { return m.err }
+func (m *merge[S, R, O]) Err() error { return m.err }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cqrep/internal/cq"
@@ -278,6 +280,182 @@ func TestMergeBlocksLendsRuns(t *testing.T) {
 
 	if single := (&lentStream{}); MergeBlocks(nil, []BlockIterator{single}) != BlockIterator(single) {
 		t.Fatal("a merge of one stream is not that stream")
+	}
+}
+
+// framedTuples lends a tuple list frame by frame, never a block across a
+// frame boundary, and ends in err.
+type framedTuples struct {
+	frames [][]relation.Tuple
+	err    error
+}
+
+func (s *framedTuples) NextBlock(max int) []relation.Tuple {
+	for len(s.frames) > 0 && len(s.frames[0]) == 0 {
+		s.frames = s.frames[1:]
+	}
+	if len(s.frames) == 0 {
+		return nil
+	}
+	n := min(max, len(s.frames[0]))
+	blk := s.frames[0][:n]
+	s.frames[0] = s.frames[0][n:]
+	return blk
+}
+
+func (s *framedTuples) Err() error { return s.err }
+
+// framedRows is framedTuples' twin over the same frames, encoded.
+type framedRows struct {
+	frames []relation.Rows
+	err    error
+}
+
+func (s *framedRows) NextRows(max int) relation.Rows {
+	for len(s.frames) > 0 && s.frames[0].N == 0 {
+		s.frames = s.frames[1:]
+	}
+	if len(s.frames) == 0 {
+		return relation.Rows{}
+	}
+	f := s.frames[0]
+	n := min(max, f.N)
+	s.frames[0] = f.Slice(n, f.N)
+	return f.Slice(0, n)
+}
+
+func (s *framedRows) Err() error { return s.err }
+
+// TestMergeRowsMatchesMergeBlocks holds the encoded-row merge to the tuple
+// merge on random inputs: values around zero and next to the sentinels, so
+// that a bytewise comparison of encoded values — which puts negative values
+// after positive ones — shows; declared orders of every shape; frames that
+// cut runs short; reads of 1, 3, 128 or a mix; a limit; and an input that
+// ends in an error. Both merges must lend runs of the same lengths, the
+// row runs must decode to the tuple runs, the result must be the inputs
+// sorted in full EnumOrder, and both must end in the same terminal.
+func TestMergeRowsMatchesMergeBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	pool := []relation.Value{relation.NegInf + 1, relation.NegInf + 2, -1 << 40, -256, -255, -2, -1, 0, 1, 2, 255, 256, 1 << 40, relation.PosInf - 2, relation.PosInf - 1}
+	boom := errors.New("worker gone")
+	for trial := 0; trial < 400; trial++ {
+		arity := 1 + rng.Intn(3)
+		var order []int
+		if rng.Intn(3) > 0 {
+			order = rng.Perm(arity)[:1+rng.Intn(arity)]
+		}
+		fullLess := func(a, b relation.Tuple) bool {
+			for _, p := range order {
+				if a[p] != b[p] {
+					return a[p] < b[p]
+				}
+			}
+			return a.Less(b)
+		}
+		seen := map[string]bool{}
+		inputs := make([][]relation.Tuple, 1+rng.Intn(4))
+		for range rng.Intn(60) {
+			tu := make(relation.Tuple, arity)
+			for p := range tu {
+				if rng.Intn(4) == 0 {
+					tu[p] = relation.Value(rng.Intn(21) - 10)
+				} else {
+					tu[p] = pool[rng.Intn(len(pool))]
+				}
+			}
+			if key := string(tu.AppendEncode(nil)); !seen[key] {
+				seen[key] = true
+				i := rng.Intn(len(inputs))
+				inputs[i] = append(inputs[i], tu)
+			}
+		}
+		var all []relation.Tuple
+		for _, in := range inputs {
+			slices.SortFunc(in, func(a, b relation.Tuple) int {
+				if fullLess(a, b) {
+					return -1
+				}
+				return 1
+			})
+			all = append(all, in...)
+		}
+		slices.SortFunc(all, func(a, b relation.Tuple) int {
+			if fullLess(a, b) {
+				return -1
+			}
+			return 1
+		})
+		failing := -1
+		if rng.Intn(4) == 0 {
+			failing = rng.Intn(len(inputs))
+		}
+		tupleIts := make([]BlockIterator, len(inputs))
+		rowIts := make([]RowIterator, len(inputs))
+		for i, in := range inputs {
+			ft, fr := &framedTuples{}, &framedRows{}
+			if i == failing {
+				ft.err, fr.err = boom, boom
+			}
+			for len(in) > 0 {
+				n := min(len(in), 1+rng.Intn(5))
+				var data []byte
+				for _, tu := range in[:n] {
+					data = tu.AppendEncode(data)
+				}
+				ft.frames = append(ft.frames, in[:n])
+				fr.frames = append(fr.frames, relation.Rows{Data: data, N: n, Arity: arity})
+				in = in[n:]
+			}
+			tupleIts[i], rowIts[i] = ft, fr
+		}
+		maxes := [][]int{{1}, {3}, {128}, {1, 3, 128}}[rng.Intn(4)]
+		limit := 0
+		if rng.Intn(3) == 0 {
+			limit = 1 + rng.Intn(len(all)+1)
+		}
+		name := fmt.Sprintf("trial %d (arity %d, order %v, %d inputs, max %v, limit %d, failing %d)", trial, arity, order, len(inputs), maxes, limit, failing)
+
+		blocks, rows := MergeBlocks(order, tupleIts), MergeRows(order, rowIts)
+		var got []relation.Tuple
+		for step := 0; limit == 0 || len(got) < limit; step++ {
+			want := maxes[step%len(maxes)]
+			if limit > 0 {
+				want = min(want, limit-len(got))
+			}
+			blk, run := blocks.NextBlock(want), rows.NextRows(want)
+			if len(blk) != run.N {
+				t.Fatalf("%s: step %d: the tuple merge lent %d, the row merge %d", name, step, len(blk), run.N)
+			}
+			if len(blk) == 0 {
+				break
+			}
+			if len(blk) > want || len(run.Data) != 8*run.N*arity {
+				t.Fatalf("%s: step %d: asked for %d, lent %d rows in %d bytes", name, step, want, run.N, len(run.Data))
+			}
+			for j, tu := range blk {
+				if row := run.DecodeRow(j, make(relation.Tuple, arity)); !row.Equal(tu) {
+					t.Fatalf("%s: step %d: row %d decodes to %v, the tuple merge lent %v", name, step, j, row, tu)
+				}
+			}
+			got = append(got, blk...)
+		}
+		if limit == 0 {
+			var wantErr error
+			if failing >= 0 {
+				wantErr = boom
+			}
+			if errB, errR := IterErr(blocks), IterErr(rows); errB != wantErr || errR != wantErr {
+				t.Fatalf("%s: terminals: tuples %v, rows %v, want %v", name, errB, errR, wantErr)
+			}
+			if failing < 0 && len(got) != len(all) {
+				t.Fatalf("%s: merged %d of %d tuples", name, len(got), len(all))
+			}
+		}
+		for i, tu := range got {
+			if !tu.Equal(all[i]) {
+				t.Fatalf("%s: tuple %d = %v, want %v (the inputs in full EnumOrder)", name, i, tu, all[i])
+			}
+		}
 	}
 }
 

@@ -89,10 +89,11 @@ func TestBinaryStreamTuplesAreOwned(t *testing.T) {
 }
 
 // TestBinaryStreamMixedReadsKeepNextOwned interleaves the two read paths
-// on one reader: each frame is opened by NextBlock, which decodes into the
-// slab it reuses, and finished by Next. A tuple Next hands out of a lent
-// frame must take that slab out of reuse, so every tuple kept from Next
-// still reads right once the later frames have been lent.
+// on one reader: each frame is opened by NextRows, which lends its first
+// row still encoded, and finished by Next, which decodes the rest into a
+// slab of its own. Every tuple kept from Next must still read right once
+// later frames have been lent from the same read buffer, and every lent
+// row must decode to the tuple it encodes.
 func TestBinaryStreamMixedReadsKeepNextOwned(t *testing.T) {
 	const batch = 8
 	want := scanTuples(100)
@@ -103,8 +104,9 @@ func TestBinaryStreamMixedReadsKeepNextOwned(t *testing.T) {
 	kept := map[int]relation.Tuple{}
 	for pos := 0; pos < len(want); pos++ {
 		if pos == 0 || (pos-1)%batch == 0 { // the first tuple of a frame
-			if blk := dec.NextBlock(1); len(blk) != 1 || !blk[0].Equal(want[pos]) {
-				t.Fatalf("NextBlock at %d lent %v, want [%v]", pos, blk, want[pos])
+			rows := dec.NextRows(1)
+			if rows.N != 1 || rows.Arity != 3 || !rows.DecodeRow(0, make(relation.Tuple, 3)).Equal(want[pos]) {
+				t.Fatalf("NextRows at %d lent %+v, want [%v]", pos, rows, want[pos])
 			}
 			continue
 		}

@@ -136,8 +136,9 @@ func (c *Client) Reload(ctx context.Context) (uint64, error) {
 	return body.Generation, nil
 }
 
-// postJSON sends one JSON body to an endpoint and checks for a 200.
-func (c *Client) postJSON(ctx context.Context, path string, payload any) error {
+// postJSON sends one JSON body to an endpoint, checks for a 200 and, when
+// reply is non-nil, decodes the answer into it.
+func (c *Client) postJSON(ctx context.Context, path string, payload, reply any) error {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return err
@@ -155,19 +156,28 @@ func (c *Client) postJSON(ctx context.Context, path string, payload any) error {
 	if resp.StatusCode != http.StatusOK {
 		return remoteError(resp)
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
+	rest := io.LimitReader(resp.Body, 64*1024)
+	if reply != nil {
+		if err := json.NewDecoder(rest).Decode(reply); err != nil {
+			return fmt.Errorf("httpserve: decoding %s reply: %w", path, err)
+		}
+	}
+	io.Copy(io.Discard, rest)
 	return nil
 }
 
 // Attach asks an admin-enabled worker to serve the snapshot named by
-// source (a local path or a fetchable URL) under the registry key name.
-func (c *Client) Attach(ctx context.Context, name, source string) error {
-	return c.postJSON(ctx, "/v1/attach", map[string]string{"name": name, "source": source})
+// source (a local path or a fetchable URL) under the registry key name,
+// and returns what the worker decoded.
+func (c *Client) Attach(ctx context.Context, name, source string) (AttachReply, error) {
+	var reply AttachReply
+	err := c.postJSON(ctx, "/v1/attach", map[string]string{"name": name, "source": source}, &reply)
+	return reply, err
 }
 
 // Detach asks an admin-enabled worker to stop serving the named entry.
 func (c *Client) Detach(ctx context.Context, name string) error {
-	return c.postJSON(ctx, "/v1/detach", map[string]string{"name": name})
+	return c.postJSON(ctx, "/v1/detach", map[string]string{"name": name}, nil)
 }
 
 // Ready probes GET /readyz; nil means the server reports ready.
@@ -358,18 +368,18 @@ func (s *ndjsonStream) Err() error   { return s.err }
 func (s *ndjsonStream) Close() error { return s.body.Close() }
 
 // binaryStream adapts the binary frame reader (wire.go) to the Stream
-// interface. It is also a core.BlockIterator that lends each frame from one
-// reused slab (NextBlock, Ready): the coordinator merges worker streams
-// through it.
+// interface. It is also a core.RowIterator that lends each frame's rows
+// still encoded (NextRows, Ready): the coordinator merges and relays worker
+// streams through it without decoding them.
 type binaryStream struct {
 	dec  *binaryReader
 	body io.ReadCloser
 }
 
-func (s *binaryStream) Next() (relation.Tuple, bool)       { return s.dec.Next() }
-func (s *binaryStream) NextBlock(max int) []relation.Tuple { return s.dec.NextBlock(max) }
-func (s *binaryStream) Ready() bool                        { return s.dec.Ready() }
-func (s *binaryStream) Err() error                         { return s.dec.Err() }
+func (s *binaryStream) Next() (relation.Tuple, bool)   { return s.dec.Next() }
+func (s *binaryStream) NextRows(max int) relation.Rows { return s.dec.NextRows(max) }
+func (s *binaryStream) Ready() bool                    { return s.dec.Ready() }
+func (s *binaryStream) Err() error                     { return s.dec.Err() }
 
 // Close drains whatever trails the terminal frame before closing the
 // body. The frame reader stops at the end frame rather than at EOF, and a

@@ -34,7 +34,7 @@ type Target interface {
 	// Open starts the enumeration of vb; a non-nil cleanup runs once
 	// delivery ends. An error from StatusErrorf answers with its status,
 	// any other with the front's failure status.
-	Open(ctx context.Context, vb relation.Tuple, req QueryRequest) (blocks core.BlockIterator, cleanup func(), err error)
+	Open(ctx context.Context, vb relation.Tuple, req QueryRequest) (src Source, cleanup func(), err error)
 	Counters() *StreamCounters // per-view tally, or nil
 	Release()
 }
@@ -282,13 +282,13 @@ func (f *Front) stream(ctx context.Context, w http.ResponseWriter, t Target, vb 
 	sw := NewStreamWriter(w, format, arity, f.flushBatch)
 	defer sw.release()
 	disp := StreamErrored
-	// Blocks are borrowed from the target and only read.
-	blocks, cleanup, err := t.Open(ctx, vb, req)
+	// Blocks and rows are borrowed from the target and only read.
+	src, cleanup, err := t.Open(ctx, vb, req)
 	if err == nil {
 		if cleanup != nil {
 			defer cleanup()
 		}
-		disp, err = Deliver(ctx, sw, blocks, req.Limit, func() { f.delay.Add(time.Since(start)) })
+		disp, err = Deliver(ctx, sw, src, req.Limit, func() { f.delay.Add(time.Since(start)) })
 	}
 	n := sw.Wrote()
 	f.count(t, disp, n)

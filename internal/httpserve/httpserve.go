@@ -159,8 +159,8 @@ type viewEntry struct {
 func (e *viewEntry) Name() string              { return e.name }
 func (e *viewEntry) View() *cq.View            { return e.rep.View() }
 func (e *viewEntry) Counters() *StreamCounters { return &e.counters }
-func (e *viewEntry) Open(ctx context.Context, vb relation.Tuple, _ QueryRequest) (core.BlockIterator, func(), error) {
-	return e.src.QueryBlocks(ctx, vb), nil, nil
+func (e *viewEntry) Open(ctx context.Context, vb relation.Tuple, _ QueryRequest) (Source, func(), error) {
+	return Source{Blocks: e.src.QueryBlocks(ctx, vb)}, nil, nil
 }
 
 // resolve is the node's Resolver: the registry lookup and the entry
@@ -285,19 +285,20 @@ func (h *Handler) loadEntry(spec SnapshotSpec) (*viewEntry, error) {
 // under the same name is replaced with the /v1/reload retire discipline:
 // streams in flight on the old entry finish on it, new requests land on
 // the replacement. The spec is remembered, so a later Reload re-reads the
-// attached file along with everything else.
-func (h *Handler) Attach(name, path string) error {
+// attached file along with everything else. It returns the representation
+// it now serves under name.
+func (h *Handler) Attach(name, path string) (*core.Representation, error) {
 	if name == "" {
-		return fmt.Errorf("httpserve: attach needs a registry name")
+		return nil, fmt.Errorf("httpserve: attach needs a registry name")
 	}
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
 	if h.closed.Load() {
-		return core.ErrClosed
+		return nil, core.ErrClosed
 	}
 	entry, err := h.loadEntry(SnapshotSpec{Name: name, Path: path})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	old := h.reg.Load()
 	reg := &registry{gen: old.gen + 1, views: make(map[string]*viewEntry, len(old.views)+1)}
@@ -330,7 +331,7 @@ func (h *Handler) Attach(name, path string) error {
 			replaced.Retire()
 		}()
 	}
-	return nil
+	return entry.rep, nil
 }
 
 // Detach removes the named entry from the registry (and from the reload
@@ -652,7 +653,13 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := h.Attach(req.Name, path); err != nil {
+	rep, err := h.Attach(req.Name, path)
+	if err == nil {
+		// The reply describes the decoded snapshot, so an mmap-loaded one
+		// is decoded here rather than on its first request.
+		err = rep.Ensure()
+	}
+	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
@@ -660,8 +667,20 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 		h.front.Error(w, status, "attach %q: %v", req.Name, err)
 		return
 	}
+	st := rep.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"attached": req.Name})
+	json.NewEncoder(w).Encode(AttachReply{Attached: req.Name, Strategy: st.Strategy.String(), EnumOrder: rep.EnumOrder(), Entries: st.Entries})
+}
+
+// AttachReply is the POST /v1/attach answer: the registry name and what
+// the decoded snapshot is — its strategy, enumeration order (null for
+// head order) and entry count — so the caller can hold it to what it
+// expected to attach.
+type AttachReply struct {
+	Attached  string `json:"attached"`
+	Strategy  string `json:"strategy"`
+	EnumOrder []int  `json:"enum_order"`
+	Entries   int    `json:"entries"`
 }
 
 func (h *Handler) handleDetach(w http.ResponseWriter, r *http.Request) {

@@ -12,12 +12,13 @@ import (
 )
 
 // streamwriter.go is the one server-side stream encoder and the one
-// delivery loop. A node's handler and the coordinator (internal/coord) —
-// which merges worker streams read in the binary framing and re-encodes the
-// result in whatever format the client negotiated — both run Deliver over
-// a core.BlockIterator into a StreamWriter. The delivery discipline lives
-// here and nowhere else, so a stream relayed through the coordinator is
-// byte-identical to one served directly by construction.
+// delivery loop. A node's handler runs Deliver over its representation's
+// tuple blocks; the coordinator (internal/coord) runs it over the merged
+// rows of its worker streams, still in the binary framing's encoding, which
+// a binary client gets byte for byte and an NDJSON client as decoded lines.
+// The delivery discipline lives here and nowhere else, so a stream relayed
+// through the coordinator is byte-identical to one served directly by
+// construction.
 //
 // Frames and socket flushes are separate decisions. StreamWriter closes a
 // frame where the 1-then-FlushBatch ramp says (the first tuple alone, then
@@ -41,8 +42,9 @@ import (
 type StreamWriter struct {
 	flusher http.Flusher
 	bw      *bufio.Writer
-	enc     *binaryWriter // binary only; nil means NDJSON
-	line    []byte        // ndjson scratch
+	enc     *binaryWriter  // binary only; nil means NDJSON
+	line    []byte         // ndjson scratch
+	row     relation.Tuple // ndjson scratch for a decoded encoded row
 	batch   int
 	limit   int // current frame size (1-then-batch ramp)
 	pending int // tuples in the frame still filling
@@ -148,6 +150,27 @@ func (sw *StreamWriter) Block(ts []relation.Tuple) error {
 	return sw.closeIfFull()
 }
 
+// Rows stages a run of encoded rows — borrowed, as Block's tuples are —
+// with Tuple's error contract. The binary encoding appends their bytes as
+// they are; NDJSON decodes each into one scratch tuple for its line.
+func (sw *StreamWriter) Rows(r relation.Rows) error {
+	sw.wrote += r.N
+	sw.pending += r.N
+	if sw.enc != nil {
+		sw.enc.AddRows(r)
+	} else {
+		if len(sw.row) != r.Arity {
+			sw.row = make(relation.Tuple, r.Arity)
+		}
+		for i := range r.N {
+			if err := sw.writeLine(r.DecodeRow(i, sw.row)); err != nil {
+				return err
+			}
+		}
+	}
+	return sw.closeIfFull()
+}
+
 func (sw *StreamWriter) writeLine(t relation.Tuple) error {
 	sw.line = appendTupleJSON(sw.line[:0], t)
 	_, err := sw.bw.Write(sw.line)
@@ -218,13 +241,45 @@ const (
 	StreamAborted
 )
 
-// Deliver runs one request's blocks into sw and terminates the stream.
+// Source is one opened result stream, in one of two forms: the tuple
+// blocks of a node's representation, or the encoded rows of the
+// coordinator's merged worker streams. Exactly one is set.
+type Source struct {
+	Blocks core.BlockIterator
+	Rows   core.RowIterator
+}
+
+// stream is the form s holds, for core.Ready and core.IterErr.
+func (s Source) stream() any {
+	if s.Rows != nil {
+		return s.Rows
+	}
+	return s.Blocks
+}
+
+// stage asks s for up to want answers — a block of tuples or a run of
+// rows, whichever s holds — and stages them into sw, reporting how many;
+// none means s has ended.
+func (s Source) stage(sw *StreamWriter, want int) (int, error) {
+	if s.Rows != nil {
+		if rows := s.Rows.NextRows(want); rows.N > 0 {
+			return rows.N, sw.Rows(rows)
+		}
+		return 0, nil
+	}
+	if blk := s.Blocks.NextBlock(want); len(blk) > 0 {
+		return len(blk), sw.Block(blk)
+	}
+	return 0, nil
+}
+
+// Deliver runs one request's source into sw and terminates the stream.
 // Each round asks sw how many tuples its current frame takes (Room, capped
-// by limit), asks blocks for that many and stages them; before a NextBlock
+// by limit), asks the source for that many and stages them; before a read
 // that may wait it pushes the closed frames to the client. A source that
 // ran to its end is not pushed again: End leaves the tail and the
-// terminal for the handler's return. first, when non-nil, runs once as the
-// first tuple is staged.
+// terminal for the handler's return. first, when non-nil, runs once, as
+// the first tuples are staged.
 //
 // Only an enumeration that genuinely finished, or that the limit cut,
 // earns the clean terminal. A source error or a cut by ctx ends in the
@@ -233,27 +288,29 @@ const (
 // completion in binary — and a cut is StreamAborted. A source error before
 // the first tuple writes nothing: Deliver returns StreamErrored and the
 // error with sw.Wrote() == 0, and the caller answers with its own status.
-func Deliver(ctx context.Context, sw *StreamWriter, blocks core.BlockIterator, limit int, first func()) (Disposition, error) {
+func Deliver(ctx context.Context, sw *StreamWriter, src Source, limit int, first func()) (Disposition, error) {
+	stream := src.stream()
 	exhausted, limited := false, false
 	for !limited && ctx.Err() == nil {
 		want := sw.Room()
 		if limit > 0 {
 			want = min(want, limit-sw.Wrote())
 		}
-		if !core.Ready(blocks) {
+		if !core.Ready(stream) {
 			if err := sw.flush(); err != nil {
 				return StreamAborted, err
 			}
 		}
-		blk := blocks.NextBlock(want)
-		if len(blk) == 0 {
+		fresh := sw.Wrote() == 0
+		n, err := src.stage(sw, want)
+		if n == 0 {
 			exhausted = true
 			break
 		}
-		if sw.Wrote() == 0 && first != nil {
+		if fresh && first != nil {
 			first()
 		}
-		if err := sw.Block(blk); err != nil {
+		if err != nil {
 			return StreamAborted, err // client went away: abandon the enumeration
 		}
 		limited = limit > 0 && sw.Wrote() >= limit
@@ -262,7 +319,7 @@ func Deliver(ctx context.Context, sw *StreamWriter, blocks core.BlockIterator, l
 	switch {
 	case limited:
 	case exhausted:
-		terr = core.IterErr(blocks)
+		terr = core.IterErr(stream)
 	default:
 		terr = ctx.Err() // cut between blocks
 	}

@@ -146,6 +146,13 @@ func (e *binaryWriter) Add(t relation.Tuple) {
 	e.count++
 }
 
+// AddRows stages a run of encoded rows into the pending frame: one copy of
+// their bytes.
+func (e *binaryWriter) AddRows(r relation.Rows) {
+	e.payload = append(e.payload, r.Data...)
+	e.count += r.N
+}
+
 // AddBlock stages a run of tuples into the pending frame, growing the
 // payload once for the whole run.
 func (e *binaryWriter) AddBlock(ts []relation.Tuple) {
@@ -199,26 +206,29 @@ func (e *binaryWriter) Error(msg string) error {
 
 // binaryReader decodes one binary stream. It never trusts a length field:
 // frame and message sizes are bounded before allocation, data frames must
-// hold exactly count×arity values, and EOF anywhere before the terminal
-// frame is reported as truncation rather than a clean end.
+// hold exactly count×arity values, an arity-0 stream at most one empty
+// tuple in all, and EOF anywhere before the terminal frame is reported as
+// truncation rather than a clean end.
 //
-// Next decodes each data frame into one freshly allocated value slab and
-// hands it out in arity-sized pieces: a returned tuple is the caller's to
-// keep — it never aliases the reused frame buffer, and its capacity is
-// clipped to its length so an append cannot reach its neighbour — at one
-// allocation per frame instead of one per tuple. A retained tuple pins its
-// frame's slab (at most FlushBatch×arity×8 bytes on a server's stream).
-// NextBlock lends instead: every frame decodes into the same slab.
+// A data frame is held as encoded rows (relation.Rows): lent straight from
+// the read buffer when the frame fits it, else copied into the reader's own
+// buffer. NextRows lends them as they are, valid until the next call. Next
+// decodes the frame into one freshly allocated value slab and hands it out
+// in arity-sized pieces: a returned tuple is the caller's
+// to keep — its capacity is clipped to its length so an append cannot
+// reach its neighbour — at one allocation per frame instead of one per
+// tuple. A retained tuple pins its frame's slab (at most
+// FlushBatch×arity×8 bytes on a server's stream).
 type binaryReader struct {
 	br    *bufio.Reader
 	arity int
-	slab  relation.Tuple   // decoded values of the current data frame, back to back
-	pos   int              // next undelivered value in slab
-	blk   []relation.Tuple // NextBlock's tuple headers, reused
-	buf   []byte           // frame buffer, reused across frames
+	frame relation.Rows  // the current data frame's rows
+	next  int            // its next undelivered row
+	slab  relation.Tuple // Next's decoded copy of frame; nil until Next reads this frame
+	buf   []byte         // a frame too large for br's buffer, reused
 	err   error
 	done  bool
-	lent  bool // slab holds a NextBlock frame no caller owns, so the next may reuse it
+	empty bool // an arity-0 stream has carried its one empty tuple
 }
 
 // streamBufSize is the buffer a binary stream is read and written
@@ -262,15 +272,15 @@ func (d *binaryReader) header() error {
 }
 
 // release gives the read buffer back for reuse. The reader reads nothing
-// more: a stream not yet at its terminal ends with an error. Tuples it
-// handed out live in its own slabs and stay valid.
+// more: a stream not yet at its terminal ends with an error. Tuples Next
+// handed out live in their own slabs and stay valid; lent rows do not.
 func (d *binaryReader) release() {
 	if d.br == nil {
 		return
 	}
 	d.br.Reset(nil)
 	readBufs.Put(d.br)
-	d.br = nil
+	d.br, d.frame, d.next = nil, relation.Rows{}, 0
 	if d.err == nil && !d.done {
 		d.err = fmt.Errorf("httpserve: binary stream closed before its terminal frame")
 	}
@@ -283,50 +293,48 @@ func (d *binaryReader) Arity() int { return d.arity }
 // Err distinguishes a complete stream (nil) from a truncated or failed
 // one.
 func (d *binaryReader) Next() (relation.Tuple, bool) {
-	if !d.fill(false) {
+	if !d.fill() {
 		return nil, false
 	}
-	d.lent = false // the caller keeps what comes out of this slab
-	end := d.pos + d.arity
-	t := d.slab[d.pos:end:end]
-	d.pos = end
-	return t, true
+	if d.slab == nil {
+		d.slab = make(relation.Tuple, d.frame.N*d.arity)
+		d.slab.DecodeFrom(d.frame.Data) // sized to the frame: cannot come up short
+	}
+	start, end := d.next*d.arity, (d.next+1)*d.arity
+	d.next++
+	return d.slab[start:end:end], true
 }
 
-// NextBlock is the borrowed form of Next for a consumer that encodes what
-// it reads before reading on: up to max tuples of the current frame,
-// decoded into one slab the reader reuses for every frame and valid until
-// the next call, then an empty block at the end, after which Err reports
-// the terminal exactly as for Next.
-func (d *binaryReader) NextBlock(max int) []relation.Tuple {
-	if !d.fill(true) {
-		return nil
+// NextRows is the encoded, borrowed form of Next for a consumer that
+// relays what it reads before reading on: up to max rows of the current
+// frame, valid until the next call, then no rows at the end, after which
+// Err reports the terminal exactly as for Next.
+func (d *binaryReader) NextRows(max int) relation.Rows {
+	if !d.fill() {
+		return relation.Rows{}
 	}
-	d.blk = d.blk[:0]
-	for range min(max, (len(d.slab)-d.pos)/d.arity) {
-		end := d.pos + d.arity
-		d.blk = append(d.blk, d.slab[d.pos:end:end])
-		d.pos = end
-	}
-	return d.blk
+	n := min(max, d.frame.N-d.next)
+	d.next += n
+	return d.frame.Slice(d.next-n, d.next)
 }
 
-// fill reads frames until a decoded tuple is pending, reporting false at
-// the stream's terminal.
-func (d *binaryReader) fill(lend bool) bool {
-	for d.pos >= len(d.slab) { // readFrame sizes slab to whole tuples
-		if d.err != nil || d.done || !d.readFrame(lend) {
+// fill reads frames until a row is pending, reporting false at the
+// stream's terminal.
+func (d *binaryReader) fill() bool {
+	for d.next == d.frame.N {
+		if d.err != nil || d.done || !d.readFrame() {
 			return false
 		}
 	}
 	return true
 }
 
-// Ready reports whether NextBlock can answer without waiting on the
-// network: a decoded tuple is pending, the stream has ended, or the
-// reader already buffers the whole next frame.
+// Ready reports whether the next read can answer without waiting on the
+// network: a row is pending, the stream has ended, or the reader already
+// buffers the whole next frame. A lent frame has left the buffer already,
+// so what is buffered starts at the next frame.
 func (d *binaryReader) Ready() bool {
-	if d.pos < len(d.slab) || d.err != nil || d.done {
+	if d.next < d.frame.N || d.err != nil || d.done {
 		return true
 	}
 	b, _ := d.br.Peek(d.br.Buffered())
@@ -340,10 +348,9 @@ func (d *binaryReader) Ready() bool {
 	return used > 0 && n <= uint64(len(b)-1-used)
 }
 
-// readFrame loads the next frame, reporting whether a data frame with at
-// least the potential for tuples arrived (an empty data frame loops). A
-// lent frame reuses the slab when the previous frame was lent too.
-func (d *binaryReader) readFrame(lend bool) bool {
+// readFrame loads the next frame, reporting whether a data frame arrived
+// (an empty one loops in fill).
+func (d *binaryReader) readFrame() bool {
 	kind, err := d.br.ReadByte()
 	if err != nil {
 		d.err = fmt.Errorf("httpserve: binary stream: %w", truncated(err))
@@ -381,38 +388,45 @@ func (d *binaryReader) readFrame(lend bool) bool {
 			d.err = fmt.Errorf("httpserve: binary data frame of %d bytes implausible", n)
 			return false
 		}
-		if uint64(cap(d.buf)) < n {
-			d.buf = make([]byte, n)
+		var frame []byte
+		if n <= uint64(d.br.Size()) {
+			// Lend the frame from the read buffer: it stays there until
+			// the next read, which comes only once its rows are delivered.
+			if frame, err = d.br.Peek(int(n)); err == nil {
+				d.br.Discard(len(frame)) // cannot fail: Peek buffered them
+			}
+		} else {
+			if uint64(cap(d.buf)) < n {
+				d.buf = make([]byte, n)
+			}
+			frame = d.buf[:n]
+			_, err = io.ReadFull(d.br, frame)
 		}
-		d.buf = d.buf[:n]
-		if _, err := io.ReadFull(d.br, d.buf); err != nil {
+		if err != nil {
 			d.err = fmt.Errorf("httpserve: binary data frame: %w", truncated(err))
 			return false
 		}
-		count, used := binary.Uvarint(d.buf)
+		count, used := binary.Uvarint(frame)
 		if used <= 0 {
 			d.err = fmt.Errorf("httpserve: binary data frame has no tuple count")
 			return false
 		}
-		body := d.buf[used:]
+		body := frame[used:]
 		if d.arity > 0 {
 			if count != uint64(len(body))/uint64(8*d.arity) || len(body)%(8*d.arity) != 0 {
 				d.err = fmt.Errorf("httpserve: binary data frame claims %d tuples over %d value bytes", count, len(body))
 				return false
 			}
-		} else if count != 0 || len(body) != 0 {
-			// Arity-0 tuples occupy no bytes, so a count here is not backed
-			// by data — reject it instead of synthesizing empty tuples.
+		} else if len(body) != 0 || count > 1 || (count == 1 && d.empty) {
+			// Arity-0 tuples occupy no bytes, so no count is backed by
+			// data: only the one empty tuple of an all-bound view's true
+			// answer is meaningful, and any more is rejected instead of
+			// synthesized.
 			d.err = fmt.Errorf("httpserve: binary data frame claims %d tuples over %d value bytes for arity 0", count, len(body))
 			return false
 		}
-		if vals := len(body) / 8; lend && d.lent {
-			d.slab = slices.Grow(d.slab[:0], vals)[:vals]
-		} else {
-			d.slab = make(relation.Tuple, vals)
-		}
-		d.slab.DecodeFrom(body) // sized to body: cannot come up short
-		d.pos, d.lent = 0, lend
+		d.empty = d.empty || count == 1
+		d.frame, d.next, d.slab = relation.Rows{Data: body, N: int(count), Arity: d.arity}, 0, nil
 		return true
 	default:
 		d.err = fmt.Errorf("httpserve: unknown binary frame kind %#x", kind)

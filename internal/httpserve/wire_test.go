@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cqrep/internal/core"
+	"cqrep/internal/cq"
 	"cqrep/internal/relation"
 )
 
@@ -313,6 +314,44 @@ func TestBinaryQueryByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAllBoundAnswersInBothFormats: an all-bound view streams arity-0
+// tuples — one empty tuple for a true answer, none for a false one — and a
+// client reads that back in both encodings, unsharded and sharded. The
+// binary framing carries the true answer as a one-tuple frame of no
+// bytes, which the reader once rejected as forged.
+func TestAllBoundAnswersInBothFormats(t *testing.T) {
+	s := relation.NewRelation("S", 2)
+	for x := 0; x < 20; x++ {
+		s.MustInsert(relation.Value(x), relation.Value(-3*x))
+	}
+	db := relation.NewDatabase()
+	db.Add(s)
+	view := cq.MustParse("V[bb](x, y) :- S(x, y)")
+	for _, shards := range []int{1, 3} {
+		path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, core.WithShards(shards))
+		h, err := New([]string{path}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(h)
+		cl := &Client{Base: ts.URL}
+		for _, vb := range []relation.Tuple{{4, -12}, {4, 12}, {19, -57}} {
+			want := core.Drain(rep.Query(vb))
+			for _, format := range []Format{FormatBinary, FormatNDJSON} {
+				res, err := cl.QueryOpts(context.Background(), "V", QueryOptions{Bindings: bindByName(rep, vb), Format: format})
+				if err != nil {
+					t.Fatalf("%d shards, %v (%s): %v", shards, vb, format, err)
+				}
+				if len(res.Tuples) != len(want) || len(want) > 1 || (len(want) == 1 && len(res.Tuples[0]) != 0) {
+					t.Fatalf("%d shards, %v (%s): got %v, want %v", shards, vb, format, res.Tuples, want)
+				}
+			}
+		}
+		ts.Close()
+		h.Close()
+	}
+}
+
 // TestBinaryContentTypeAndLimit checks the negotiated response headers
 // and the limit contract on the binary path.
 func TestBinaryContentTypeAndLimit(t *testing.T) {
@@ -444,9 +483,10 @@ func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 // decoded prefix must re-encode into a stream that decodes identically.
 // Decoded tuples are the caller's: each is snapshotted as it arrives and
 // must still read the same once the stream is exhausted (no aliasing of
-// the frame buffer or of a neighbour's slab space). The borrowed NextBlock
-// path reads the same input again and must yield the same tuples, in
-// blocks no larger than asked for, and the same terminal error.
+// the frame buffer or of a neighbour's slab space). The encoded NextRows
+// path reads the same input again and must yield rows that decode to the
+// same tuples, in runs no longer than asked for, and the same terminal
+// error; so must a reader that alternates the two paths.
 func FuzzBinaryStream(f *testing.F) {
 	mk := func(build func(e *binaryWriter)) []byte {
 		var buf bytes.Buffer
@@ -480,6 +520,32 @@ func FuzzBinaryStream(f *testing.F) {
 		e.Header(2)
 		cnt := binary.AppendUvarint(nil, 3)
 		e.w.Write(append(append(binary.AppendUvarint([]byte{frameData}, uint64(len(cnt)+16)), cnt...), make([]byte, 16)...))
+		e.End()
+	}))
+	f.Add(mk(func(e *binaryWriter) { // arity 0: an all-bound view's one true answer
+		e.Header(0)
+		e.Add(relation.Tuple{})
+		e.Flush()
+		e.End()
+	}))
+	f.Add(mk(func(e *binaryWriter) { // arity 0: a second empty tuple is forged
+		e.Header(0)
+		for range 2 {
+			e.Add(relation.Tuple{})
+			e.Flush()
+		}
+		e.End()
+	}))
+	f.Add(mk(func(e *binaryWriter) { // a frame larger than the read buffer: the copy path
+		e.Header(1)
+		e.Add(relation.Tuple{-1})
+		e.Flush()
+		for i := range streamBufSize/8 + 100 {
+			e.Add(relation.Tuple{relation.Value(i - 50)})
+		}
+		e.Flush()
+		e.Add(relation.Tuple{7})
+		e.Flush()
 		e.End()
 	}))
 	f.Add([]byte("CQB1"))
@@ -521,31 +587,45 @@ func FuzzBinaryStream(f *testing.F) {
 			}
 		}
 
-		lender, err := newBinaryReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("second read of an accepted header: %v", err)
-		}
-		lent := 0
-		for max := 1; ; max = max%5 + 1 {
-			blk := lender.NextBlock(max)
-			if len(blk) == 0 {
-				break
+		for _, mixed := range []bool{false, true} {
+			lender, err := newBinaryReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("second read of an accepted header: %v", err)
 			}
-			if len(blk) > max {
-				t.Fatalf("NextBlock(%d) lent %d tuples", max, len(blk))
-			}
-			for _, tup := range blk {
-				if lent >= len(asDecoded) || !tup.Equal(asDecoded[lent]) {
-					t.Fatalf("NextBlock tuple %d = %v diverges from Next's %d tuples", lent, tup, len(asDecoded))
+			read := 0
+			for max := 1; ; max = max%5 + 1 {
+				if mixed && max == 2 {
+					tup, ok := lender.Next()
+					if !ok {
+						break
+					}
+					if read >= len(asDecoded) || !tup.Equal(asDecoded[read]) {
+						t.Fatalf("mixed read: Next tuple %d = %v diverges from Next's %d tuples", read, tup, len(asDecoded))
+					}
+					read++
+					continue
 				}
-				lent++
+				rows := lender.NextRows(max)
+				if rows.N == 0 {
+					break
+				}
+				if rows.N > max || rows.Arity != arity || len(rows.Data) != 8*rows.N*arity {
+					t.Fatalf("NextRows(%d) lent %d rows of arity %d in %d bytes", max, rows.N, rows.Arity, len(rows.Data))
+				}
+				for i := range rows.N {
+					tup := rows.DecodeRow(i, make(relation.Tuple, arity))
+					if read >= len(asDecoded) || !tup.Equal(asDecoded[read]) {
+						t.Fatalf("NextRows row %d = %v diverges from Next's %d tuples", read, tup, len(asDecoded))
+					}
+					read++
+				}
 			}
-		}
-		if lent != len(asDecoded) || fmt.Sprint(lender.Err()) != fmt.Sprint(terminal) {
-			t.Fatalf("NextBlock read %d tuples ending in %v, Next read %d ending in %v", lent, lender.Err(), len(asDecoded), terminal)
-		}
-		if blk := lender.NextBlock(3); len(blk) != 0 {
-			t.Fatal("NextBlock lent tuples after reporting exhaustion")
+			if read != len(asDecoded) || fmt.Sprint(lender.Err()) != fmt.Sprint(terminal) {
+				t.Fatalf("NextRows (mixed %v) read %d tuples ending in %v, Next read %d ending in %v", mixed, read, lender.Err(), len(asDecoded), terminal)
+			}
+			if rows := lender.NextRows(3); rows.N != 0 {
+				t.Fatal("NextRows lent rows after reporting exhaustion")
+			}
 		}
 
 		// Whatever prefix decoded must survive a round trip through the

@@ -6,6 +6,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -98,9 +99,12 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// AppendEncode appends a fixed-width binary encoding of t to dst. The
-// encoding is order-preserving per position and is used as a compact map key
-// for dictionaries keyed by (node, valuation) pairs.
+// AppendEncode appends a fixed-width binary encoding of t to dst: each
+// value as the 8 big-endian bytes of its two's complement, the row layout
+// of the binary wire framing (Rows) and a compact map key. The bytes do not
+// sort like the values — a negative value's high bit makes it compare
+// above every non-negative one under bytes.Compare — so an encoded row is
+// ordered by what it decodes to (Rows.Value).
 func (t Tuple) AppendEncode(dst []byte) []byte {
 	for _, v := range t {
 		u := uint64(v)
@@ -126,4 +130,31 @@ func (t Tuple) DecodeFrom(p []byte) ([]byte, bool) {
 		p = p[8:]
 	}
 	return p, true
+}
+
+// Rows is a run of encoded rows: N rows of Arity values each, back to back
+// in AppendEncode's layout — the payload of a binary data frame. At arity 0
+// a row takes no bytes, so N, not len(Data), counts the rows.
+type Rows struct {
+	Data     []byte
+	N, Arity int
+}
+
+// Slice returns rows [i, j) of r, sharing its bytes.
+func (r Rows) Slice(i, j int) Rows {
+	w := 8 * r.Arity
+	return Rows{Data: r.Data[i*w : j*w : j*w], N: j - i, Arity: r.Arity}
+}
+
+// Value decodes the value at position pos of row i: the signed value the
+// bytes encode, so rows compare through it in Value order.
+func (r Rows) Value(i, pos int) Value {
+	return Value(binary.BigEndian.Uint64(r.Data[8*(i*r.Arity+pos):]))
+}
+
+// DecodeRow fills t (of length Arity) with row i — DecodeFrom on one row —
+// and returns it.
+func (r Rows) DecodeRow(i int, t Tuple) Tuple {
+	t.DecodeFrom(r.Data[8*i*r.Arity:])
+	return t
 }
